@@ -55,7 +55,6 @@ from .verify import (
     CriticalityProbe,
     GapResult,
     NullCriticalityMass,
-    QuadratureConfig,
     SuiteMember,
     TestFunctionSuite,
     UncertaintyResult,
@@ -142,7 +141,6 @@ __all__ = [
     "SpectralResult",
     "bottom_eigenvalue",
     # verify
-    "QuadratureConfig",
     "SuiteMember",
     "TestFunctionSuite",
     "default_suite",

@@ -1,4 +1,4 @@
-"""Forward-mode second-order jets and radial differential operators.
+"""Forward-mode second-order jets, radial differential operators, quadrature.
 
 Every radial quantity in this package enters computations through its value
 and first two derivatives.  Instead of symbolic trees we push (value, d1, d2)
@@ -10,10 +10,12 @@ a whole radius grid is a single vectorised pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import DomainError
 
@@ -382,3 +384,42 @@ def hilfe_rhs(a: float, b: float, p: int, q: int, r: ArrayLike) -> ArrayLike:
         + q * (q * ab + b) / np.sinh(r) ** 2
         + p * (ab * (p + 2.0 * q) + b) / (4.0 * np.sinh(r / 2.0) ** 2)
     )
+
+
+# ---------------------------------------------------------------------------
+# composite Gauss-Legendre quadrature
+# ---------------------------------------------------------------------------
+
+#: nodes per panel of every composite rule in the package
+_GL_ORDER = 20
+_GL_X, _GL_W = legendre.leggauss(_GL_ORDER)
+# columns: the Gauss-Legendre weights, then the two null rules mapping node
+# values to the highest discrete Legendre coefficients of the interpolant,
+# (2k+1)/2 * sum_i w_i P_k(x_i) f(x_i) for k = _GL_ORDER-2, _GL_ORDER-1
+_GL_NULL = legendre.legvander(_GL_X, _GL_ORDER - 1)[:, -2:] * (np.arange(_GL_ORDER - 2, _GL_ORDER) + 0.5)
+_GL_RULES = np.column_stack([_GL_W, _GL_NULL * _GL_W[:, None]])
+
+
+def composite_gl(fn: Callable, a: float, b: float, width: float, min_panels: int = 1) -> tuple[float, float]:
+    """Integral of fn over [a, b] and an estimate of its error.
+
+    The interval is cut into equal panels no wider than ``width`` (at least
+    ``min_panels`` of them), each integrated by the 20-point
+    Gauss-Legendre rule; fn must accept arrays.  The error estimate is a
+    null rule on the same nodes (Berntsen and Espelid): half the panel width
+    times the size of the two highest discrete Legendre coefficients of each
+    panel's interpolant, summed over panels.  It costs no extra evaluation,
+    overestimates the error wherever those coefficients decay, and sits at
+    the rounding level of the node values once the integrand is resolved.
+    """
+    if not b > a:
+        raise DomainError("integration interval is empty")
+    panels = max(min_panels, int(math.ceil((b - a) / width)))
+    # np.linspace(a, b, panels + 1), bit for bit, without its call overhead,
+    # which dominates a one-panel rule
+    edges = np.arange(panels + 1) * ((b - a) / panels) + a
+    edges[-1] = b
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None] + halfs[:, None] * _GL_X[None, :]
+    sums = np.asarray(fn(nodes.ravel()), dtype=float).reshape(panels, _GL_ORDER) @ _GL_RULES
+    return float(sums[:, 0] @ halfs), float(np.abs(sums[:, 1:]).sum(axis=1) @ halfs)

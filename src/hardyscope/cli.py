@@ -241,11 +241,13 @@ def _cmd_green_eval(args, cfg) -> int:
     grid = _resolve_grid(args, cfg, section)
 
     batch = green_mod.green_weight_batch(model, P, grid)
-    rows = []
-    for i, r in enumerate(grid.tolist()):
-        ev = green_mod.green_value(model, P, r, tol=tol)
-        rows.append([r, ev.value, ev.error_bound, batch["dlogG"][i], batch["W"][i], batch["Wtilde"][i]])
-    _emit(_csv_text(["r", "G", "G_err", "dlogG", "W", "Wtilde"], rows), _resolve(args.out, cfg, section, "out"))
+    uncertified = np.flatnonzero(batch["G_err"] > tol)
+    if uncertified.size:
+        i = uncertified[0]
+        raise QuadratureError(f"green value at r={grid[i]} certified only to {batch['G_err'][i]:.3e} > tol={tol:.3e}")
+    columns = ("G", "G_err", "dlogG", "W", "Wtilde")
+    rows = zip(grid.tolist(), *(batch[c] for c in columns))
+    _emit(_csv_text(["r", *columns], rows), _resolve(args.out, cfg, section, "out"))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""P-Green functions by quadrature with certified tails, and the induced weights.
+"""P-Green functions with error bounds, and the induced weights.
 
 The central quantity is I(r) = integral of f^(-1/(P-1)) from r to infinity.
 Two complementary formulations are used:
@@ -19,21 +19,24 @@ Two complementary formulations are used:
 
 The excess form wins for r >= 1 (where the direct form would subtract nearly
 equal exponentials); the direct form wins for small r (where rho itself is
-tiny).  Both are exercised against closed forms in the tests.
+tiny).  One Gauss-Legendre engine, ``green_weight_batch``, evaluates both
+over a whole radius grid and carries an error bound; the single-radius
+functions call it.  Only the total integral over (0, inf), which needs no
+radius, uses scipy's adaptive quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, optimize
 
-from .calculus import RadialScalar
+from .calculus import RadialScalar, composite_gl
 from .errors import DomainError, PreconditionError, QuadratureError
-from .spaces import EUCLIDEAN, DensityModel
+from .spaces import EUCLIDEAN, DensityModel, build_density
 from .weights import WeightPair, _check_radius, _constant, _maybe_sample
 
 __all__ = [
@@ -51,8 +54,7 @@ __all__ = [
 
 #: relative slack of f'/f over its limit h defining the near cutoff
 _CUTOFF_EXCESS = 1e-3
-#: Gauss-Legendre panel order for the batch engine
-_GL_ORDER = 20
+_EPS = float(np.finfo(float).eps)
 
 
 def unit_sphere_volume(n: int) -> float:
@@ -64,7 +66,11 @@ def unit_sphere_volume(n: int) -> float:
 
 @dataclass
 class GreenEvaluation:
-    """Certified evaluation of the P-Green function at one radius."""
+    """Evaluation of the P-Green function at one radius with its error bound.
+
+    ``cutoff`` is the far cutoff where the bracketed tail begins (infinite on
+    flat space, where G has a closed form).
+    """
 
     P: float
     r: float
@@ -80,14 +86,12 @@ class GreenEvaluation:
 
 
 @lru_cache(maxsize=None)
-def _near_cutoff(descriptor: str, h: float, kind: str, n: int, p: int, q: int) -> float:
-    # reconstructed locally to keep the cache key hashable
-    from .spaces import build_density
-
+def _near_cutoff(descriptor: str) -> float:
+    # keyed by the descriptor: model objects hash by identity and are rebuilt often
     model = build_density(descriptor)
 
     def slack(R):
-        return model.excess(R) - _CUTOFF_EXCESS * h
+        return model.excess(R) - _CUTOFF_EXCESS * model.h
 
     return float(optimize.brentq(slack, 1e-6, 400.0, xtol=1e-9))
 
@@ -96,10 +100,8 @@ def _cutoff_radius(model: DensityModel) -> float:
     """Smallest radius where f'/f exceeds its limit h by at most 0.1%."""
     if model.kind == EUCLIDEAN:
         raise DomainError("flat space has no exponential tail cutoff")
-    spec = model.spec
-    return _near_cutoff(
-        spec.descriptor(), model.h, model.kind, model.n, spec.p or 0, spec.q or 0
-    )
+    return _near_cutoff(model.spec.descriptor())
+
 
 def _far_cutoff(model: DensityModel, P: float, r: float) -> float:
     """Radius beyond which the bracketed tail is negligible at double precision.
@@ -127,140 +129,31 @@ def _tail_bracket_scaled(model: DensityModel, P: float, R: float, log_f_ref: flo
 
 
 # ---------------------------------------------------------------------------
-# certified scalar quadrature (scipy.quad)
+# the Green engine (deterministic Gauss-Legendre panels)
 # ---------------------------------------------------------------------------
 
 
-def _quad_scaled_I(model: DensityModel, P: float, r: float):
-    """Scaled integral f(r)^(1/(P-1)) * I(r) with a certified error estimate."""
-    s = 1.0 / (P - 1.0)
-    log_f_r = model.log_f(r)
-
-    if model.kind == EUCLIDEAN:
-        k = (model.n - 1.0) * s
-        if k <= 1.0:
-            raise DomainError("flat-space Green integral diverges unless P < n")
-        R = 1000.0 * r
-
-        def integrand(u):
-            t = math.exp(u)
-            return math.exp(-s * (model.log_f(t) - log_f_r)) * t
-
-        bulk, err = integrate.quad(integrand, math.log(r), math.log(R), epsabs=1e-300, epsrel=1e-12, limit=200)
-        tail = math.exp(-k * math.log(R / r)) * R / (k - 1.0)
-        return bulk + tail, err, R
-
-    R = _far_cutoff(model, P, r)
-
-    def integrand(u):
-        t = math.exp(u)
-        return math.exp(-s * (model.log_f(t) - log_f_r)) * t
-
-    bulk, err = integrate.quad(integrand, math.log(r), math.log(R), epsabs=1e-300, epsrel=1e-12, limit=200)
-    tail_mid, tail_half = _tail_bracket_scaled(model, P, R, log_f_r)
-    return bulk + tail_mid, err + tail_half, R
-
-
-def green_value(model: DensityModel, P: float, r: float, tol: float = 1e-10) -> GreenEvaluation:
-    """P-Green function value G(r) with a certified absolute error bound.
-
-    G(r) = omega_n^(-1/(P-1)) * integral_r^inf f(t)^(-1/(P-1)) dt.  On flat
-    space the integral only converges for P < n; elsewhere the exponential
-    volume growth makes it converge for every P > 1.
-    """
-    P = float(P)
-    if P <= 1.0:
-        raise PreconditionError("Green function needs P > 1")
-    r = float(_check_radius(r))
-    s = 1.0 / (P - 1.0)
-    omega = unit_sphere_volume(model.n)
-    beta = math.exp(-s * math.log(omega))
-
-    scaled, scaled_err, cutoff = _quad_scaled_I(model, P, r)
-    outer = beta * math.exp(-s * model.log_f(r))
-    value = outer * scaled
-    error_bound = outer * scaled_err
-    if error_bound > tol:
-        raise QuadratureError(
-            f"green value at r={r} certified only to {error_bound:.3e} > tol={tol:.3e}"
-        )
-    return GreenEvaluation(P=P, r=r, value=value, error_bound=error_bound, cutoff=cutoff, omega_n=omega)
-
-
-def _quad_delta(model: DensityModel, P: float, r: float) -> float:
-    """delta(r) = 1 - rho(r) via the nonnegative excess integral (r >= 1 path)."""
-    s = 1.0 / (P - 1.0)
-    h = model.h
-    log_f_r = model.log_f(r)
-    R = _far_cutoff(model, P, r)
-
-    def integrand(t):
-        return (model.excess(t) / h) * math.exp(-s * (model.log_f(t) - log_f_r))
-
-    bulk, _ = integrate.quad(integrand, r, R, epsabs=1e-300, epsrel=1e-12, limit=200)
-    tail_mid, _ = _tail_bracket_scaled(model, P, R, log_f_r)
-    tail = (model.excess(R) / h) * tail_mid
-    return h * (bulk + 0.5 * tail) / (P - 1.0)
-
-
-def _scalar_rho_delta(model: DensityModel, P: float, r: float):
-    """(rho, delta=1-rho) for one radius, choosing the stable formulation."""
-    if r >= 1.0:
-        delta = _quad_delta(model, P, r)
-        return 1.0 - delta, delta
-    scaled, _, _ = _quad_scaled_I(model, P, r)
-    rho = model.h * scaled / (P - 1.0)
-    return rho, 1.0 - rho
-
-
-def green_log_derivative(model: DensityModel, P: float, r: float) -> float:
-    """G'/G at radius r; always <= -h/(P-1), exactly -(n-P)/((P-1)r) when flat."""
-    P = float(P)
-    if P <= 1.0:
-        raise PreconditionError("Green function needs P > 1")
-    r = float(_check_radius(r))
-    if model.kind == EUCLIDEAN:
-        if P >= model.n:
-            raise DomainError("flat-space Green integral diverges unless P < n")
-        return -(model.n - P) / ((P - 1.0) * r)
-    rho, _ = _scalar_rho_delta(model, P, r)
-    return -model.h / ((P - 1.0) * rho)
-
-
-# ---------------------------------------------------------------------------
-# batch engine (deterministic Gauss-Legendre panels)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def _panel_integral(fn, a: float, b: float, rate: float) -> float:
-    """Integrate fn over [a, b] with GL panels sized against the decay rate."""
-    if b <= a:
-        return 0.0
-    width = min(0.5, 8.0 / max(rate, 1.0))
-    count = max(1, int(math.ceil((b - a) / width)))
-    edges = np.linspace(a, b, count + 1)
-    x, w = _gl_nodes(_GL_ORDER)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * x[None, :]).ravel()
-    vals = fn(nodes).reshape(count, _GL_ORDER)
-    return float(half * np.sum(vals @ w))
+def _panel_width(rate: float) -> float:
+    """Panel width resolving a decay rate: at most 8 e-foldings per panel."""
+    return min(0.5, 8.0 / max(rate, 1.0))
 
 
 def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     """Vectorised Green-weight evaluation over a radius grid.
 
-    Returns arrays keyed by "G", "dlogG", "W", "Wtilde", "rho", "delta".  The
-    engine accumulates segment integrals between consecutive radii so the
-    whole grid costs one sweep; every intermediate is scaled to order one.
-    The positivity W >= Lambda_P survives in floating point because delta
-    is assembled from nonnegative panel sums.
+    Returns arrays keyed by "G", "G_err", "dlogG", "W", "Wtilde", "rho",
+    "delta".  The engine accumulates segment integrals between consecutive
+    radii so the whole grid costs one sweep; every intermediate is scaled to
+    order one.  The positivity W >= Lambda_P survives in floating point
+    because delta is assembled from nonnegative panel sums.
+
+    G_err bounds |G - G_exact| by three parts: the null-rule panel estimates
+    of ``composite_gl`` and the bracket half-width of the tail beyond the far
+    cutoff, both carried through the same scaled recurrences as the
+    integrals, plus a rounding floor 8 eps (1 + |log f(r)|/(P-1)) G.  The
+    floor covers the exponential exp(-log f(r)/(P-1)) that scales G: an error
+    of a few ulps in log f is a relative error in G of that many ulps of the
+    exponent.
     """
     P = float(P)
     if P <= 1.0:
@@ -282,7 +175,9 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
         G = beta * rs ** (1.0 - k) / (k - 1.0)
         dlog = -(n - P) / ((P - 1.0) * rs)
         W = ((n - P) / P) ** P * rs ** (-P)
-        out = {"G": G, "dlogG": dlog, "W": W, "Wtilde": W.copy(), "rho": np.full_like(rs, np.nan), "delta": np.full_like(rs, np.nan)}
+        G_err = _rounding_floor(G, s * model.log_f(rs))
+        nan = np.full_like(rs, np.nan)
+        out = {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": W.copy(), "rho": nan, "delta": nan}
         return _unsort(out, order)
 
     h = model.h
@@ -291,7 +186,8 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
 
     # knots at every requested radius >= 1, plus the anchor at 1 when smaller
     # radii are present; the excess integral is accumulated downward from the
-    # far cutoff, rescaled to the left knot of each segment.
+    # far cutoff, rescaled to the left knot of each segment.  Each integral
+    # carries its error estimate through the same recurrence.
     hi_mask = rs >= 1.0
     hi_knots = list(np.unique(rs[hi_mask]))
     lo_knots = list(np.unique(rs[~hi_mask]))
@@ -300,7 +196,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
             hi_knots.insert(0, 1.0)
     R_far = _far_cutoff(model, P, hi_knots[-1])
 
-    rate_j = s * h + 1.0
+    width_j = _panel_width(s * h + 1.0)
 
     def j_segment(a, b):
         ref = float(log_f(a))
@@ -308,26 +204,35 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
         def fn(t):
             return (np.asarray(model.excess(t)) / h) * np.exp(-s * (log_f(t) - ref))
 
-        return _panel_integral(fn, a, b, rate_j)
+        return composite_gl(fn, a, b, width_j)
 
-    delta_by_knot: dict = {}
+    def from_j(j_hat, j_err):
+        """(rho, delta, error of either) from the scaled excess integral."""
+        delta = h * j_hat / (P - 1.0)
+        return 1.0 - delta, delta, h * j_err / (P - 1.0)
+
     top = hi_knots[-1]
-    log_f_top = float(log_f(top))
-    tail_mid, _ = _tail_bracket_scaled(model, P, R_far, log_f_top)
-    j_hat = j_segment(top, R_far) + 0.5 * (model.excess(R_far) / h) * tail_mid
-    delta_by_knot[top] = h * j_hat / (P - 1.0)
+    tail_mid, tail_half = _tail_bracket_scaled(model, P, R_far, float(log_f(top)))
+    # the J tail lies in [0, excess(R_far)/h * (tail_mid + tail_half)]
+    tail_factor = model.excess(R_far) / h
+    j_hat, j_err = j_segment(top, R_far)
+    j_hat += 0.5 * tail_factor * tail_mid
+    j_err += tail_factor * (0.5 * tail_mid + tail_half)
+    by_knot = {top: from_j(j_hat, j_err)}
     for a, b in zip(reversed(hi_knots[:-1]), reversed(hi_knots[1:])):
         carry = math.exp(-s * (float(log_f(b)) - float(log_f(a))))
-        j_hat = j_segment(a, b) + carry * j_hat
-        delta_by_knot[a] = h * j_hat / (P - 1.0)
-
-    rho_by_knot = {k: 1.0 - d for k, d in delta_by_knot.items()}
+        seg, seg_err = j_segment(a, b)
+        j_hat = seg + carry * j_hat
+        j_err = seg_err + carry * j_err
+        by_knot[a] = from_j(j_hat, j_err)
 
     if lo_knots:
         anchor = hi_knots[0]
-        i_hat = (P - 1.0) * rho_by_knot[anchor] / h
+        rho_a, _, err_a = by_knot[anchor]
+        i_hat = (P - 1.0) * rho_a / h
+        i_err = (P - 1.0) * err_a / h
         chain = lo_knots + [anchor]
-        rate_d = 1.0 + s * (n - 1.0) * 1.2
+        width_d = _panel_width(1.0 + s * (n - 1.0) * 1.2)
 
         def d_segment(a, b):
             ref = float(log_f(a))
@@ -336,28 +241,65 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
                 t = np.exp(u)
                 return np.exp(-s * (log_f(t) - ref)) * t
 
-            return _panel_integral(fn, math.log(a), math.log(b), rate_d)
+            return composite_gl(fn, math.log(a), math.log(b), width_d)
 
         for a, b in zip(reversed(chain[:-1]), reversed(chain[1:])):
             carry = math.exp(-s * (float(log_f(b)) - float(log_f(a))))
-            i_hat = d_segment(a, b) + carry * i_hat
-            rho_by_knot[a] = h * i_hat / (P - 1.0)
-            delta_by_knot[a] = 1.0 - rho_by_knot[a]
+            seg, seg_err = d_segment(a, b)
+            i_hat = seg + carry * i_hat
+            i_err = seg_err + carry * i_err
+            rho = h * i_hat / (P - 1.0)
+            by_knot[a] = (rho, 1.0 - rho, h * i_err / (P - 1.0))
 
-    rho = np.array([rho_by_knot[r] for r in rs])
-    delta = np.array([delta_by_knot[r] for r in rs])
+    rho, delta, rho_err = np.array([by_knot[r] for r in rs]).T
     dlog = -h / ((P - 1.0) * rho)
     W = lam_p * rho ** (-P)
     with np.errstate(invalid="ignore"):
         wtilde = lam_p * np.expm1(-P * np.log1p(-delta))
-    G = beta * (P - 1.0) / h * rho * np.exp(-s * np.asarray(log_f(rs), dtype=float))
-    out = {"G": G, "dlogG": dlog, "W": W, "Wtilde": wtilde, "rho": rho, "delta": delta}
+    exponent = s * log_f(rs)
+    G = beta * (P - 1.0) / h * rho * np.exp(-exponent)
+    G_err = G * (rho_err / rho) + _rounding_floor(G, exponent)
+    out = {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": wtilde, "rho": rho, "delta": delta}
     return _unsort(out, order)
+
+
+def _rounding_floor(G: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    return 8.0 * _EPS * (1.0 + np.abs(exponent)) * G
 
 
 def _unsort(out: dict, order: np.ndarray) -> dict:
     inverse = np.argsort(order)
     return {k: v[inverse] for k, v in out.items()}
+
+
+# ---------------------------------------------------------------------------
+# one radius at a time
+# ---------------------------------------------------------------------------
+
+
+def green_value(model: DensityModel, P: float, r: float, tol: float = 1e-10) -> GreenEvaluation:
+    """P-Green function value G(r) with the error bound G_err of the engine.
+
+    G(r) = omega_n^(-1/(P-1)) * integral_r^inf f(t)^(-1/(P-1)) dt.  On flat
+    space the integral only converges for P < n; elsewhere the exponential
+    volume growth makes it converge for every P > 1.  Raises QuadratureError
+    when the bound exceeds ``tol``.
+    """
+    r = float(_check_radius(r))
+    out = green_weight_batch(model, P, r)
+    value, error_bound = float(out["G"][0]), float(out["G_err"][0])
+    if error_bound > tol:
+        raise QuadratureError(f"green value at r={r} certified only to {error_bound:.3e} > tol={tol:.3e}")
+    cutoff = math.inf if model.kind == EUCLIDEAN else _far_cutoff(model, float(P), max(r, 1.0))
+    return GreenEvaluation(
+        P=float(P), r=r, value=value, error_bound=error_bound, cutoff=cutoff, omega_n=unit_sphere_volume(model.n)
+    )
+
+
+def green_log_derivative(model: DensityModel, P: float, r: float) -> float:
+    """G'/G at radius r; always <= -h/(P-1), exactly -(n-P)/((P-1)r) when flat."""
+    r = float(_check_radius(r))
+    return float(green_weight_batch(model, P, r)["dlogG"][0])
 
 
 # ---------------------------------------------------------------------------

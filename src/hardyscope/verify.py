@@ -13,15 +13,13 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from . import green as green_mod
-from .calculus import RadialScalar, p_laplacian_radial
+from .calculus import RadialScalar, composite_gl, p_laplacian_radial
 from .errors import DomainError, PreconditionError
 from .spaces import DEFAULT_CATALOG, DensityModel, build_density, default_grid
 from .weights import (
@@ -36,7 +34,6 @@ from .weights import (
 )
 
 __all__ = [
-    "QuadratureConfig",
     "SuiteMember",
     "TestFunctionSuite",
     "default_suite",
@@ -63,36 +60,13 @@ __all__ = [
 # quadrature
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Composite Gauss-Legendre settings used by the integral checks."""
-
-    panel_width: float = 0.25
-    order: int = 20
+#: panel width and minimum panel count of the integral checks
+_PANEL_WIDTH = 0.25
+_MIN_PANELS = 8
 
 
-_DEFAULT_QUAD = QuadratureConfig()
-
-
-@lru_cache(maxsize=8)
-def _gl_rule(order: int):
-    x, w = leggauss(order)
-    return x, w
-
-
-def _composite_gl(fn: Callable, a: float, b: float, quad_cfg: QuadratureConfig) -> float:
-    """Integrate fn over [a, b] with fixed panels; fn must accept arrays."""
-    if not b > a:
-        raise DomainError("integration interval is empty")
-    x, w = _gl_rule(quad_cfg.order)
-    panels = max(8, int(np.ceil((b - a) / quad_cfg.panel_width)))
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    vals = np.asarray(fn(pts), dtype=float).reshape(panels, quad_cfg.order)
-    return float(np.dot(vals @ w, halfs))
+def _integral(fn: Callable, a: float, b: float) -> float:
+    return composite_gl(fn, a, b, _PANEL_WIDTH, _MIN_PANELS)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +187,7 @@ class GapResult:
         return abs(self.lhs) + abs(self.rhs)
 
 
-def _form_gap(
-    model: DensityModel,
-    pair: WeightPair,
-    member: SuiteMember,
-    P: float,
-    quad_cfg: QuadratureConfig,
-) -> GapResult:
+def _form_gap(model: DensityModel, pair: WeightPair, member: SuiteMember, P: float) -> GapResult:
     a, b = member.support
     phi = member.scalar
     measure = pair.measure
@@ -236,17 +204,12 @@ def _form_gap(
         net = np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r))
         return net * np.abs(phi.value(r)) ** P * weight_fn(r)
 
-    lhs = _composite_gl(lhs_fn, a, b, quad_cfg)
-    rhs = _composite_gl(rhs_fn, a, b, quad_cfg)
+    lhs = _integral(lhs_fn, a, b)
+    rhs = _integral(rhs_fn, a, b)
     return GapResult(lhs, rhs)
 
 
-def rayleigh_gap(
-    model: DensityModel,
-    pair: WeightPair,
-    member: SuiteMember,
-    quad_cfg: QuadratureConfig = _DEFAULT_QUAD,
-) -> GapResult:
+def rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> GapResult:
     """Energy minus potential mass for the quadratic form of a pair.
 
     Returns the two sides of
@@ -254,17 +217,12 @@ def rayleigh_gap(
     where mu is the pair's reference measure (1 when absent).  A nonnegative
     gap confirms the inequality on this test function.
     """
-    return _form_gap(model, pair, member, 2.0, quad_cfg)
+    return _form_gap(model, pair, member, 2.0)
 
 
-def p_rayleigh_gap(
-    model: DensityModel,
-    pair: WeightPair,
-    member: SuiteMember,
-    quad_cfg: QuadratureConfig = _DEFAULT_QUAD,
-) -> GapResult:
+def p_rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> GapResult:
     """Same as rayleigh_gap but with |phi'|^P against (W - V)|phi|^P."""
-    return _form_gap(model, pair, member, pair.P, quad_cfg)
+    return _form_gap(model, pair, member, pair.P)
 
 
 def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
@@ -394,12 +352,7 @@ class UncertaintyResult:
         return self.energy * self.weighted_moment / (0.25 * self.norm**2)
 
 
-def uncertainty_gap(
-    p: int,
-    q: int,
-    member: SuiteMember,
-    quad_cfg: QuadratureConfig = _DEFAULT_QUAD,
-) -> UncertaintyResult:
+def uncertainty_gap(p: int, q: int, member: SuiteMember) -> UncertaintyResult:
     """Shifted-energy uncertainty product on a Heisenberg-type space.
 
     Computes E = integral phi'^2 f - lambda0 integral phi^2 f, the weighted
@@ -424,18 +377,13 @@ def uncertainty_gap(
         return v**2 * np.asarray(model.f(r))
 
     return UncertaintyResult(
-        energy=_composite_gl(energy_fn, a, b, quad_cfg),
-        weighted_moment=_composite_gl(moment_fn, a, b, quad_cfg),
-        norm=_composite_gl(norm_fn, a, b, quad_cfg),
+        energy=_integral(energy_fn, a, b),
+        weighted_moment=_integral(moment_fn, a, b),
+        norm=_integral(norm_fn, a, b),
     )
 
 
-def rellich_gap(
-    p: int,
-    q: int,
-    member: SuiteMember,
-    quad_cfg: QuadratureConfig = _DEFAULT_QUAD,
-) -> GapResult:
+def rellich_gap(p: int, q: int, member: SuiteMember) -> GapResult:
     """Second-order form against the inverse moment weight.
 
     Returns the two sides of
@@ -457,8 +405,8 @@ def rellich_gap(
         return v**2 / (16.0 * hpw_g(p, q, r) * r**2) * np.asarray(model.f(r))
 
     return GapResult(
-        lhs=_composite_gl(lhs_fn, a, b, quad_cfg),
-        rhs=_composite_gl(rhs_fn, a, b, quad_cfg),
+        lhs=_integral(lhs_fn, a, b),
+        rhs=_integral(rhs_fn, a, b),
     )
 
 

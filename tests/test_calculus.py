@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from hardyscope.calculus import (
     Jet2,
     RadialScalar,
+    composite_gl,
     hilfe_rhs,
     jet_where,
     laplacian_radial,
@@ -155,3 +158,17 @@ def test_laplacian_radial_rejects_nonpositive_radius():
     e3 = build_density("euclidean:3")
     with pytest.raises(DomainError):
         laplacian_radial(radius() ** 2.0, e3, 0.0)
+
+
+def test_composite_gl_error_estimate_bounds_the_error():
+    # integral of exp(-lam t) over [0, 4] is -expm1(-4 lam)/lam
+    for lam, width in ((40.0, 2.0), (40.0, 1.0), (5.0, 4.0), (1.0, 0.25)):
+        value, estimate = composite_gl(lambda t: np.exp(-lam * t), 0.0, 4.0, width)
+        error = abs(value + math.expm1(-4.0 * lam) / lam)
+        assert error <= estimate
+        if width == 2.0:  # under-resolved panels: the bounded error is real
+            assert error > 1e-10
+    # once resolved, the estimate falls to the rounding level of the sum
+    assert estimate <= 1e-14 * value
+    with pytest.raises(DomainError):
+        composite_gl(np.exp, 1.0, 1.0, 0.25)

@@ -79,7 +79,9 @@ def test_green_eval_uncertifiable_tolerance(capsys):
         ["green", "eval", "--space", "dr:2,1", "--tol", "1e-18", "--grid", "1:2:0.5"]
     )
     assert rc == 1
-    assert "certified" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "certified" in err
+    assert "r=1.0 " in err  # the first radius of the grid that fails
 
 
 def test_green_asymptotics_json(capsys):

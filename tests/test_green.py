@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -66,15 +67,49 @@ def test_hyperbolic3_weight_identities():
     assert green_log_derivative(h3, 2.0, 1.0) == pytest.approx(-2.3130352854993315, rel=1e-10)
 
 
-def test_batch_agrees_with_scalar_path_and_preserves_order():
+def _mp_green(p, q, P, r):
+    """G(r) and G'/G on dr:p,q from a 30-digit mpmath quadrature."""
+    with mpmath.workdps(30):
+        s = 1 / (mpmath.mpf(P) - 1)
+        r = mpmath.mpf(r)
+
+        def f(t):
+            return 2**p * mpmath.sinh(t / 2) ** p * mpmath.sinh(t) ** q
+
+        # the integrand (f(t)/f(r))^(-s) is of order one, as mpmath.quad
+        # stops on an absolute tolerance; breakpoints follow its decay
+        rate = s * (p + 2 * q) / 2
+        pts = [r * 2**k for k in range(max(1, math.ceil(math.log2(1 / r))))]
+        pts += [max(r, 1) + 2**k / rate for k in range(-1, 7)] + [mpmath.inf]
+        fr = f(r)
+        J = mpmath.quad(lambda t: (f(t) / fr) ** -s, pts)
+        omega = 2 * mpmath.pi ** (mpmath.mpf(p + q + 1) / 2) / mpmath.gamma(mpmath.mpf(p + q + 1) / 2)
+        return float((omega * fr) ** -s * J), float(-1 / J)
+
+
+def test_batch_matches_mpmath_reference_and_preserves_order():
     model = build_density("dr:4,2")
     radii = np.array([3.0, 0.05, 1.0, 17.0, 0.7])
     batch = green_weight_batch(model, 2.5, radii)
     for i, r in enumerate(radii):
-        assert batch["G"][i] == pytest.approx(green_value(model, 2.5, float(r)).value, rel=1e-9)
-        assert batch["dlogG"][i] == pytest.approx(
-            green_log_derivative(model, 2.5, float(r)), rel=1e-9
-        )
+        G, dlog = _mp_green(4, 2, 2.5, r)
+        assert batch["G"][i] == pytest.approx(G, rel=1e-12)
+        assert batch["dlogG"][i] == pytest.approx(dlog, rel=1e-12)
+        assert abs(batch["G"][i] - G) <= batch["G_err"][i]
+        assert green_value(model, 2.5, float(r)).value == pytest.approx(G, rel=1e-12)
+        assert green_log_derivative(model, 2.5, float(r)) == pytest.approx(dlog, rel=1e-12)
+
+
+def test_error_bound_covers_hyperbolic3_closed_form_on_default_grid():
+    h3 = build_density("hyperbolic:3")
+    grid = default_grid()
+    batch = green_weight_batch(h3, 2.0, grid)
+    with mpmath.workdps(30):
+        exact = [2 / mpmath.expm1(2 * mpmath.mpf(r)) / (4 * mpmath.pi) for r in grid]
+        miss = np.array([float(abs(mpmath.mpf(g) - e)) for g, e in zip(batch["G"], exact)])
+    assert np.all(miss <= batch["G_err"])
+    # a few ulps of the exponent 2 log sinh r, not a blanket tolerance
+    assert np.all(batch["G_err"] <= 1e-12 * batch["G"])
 
 
 def test_green_decreases_and_certifies_error():
