@@ -241,6 +241,11 @@ def _cmd_green_eval(args, cfg) -> int:
     grid = _resolve_grid(args, cfg, section)
 
     batch = green_mod.green_weight_batch(model, P, grid)
+    # below the normal range G keeps too few digits for G_err to mean anything
+    underflowed = np.flatnonzero(batch["G"] < np.finfo(float).tiny)
+    if underflowed.size:
+        i = underflowed[0]
+        raise QuadratureError(f"green value at r={grid[i]} underflows: G={batch['G'][i]:.3e}")
     uncertified = np.flatnonzero(batch["G_err"] > tol)
     if uncertified.size:
         i = uncertified[0]
@@ -306,11 +311,10 @@ def _cmd_verify(args, cfg) -> int:
     if not spaces:
         raw = _resolve(None, cfg, section, "spaces")
         spaces = raw.split() if raw else list(DEFAULT_CATALOG)
-    threads = _resolve(args.threads, cfg, section, "threads", int)
     for desc in spaces:
         build_density(desc)  # fail fast with exit 2 on a bad descriptor
 
-    reports = verify.run_verification(spaces=spaces, families=families, threads=threads)
+    reports = verify.run_verification(spaces=spaces, families=families)
     n_fail = sum(1 for rep in reports if rep.verdict == "fail")
     n_skip = sum(1 for rep in reports if rep.verdict == "skip")
     for rep in reports:
@@ -401,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run numerical check families")
     p_verify.add_argument("family", choices=list(verify.FAMILIES) + ["all"])
     p_verify.add_argument("--space", action="append", help="repeatable; defaults to the catalog")
-    p_verify.add_argument("--threads", type=int)
     p_verify.add_argument("--out", help="write the full JSON report here")
     p_verify.set_defaults(func=_cmd_verify)
 

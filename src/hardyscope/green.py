@@ -21,8 +21,10 @@ The excess form wins for r >= 1 (where the direct form would subtract nearly
 equal exponentials); the direct form wins for small r (where rho itself is
 tiny).  One Gauss-Legendre engine, ``green_weight_batch``, evaluates both
 over a whole radius grid and carries an error bound; the single-radius
-functions call it.  Only the total integral over (0, inf), which needs no
-radius, uses scipy's adaptive quadrature.
+functions call it.  It integrates all segments between consecutive radii
+in one vectorised pass per form, so its cost per radius is numpy work, not
+Python calls.  Only the total integral over (0, inf), which needs no radius,
+uses scipy's adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -139,13 +141,17 @@ def _panel_width(rate: float) -> float:
 
 
 def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
-    """Vectorised Green-weight evaluation over a radius grid.
+    """Green function and Green weight over a radius grid, with error bounds.
 
     Returns arrays keyed by "G", "G_err", "dlogG", "W", "Wtilde", "rho",
-    "delta".  The engine accumulates segment integrals between consecutive
-    radii so the whole grid costs one sweep; every intermediate is scaled to
-    order one.  The positivity W >= Lambda_P survives in floating point
-    because delta is assembled from nonnegative panel sums.
+    "delta", in the order of ``radii`` (unsorted and repeated radii are
+    allowed).  The distinct radii are the knots of two chains, the excess
+    integral J from 1 up to the far cutoff and the direct integral below 1
+    in log r, each one ``composite_gl`` pass over all of its segments.  The
+    integrand of segment [a, b] is scaled by f(a)^(1/(P-1)) so every
+    intermediate stays of order one, and a float recurrence chains the
+    segments downward.  The positivity W >= Lambda_P survives in floating
+    point because delta is assembled from nonnegative panel sums.
 
     G_err bounds |G - G_exact| by three parts: the null-rule panel estimates
     of ``composite_gl`` and the bracket half-width of the tail beyond the far
@@ -153,7 +159,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     integrals, plus a rounding floor 8 eps (1 + |log f(r)|/(P-1)) G.  The
     floor covers the exponential exp(-log f(r)/(P-1)) that scales G: an error
     of a few ulps in log f is a relative error in G of that many ulps of the
-    exponent.
+    exponent.  Where G overflows near the pole, G_err is infinite.
     """
     P = float(P)
     if P <= 1.0:
@@ -182,85 +188,92 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
 
     h = model.h
     lam_p = (h / P) ** P
-    log_f = lambda t: np.asarray(model.log_f(t))
 
-    # knots at every requested radius >= 1, plus the anchor at 1 when smaller
-    # radii are present; the excess integral is accumulated downward from the
-    # far cutoff, rescaled to the left knot of each segment.  Each integral
-    # carries its error estimate through the same recurrence.
-    hi_mask = rs >= 1.0
-    hi_knots = list(np.unique(rs[hi_mask]))
-    lo_knots = list(np.unique(rs[~hi_mask]))
-    if lo_knots:
-        if not hi_knots or hi_knots[0] > 1.0:
-            hi_knots.insert(0, 1.0)
-    R_far = _far_cutoff(model, P, hi_knots[-1])
+    # knots: every distinct radius, the anchor 1 when radii below 1 are
+    # present, and the far cutoff; carry k rescales from f(knot k+1) to f(knot k)
+    knots = np.unique(rs)
+    lo = knots[knots < 1.0]
+    hi = knots[knots >= 1.0]
+    if lo.size and (not hi.size or hi[0] > 1.0):
+        hi = np.concatenate(([1.0], hi))
+    R_far = _far_cutoff(model, P, float(hi[-1]))
+    chain = np.concatenate((lo, hi, [R_far]))
+    lf = model.log_f(chain)
+    carry = np.exp(-s * np.diff(lf))
 
-    width_j = _panel_width(s * h + 1.0)
+    # J chain: the excess integral, started from the bracketed tail beyond
+    # R_far (already scaled to the top knot, hence the carry 1 into it)
+    t_j, lf_j = chain[lo.size :], lf[lo.size :]
 
-    def j_segment(a, b):
-        ref = float(log_f(a))
+    def j_integrand(t):
+        # a node on b_k (only in a segment a few ulps wide) takes the next
+        # segment's reference, which differs from this one's by those ulps
+        ref = lf_j[np.searchsorted(t_j, t, side="right") - 1]
+        return model.excess(t) / h * np.exp(-s * (model.log_f(t) - ref))
 
-        def fn(t):
-            return (np.asarray(model.excess(t)) / h) * np.exp(-s * (log_f(t) - ref))
-
-        return composite_gl(fn, a, b, width_j)
-
-    def from_j(j_hat, j_err):
-        """(rho, delta, error of either) from the scaled excess integral."""
-        delta = h * j_hat / (P - 1.0)
-        return 1.0 - delta, delta, h * j_err / (P - 1.0)
-
-    top = hi_knots[-1]
-    tail_mid, tail_half = _tail_bracket_scaled(model, P, R_far, float(log_f(top)))
+    seg, seg_err = composite_gl(j_integrand, t_j[:-1], t_j[1:], _panel_width(s * h + 1.0))
+    tail_mid, tail_half = _tail_bracket_scaled(model, P, R_far, float(lf_j[-2]))
     # the J tail lies in [0, excess(R_far)/h * (tail_mid + tail_half)]
     tail_factor = model.excess(R_far) / h
-    j_hat, j_err = j_segment(top, R_far)
-    j_hat += 0.5 * tail_factor * tail_mid
-    j_err += tail_factor * (0.5 * tail_mid + tail_half)
-    by_knot = {top: from_j(j_hat, j_err)}
-    for a, b in zip(reversed(hi_knots[:-1]), reversed(hi_knots[1:])):
-        carry = math.exp(-s * (float(log_f(b)) - float(log_f(a))))
-        seg, seg_err = j_segment(a, b)
-        j_hat = seg + carry * j_hat
-        j_err = seg_err + carry * j_err
-        by_knot[a] = from_j(j_hat, j_err)
+    tail, tail_err = 0.5 * tail_factor * tail_mid, tail_factor * (0.5 * tail_mid + tail_half)
+    j_hat, j_err = _carry_down(seg, seg_err, np.append(carry[lo.size : -1], 1.0), tail, tail_err)
+    delta = h * j_hat / (P - 1.0)
+    rho = 1.0 - delta
+    rho_err = h * j_err / (P - 1.0)
 
-    if lo_knots:
-        anchor = hi_knots[0]
-        rho_a, _, err_a = by_knot[anchor]
-        i_hat = (P - 1.0) * rho_a / h
-        i_err = (P - 1.0) * err_a / h
-        chain = lo_knots + [anchor]
+    if lo.size:
+        # D chain: the direct integral in u = log t, started from the anchor
+        u_d, lf_d = np.log(chain[: lo.size + 1]), lf[: lo.size + 1]
+
+        def d_integrand(u):
+            t = np.exp(u)
+            ref = lf_d[np.searchsorted(u_d, u, side="right") - 1]
+            return np.exp(-s * (model.log_f(t) - ref)) * t
+
+        # radii an ulp apart can share a logarithm: their segment is empty
+        wide = u_d[1:] > u_d[:-1]
+        seg, seg_err = np.zeros(lo.size), np.zeros(lo.size)
         width_d = _panel_width(1.0 + s * (n - 1.0) * 1.2)
+        seg[wide], seg_err[wide] = composite_gl(d_integrand, u_d[:-1][wide], u_d[1:][wide], width_d)
+        i_hat, i_err = _carry_down(seg, seg_err, carry[: lo.size], (P - 1.0) * rho[0] / h, (P - 1.0) * rho_err[0] / h)
+        rho_d = h * i_hat / (P - 1.0)
+        rho = np.concatenate((rho_d, rho))
+        delta = np.concatenate((1.0 - rho_d, delta))
+        rho_err = np.concatenate((h * i_err / (P - 1.0), rho_err))
 
-        def d_segment(a, b):
-            ref = float(log_f(a))
-
-            def fn(u):
-                t = np.exp(u)
-                return np.exp(-s * (log_f(t) - ref)) * t
-
-            return composite_gl(fn, math.log(a), math.log(b), width_d)
-
-        for a, b in zip(reversed(chain[:-1]), reversed(chain[1:])):
-            carry = math.exp(-s * (float(log_f(b)) - float(log_f(a))))
-            seg, seg_err = d_segment(a, b)
-            i_hat = seg + carry * i_hat
-            i_err = seg_err + carry * i_err
-            rho = h * i_hat / (P - 1.0)
-            by_knot[a] = (rho, 1.0 - rho, h * i_err / (P - 1.0))
-
-    rho, delta, rho_err = np.array([by_knot[r] for r in rs]).T
+    # rs are knots; the knots below R_far are ordered like rho
+    at = np.searchsorted(chain, rs)
+    rho, delta, rho_err = rho[at], delta[at], rho_err[at]
     dlog = -h / ((P - 1.0) * rho)
     W = lam_p * rho ** (-P)
-    with np.errstate(invalid="ignore"):
-        wtilde = lam_p * np.expm1(-P * np.log1p(-delta))
-    exponent = s * log_f(rs)
-    G = beta * (P - 1.0) / h * rho * np.exp(-exponent)
+    # W - Lambda_P from whichever of rho, delta = 1 - rho carries it exactly:
+    # past delta = 1/2 the rounding of delta would cost P eps / rho relative
+    with np.errstate(invalid="ignore", divide="ignore"):
+        wtilde = lam_p * np.expm1(-P * np.where(delta < 0.5, np.log1p(-delta), np.log(rho)))
+    exponent = s * lf[at]
+    # G overflows near the pole when the exponent is hugely negative; the
+    # infinite G_err then refuses the row
+    with np.errstate(over="ignore"):
+        G = beta * (P - 1.0) / h * rho * np.exp(-exponent)
     G_err = G * (rho_err / rho) + _rounding_floor(G, exponent)
     out = {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": wtilde, "rho": rho, "delta": delta}
     return _unsort(out, order)
+
+
+def _carry_down(seg, seg_err, carry, value: float, error: float):
+    """Backward recurrence x_k = seg_k + carry_k x_(k+1), and its error bound.
+
+    Starts from ``value``/``error`` beyond the last segment and returns the
+    values at the left end of every segment.  The scaled carries stay at
+    most one, so the float loop never over- or underflows.
+    """
+    values, errors = [], []
+    for x, e, c in zip(reversed(seg.tolist()), reversed(seg_err.tolist()), reversed(carry.tolist())):
+        value = x + c * value
+        error = e + c * error
+        values.append(value)
+        errors.append(error)
+    return np.array(values[::-1]), np.array(errors[::-1])
 
 
 def _rounding_floor(G: np.ndarray, exponent: np.ndarray) -> np.ndarray:

@@ -9,9 +9,7 @@ a bare boolean.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -649,25 +647,15 @@ def _collect_jobs(spaces, families, suite):
     return jobs
 
 
-def _worker_count(threads: int | None, n_jobs: int) -> int:
-    if threads is None:
-        env = os.environ.get("HARDYSCOPE_THREADS", "")
-        threads = int(env) if env.strip() else 1
-    if threads < 1:
-        raise PreconditionError("thread count must be at least 1")
-    return max(1, min(threads, n_jobs))
-
-
 def run_verification(
     spaces=None,
     families=None,
-    threads: int | None = None,
     suite: TestFunctionSuite | None = None,
 ) -> list[VerificationReport]:
     """Run the requested check families and return reports in a fixed order.
 
-    The report order depends only on (spaces, families, suite), never on
-    thread scheduling, so repeated runs diff cleanly.
+    The report order depends only on (spaces, families, suite), so repeated
+    runs diff cleanly.
     """
     if spaces is None:
         spaces = DEFAULT_CATALOG
@@ -677,15 +665,8 @@ def run_verification(
         suite = default_suite()
     jobs = _collect_jobs(list(spaces), list(families), suite)
 
-    def execute(entry):
-        report, job = entry
+    for report, job in jobs:
         start = time.perf_counter()
         report.lhs, report.rhs, report.gap, report.tolerance, report.verdict = job()
         report.seconds = time.perf_counter() - start
-        return report
-
-    workers = _worker_count(threads, len(jobs))
-    if workers == 1:
-        return [execute(entry) for entry in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(execute, jobs))
+    return [report for report, _ in jobs]

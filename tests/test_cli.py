@@ -84,6 +84,17 @@ def test_green_eval_uncertifiable_tolerance(capsys):
     assert "r=1.0 " in err  # the first radius of the grid that fails
 
 
+def test_green_eval_refuses_underflowed_value(capsys):
+    # G is 9.5e-305 at r=32, subnormal at r=33 and an exact 0 from r=35 on,
+    # where a zero bound would make the row look certified
+    rc = main(["green", "eval", "--space", "dr:8,7", "--P", "1.5", "--grid", "31:40:1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "underflows" in captured.err
+    assert "r=33.0 " in captured.err  # the first radius below the normal range
+
+
 def test_green_asymptotics_json(capsys):
     rc = main(["green", "asymptotics", "--space", "dr:2,1", "--P", "2"])
     assert rc == 0
@@ -144,6 +155,15 @@ def test_config_file_supplies_and_flags_override(tmp_path, capsys):
     overridden = _lines(capsys)
     r0, v0 = (float(x) for x in overridden[1].split(","))
     assert v0 == np.float64(np.sinh(1.0) ** 2)  # f on H^3, not excess
+
+
+def test_config_file_with_retired_threads_key_still_loads(tmp_path, capsys):
+    ini = tmp_path / "old.ini"
+    ini.write_text("[verify]\nthreads = 4\nspaces = hyperbolic:3\n")
+    assert main(["--config", str(ini), "verify", "criticality"]) == 0
+    assert _lines(capsys)[-1] == "4 checks: 4 passed, 0 failed, 0 skipped"
+    assert main(["verify", "criticality", "--threads", "2"]) == 2  # the flag is gone
+    capsys.readouterr()
 
 
 def test_weights_eval_runs_identically_twice(capsys):

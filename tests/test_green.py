@@ -3,8 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardyscope.errors import DomainError, PreconditionError, QuadratureError
+from hardyscope.errors import DomainError, PreconditionError, QuadratureError, SpaceValidationError
 from hardyscope.green import (
     asymptotic_prediction,
     green_gamma0,
@@ -15,7 +17,7 @@ from hardyscope.green import (
     green_weight_supercritical,
     unit_sphere_volume,
 )
-from hardyscope.spaces import build_density, default_grid
+from hardyscope.spaces import build_density, default_grid, validate_heisenberg_params
 
 
 def test_unit_sphere_volumes():
@@ -98,6 +100,105 @@ def test_batch_matches_mpmath_reference_and_preserves_order():
         assert abs(batch["G"][i] - G) <= batch["G_err"][i]
         assert green_value(model, 2.5, float(r)).value == pytest.approx(G, rel=1e-12)
         assert green_log_derivative(model, 2.5, float(r)) == pytest.approx(dlog, rel=1e-12)
+
+
+def test_surplus_weight_accurate_near_the_pole():
+    # at r ~ 1e-3 delta = 1 - rho is within rho ~ 1e-3 of one, so Wtilde taken
+    # from delta alone would lose P eps / rho ~ 1e-13 relative
+    model = build_density("dr:4,2")
+    P, h = 4.0, model.h
+    radii = np.geomspace(1e-3, 2e-3, 4)
+    wtilde = green_weight_batch(model, P, radii)["Wtilde"]
+    for r, got in zip(radii, wtilde):
+        _, dlog = _mp_green(4, 2, P, r)
+        rho = -h / ((P - 1.0) * dlog)  # rho^-P - 1 is well conditioned for small rho
+        assert got == pytest.approx((h / P) ** P * (rho**-P - 1.0), rel=2e-14)
+
+
+@pytest.mark.parametrize(
+    "radii",
+    [
+        [3.0, 0.05, 1.0, 17.0, 0.7],  # unsorted, on both sides of the anchor
+        [0.5, 2.0, 0.5, 2.0, 2.0],  # duplicates
+        [3e-8, float(np.nextafter(3e-8, 1.0)), 1.0, float(np.nextafter(1.0, 2.0))],  # an ulp apart
+        [1.0],
+        [0.3, 1.0],
+        [1.0, 4.0],
+        list(np.geomspace(1e-4, 0.9, 7)),  # all below the anchor
+        list(np.geomspace(1.2, 50.0, 7)),  # all above it
+        [0.2],
+        [7.0],
+    ],
+)
+def test_batch_equals_per_radius_results(radii):
+    for desc, P in (("dr:4,2", 2.5), ("hyperbolic:3", 2.0), ("dr:8,7", 4.0)):
+        model = build_density(desc)
+        batch = green_weight_batch(model, P, radii)
+        assert np.all(batch["G_err"] >= 0.0)
+        for i, r in enumerate(radii):
+            single = green_weight_batch(model, P, [r])
+            for key in ("G", "dlogG", "W", "Wtilde", "rho", "delta"):
+                assert batch[key][i] == pytest.approx(single[key][0], rel=1e-13, abs=0.0), (desc, r, key)
+
+
+class _CountingModel:
+    """Delegates to a density model and counts calls of log_f and excess."""
+
+    def __init__(self, model):
+        self._model = model
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def log_f(self, r):
+        self.calls += 1
+        return self._model.log_f(r)
+
+    def excess(self, r):
+        self.calls += 1
+        return self._model.excess(r)
+
+
+def test_batch_calls_the_density_a_fixed_number_of_times():
+    for desc in ("dr:4,2", "hyperbolic:3"):
+        counts = []
+        for size in (24, 2400):
+            model = _CountingModel(build_density(desc))
+            green_weight_batch(model, 2.0, np.geomspace(1e-3, 60.0, size))
+            counts.append(model.calls)
+        assert counts[0] == counts[1] <= 8, (desc, counts)
+
+
+_ADMISSIBLE_DR = []
+for _p in range(2, 33, 2):
+    for _q in range(1, 12):
+        try:
+            validate_heisenberg_params(_p, _q)
+        except SpaceValidationError:
+            continue
+        _ADMISSIBLE_DR.append(f"dr:{_p},{_q}")
+
+
+def test_admissible_lattice_size():
+    assert len(_ADMISSIBLE_DR) == 51
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    desc=st.sampled_from(_ADMISSIBLE_DR + [f"hyperbolic:{n}" for n in (2, 3, 7, 30)]),
+    P=st.floats(min_value=1.1, max_value=6.0),
+    log_radii=st.lists(st.floats(min_value=-8.0, max_value=3.0), min_size=1, max_size=64),
+)
+def test_batch_outputs_finite_over_admissible_range(desc, P, log_radii):
+    model = build_density(desc)
+    out = green_weight_batch(model, P, 10.0 ** np.array(log_radii))
+    for key in ("rho", "W", "Wtilde", "dlogG"):
+        assert np.all(np.isfinite(out[key])), key
+    assert np.all(out["W"] >= (model.h / P) ** P)
+    assert np.all(out["Wtilde"] >= 0.0)
+    assert np.all(out["G"] >= 0.0)
+    assert not np.any(np.isnan(out["G_err"]))
 
 
 def test_error_bound_covers_hyperbolic3_closed_form_on_default_grid():
