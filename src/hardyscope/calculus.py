@@ -136,11 +136,13 @@ def jet_where(mask: np.ndarray, a: Jet2, b: Jet2) -> Jet2:
     Both branches are evaluated in full before selection, so callers should
     silence spurious overflow warnings from the discarded branch themselves.
     """
-    return Jet2(
-        np.where(mask, a.val, b.val),
-        np.where(mask, a.d1, b.d1),
-        np.where(mask, a.d2, b.d2),
-    )
+    return Jet2(np.where(mask, a.val, b.val), _where(mask, a.d1, b.d1), _where(mask, a.d2, b.d2))
+
+
+def _where(mask, a, b):
+    if a is _MISSING or b is _MISSING:
+        return _MISSING
+    return np.where(mask, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +177,8 @@ class RadialScalar:
 
         def fn(x: Jet2) -> Jet2:
             v = value(x.val)
+            if x.d1 is _MISSING:
+                return Jet2(v, _MISSING, _MISSING)
             g1 = d1(x.val)
             g2 = d2(x.val)
             return Jet2(v, g1 * x.d1, g2 * x.d1 * x.d1 + g1 * x.d2)
@@ -206,7 +210,10 @@ class RadialScalar:
         return self._fn(x)
 
     def value(self, r: ArrayLike) -> ArrayLike:
-        return self._fn(Jet2.variable(r)).val
+        # no derivative slot feeds a value slot, so the placeholders give the
+        # value of the full jet without computing any derivative
+        r = np.asarray(r, dtype=float)
+        return self._fn(Jet2(float(r) if r.ndim == 0 else r, _MISSING, _MISSING)).val
 
     def d1(self, r: ArrayLike) -> ArrayLike:
         out = self._fn(Jet2.variable(r)).d1
@@ -276,7 +283,7 @@ class RadialScalar:
 
 
 class _Missing:
-    """Absorbing placeholder for unavailable derivative slots.
+    """Absorbing placeholder for derivative slots that are unavailable or unwanted.
 
     Any arithmetic involving the placeholder yields the placeholder again, so
     value-only scalars survive composition; only an actual d1/d2 read fails.
@@ -403,46 +410,83 @@ _GL_RULES = np.column_stack([_GL_W, _GL_NULL * _GL_W[:, None]])
 _GL_BLOCK = 4096
 
 
-def composite_gl(fn: Callable, a: ArrayLike, b: ArrayLike, width: float, min_panels: int = 1):
-    """Integrals of fn over the segments [a_k, b_k] and estimates of their errors.
+class PanelPlan:
+    """Composite Gauss-Legendre panels over the segments [a_k, b_k].
 
-    ``a`` and ``b`` are floats, giving floats, or matching arrays of
-    segments, giving arrays.  Each segment is cut into equal panels no wider
-    than ``width`` (at least ``min_panels`` of them), each integrated by the
-    20-point Gauss-Legendre rule.  fn must accept arrays: it is called on the
-    nodes of every segment at once, in blocks of whole panels, with the nodes
-    of segment k lying in [a_k, b_k].  The error estimate is a
-    null rule on the same nodes (Berntsen and Espelid): half the panel width
-    times the size of the two highest discrete Legendre coefficients of each
+    ``a`` and ``b`` are floats or matching arrays of segments.  Each segment
+    is cut into equal panels no wider than ``width`` (at least ``min_panels``
+    of them), each carrying the 20 nodes of the Gauss-Legendre rule.  The
+    plan is built once; ``nodes`` gives the nodes and ``reduce`` turns values
+    of any number of integrands on them into per-segment integrals, so
+    integrands that share a domain share the nodes too.
+
+    Alongside each integral ``reduce`` returns an error estimate from a null
+    rule on the same nodes (Berntsen and Espelid): half the panel width times
+    the size of the two highest discrete Legendre coefficients of each
     panel's interpolant, summed over panels.  It costs no extra evaluation,
     overestimates the error wherever those coefficients decay, and sits at
     the rounding level of the node values once the integrand is resolved.
     """
-    lo = np.atleast_1d(np.asarray(a, dtype=float))
-    hi = np.atleast_1d(np.asarray(b, dtype=float))
-    if not np.all(hi > lo):
-        raise DomainError("integration interval is empty")
-    counts = np.maximum(min_panels, np.ceil((hi - lo) / width).astype(np.int64))
-    starts = np.cumsum(counts) - counts
-    seg = np.repeat(np.arange(lo.size), counts)
-    k = np.arange(seg.size) - starts[seg]
-    # edges k*step + a, bit for bit np.linspace(a, b, panels + 1) of each
-    # segment, with the last edge at exactly b
-    step = ((hi - lo) / counts)[seg]
-    left = k * step + lo[seg]
-    right = (k + 1) * step + lo[seg]
-    right[starts + counts - 1] = hi
-    halfs = 0.5 * (right - left)
-    centers = 0.5 * (left + right)
-    sums = np.empty((seg.size, _GL_RULES.shape[1]))
-    for first in range(0, seg.size, _GL_BLOCK):
-        block = slice(first, first + _GL_BLOCK)
-        nodes = centers[block, None] + halfs[block, None] * _GL_X[None, :]
-        # a panel a few ulps wide can round its nodes past its edges
-        nodes = np.clip(nodes, left[block, None], right[block, None])
-        sums[block] = np.asarray(fn(nodes.ravel()), dtype=float).reshape(-1, _GL_ORDER) @ _GL_RULES
-    value = np.add.reduceat(sums[:, 0] * halfs, starts)
-    error = np.add.reduceat(np.abs(sums[:, 1:]).sum(axis=1) * halfs, starts)
+
+    def __init__(self, a: ArrayLike, b: ArrayLike, width: float, min_panels: int = 1):
+        lo = np.atleast_1d(np.asarray(a, dtype=float))
+        hi = np.atleast_1d(np.asarray(b, dtype=float))
+        if not np.all(hi > lo):
+            raise DomainError("integration interval is empty")
+        counts = np.maximum(min_panels, np.ceil((hi - lo) / width).astype(np.int64))
+        self._starts = np.cumsum(counts) - counts
+        self._seg = np.repeat(np.arange(lo.size), counts)
+        k = np.arange(self._seg.size) - self._starts[self._seg]
+        # edges k*step + a, bit for bit np.linspace(a, b, panels + 1) of each
+        # segment, with the last edge at exactly b
+        step = ((hi - lo) / counts)[self._seg]
+        left = k * step + lo[self._seg]
+        right = (k + 1) * step + lo[self._seg]
+        right[self._starts + counts - 1] = hi
+        self._halfs = 0.5 * (right - left)
+        self._centers = 0.5 * (left + right)
+
+    def nodes(self, panels: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes of the given panels, flat and in order, and each node's segment index."""
+        nodes = self._centers[panels, None] + self._halfs[panels, None] * _GL_X[None, :]
+        return nodes.ravel(), np.repeat(self._seg[panels], _GL_ORDER)
+
+    def reduce(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Per-segment integrals and error estimates from the values at all nodes."""
+        return self._reduce(_panel_rules(values))
+
+    def integrate(self, fn: Callable) -> tuple[np.ndarray, np.ndarray]:
+        """Per-segment integrals and error estimates of fn(nodes, segment index).
+
+        fn is called in blocks of whole panels, which bounds the size of the
+        node arrays however many segments the plan holds.
+        """
+        sums = np.empty((self._seg.size, _GL_RULES.shape[1]))
+        for first in range(0, self._seg.size, _GL_BLOCK):
+            block = slice(first, first + _GL_BLOCK)
+            sums[block] = _panel_rules(fn(*self.nodes(block)))
+        return self._reduce(sums)
+
+    def _reduce(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value = np.add.reduceat(sums[:, 0] * self._halfs, self._starts)
+        error = np.add.reduceat(np.abs(sums[:, 1:]).sum(axis=1) * self._halfs, self._starts)
+        return value, error
+
+
+def _panel_rules(values) -> np.ndarray:
+    # per panel: the Gauss-Legendre sum and both null rules, on [-1, 1]
+    return np.asarray(values, dtype=float).reshape(-1, _GL_ORDER) @ _GL_RULES
+
+
+def composite_gl(fn: Callable, a: ArrayLike, b: ArrayLike, width: float, min_panels: int = 1):
+    """Integrals of fn over the segments [a_k, b_k] and estimates of their errors.
+
+    ``a`` and ``b`` are floats, giving floats, or matching arrays of
+    segments, giving arrays.  fn must accept arrays: it is called on the
+    nodes of every segment at once, in blocks of whole panels.  Panels and
+    error estimate are those of ``PanelPlan``.
+    """
+    value, error = PanelPlan(a, b, width, min_panels).integrate(lambda t, _segment: fn(t))
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return float(value[0]), float(error[0])
     return value, error

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, optimize
 
-from .calculus import RadialScalar, composite_gl
+from .calculus import PanelPlan, RadialScalar
 from .errors import DomainError, PreconditionError, QuadratureError
 from .spaces import EUCLIDEAN, DensityModel, build_density
 from .weights import WeightPair, _check_radius, _constant, _maybe_sample
@@ -147,14 +147,15 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     "delta", in the order of ``radii`` (unsorted and repeated radii are
     allowed).  The distinct radii are the knots of two chains, the excess
     integral J from 1 up to the far cutoff and the direct integral below 1
-    in log r, each one ``composite_gl`` pass over all of its segments.  The
-    integrand of segment [a, b] is scaled by f(a)^(1/(P-1)) so every
+    in log r, each one ``PanelPlan`` pass over all of its segments.  The
+    integrand of segment [a, b] is scaled by f(a)^(1/(P-1)), gathered by the
+    segment index the plan hands it, so every
     intermediate stays of order one, and a float recurrence chains the
     segments downward.  The positivity W >= Lambda_P survives in floating
     point because delta is assembled from nonnegative panel sums.
 
     G_err bounds |G - G_exact| by three parts: the null-rule panel estimates
-    of ``composite_gl`` and the bracket half-width of the tail beyond the far
+    of ``PanelPlan`` and the bracket half-width of the tail beyond the far
     cutoff, both carried through the same scaled recurrences as the
     integrals, plus a rounding floor 8 eps (1 + |log f(r)|/(P-1)) G.  The
     floor covers the exponential exp(-log f(r)/(P-1)) that scales G: an error
@@ -205,13 +206,10 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     # R_far (already scaled to the top knot, hence the carry 1 into it)
     t_j, lf_j = chain[lo.size :], lf[lo.size :]
 
-    def j_integrand(t):
-        # a node on b_k (only in a segment a few ulps wide) takes the next
-        # segment's reference, which differs from this one's by those ulps
-        ref = lf_j[np.searchsorted(t_j, t, side="right") - 1]
-        return model.excess(t) / h * np.exp(-s * (model.log_f(t) - ref))
+    def j_integrand(t, k):
+        return model.excess(t) / h * np.exp(-s * (model.log_f(t) - lf_j[k]))
 
-    seg, seg_err = composite_gl(j_integrand, t_j[:-1], t_j[1:], _panel_width(s * h + 1.0))
+    seg, seg_err = PanelPlan(t_j[:-1], t_j[1:], _panel_width(s * h + 1.0)).integrate(j_integrand)
     tail_mid, tail_half = _tail_bracket_scaled(model, P, R_far, float(lf_j[-2]))
     # the J tail lies in [0, excess(R_far)/h * (tail_mid + tail_half)]
     tail_factor = model.excess(R_far) / h
@@ -223,18 +221,18 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
 
     if lo.size:
         # D chain: the direct integral in u = log t, started from the anchor
-        u_d, lf_d = np.log(chain[: lo.size + 1]), lf[: lo.size + 1]
-
-        def d_integrand(u):
-            t = np.exp(u)
-            ref = lf_d[np.searchsorted(u_d, u, side="right") - 1]
-            return np.exp(-s * (model.log_f(t) - ref)) * t
-
+        u_d = np.log(chain[: lo.size + 1])
         # radii an ulp apart can share a logarithm: their segment is empty
         wide = u_d[1:] > u_d[:-1]
+        lf_d = lf[: lo.size][wide]
+
+        def d_integrand(u, k):
+            t = np.exp(u)
+            return np.exp(-s * (model.log_f(t) - lf_d[k])) * t
+
         seg, seg_err = np.zeros(lo.size), np.zeros(lo.size)
         width_d = _panel_width(1.0 + s * (n - 1.0) * 1.2)
-        seg[wide], seg_err[wide] = composite_gl(d_integrand, u_d[:-1][wide], u_d[1:][wide], width_d)
+        seg[wide], seg_err[wide] = PanelPlan(u_d[:-1][wide], u_d[1:][wide], width_d).integrate(d_integrand)
         i_hat, i_err = _carry_down(seg, seg_err, carry[: lo.size], (P - 1.0) * rho[0] / h, (P - 1.0) * rho_err[0] / h)
         rho_d = h * i_hat / (P - 1.0)
         rho = np.concatenate((rho_d, rho))

@@ -5,19 +5,30 @@ of compactly supported test functions, or to a pointwise residual on a grid.
 Checks return signed gaps (nonnegative means the inequality holds) together
 with the raw sides, so a failure report shows the actual numbers instead of
 a bare boolean.
+
+Quadrature: each member's support is cut into panels no wider than 0.25 (at
+least 8), each integrated by the 20-point Gauss-Legendre rule.  The suite
+builds these nodes once, for all members together, and evaluates every
+member's value and first two derivatives on them.  A form is then assembled
+once per space and pair: f, the measure and the weights are evaluated on the
+suite's nodes in one call each (the Green weight in one engine batch), and
+one reduction per side gives that side for every member.  The single-member
+functions (``rayleigh_gap`` and friends) run the same code on a one-member
+suite.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import green as green_mod
-from .calculus import RadialScalar, composite_gl, p_laplacian_radial
+from .calculus import PanelPlan, RadialScalar, p_laplacian_radial
 from .errors import DomainError, PreconditionError
 from .spaces import DEFAULT_CATALOG, DensityModel, build_density, default_grid
 from .weights import (
@@ -33,6 +44,7 @@ from .weights import (
 
 __all__ = [
     "SuiteMember",
+    "SuitePlan",
     "TestFunctionSuite",
     "default_suite",
     "GapResult",
@@ -55,21 +67,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# test function suite
 # ---------------------------------------------------------------------------
 
 #: panel width and minimum panel count of the integral checks
 _PANEL_WIDTH = 0.25
 _MIN_PANELS = 8
-
-
-def _integral(fn: Callable, a: float, b: float) -> float:
-    return composite_gl(fn, a, b, _PANEL_WIDTH, _MIN_PANELS)[0]
-
-
-# ---------------------------------------------------------------------------
-# test function suite
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,22 @@ class SuiteMember:
 
 
 @dataclass(frozen=True)
+class SuitePlan:
+    """Quadrature nodes of every member's support, concatenated in member
+    order, with each member's value and first two derivatives on its nodes."""
+
+    panels: PanelPlan
+    nodes: np.ndarray
+    val: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+
+    def integrals(self, values) -> list[float]:
+        """Per-member integrals from the integrand's values at all nodes."""
+        return self.panels.reduce(values)[0].tolist()
+
+
+@dataclass(frozen=True)
 class TestFunctionSuite:
     members: tuple[SuiteMember, ...]
 
@@ -90,6 +109,15 @@ class TestFunctionSuite:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def plan(self) -> SuitePlan:
+        """Built on first use and kept with the suite."""
+        lo, hi = np.array([m.support for m in self.members], dtype=float).T
+        panels = PanelPlan(lo, hi, _PANEL_WIDTH, _MIN_PANELS)
+        nodes, segment = panels.nodes()
+        jets = [m.scalar.jet(nodes[segment == k]) for k, m in enumerate(self.members)]
+        return SuitePlan(panels, nodes, *(np.concatenate([getattr(j, s) for j in jets]) for s in ("val", "d1", "d2")))
 
 
 def _bump_scalar(lo: float, hi: float) -> RadialScalar:
@@ -185,26 +213,16 @@ class GapResult:
         return abs(self.lhs) + abs(self.rhs)
 
 
-def _form_gap(model: DensityModel, pair: WeightPair, member: SuiteMember, P: float) -> GapResult:
-    a, b = member.support
-    phi = member.scalar
-    measure = pair.measure
-
-    def weight_fn(r):
-        base = np.asarray(model.f(r)) if measure is None else np.asarray(model.f(r)) * np.asarray(measure.value(r))
-        return base
-
-    def lhs_fn(r):
-        dphi = phi.jet(r).d1
-        return np.abs(dphi) ** P * weight_fn(r)
-
-    def rhs_fn(r):
-        net = np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r))
-        return net * np.abs(phi.value(r)) ** P * weight_fn(r)
-
-    lhs = _integral(lhs_fn, a, b)
-    rhs = _integral(rhs_fn, a, b)
-    return GapResult(lhs, rhs)
+def _form_gaps(model: DensityModel, pair: WeightPair, suite: TestFunctionSuite, P: float) -> list[GapResult]:
+    plan = suite.plan
+    r = plan.nodes
+    weight = np.asarray(model.f(r))
+    if pair.measure is not None:
+        weight = weight * np.asarray(pair.measure.value(r))
+    net = np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r))
+    lhs = plan.integrals(np.abs(plan.d1) ** P * weight)
+    rhs = plan.integrals(net * np.abs(plan.val) ** P * weight)
+    return [GapResult(a, b) for a, b in zip(lhs, rhs)]
 
 
 def rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> GapResult:
@@ -215,12 +233,12 @@ def rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> 
     where mu is the pair's reference measure (1 when absent).  A nonnegative
     gap confirms the inequality on this test function.
     """
-    return _form_gap(model, pair, member, 2.0)
+    return _form_gaps(model, pair, TestFunctionSuite((member,)), 2.0)[0]
 
 
 def p_rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> GapResult:
     """Same as rayleigh_gap but with |phi'|^P against (W - V)|phi|^P."""
-    return _form_gap(model, pair, member, pair.P)
+    return _form_gaps(model, pair, TestFunctionSuite((member,)), pair.P)[0]
 
 
 def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
@@ -350,6 +368,16 @@ class UncertaintyResult:
         return self.energy * self.weighted_moment / (0.25 * self.norm**2)
 
 
+def _uncertainty_results(model: DensityModel, suite: TestFunctionSuite) -> list[UncertaintyResult]:
+    plan = suite.plan
+    r, v = plan.nodes, plan.val
+    f = np.asarray(model.f(r))
+    energy = plan.integrals((plan.d1**2 - model.lambda0 * v**2) * f)
+    moment = plan.integrals(hpw_g(model.p, model.q, r) * r**2 * v**2 * f)
+    norm = plan.integrals(v**2 * f)
+    return [UncertaintyResult(*sides) for sides in zip(energy, moment, norm)]
+
+
 def uncertainty_gap(p: int, q: int, member: SuiteMember) -> UncertaintyResult:
     """Shifted-energy uncertainty product on a Heisenberg-type space.
 
@@ -358,27 +386,18 @@ def uncertainty_gap(p: int, q: int, member: SuiteMember) -> UncertaintyResult:
     product E * moment must dominate (1/4) norm^2; the ratio is returned
     (NaN when phi vanishes identically, reported as a skip upstream).
     """
-    model = build_density(f"dr:{p},{q}")
-    a, b = member.support
-    phi = member.scalar
+    return _uncertainty_results(build_density(f"dr:{p},{q}"), TestFunctionSuite((member,)))[0]
 
-    def energy_fn(r):
-        j = phi.jet(r)
-        return (j.d1**2 - model.lambda0 * j.val**2) * np.asarray(model.f(r))
 
-    def moment_fn(r):
-        v = phi.value(r)
-        return hpw_g(p, q, r) * r**2 * v**2 * np.asarray(model.f(r))
-
-    def norm_fn(r):
-        v = phi.value(r)
-        return v**2 * np.asarray(model.f(r))
-
-    return UncertaintyResult(
-        energy=_integral(energy_fn, a, b),
-        weighted_moment=_integral(moment_fn, a, b),
-        norm=_integral(norm_fn, a, b),
-    )
+def _rellich_results(model: DensityModel, suite: TestFunctionSuite) -> list[GapResult]:
+    plan = suite.plan
+    r, v = plan.nodes, plan.val
+    f = np.asarray(model.f(r))
+    g = hpw_g(model.p, model.q, r)
+    lap = plan.d2 + np.asarray(model.log_df(r)) * plan.d1
+    lhs = plan.integrals(g * r**2 * (lap + model.lambda0 * v) ** 2 * f)
+    rhs = plan.integrals(v**2 / (16.0 * g * r**2) * f)
+    return [GapResult(a, b) for a, b in zip(lhs, rhs)]
 
 
 def rellich_gap(p: int, q: int, member: SuiteMember) -> GapResult:
@@ -389,23 +408,7 @@ def rellich_gap(p: int, q: int, member: SuiteMember) -> GapResult:
       >= (1/16) integral phi^2 / (g r^2) f
     on a Heisenberg-type space, with g the uncertainty weight.
     """
-    model = build_density(f"dr:{p},{q}")
-    a, b = member.support
-    phi = member.scalar
-
-    def lhs_fn(r):
-        j = phi.jet(r)
-        lap = j.d2 + np.asarray(model.log_df(r)) * j.d1
-        return hpw_g(p, q, r) * r**2 * (lap + model.lambda0 * j.val) ** 2 * np.asarray(model.f(r))
-
-    def rhs_fn(r):
-        v = phi.value(r)
-        return v**2 / (16.0 * hpw_g(p, q, r) * r**2) * np.asarray(model.f(r))
-
-    return GapResult(
-        lhs=_integral(lhs_fn, a, b),
-        rhs=_integral(rhs_fn, a, b),
-    )
+    return _rellich_results(build_density(f"dr:{p},{q}"), TestFunctionSuite((member,)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +458,14 @@ _PDR_ORDERS = (2.0, 3.0, 4.0)
 
 @dataclass
 class VerificationReport:
+    """One check's outcome.
+
+    Checks that share their work run as one job: the rayleigh checks of a
+    pair, the uncertainty and the rellich checks of a space (one per suite
+    member) and the four criticality checks of a space.  ``seconds`` is then
+    the job's time divided by its number of checks.
+    """
+
     check_id: str
     space: str
     params: dict = field(default_factory=dict)
@@ -499,20 +510,29 @@ def _pairs_for(model: DensityModel) -> list[tuple[str, dict, WeightPair]]:
     return out
 
 
+# Each generator yields groups (reports, job): job() returns one
+# (lhs, rhs, gap, tolerance, verdict) row per report, in the same order.
+
+
+def _gap_row(res: GapResult):
+    tol = 1e-8 * res.scale
+    verdict = "pass" if res.gap >= -tol else "fail"
+    return res.lhs, res.rhs, res.gap, tol, verdict
+
+
+def _member_reports(prefix: str, space: str, params: dict, suite: TestFunctionSuite):
+    return [
+        VerificationReport(check_id=f"{prefix}.{m.name}", space=space, params=dict(params, member=m.name))
+        for m in suite
+    ]
+
+
 def _rayleigh_jobs(space: str, model: DensityModel, suite: TestFunctionSuite):
     for label, params, pair in _pairs_for(model):
-        for member in suite:
-            def job(pair=pair, member=member):
-                res = p_rayleigh_gap(model, pair, member)
-                tol = 1e-8 * res.scale
-                verdict = "pass" if res.gap >= -tol else "fail"
-                return res.lhs, res.rhs, res.gap, tol, verdict
+        def job(pair=pair):
+            return [_gap_row(res) for res in _form_gaps(model, pair, suite, pair.P)]
 
-            yield VerificationReport(
-                check_id=f"rayleigh.{label}.{member.name}",
-                space=space,
-                params=dict(params, member=member.name),
-            ), job
+        yield _member_reports(f"rayleigh.{label}", space, params, suite), job
 
 
 def _ode_jobs(space: str, model: DensityModel):
@@ -524,90 +544,65 @@ def _ode_jobs(space: str, model: DensityModel):
             def job(pair=pair, tol=tol):
                 resid = ode_residual(model, pair)
                 verdict = "pass" if resid <= tol else "fail"
-                return resid, 0.0, -resid, tol, verdict
+                return [(resid, 0.0, -resid, tol, verdict)]
         else:
             def job(pair=pair, tol=tol):
                 resid = ode_residual(model, pair)
                 verdict = "pass" if resid >= -tol else "fail"
-                return resid, 0.0, resid, tol, verdict
+                return [(resid, 0.0, resid, tol, verdict)]
 
-        yield VerificationReport(
-            check_id=f"ode.{label}",
-            space=space,
-            params=dict(params),
-        ), job
+        yield [VerificationReport(check_id=f"ode.{label}", space=space, params=dict(params))], job
 
 
 def _criticality_jobs(space: str, model: DensityModel):
-    def probe_origin():
+    def job():
         probe = criticality_probe(model)
-        (r1, v1), (r2, v2) = probe.at_origin
-        verdict = "pass" if v2 < v1 < 1.0 else "fail"
-        return v2, v1, v1 - v2, 0.0, verdict
-
-    def probe_infinity():
-        probe = criticality_probe(model)
-        (r1, v1), (r2, v2) = probe.at_infinity
-        verdict = "pass" if v2 < v1 < 1.0 else "fail"
-        return v2, v1, v1 - v2, 0.0, verdict
-
-    def mass_job():
+        rows = []
+        for (r1, v1), (r2, v2) in (probe.at_origin, probe.at_infinity):
+            verdict = "pass" if v2 < v1 < 1.0 else "fail"
+            rows.append((v2, v1, v1 - v2, 0.0, verdict))
         res = null_criticality_mass(model, 1e-4, 1e3)
         tol = 1e-10 * abs(res.closed_form)
         gap = res.mass - res.closed_form
-        verdict = "pass" if abs(gap) <= tol else "fail"
-        return res.mass, res.closed_form, gap, tol, verdict
-
-    def slope_job():
-        res = null_criticality_mass(model, 1e-4, 1e3)
+        rows.append((res.mass, res.closed_form, gap, tol, "pass" if abs(gap) <= tol else "fail"))
         gap = res.log_slope - 0.25
-        verdict = "pass" if abs(gap) <= 1e-6 else "fail"
-        return res.log_slope, 0.25, gap, 1e-6, verdict
+        rows.append((res.log_slope, 0.25, gap, 1e-6, "pass" if abs(gap) <= 1e-6 else "fail"))
+        return rows
 
-    yield VerificationReport(check_id="criticality.probe_origin", space=space), probe_origin
-    yield VerificationReport(check_id="criticality.probe_infinity", space=space), probe_infinity
-    yield VerificationReport(check_id="criticality.null_mass", space=space), mass_job
-    yield VerificationReport(check_id="criticality.null_mass_slope", space=space), slope_job
+    names = ("probe_origin", "probe_infinity", "null_mass", "null_mass_slope")
+    yield [VerificationReport(check_id=f"criticality.{name}", space=space) for name in names], job
 
 
 def _heisenberg_ok(model: DensityModel) -> bool:
     return model.kind == "dr" and model.q not in (0, 2)
 
 
+def _uncertainty_row(res: UncertaintyResult):
+    ratio = res.ratio
+    if not np.isfinite(ratio):
+        return float("nan"), 1.0, float("nan"), 1e-8, "skip"
+    verdict = "pass" if ratio >= 1.0 - 1e-8 else "fail"
+    return ratio, 1.0, ratio - 1.0, 1e-8, verdict
+
+
 def _uncertainty_jobs(space: str, model: DensityModel, suite: TestFunctionSuite):
     if not _heisenberg_ok(model):
         return
-    for member in suite:
-        def job(member=member):
-            res = uncertainty_gap(model.p, model.q, member)
-            ratio = res.ratio
-            if not np.isfinite(ratio):
-                return float("nan"), 1.0, float("nan"), 1e-8, "skip"
-            verdict = "pass" if ratio >= 1.0 - 1e-8 else "fail"
-            return ratio, 1.0, ratio - 1.0, 1e-8, verdict
 
-        yield VerificationReport(
-            check_id=f"uncertainty.{member.name}",
-            space=space,
-            params={"member": member.name},
-        ), job
+    def job():
+        return [_uncertainty_row(res) for res in _uncertainty_results(model, suite)]
+
+    yield _member_reports("uncertainty", space, {}, suite), job
 
 
 def _rellich_jobs(space: str, model: DensityModel, suite: TestFunctionSuite):
     if not _heisenberg_ok(model):
         return
-    for member in suite:
-        def job(member=member):
-            res = rellich_gap(model.p, model.q, member)
-            tol = 1e-8 * res.scale
-            verdict = "pass" if res.gap >= -tol else "fail"
-            return res.lhs, res.rhs, res.gap, tol, verdict
 
-        yield VerificationReport(
-            check_id=f"rellich.{member.name}",
-            space=space,
-            params={"member": member.name},
-        ), job
+    def job():
+        return [_gap_row(res) for res in _rellich_results(model, suite)]
+
+    yield _member_reports("rellich", space, {}, suite), job
 
 
 def _asymptotics_jobs(space: str, model: DensityModel):
@@ -620,9 +615,9 @@ def _asymptotics_jobs(space: str, model: DensityModel):
         fit = asymptotics_fit(radii, w)
         gap = fit.slope - (-2.0)
         verdict = "pass" if abs(gap) <= 0.02 else "fail"
-        return fit.slope, -2.0, gap, 0.02, verdict
+        return [(fit.slope, -2.0, gap, 0.02, verdict)]
 
-    yield VerificationReport(check_id="asymptotics.green[2]", space=space, params={"P": 2.0}), job
+    yield [VerificationReport(check_id="asymptotics.green[2]", space=space, params={"P": 2.0})], job
 
 
 def _collect_jobs(spaces, families, suite):
@@ -655,7 +650,8 @@ def run_verification(
     """Run the requested check families and return reports in a fixed order.
 
     The report order depends only on (spaces, families, suite), so repeated
-    runs diff cleanly.
+    runs diff cleanly.  Checks that share their work run as one job (see
+    ``VerificationReport``).
     """
     if spaces is None:
         spaces = DEFAULT_CATALOG
@@ -663,10 +659,13 @@ def run_verification(
         families = FAMILIES
     if suite is None:
         suite = default_suite()
-    jobs = _collect_jobs(list(spaces), list(families), suite)
+    groups = [(reports, job) for reports, job in _collect_jobs(list(spaces), list(families), suite) if reports]
 
-    for report, job in jobs:
+    for reports, job in groups:
         start = time.perf_counter()
-        report.lhs, report.rhs, report.gap, report.tolerance, report.verdict = job()
-        report.seconds = time.perf_counter() - start
-    return [report for report, _ in jobs]
+        rows = job()
+        seconds = (time.perf_counter() - start) / len(reports)
+        for report, row in zip(reports, rows, strict=True):
+            report.lhs, report.rhs, report.gap, report.tolerance, report.verdict = row
+            report.seconds = seconds
+    return [report for reports, _ in groups for report in reports]

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hardyscope import verify
+from hardyscope.calculus import RadialScalar, composite_gl, jet_where, radius
 from hardyscope.errors import DomainError, PreconditionError
 from hardyscope.green import green_weight
-from hardyscope.spaces import build_density
+from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid
 from hardyscope.verify import (
     FAMILIES,
     asymptotics_fit,
@@ -18,6 +22,7 @@ from hardyscope.verify import (
     uncertainty_gap,
 )
 from hardyscope.weights import (
+    hpw_g,
     weight_dr_poincare,
     weight_gamma_family,
     weight_p_dr,
@@ -176,3 +181,229 @@ def test_report_dict_shape():
         "seconds",
     }
     assert d["verdict"] == "pass"
+
+
+# -- the suite-wide path against the per-member integrals it replaced -------
+
+
+def _per_member(fn, member):
+    a, b = member.support
+    return composite_gl(fn, a, b, 0.25, 8)[0]
+
+
+def _reference_form_gap(model, pair, member):
+    """Both sides of the P-Rayleigh form, one member at a time."""
+    phi, P = member.scalar, pair.P
+
+    def weight_fn(r):
+        base = np.asarray(model.f(r))
+        return base if pair.measure is None else base * np.asarray(pair.measure.value(r))
+
+    def lhs_fn(r):
+        return np.abs(phi.jet(r).d1) ** P * weight_fn(r)
+
+    def rhs_fn(r):
+        net = np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r))
+        return net * np.abs(phi.value(r)) ** P * weight_fn(r)
+
+    return _per_member(lhs_fn, member), _per_member(rhs_fn, member)
+
+
+def _reference_uncertainty(model, member):
+    phi, p, q = member.scalar, model.p, model.q
+
+    def energy_fn(r):
+        j = phi.jet(r)
+        return (j.d1**2 - model.lambda0 * j.val**2) * np.asarray(model.f(r))
+
+    def moment_fn(r):
+        return hpw_g(p, q, r) * r**2 * phi.value(r) ** 2 * np.asarray(model.f(r))
+
+    def norm_fn(r):
+        return phi.value(r) ** 2 * np.asarray(model.f(r))
+
+    return tuple(_per_member(fn, member) for fn in (energy_fn, moment_fn, norm_fn))
+
+
+def _reference_rellich(model, member):
+    phi, p, q = member.scalar, model.p, model.q
+
+    def lhs_fn(r):
+        j = phi.jet(r)
+        lap = j.d2 + np.asarray(model.log_df(r)) * j.d1
+        return hpw_g(p, q, r) * r**2 * (lap + model.lambda0 * j.val) ** 2 * np.asarray(model.f(r))
+
+    def rhs_fn(r):
+        return phi.value(r) ** 2 / (16.0 * hpw_g(p, q, r) * r**2) * np.asarray(model.f(r))
+
+    return _per_member(lhs_fn, member), _per_member(rhs_fn, member)
+
+
+def _assert_sides_close(got, expected, context):
+    scale = sum(abs(x) for x in expected)
+    for g, e in zip(got, expected):
+        assert abs(g - e) <= 1e-13 * scale, (context, got, expected)
+
+
+@pytest.mark.parametrize("space", ["dr:4,2", "hyperbolic:3"])
+def test_batched_rayleigh_gaps_match_per_member_integrals(space):
+    model = build_density(space)
+    suite = default_suite()
+    labels = {"B", "gamma", "weighted[0.5]", "p_dr[3]", "green[2]"}
+    pairs = [(label, pair) for label, _, pair in verify._pairs_for(model) if label in labels]
+    assert {label for label, _ in pairs} == (labels if model.kind == "dr" else labels - {"p_dr[3]"})
+    reports = {r.check_id: r for r in run_verification(spaces=[space], families=["rayleigh"], suite=suite)}
+    for label, pair in pairs:
+        for member in suite:
+            report = reports[f"rayleigh.{label}.{member.name}"]
+            expected = _reference_form_gap(model, pair, member)
+            _assert_sides_close((report.lhs, report.rhs), expected, (label, member.name))
+
+
+def test_batched_uncertainty_and_rellich_match_per_member_integrals():
+    model = build_density("dr:8,7")
+    suite = default_suite()
+    reports = run_verification(spaces=["dr:8,7"], families=["uncertainty", "rellich"], suite=suite)
+    by_id = {r.check_id: r for r in reports}
+    for res, member in zip(verify._uncertainty_results(model, suite), suite):
+        expected = _reference_uncertainty(model, member)
+        _assert_sides_close((res.energy, res.weighted_moment, res.norm), expected, member.name)
+        ratio = expected[0] * expected[1] / (0.25 * expected[2] ** 2)
+        assert by_id[f"uncertainty.{member.name}"].lhs == pytest.approx(ratio, rel=1e-12)
+    for member in suite:
+        report = by_id[f"rellich.{member.name}"]
+        _assert_sides_close((report.lhs, report.rhs), _reference_rellich(model, member), member.name)
+
+
+def test_single_member_gaps_run_the_suite_path():
+    model = build_density("dr:4,2")
+    suite = default_suite()
+    pair = weight_p_dr(4, 2, 3.0)
+    batched = verify._form_gaps(model, pair, suite, pair.P)
+    for member, res in zip(suite, batched):
+        single = p_rayleigh_gap(model, pair, member)
+        _assert_sides_close((single.lhs, single.rhs), (res.lhs, res.rhs), member.name)
+
+
+# -- value-only evaluation ----------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_scalar_values_equal_jet_values_bit_for_bit():
+    grid = default_grid()
+    checked = 0
+    for space in DEFAULT_CATALOG:
+        model = build_density(space)
+        for label, _, pair in verify._pairs_for(model):
+            scalars = [("V", pair.V), ("W", pair.W)] + list(pair.terms)
+            scalars += [(k, s) for k, s in (("measure", pair.measure), ("ground_state", pair.ground_state)) if s]
+            for name, scalar in scalars:
+                with np.errstate(all="ignore"):
+                    value, full = scalar.value(grid), scalar.jet(grid).val
+                assert _same_bits(value, full), (space, label, name)
+                checked += 1
+    assert checked > 200
+
+
+def test_value_only_scalars_still_guard_and_select():
+    s = RadialScalar.from_value_only(lambda r: r**2) * RadialScalar.from_values(np.exp, np.exp, np.exp)
+    with pytest.raises(DomainError):
+        s.d1(2.0)
+    assert s.value(2.0) == 4.0 * np.exp(2.0)
+
+    picked = RadialScalar(lambda j: jet_where(j.val < 1.0, j * j, j.sqrt()))
+    grid = np.array([0.25, 0.5, 2.0, 9.0])
+    np.testing.assert_array_equal(picked.value(grid), [0.0625, 0.25, np.sqrt(2.0), 3.0])
+    assert _same_bits(picked.value(grid), picked.jet(grid).val)
+    np.testing.assert_allclose(picked.jet(grid).d1, [0.5, 1.0, 0.5 / np.sqrt(2.0), 1.0 / 6.0], rtol=1e-15)
+    assert (picked * radius()).value(4.0) == 8.0
+
+
+# -- one evaluation per space, not per member -----------------------------------
+
+
+class _CountingModel:
+    """Delegates to a density model and counts calls of f and log_df."""
+
+    def __init__(self, model, counts):
+        self._model = model
+        self._counts = counts
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def f(self, r):
+        self._counts["f"] += 1
+        return self._model.f(r)
+
+    def log_df(self, r):
+        self._counts["log_df"] += 1
+        return self._model.log_df(r)
+
+
+class _CountingScalar:
+    def __init__(self, scalar, counts, key):
+        self._scalar, self._counts, self._key = scalar, counts, key
+
+    def value(self, r):
+        self._counts[self._key] += 1
+        return self._scalar.value(r)
+
+
+def _counted_run(monkeypatch, space, families, suite, label=None):
+    counts = {"f": 0, "log_df": 0, "W": 0, "V": 0, "hpw_g": 0}
+    real_build, real_pairs, real_hpw_g = verify.build_density, verify._pairs_for, verify.hpw_g
+
+    def pairs_for(model):
+        out = []
+        for lab, params, pair in real_pairs(model):
+            if lab == label:
+                W, V = _CountingScalar(pair.W, counts, "W"), _CountingScalar(pair.V, counts, "V")
+                out.append((lab, params, dataclasses.replace(pair, W=W, V=V)))
+        return out
+
+    def counted_hpw_g(*args):
+        counts["hpw_g"] += 1
+        return real_hpw_g(*args)
+
+    monkeypatch.setattr(verify, "build_density", lambda desc: _CountingModel(real_build(desc), counts))
+    monkeypatch.setattr(verify, "_pairs_for", pairs_for)
+    monkeypatch.setattr(verify, "hpw_g", counted_hpw_g)
+    reports = run_verification(spaces=[space], families=families, suite=suite)
+    assert len(reports) == len(families) * len(suite)
+    assert all(r.verdict == "pass" for r in reports)
+    monkeypatch.undo()
+    return counts
+
+
+def _small_suite():
+    return verify.TestFunctionSuite(default_suite().members[5:8])
+
+
+@pytest.mark.parametrize("space, label", [("dr:4,2", "green[2]"), ("dr:4,2", "weighted[0.5]"), ("hyperbolic:3", "B")])
+def test_rayleigh_evaluates_each_weight_once_per_pair(monkeypatch, space, label):
+    small = _counted_run(monkeypatch, space, ["rayleigh"], _small_suite(), label)
+    full = _counted_run(monkeypatch, space, ["rayleigh"], default_suite(), label)
+    assert small == full
+    assert full["f"] == full["W"] == full["V"] == 1, full
+
+
+def test_uncertainty_and_rellich_evaluate_once_per_space(monkeypatch):
+    for family in ("uncertainty", "rellich"):
+        small = _counted_run(monkeypatch, "dr:8,7", [family], _small_suite())
+        full = _counted_run(monkeypatch, "dr:8,7", [family], default_suite())
+        assert small == full
+        assert full["f"] == full["hpw_g"] == 1, (family, full)
+        assert full["log_df"] == (1 if family == "rellich" else 0), (family, full)
+
+
+def test_report_seconds_split_the_group_time():
+    reports = run_verification(spaces=["dr:8,7"], families=["rellich", "criticality"], suite=_small_suite())
+    assert [r.check_id for r in reports][:3] == ["rellich.bump_05", "rellich.bump_06", "rellich.bump_07"]
+    assert len({r.seconds for r in reports[:3]}) == 1
+    assert len({r.seconds for r in reports[3:]}) == 1
+    assert all(r.seconds > 0.0 for r in reports)
