@@ -1,0 +1,8 @@
+"""``python -m hardyscope``: the command line, exiting with its code."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

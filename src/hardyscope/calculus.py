@@ -404,6 +404,18 @@ _GL_X, _GL_W = legendre.leggauss(_GL_ORDER)
 # (2k+1)/2 * sum_i w_i P_k(x_i) f(x_i) for k = _GL_ORDER-2, _GL_ORDER-1
 _GL_NULL = legendre.legvander(_GL_X, _GL_ORDER - 1)[:, -2:] * (np.arange(_GL_ORDER - 2, _GL_ORDER) + 0.5)
 _GL_RULES = np.column_stack([_GL_W, _GL_NULL * _GL_W[:, None]])
+# node values -> Legendre coefficients of the antiderivative B of the panel's
+# interpolant with B(1) = 0, negated: sum_j c_j P_j(y) is its integral from y
+# to 1.  einsum, not @: a BLAS product at import would set up BLAS buffers
+# (about 0.35 MB of resident memory) in processes that never use them
+_GL_TAIL = np.einsum(
+    "ij,jk->ik",
+    -legendre.legint(np.eye(_GL_ORDER), lbnd=1, axis=0),
+    (legendre.legvander(_GL_X, _GL_ORDER - 1) * _GL_W[:, None]).T * (np.arange(_GL_ORDER) + 0.5)[:, None],
+)
+_EPS = float(np.finfo(float).eps)
+#: antiderivative coefficients below this share of their panel's sum are rounding
+_CHOP = 8.0 * _EPS
 
 
 #: panels per integrand call; bounds the node arrays of a many-segment rule
@@ -461,16 +473,77 @@ class PanelPlan:
         fn is called in blocks of whole panels, which bounds the size of the
         node arrays however many segments the plan holds.
         """
+        return self._reduce(self._evaluate(fn)[0])
+
+    def integrate_from(self, fn: Callable, x: np.ndarray, k: np.ndarray):
+        """``integrate``, plus the integrals of fn from each x_i to the end of segment k_i.
+
+        Each x_i must lie in the first panel of its segment k_i, and k must
+        not decrease.  Past that panel the integral is the sum of the
+        segment's later panels; inside it, it is read off the Legendre
+        antiderivative of the panel's 20-node interpolant, a fixed 21 x 20
+        matrix applied to the node values and evaluated at x_i by Clenshaw's
+        recurrence, so fn is called on the same nodes as by ``integrate``.
+        The error estimate of that part is the panel's null-rule estimate
+        plus the rounding of the evaluation, 20 eps times the half-width
+        times the sum of the coefficients' sizes, plus the sizes of the
+        rounding-level degrees the recurrence skips.
+
+        Returns the per-segment integrals and error estimates, then the
+        integrals from the points and their error estimates.
+        """
+        # the segments holding points (k is nondecreasing), and each point's
+        # row among them
+        new = np.empty(k.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(k[1:], k[:-1], out=new[1:])
+        panels = self._starts[k[new]]
+        row = np.cumsum(new) - 1
+        sums, first = self._evaluate(fn, panels)
+        value, error = self._reduce(sums)
+        coef = _GL_TAIL @ first.T
+        size = np.abs(coef)
+        total = size.sum(axis=0)
+        # the recurrence stops at the last degree some panel needs above the
+        # rounding of its coefficients; the dropped ones join the estimate
+        needed = np.flatnonzero((size > _CHOP * total).any(axis=1))
+        top = max(needed[-1] + 1 if needed.size else 0, 2)
+        half = self._halfs[panels]
+        own = half * (np.abs(sums[panels, 1:]).sum(axis=1) + 20.0 * _EPS * total + size[top:].sum(axis=0))
+        # the segments' later panels
+        sums[self._starts] = 0.0
+        later_value, later_error = self._reduce(sums)
+        y = (x - self._centers[panels][row]) / half[row]
+        part = later_value[k] + half[row] * _legendre_sum(coef[:top], row, y)
+        return value, error, part, later_error[k] + own[row]
+
+    def _evaluate(self, fn: Callable, keep: np.ndarray | None = None):
+        # per panel the rule sums; with ``keep`` (increasing panel indices)
+        # also the node values of those panels, one row each
         sums = np.empty((self._seg.size, _GL_RULES.shape[1]))
-        for first in range(0, self._seg.size, _GL_BLOCK):
-            block = slice(first, first + _GL_BLOCK)
-            sums[block] = _panel_rules(fn(*self.nodes(block)))
-        return self._reduce(sums)
+        kept = None if keep is None else np.empty((keep.size, _GL_ORDER))
+        for start in range(0, self._seg.size, _GL_BLOCK):
+            block = slice(start, start + _GL_BLOCK)
+            values = np.asarray(fn(*self.nodes(block)), dtype=float).reshape(-1, _GL_ORDER)
+            sums[block] = _panel_rules(values)
+            if keep is not None:
+                i, j = np.searchsorted(keep, (start, start + _GL_BLOCK))
+                kept[i:j] = values[keep[i:j] - start]
+        return sums, kept
 
     def _reduce(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         value = np.add.reduceat(sums[:, 0] * self._halfs, self._starts)
         error = np.add.reduceat(np.abs(sums[:, 1:]).sum(axis=1) * self._halfs, self._starts)
         return value, error
+
+
+def _legendre_sum(coef: np.ndarray, k: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # sum_j coef[j, k_i] P_j(y_i) by Clenshaw's recurrence for
+    # P_(j+1) = ((2j+1) y P_j - j P_(j-1)) / (j+1), one point-sized array per degree
+    b1, b2 = coef[-1][k], 0.0
+    for j in range(coef.shape[0] - 2, 0, -1):
+        b1, b2 = coef[j][k] + (2 * j + 1) / (j + 1) * y * b1 - (j + 1) / (j + 2) * b2, b1
+    return coef[0][k] + y * b1 - 0.5 * b2
 
 
 def _panel_rules(values) -> np.ndarray:

@@ -21,10 +21,12 @@ The excess form wins for r >= 1 (where the direct form would subtract nearly
 equal exponentials); the direct form wins for small r (where rho itself is
 tiny).  One Gauss-Legendre engine, ``green_weight_batch``, evaluates both
 over a whole radius grid and carries an error bound; the single-radius
-functions call it.  It integrates all segments between consecutive radii
-in one vectorised pass per form, so its cost per radius is numpy work, not
-Python calls.  Only the total integral over (0, inf), which needs no radius,
-uses scipy's adaptive quadrature.
+functions call it.  It integrates one vectorised pass of panels per form;
+radii that lie within about one e-folding of each other share a panel and
+are read off its interpolant, so on a dense grid the density is evaluated
+on a number of nodes set by the span of the radii, not by their count.
+Only the total integral over (0, inf), which needs no radius, uses scipy's
+adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ __all__ = [
 #: relative slack of f'/f over its limit h defining the near cutoff
 _CUTOFF_EXCESS = 1e-3
 _EPS = float(np.finfo(float).eps)
+#: knots of a chain that must share cells before the read-off of shared
+#: panels, whose numpy calls cost about as much as a hundred panels, saves time
+_MIN_SHARED = 128
 
 
 def unit_sphere_volume(n: int) -> float:
@@ -147,18 +152,21 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     "delta", in the order of ``radii`` (unsorted and repeated radii are
     allowed).  The distinct radii are the knots of two chains, the excess
     integral J from 1 up to the far cutoff and the direct integral below 1
-    in log r, each one ``PanelPlan`` pass over all of its segments.  The
-    integrand of segment [a, b] is scaled by f(a)^(1/(P-1)), gathered by the
-    segment index the plan hands it, so every
-    intermediate stays of order one, and a float recurrence chains the
-    segments downward.  The positivity W >= Lambda_P survives in floating
-    point because delta is assembled from nonnegative panel sums.
+    in log r, each one ``PanelPlan`` pass.  On a dense grid, knots that
+    share a cell about one e-folding of the integrand wide share a segment,
+    which starts at the first of them; the others are read off that
+    segment's first panel (``_chain``).  The integrand of segment [a, b] is
+    scaled by f(a)^(1/(P-1)), so every intermediate stays of order one, and
+    a float recurrence chains the segments downward.  The positivity
+    W >= Lambda_P survives in floating point because delta is assembled from
+    nonnegative panel sums.
 
     G_err bounds |G - G_exact| by three parts: the null-rule panel estimates
-    of ``PanelPlan`` and the bracket half-width of the tail beyond the far
-    cutoff, both carried through the same scaled recurrences as the
-    integrals, plus a rounding floor 8 eps (1 + |log f(r)|/(P-1)) G.  The
-    floor covers the exponential exp(-log f(r)/(P-1)) that scales G: an error
+    of ``PanelPlan`` (with the rounding of the read-off for a knot inside a
+    panel) and the bracket half-width of the tail beyond the far cutoff,
+    both carried through the same scaled recurrences as the integrals, plus
+    a rounding floor 8 eps (1 + |log f(r)|/(P-1)) G.  The floor covers the
+    exponential exp(-log f(r)/(P-1)) that scales G: an error
     of a few ulps in log f is a relative error in G of that many ulps of the
     exponent.  Where G overflows near the pole, G_err is infinite.
     """
@@ -166,7 +174,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     if P <= 1.0:
         raise PreconditionError("Green function needs P > 1")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if np.any(radii <= 0.0):
+    if not np.all((radii > 0.0) & np.isfinite(radii)):
         raise DomainError("radius must be positive and finite")
     order = np.argsort(radii)
     rs = radii[order]
@@ -191,56 +199,50 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     lam_p = (h / P) ** P
 
     # knots: every distinct radius, the anchor 1 when radii below 1 are
-    # present, and the far cutoff; carry k rescales from f(knot k+1) to f(knot k)
+    # present, and the far cutoff
     knots = np.unique(rs)
     lo = knots[knots < 1.0]
     hi = knots[knots >= 1.0]
     if lo.size and (not hi.size or hi[0] > 1.0):
         hi = np.concatenate(([1.0], hi))
     R_far = _far_cutoff(model, P, float(hi[-1]))
-    chain = np.concatenate((lo, hi, [R_far]))
-    lf = model.log_f(chain)
-    carry = np.exp(-s * np.diff(lf))
+    points = np.concatenate((lo, hi, [R_far]))
+    lf = model.log_f(points)
 
-    # J chain: the excess integral, started from the bracketed tail beyond
-    # R_far (already scaled to the top knot, hence the carry 1 into it)
-    t_j, lf_j = chain[lo.size :], lf[lo.size :]
+    # J chain: the excess integral from the knots >= 1, ending in the
+    # bracketed tail beyond R_far, which is scaled to the top knot (so its
+    # log f closes the chain)
+    def j_integrand(t, ref):
+        return model.excess(t) / h * np.exp(-s * (model.log_f(t) - ref))
 
-    def j_integrand(t, k):
-        return model.excess(t) / h * np.exp(-s * (model.log_f(t) - lf_j[k]))
-
-    seg, seg_err = PanelPlan(t_j[:-1], t_j[1:], _panel_width(s * h + 1.0)).integrate(j_integrand)
-    tail_mid, tail_half = _tail_bracket_scaled(model, P, R_far, float(lf_j[-2]))
+    tail_mid, tail_half = _tail_bracket_scaled(model, P, R_far, float(lf[-2]))
     # the J tail lies in [0, excess(R_far)/h * (tail_mid + tail_half)]
     tail_factor = model.excess(R_far) / h
     tail, tail_err = 0.5 * tail_factor * tail_mid, tail_factor * (0.5 * tail_mid + tail_half)
-    j_hat, j_err = _carry_down(seg, seg_err, np.append(carry[lo.size : -1], 1.0), tail, tail_err)
+    lf_j = lf[lo.size :].copy()
+    lf_j[-1] = lf[-2]
+    j_hat, j_err = _chain(points[lo.size :], lf_j, s * h + 1.0, s, j_integrand, tail, tail_err)
     delta = h * j_hat / (P - 1.0)
     rho = 1.0 - delta
     rho_err = h * j_err / (P - 1.0)
 
     if lo.size:
-        # D chain: the direct integral in u = log t, started from the anchor
-        u_d = np.log(chain[: lo.size + 1])
-        # radii an ulp apart can share a logarithm: their segment is empty
-        wide = u_d[1:] > u_d[:-1]
-        lf_d = lf[: lo.size][wide]
-
-        def d_integrand(u, k):
+        # D chain: the direct integral in u = log t from the knots < 1,
+        # ending at the anchor with the J chain's value there
+        def d_integrand(u, ref):
             t = np.exp(u)
-            return np.exp(-s * (model.log_f(t) - lf_d[k])) * t
+            return np.exp(-s * (model.log_f(t) - ref)) * t
 
-        seg, seg_err = np.zeros(lo.size), np.zeros(lo.size)
-        width_d = _panel_width(1.0 + s * (n - 1.0) * 1.2)
-        seg[wide], seg_err[wide] = PanelPlan(u_d[:-1][wide], u_d[1:][wide], width_d).integrate(d_integrand)
-        i_hat, i_err = _carry_down(seg, seg_err, carry[: lo.size], (P - 1.0) * rho[0] / h, (P - 1.0) * rho_err[0] / h)
+        u_d, rate_d = np.log(points[: lo.size + 1]), 1.0 + s * (n - 1.0) * 1.2
+        start, start_err = (P - 1.0) * rho[0] / h, (P - 1.0) * rho_err[0] / h
+        i_hat, i_err = _chain(u_d, lf[: lo.size + 1], rate_d, s, d_integrand, start, start_err)
         rho_d = h * i_hat / (P - 1.0)
         rho = np.concatenate((rho_d, rho))
         delta = np.concatenate((1.0 - rho_d, delta))
         rho_err = np.concatenate((h * i_err / (P - 1.0), rho_err))
 
     # rs are knots; the knots below R_far are ordered like rho
-    at = np.searchsorted(chain, rs)
+    at = np.searchsorted(points, rs)
     rho, delta, rho_err = rho[at], delta[at], rho_err[at]
     dlog = -h / ((P - 1.0) * rho)
     W = lam_p * rho ** (-P)
@@ -258,14 +260,70 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     return _unsort(out, order)
 
 
+def _chain(x, lf, rate: float, s: float, integrand, value: float, error: float):
+    """Scaled integrals from every point x[:-1] to the chain end x[-1], with bounds.
+
+    ``lf`` holds log f at the points, and last the log f by whose power s
+    ``value`` (the integral beyond the end) and its ``error`` are scaled.
+    ``integrand(nodes, ref)`` is a segment's integrand scaled by exp(s ref),
+    ref the log f at the segment's start.  The result at x_i is scaled by
+    f(x_i)^s, so it stays of order one.
+
+    Once at least ``_MIN_SHARED`` points share cells floor(x / c), with
+    c = min(half a panel, 1 / rate) about one e-folding of the scaled
+    integrand (rate also sets the panel width), the points of a cell share
+    one segment, which starts at the first of them.  Below that only
+    coinciding points (radii that share a logarithm) share a segment, and
+    where none coincide the segments are the gaps between the points, as
+    many as there are points.  A point that does not start its segment lies
+    in the segment's first panel: its integral is read off that panel
+    (``integrate_from``) plus the segment's later panels and the carried
+    value of the next one.  The end lies past every point's cell, so it
+    always closes a segment.
+    """
+    width = _panel_width(rate)
+    lead = x[1:] != x[:-1]
+    if x.size > _MIN_SHARED:
+        cell = np.floor(x / min(0.5 * width, 1.0 / rate))
+        in_cells = cell[1:] != cell[:-1]
+        if in_cells.size - np.count_nonzero(in_cells) >= _MIN_SHARED:
+            lead = in_cells
+    grouped = not lead.all()
+    if grouped:
+        lead = np.concatenate(([True], lead))
+    x_c, lf_c = (x[lead], lf[lead]) if grouped else (x, lf)
+    carry = np.exp(-s * np.diff(lf_c))
+    plan = PanelPlan(x_c[:-1], x_c[1:], width)
+
+    def scaled(t, k):
+        return integrand(t, lf_c[k])
+
+    if not grouped:
+        seg, seg_err = plan.integrate(scaled)
+        values, errors = _carry_down(seg, seg_err, carry, value, error)
+        return values[:-1], errors[:-1]
+    inner = ~lead
+    k = np.cumsum(lead)[inner] - 1
+    seg, seg_err, part, part_err = plan.integrate_from(scaled, x[inner], k)
+    values, errors = _carry_down(seg, seg_err, carry, value, error)
+    # from the scale of the segment's start to that of the point
+    scale = np.exp(s * (lf[inner] - lf_c[k]))
+    out, out_err = np.empty(x.size), np.empty(x.size)
+    out[lead], out_err[lead] = values, errors
+    out[inner] = scale * (part + (carry * values[1:])[k])
+    out_err[inner] = scale * (part_err + (carry * errors[1:])[k])
+    return out[:-1], out_err[:-1]
+
+
 def _carry_down(seg, seg_err, carry, value: float, error: float):
     """Backward recurrence x_k = seg_k + carry_k x_(k+1), and its error bound.
 
     Starts from ``value``/``error`` beyond the last segment and returns the
-    values at the left end of every segment.  The scaled carries stay at
-    most one, so the float loop never over- or underflows.
+    values at the left end of every segment, then the starting ones.  The
+    scaled carries stay at most one, so the float loop never over- or
+    underflows.
     """
-    values, errors = [], []
+    values, errors = [value], [error]
     for x, e, c in zip(reversed(seg.tolist()), reversed(seg_err.tolist()), reversed(carry.tolist())):
         value = x + c * value
         error = e + c * error

@@ -1,5 +1,7 @@
 import json
 import math
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +142,17 @@ def test_exit_code_two_on_unusable_input(capsys):
     assert main(["green", "eval", "--space", "euclidean:3", "--P", "5"]) == 2
     assert main(["calculus", "eval", "--no-such-flag"]) == 2  # argparse usage error
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli_and_exits_with_its_code(monkeypatch, capsys):
+    for argv, code in ((["spaces", "list"], 0), (["calculus", "eval", "--space", "dr:3,1", "--op", "f"], 2)):
+        monkeypatch.setattr(sys, "argv", ["hardyscope", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("hardyscope", run_name="__main__")
+        assert exc.value.code == code
+    lines = _lines(capsys)
+    assert lines[0] == "space,kind,n,p,q,h,lambda0"
+    assert len(lines) == 12
 
 
 def test_config_file_supplies_and_flags_override(tmp_path, capsys):

@@ -17,7 +17,10 @@ from hardyscope.green import (
     green_weight_supercritical,
     unit_sphere_volume,
 )
+from hardyscope import green as green_module
+from hardyscope.green import _panel_width
 from hardyscope.spaces import build_density, default_grid, validate_heisenberg_params
+from hardyscope.verify import default_suite
 
 
 def test_unit_sphere_volumes():
@@ -70,10 +73,16 @@ def test_hyperbolic3_weight_identities():
 
 
 def _mp_green(p, q, P, r):
-    """G(r) and G'/G on dr:p,q from a 30-digit mpmath quadrature."""
+    """G(r) and G'/G on dr:p,q from a 30-digit mpmath quadrature.
+
+    With a list of increasing radii, the full quadrature runs from the last
+    one and the integrals over the gaps between them are added: lists of
+    G and G'/G come back.
+    """
     with mpmath.workdps(30):
         s = 1 / (mpmath.mpf(P) - 1)
-        r = mpmath.mpf(r)
+        radii = [mpmath.mpf(x) for x in np.atleast_1d(r)]
+        r = radii[-1]
 
         def f(t):
             return 2**p * mpmath.sinh(t / 2) ** p * mpmath.sinh(t) ** q
@@ -86,7 +95,15 @@ def _mp_green(p, q, P, r):
         fr = f(r)
         J = mpmath.quad(lambda t: (f(t) / fr) ** -s, pts)
         omega = 2 * mpmath.pi ** (mpmath.mpf(p + q + 1) / 2) / mpmath.gamma(mpmath.mpf(p + q + 1) / 2)
-        return float((omega * fr) ** -s * J), float(-1 / J)
+        if len(radii) == 1:
+            return float((omega * fr) ** -s * J), float(-1 / J)
+        integrals = [fr**-s * J]
+        for a, b in zip(reversed(radii[:-1]), reversed(radii[1:])):
+            integrals.append(integrals[-1] + mpmath.quad(lambda t: f(t) ** -s, [a, b]))
+        integrals.reverse()
+        G = [float(omega**-s * I) for I in integrals]
+        dlog = [float(-f(x) ** -s / I) for x, I in zip(radii, integrals)]
+        return G, dlog
 
 
 def test_batch_matches_mpmath_reference_and_preserves_order():
@@ -100,6 +117,19 @@ def test_batch_matches_mpmath_reference_and_preserves_order():
         assert abs(batch["G"][i] - G) <= batch["G_err"][i]
         assert green_value(model, 2.5, float(r)).value == pytest.approx(G, rel=1e-12)
         assert green_log_derivative(model, 2.5, float(r)) == pytest.approx(dlog, rel=1e-12)
+
+
+def test_batch_matches_mpmath_reference_on_dense_clusters(monkeypatch):
+    # 40 radii in one cell of each chain: all but the first are read off
+    # their cell's first panel, as in a dense grid
+    monkeypatch.setattr(green_module, "_MIN_SHARED", 1)
+    model = build_density("dr:4,2")
+    clusters = [np.linspace(2.0, 2.05, 40), np.linspace(0.30, 0.31, 40)]
+    batch = green_weight_batch(model, 2.5, np.concatenate(clusters))
+    G_mp, dlog_mp = (np.concatenate(v) for v in zip(*(_mp_green(4, 2, 2.5, c) for c in clusters)))
+    np.testing.assert_allclose(batch["G"], G_mp, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(batch["dlogG"], dlog_mp, rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(batch["G"] - G_mp) <= batch["G_err"])
 
 
 def test_surplus_weight_accurate_near_the_pole():
@@ -142,21 +172,25 @@ def test_batch_equals_per_radius_results(radii):
 
 
 class _CountingModel:
-    """Delegates to a density model and counts calls of log_f and excess."""
+    """Delegates to a density model and counts calls of log_f and excess, and
+    the radii they were passed."""
 
     def __init__(self, model):
         self._model = model
         self.calls = 0
+        self.items = 0
 
     def __getattr__(self, name):
         return getattr(self._model, name)
 
     def log_f(self, r):
         self.calls += 1
+        self.items += np.size(r)
         return self._model.log_f(r)
 
     def excess(self, r):
         self.calls += 1
+        self.items += np.size(r)
         return self._model.excess(r)
 
 
@@ -168,6 +202,21 @@ def test_batch_calls_the_density_a_fixed_number_of_times():
             green_weight_batch(model, 2.0, np.geomspace(1e-3, 60.0, size))
             counts.append(model.calls)
         assert counts[0] == counts[1] <= 8, (desc, counts)
+
+
+def test_dense_batch_reads_radii_off_shared_panels():
+    # the suite's 25,080 distinct radii lie about 0.0125 apart: one panel per
+    # gap would pass about 1,000,000 items to the density
+    radii = default_suite().plan.nodes
+    sample = np.random.default_rng(7).choice(radii.size, 50, replace=False)
+    for desc in ("dr:8,7", "hyperbolic:3"):
+        model = _CountingModel(build_density(desc))
+        batch = green_weight_batch(model, 2.0, radii)
+        assert model.items <= 45_000, (desc, model.items)
+        for i in sample:
+            single = green_weight_batch(model, 2.0, [radii[i]])
+            for key in ("G", "dlogG", "W", "Wtilde", "rho", "delta"):
+                assert batch[key][i] == pytest.approx(single[key][0], rel=1e-13, abs=0.0), (desc, radii[i], key)
 
 
 _ADMISSIBLE_DR = []
@@ -191,14 +240,42 @@ def test_admissible_lattice_size():
     log_radii=st.lists(st.floats(min_value=-8.0, max_value=3.0), min_size=1, max_size=64),
 )
 def test_batch_outputs_finite_over_admissible_range(desc, P, log_radii):
-    model = build_density(desc)
-    out = green_weight_batch(model, P, 10.0 ** np.array(log_radii))
+    _check_batch_outputs(build_density(desc), P, 10.0 ** np.array(log_radii))
+
+
+def _check_batch_outputs(model, P, radii):
+    out = green_weight_batch(model, P, radii)
     for key in ("rho", "W", "Wtilde", "dlogG"):
         assert np.all(np.isfinite(out[key])), key
     assert np.all(out["W"] >= (model.h / P) ** P)
     assert np.all(out["Wtilde"] >= 0.0)
     assert np.all(out["G"] >= 0.0)
-    assert not np.any(np.isnan(out["G_err"]))
+    assert np.all(out["G_err"] >= 0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    desc=st.sampled_from(_ADMISSIBLE_DR + [f"hyperbolic:{n}" for n in (2, 3, 7, 30)]),
+    P=st.floats(min_value=1.1, max_value=6.0),
+    log_centre=st.floats(min_value=-8.0, max_value=3.0),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=61),
+)
+def test_batch_outputs_finite_on_clustered_radii(desc, P, log_centre, fractions):
+    # up to 64 radii in the cell that holds the centre (in t from 1 up, in
+    # log t below), with its two edges and a radius an ulp above another,
+    # read off shared panels as in a dense grid
+    model = build_density(desc)
+    s = 1.0 / (P - 1.0)
+    centre = 10.0**log_centre
+    in_log = centre < 1.0
+    rate = 1.0 + s * (model.n - 1.0) * 1.2 if in_log else s * model.h + 1.0
+    cell = min(0.5 * _panel_width(rate), 1.0 / rate)
+    edge = math.floor((math.log(centre) if in_log else centre) / cell) * cell
+    x = edge + cell * np.concatenate(([0.0, 1.0], fractions))
+    radii = np.exp(x) if in_log else x
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(green_module, "_MIN_SHARED", 1)
+        _check_batch_outputs(model, P, np.append(radii, np.nextafter(radii[-1], np.inf)))
 
 
 def test_error_bound_covers_hyperbolic3_closed_form_on_default_grid():
@@ -257,8 +334,9 @@ def test_green_preconditions():
         green_gamma0(dr, 4.0)  # P = n is still borderline
     with pytest.raises(PreconditionError):
         green_weight_supercritical(dr, 3.0, 1.0)
-    with pytest.raises(DomainError):
-        green_weight_batch(dr, 2.0, np.array([1.0, 0.0]))
+    for radii in ([1.0, 0.0], [np.nan], [1.0, np.inf]):
+        with pytest.raises(DomainError):
+            green_weight_batch(dr, 2.0, np.array(radii))
 
 
 def test_asymptotic_regimes():
