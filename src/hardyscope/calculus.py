@@ -550,16 +550,3 @@ def _panel_rules(values) -> np.ndarray:
     # per panel: the Gauss-Legendre sum and both null rules, on [-1, 1]
     return np.asarray(values, dtype=float).reshape(-1, _GL_ORDER) @ _GL_RULES
 
-
-def composite_gl(fn: Callable, a: ArrayLike, b: ArrayLike, width: float, min_panels: int = 1):
-    """Integrals of fn over the segments [a_k, b_k] and estimates of their errors.
-
-    ``a`` and ``b`` are floats, giving floats, or matching arrays of
-    segments, giving arrays.  fn must accept arrays: it is called on the
-    nodes of every segment at once, in blocks of whole panels.  Panels and
-    error estimate are those of ``PanelPlan``.
-    """
-    value, error = PanelPlan(a, b, width, min_panels).integrate(lambda t, _segment: fn(t))
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        return float(value[0]), float(error[0])
-    return value, error

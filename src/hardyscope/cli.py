@@ -51,8 +51,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise PreconditionError(f"grid must be three numbers lo:hi:step, got {text!r}") from None
-    if not (0.0 < lo < hi) or step <= 0.0:
-        raise PreconditionError("grid needs 0 < lo < hi and step > 0")
+    if not (0.0 < lo < hi < math.inf and 0.0 < step < math.inf):
+        raise PreconditionError("grid needs 0 < lo < hi and step > 0, all finite")
     return np.arange(lo, hi + 0.5 * step, step)
 
 

@@ -25,22 +25,23 @@ functions call it.  It integrates one vectorised pass of panels per form;
 radii that lie within about one e-folding of each other share a panel and
 are read off its interpolant, so on a dense grid the density is evaluated
 on a number of nodes set by the span of the radii, not by their count.
-Only the total integral over (0, inf), which needs no radius, uses scipy's
-adaptive quadrature.
+The near cutoff, where f'/f comes within 0.1% of h, is the root of a
+quadratic in exp(-r) and taken in closed form.  Only the total integral
+G(0) over (0, inf), which needs no radius, still uses scipy's adaptive
+quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .calculus import PanelPlan, RadialScalar
 from .errors import DomainError, PreconditionError, QuadratureError
-from .spaces import EUCLIDEAN, DensityModel, build_density
+from .spaces import EUCLIDEAN, DensityModel
 from .weights import WeightPair, _check_radius, _constant, _maybe_sample
 
 __all__ = [
@@ -92,22 +93,21 @@ class GreenEvaluation:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _near_cutoff(descriptor: str) -> float:
-    # keyed by the descriptor: model objects hash by identity and are rebuilt often
-    model = build_density(descriptor)
-
-    def slack(R):
-        return model.excess(R) - _CUTOFF_EXCESS * model.h
-
-    return float(optimize.brentq(slack, 1e-6, 400.0, xtol=1e-9))
-
-
 def _cutoff_radius(model: DensityModel) -> float:
-    """Smallest radius where f'/f exceeds its limit h by at most 0.1%."""
+    """Smallest radius where f'/f exceeds its limit h by at most 0.1%.
+
+    With z = exp(-R) and coth x - 1 = 2 exp(-2x) / (1 - exp(-2x)), the
+    equation excess(R) = c, c = 0.1% of h, is the quadratic
+    (2h + c) z^2 + p z - c = 0 with p = 2(n - 1 - h): the p of dr:p,q, and 0
+    on hyperbolic space.  Its positive root is taken in the form
+    2c / (p + sqrt(p^2 + 4c(2h + c))), which has no cancellation.
+    """
     if model.kind == EUCLIDEAN:
         raise DomainError("flat space has no exponential tail cutoff")
-    return _near_cutoff(model.spec.descriptor())
+    h = model.h
+    c = _CUTOFF_EXCESS * h
+    p = 2.0 * (model.n - 1.0 - h)
+    return -math.log(2.0 * c / (p + math.sqrt(p * p + 4.0 * c * (2.0 * h + c))))
 
 
 def _far_cutoff(model: DensityModel, P: float, r: float) -> float:
@@ -171,13 +171,11 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     exponent.  Where G overflows near the pole, G_err is infinite.
     """
     P = float(P)
-    if P <= 1.0:
-        raise PreconditionError("Green function needs P > 1")
+    if not 1.0 < P < math.inf:
+        raise PreconditionError("Green function needs a finite P > 1")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all((radii > 0.0) & np.isfinite(radii)):
         raise DomainError("radius must be positive and finite")
-    order = np.argsort(radii)
-    rs = radii[order]
     s = 1.0 / (P - 1.0)
     n = model.n
     omega = unit_sphere_volume(n)
@@ -187,24 +185,24 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
         if P >= n:
             raise DomainError("flat-space Green integral diverges unless P < n")
         k = (n - 1.0) * s
-        G = beta * rs ** (1.0 - k) / (k - 1.0)
-        dlog = -(n - P) / ((P - 1.0) * rs)
-        W = ((n - P) / P) ** P * rs ** (-P)
-        G_err = _rounding_floor(G, s * model.log_f(rs))
-        nan = np.full_like(rs, np.nan)
-        out = {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": W.copy(), "rho": nan, "delta": nan}
-        return _unsort(out, order)
+        G = beta * radii ** (1.0 - k) / (k - 1.0)
+        dlog = -(n - P) / ((P - 1.0) * radii)
+        W = ((n - P) / P) ** P * radii ** (-P)
+        G_err = _rounding_floor(G, s * model.log_f(radii))
+        nan = np.full_like(radii, np.nan)
+        return {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": W.copy(), "rho": nan, "delta": nan}
 
     h = model.h
     lam_p = (h / P) ** P
 
     # knots: every distinct radius, the anchor 1 when radii below 1 are
-    # present, and the far cutoff
-    knots = np.unique(rs)
+    # present, and the far cutoff; at[i] is the knot of radii[i]
+    knots, at = np.unique(radii, return_inverse=True)
     lo = knots[knots < 1.0]
     hi = knots[knots >= 1.0]
     if lo.size and (not hi.size or hi[0] > 1.0):
         hi = np.concatenate(([1.0], hi))
+        at[at >= lo.size] += 1
     R_far = _far_cutoff(model, P, float(hi[-1]))
     points = np.concatenate((lo, hi, [R_far]))
     lf = model.log_f(points)
@@ -241,8 +239,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
         delta = np.concatenate((1.0 - rho_d, delta))
         rho_err = np.concatenate((h * i_err / (P - 1.0), rho_err))
 
-    # rs are knots; the knots below R_far are ordered like rho
-    at = np.searchsorted(points, rs)
+    # the knots below R_far are ordered like rho
     rho, delta, rho_err = rho[at], delta[at], rho_err[at]
     dlog = -h / ((P - 1.0) * rho)
     W = lam_p * rho ** (-P)
@@ -256,8 +253,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     with np.errstate(over="ignore"):
         G = beta * (P - 1.0) / h * rho * np.exp(-exponent)
     G_err = G * (rho_err / rho) + _rounding_floor(G, exponent)
-    out = {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": wtilde, "rho": rho, "delta": delta}
-    return _unsort(out, order)
+    return {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": wtilde, "rho": rho, "delta": delta}
 
 
 def _chain(x, lf, rate: float, s: float, integrand, value: float, error: float):
@@ -336,11 +332,6 @@ def _rounding_floor(G: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     return 8.0 * _EPS * (1.0 + np.abs(exponent)) * G
 
 
-def _unsort(out: dict, order: np.ndarray) -> dict:
-    inverse = np.argsort(order)
-    return {k: v[inverse] for k, v in out.items()}
-
-
 # ---------------------------------------------------------------------------
 # one radius at a time
 # ---------------------------------------------------------------------------
@@ -384,22 +375,19 @@ def green_weight(model: DensityModel, P: float, r=None):
     With ``r`` given, returns the sample at that radius.
     """
     P = float(P)
-    if P <= 1.0:
+    if not P > 1.0:
         raise PreconditionError("Green weight needs P > 1")
     if model.kind == EUCLIDEAN:
         raise PreconditionError("the Green weight construction excludes flat space")
 
-    def w_value(rr):
-        arr = np.atleast_1d(np.asarray(rr, dtype=float))
-        out = green_weight_batch(model, P, arr)["W"]
-        return float(out[0]) if np.ndim(rr) == 0 else out
+    def column(key: str) -> RadialScalar:
+        def value(rr):
+            out = green_weight_batch(model, P, np.atleast_1d(np.asarray(rr, dtype=float)))[key]
+            return float(out[0]) if np.ndim(rr) == 0 else out
 
-    def wtilde_value(rr):
-        arr = np.atleast_1d(np.asarray(rr, dtype=float))
-        out = green_weight_batch(model, P, arr)["Wtilde"]
-        return float(out[0]) if np.ndim(rr) == 0 else out
+        return RadialScalar.from_value_only(value)
 
-    w_scalar = RadialScalar.from_value_only(w_value)
+    w_scalar = column("W")
     terms = (("((P-1)/P)^P |G'/G|^P", w_scalar),)
     pair = WeightPair(
         theorem_id="green_p",
@@ -412,7 +400,7 @@ def green_weight(model: DensityModel, P: float, r=None):
         P=P,
         extras={
             "Lambda_P": (model.h / P) ** P,
-            "Wtilde": RadialScalar.from_value_only(wtilde_value),
+            "Wtilde": column("Wtilde"),
         },
     )
     return _maybe_sample(pair, r)
@@ -502,7 +490,7 @@ def asymptotic_prediction(model: DensityModel, P: float, r) -> AsymptoticPredict
     P > n:  C r^(-P(n-1)/(P-1)) with C = ((P-1)/P)^P (integral of f^(-1/(P-1)))^(-P)
     """
     P = float(P)
-    if P <= 1.0:
+    if not P > 1.0:
         raise PreconditionError("Green weight needs P > 1")
     n = model.n
     r = _check_radius(r)

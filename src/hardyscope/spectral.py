@@ -88,9 +88,9 @@ def bottom_eigenvalue(problem: EigenProblem) -> SpectralResult:
     The Dirichlet value is an upper bound for the spectral bottom and
     decreases as R grows.
     """
-    if problem.R <= 0.0:
-        raise PreconditionError("ball radius must be positive")
-    if problem.mesh <= 0.0 or problem.mesh > problem.R / 100.0:
+    if not 0.0 < problem.R < np.inf:
+        raise PreconditionError("ball radius must be positive and finite")
+    if not 0.0 < problem.mesh <= problem.R / 100.0:
         raise PreconditionError("mesh must satisfy 0 < mesh <= R/100 (at least 100 cells)")
     lam = _solve_once(problem.model, problem.potential, problem.R, problem.mesh)
     lam_half = _solve_once(problem.model, problem.potential, problem.R, problem.mesh / 2.0)

@@ -14,7 +14,9 @@ once per space and pair: f, the measure and the weights are evaluated on the
 suite's nodes in one call each (the Green weight in one engine batch), and
 one reduction per side gives that side for every member.  The single-member
 functions (``rayleigh_gap`` and friends) run the same code on a one-member
-suite.
+suite.  The null-criticality mass is taken on the same rule, in log r, and
+is certified by its null-rule estimate: above 1e-10 relative it raises
+QuadratureError instead of returning a number.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import green as green_mod
 from .calculus import PanelPlan, RadialScalar, p_laplacian_radial
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, QuadratureError
 from .spaces import DEFAULT_CATALOG, DensityModel, build_density, default_grid
 from .weights import (
     WeightPair,
@@ -317,35 +317,38 @@ class NullCriticalityMass:
     closed_form: float
 
 
-def _mass_quad(log_gs: Callable, model: DensityModel, weight: RadialScalar, lo: float, hi: float) -> float:
-    # substitute r = e^u and compose in logs; Phi^2 f underflows long before
-    # the product Phi^2 W f does, so the exponent must be assembled first
-    def integrand(u):
-        t = float(np.exp(u))
-        lw = 2.0 * float(log_gs(t)) + float(model.log_f(t)) + u
-        return float(np.exp(lw)) * float(weight.value(t))
-
-    val, err = quad(integrand, np.log(lo), np.log(hi), epsabs=1e-14, epsrel=1e-12, limit=300)
-    if not np.isfinite(val):
-        raise DomainError("null mass quadrature diverged")
-    return float(val)
+#: relative null-rule estimate above which the null mass is not certified
+_MASS_RTOL = 1e-10
 
 
 def null_criticality_mass(model: DensityModel, eps: float, R: float) -> NullCriticalityMass:
     """Integral of Phi^2 W f over [eps, R] for the quadratic pair.
 
     Criticality shows up as logarithmic divergence at both ends: the mass
-    grows like (1/4) log(R/eps), so the slope against log R is 1/4.
+    grows like (1/4) log(R/eps), so the slope against log R is 1/4.  The
+    mass over [eps, R] and the slope, the mass over [R, eR], are the two
+    segments of one ``PanelPlan`` in u = log r, where the integrand is
+    smooth.  Raises QuadratureError when a null-rule estimate exceeds 1e-10
+    of its integral.
     """
     if not (0.0 < eps < R):
         raise PreconditionError("need 0 < eps < R")
     pair = weight_theorem_b(model)
-    log_gs = pair.extras["log_ground_state"]
-    mass = _mass_quad(log_gs, model, pair.W, eps, R)
-    bump = _mass_quad(log_gs, model, pair.W, R, R * np.e)
+    u = np.log([eps, R, R * np.e])
+    plan = PanelPlan(u[:-1], u[1:], _PANEL_WIDTH, _MIN_PANELS)
+    nodes, _ = plan.nodes()
+    t = np.exp(nodes)
+    # compose in logs: Phi^2 f underflows long before the product Phi^2 W f
+    # does, so the exponent must be assembled first
+    log_mass = 2.0 * pair.extras["log_ground_state"](t) + model.log_f(t) + nodes
+    (mass, slope), (mass_err, slope_err) = plan.reduce(np.exp(log_mass) * pair.W.value(t))
+    if not (np.isfinite(mass) and np.isfinite(slope)):
+        raise DomainError("null mass quadrature diverged")
+    if mass_err > _MASS_RTOL * abs(mass) or slope_err > _MASS_RTOL * abs(slope):
+        raise QuadratureError(f"null mass certified only to {mass_err:.3e} and its slope to {slope_err:.3e}")
     return NullCriticalityMass(
-        mass=mass,
-        log_slope=bump,
+        mass=float(mass),
+        log_slope=float(slope),
         closed_form=float(0.25 * np.log(R / eps)),
     )
 

@@ -237,12 +237,7 @@ def weight_theorem_b(model: DensityModel, r=None):
 
     if model.kind == EUCLIDEAN:
         v_scalar = _inverse_square(-c_r2)
-        total_coef = (model.n - 2) ** 2 / 4.0
-        w_total = RadialScalar.from_values(
-            lambda rr: total_coef / rr**2,
-            lambda rr: -2.0 * total_coef / rr**3,
-            lambda rr: 6.0 * total_coef / rr**4,
-        )
+        w_total = _inverse_square((model.n - 2) ** 2 / 4.0)
         total_terms = (("(n-2)^2/(4r^2)", w_total),)
     else:
         v_scalar = RadialScalar.from_value_only(v_value)
@@ -443,7 +438,7 @@ def weight_weighted(model: DensityModel, alpha: float, r=None):
     and there is no ground state attached.
     """
     alpha = float(alpha)
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise PreconditionError("alpha must be nonnegative")
     if model.n < 2.0 * (1.0 + alpha):
         raise PreconditionError(f"weighted pair needs n >= 2(1+alpha): n={model.n}, alpha={alpha}")
@@ -524,7 +519,7 @@ def weight_p_dr(p: int, q: int, P: float, r=None):
     """
     validate_heisenberg_params(p, q)
     P = float(P)
-    if P < 2.0:
+    if not P >= 2.0:
         raise PreconditionError("quasi-linear pair needs P >= 2")
     if p + q < P * (P - 1.0):
         raise PreconditionError(f"quasi-linear pair needs n >= 1 + P(P-1): n={p + q + 1}, P={P}")

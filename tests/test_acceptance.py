@@ -141,7 +141,7 @@ def test_criterion_07_null_criticality_mass():
             for R in (10.0, 1000.0):
                 out = null_criticality_mass(model, eps, R)
                 worst = max(worst, abs(out.mass - out.closed_form) / abs(out.closed_form))
-    assert worst <= 1e-10, f"null mass deviates by {worst:.3e} relative"
+    assert worst <= 1e-13, f"null mass deviates by {worst:.3e} relative"
     print(f"PASS: criterion 07 null-criticality mass on 11 spaces (max rel {worst:.1e})")
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from hardyscope.calculus import (
     Jet2,
+    PanelPlan,
     RadialScalar,
-    composite_gl,
     hilfe_rhs,
     jet_where,
     laplacian_radial,
@@ -160,10 +160,10 @@ def test_laplacian_radial_rejects_nonpositive_radius():
         laplacian_radial(radius() ** 2.0, e3, 0.0)
 
 
-def test_composite_gl_error_estimate_bounds_the_error():
+def test_panel_plan_error_estimate_bounds_the_error():
     # integral of exp(-lam t) over [0, 4] is -expm1(-4 lam)/lam
     for lam, width in ((40.0, 2.0), (40.0, 1.0), (5.0, 4.0), (1.0, 0.25)):
-        value, estimate = composite_gl(lambda t: np.exp(-lam * t), 0.0, 4.0, width)
+        (value,), (estimate,) = PanelPlan(0.0, 4.0, width).integrate(lambda t, _k: np.exp(-lam * t))
         error = abs(value + math.expm1(-4.0 * lam) / lam)
         assert error <= estimate
         if width == 2.0:  # under-resolved panels: the bounded error is real
@@ -171,4 +171,4 @@ def test_composite_gl_error_estimate_bounds_the_error():
     # once resolved, the estimate falls to the rounding level of the sum
     assert estimate <= 1e-14 * value
     with pytest.raises(DomainError):
-        composite_gl(np.exp, 1.0, 1.0, 0.25)
+        PanelPlan(1.0, 1.0, 0.25)

@@ -144,6 +144,32 @@ def test_exit_code_two_on_unusable_input(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5", "--mesh", "nan"], "mesh must satisfy"),
+        (["spectral", "bottom", "--space", "hyperbolic:3", "--R", "nan", "--mesh", "0.01"], "ball radius"),
+        (["spectral", "bottom", "--space", "hyperbolic:3", "--R", "inf", "--mesh", "0.01"], "ball radius"),
+        (["weights", "eval", "--space", "hyperbolic:5", "--theorem", "weighted", "--alpha", "nan"], "alpha"),
+        (["weights", "eval", "--space", "dr:8,7", "--theorem", "p", "--P", "nan"], "needs P >= 2"),
+        (["green", "eval", "--space", "hyperbolic:3", "--P", "nan"], "P > 1"),
+        (["green", "eval", "--space", "hyperbolic:3", "--P", "inf"], "P > 1"),
+        (["calculus", "eval", "--space", "hyperbolic:3", "--op", "f", "--grid", "1:2:nan"], "grid needs"),
+        (["calculus", "eval", "--space", "hyperbolic:3", "--op", "f", "--grid", "1:inf:1"], "grid needs"),
+    ],
+    ids=[
+        "mesh-nan", "R-nan", "R-inf", "alpha-nan", "p-P-nan",
+        "green-P-nan", "green-P-inf", "grid-step-nan", "grid-hi-inf",
+    ],
+)
+def test_non_finite_numbers_exit_two(argv, message, capsys):
+    # the range checks are written so that NaN fails them, and inf is out of range
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_python_dash_m_runs_the_cli_and_exits_with_its_code(monkeypatch, capsys):
     for argv, code in ((["spaces", "list"], 0), (["calculus", "eval", "--space", "dr:3,1", "--op", "f"], 2)):
         monkeypatch.setattr(sys, "argv", ["hardyscope", *argv])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from hardyscope.errors import DomainError, PreconditionError, QuadratureError, SpaceValidationError
 from hardyscope.green import (
@@ -231,6 +232,20 @@ for _p in range(2, 33, 2):
 
 def test_admissible_lattice_size():
     assert len(_ADMISSIBLE_DR) == 51
+
+
+def test_closed_form_near_cutoff_matches_a_root_finder():
+    # the near cutoff solves excess(R) = 1e-3 h; brentq on the same equation
+    # is the reference
+    for desc in _ADMISSIBLE_DR + [f"hyperbolic:{n}" for n in range(2, 31)]:
+        model = build_density(desc)
+        R = green_module._cutoff_radius(model)
+        c = 1e-3 * model.h
+        assert abs(model.excess(R) / c - 1.0) <= 1e-14, desc
+        reference = brentq(lambda r: model.excess(r) - c, 1e-6, 400.0, xtol=1e-12)
+        assert abs(R - reference) <= 1e-9, desc
+    with pytest.raises(DomainError):
+        green_module._cutoff_radius(build_density("euclidean:3"))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hardyscope import verify
-from hardyscope.calculus import RadialScalar, composite_gl, jet_where, radius
-from hardyscope.errors import DomainError, PreconditionError
+from hardyscope.calculus import PanelPlan, RadialScalar, jet_where, radius
+from hardyscope.errors import DomainError, PreconditionError, QuadratureError
 from hardyscope.green import green_weight
 from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid
 from hardyscope.verify import (
@@ -101,9 +101,19 @@ def test_null_mass_log_divergence():
     assert out.closed_form == pytest.approx(0.25 * np.log(1e3), rel=1e-15)
     assert out.mass == pytest.approx(out.closed_form, rel=1e-10)
     # mass over [R, eR] is the increment per unit log R
-    assert out.log_slope == pytest.approx(0.25, abs=1e-6)
+    assert out.log_slope == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(PreconditionError):
         null_criticality_mass(model, 1.0, 0.5)
+
+
+def test_null_mass_refuses_a_weight_with_a_jump(monkeypatch):
+    # a jump at r = 2 lies inside a panel (u = log r): the null rules see it
+    model = build_density("hyperbolic:5")
+    pair = weight_theorem_b(model)
+    step = RadialScalar.from_value_only(lambda r: np.where(r < 2.0, 1.0, 2.0))
+    monkeypatch.setattr(verify, "weight_theorem_b", lambda m: dataclasses.replace(pair, W=pair.W * step))
+    with pytest.raises(QuadratureError):
+        null_criticality_mass(model, 1e-2, 10.0)
 
 
 def test_uncertainty_ratio_dominates_one():
@@ -188,7 +198,7 @@ def test_report_dict_shape():
 
 def _per_member(fn, member):
     a, b = member.support
-    return composite_gl(fn, a, b, 0.25, 8)[0]
+    return float(PanelPlan(a, b, 0.25, 8).integrate(lambda t, _k: fn(t))[0][0])
 
 
 def _reference_form_gap(model, pair, member):
