@@ -323,16 +323,21 @@ def radius() -> RadialScalar:
 # ---------------------------------------------------------------------------
 
 
-def _require_positive_radius(r: ArrayLike) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if not np.all(r > 0.0):
-        raise DomainError("radius values must be strictly positive")
-    return r
+def check_radius(r: ArrayLike) -> ArrayLike:
+    """The radii as a float (given a scalar) or an array.
+
+    Raises DomainError unless every radius is positive and finite, so NaN and
+    infinity are refused too.
+    """
+    arr = np.asarray(r, dtype=float)
+    if not np.all((arr > 0.0) & np.isfinite(arr)):
+        raise DomainError("radius must be positive and finite")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def laplacian_radial(u: RadialScalar, model, r: ArrayLike) -> ArrayLike:
     """Laplace-Beltrami operator on a radial function: u'' + (f'/f) u'."""
-    r = _require_positive_radius(r)
+    r = check_radius(r)
     j = u.jet(r)
     return j.d2 + model.log_df(r) * j.d1
 
@@ -346,7 +351,7 @@ def p_laplacian_radial(u: RadialScalar, model, P: float, r: ArrayLike) -> ArrayL
     P = float(P)
     if P <= 1.0:
         raise DomainError("p_laplacian_radial requires P > 1")
-    r = _require_positive_radius(r)
+    r = check_radius(r)
     j = u.jet(r)
     du = j.d1
     core = (P - 1.0) * j.d2 + model.log_df(r) * du
@@ -361,7 +366,7 @@ def power_product_coefficient(alpha: float, beta: float, model, r: ArrayLike) ->
     Expanding the product rule gives four groups:
     alpha(alpha-1)/r^2 + alpha(2 beta + 1)(f'/f)/r + beta f''/f + beta^2 (f'/f)^2.
     """
-    r = _require_positive_radius(r)
+    r = check_radius(r)
     L = model.log_df(r)
     return (
         alpha * (alpha - 1.0) / r**2
@@ -382,7 +387,7 @@ def hilfe_rhs(a: float, b: float, p: int, q: int, r: ArrayLike) -> ArrayLike:
 
     with lambda0 = (p+2q)^2 / 16.
     """
-    r = _require_positive_radius(r)
+    r = check_radius(r)
     lam0 = (p + 2.0 * q) ** 2 / 16.0
     ab = a - b
     return (

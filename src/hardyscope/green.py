@@ -39,10 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .calculus import PanelPlan, RadialScalar
+from .calculus import PanelPlan, RadialScalar, check_radius
 from .errors import DomainError, PreconditionError, QuadratureError
 from .spaces import EUCLIDEAN, DensityModel
-from .weights import WeightPair, _check_radius, _constant, _maybe_sample
+from .weights import WeightPair, _constant
 
 __all__ = [
     "GreenEvaluation",
@@ -98,15 +98,15 @@ def _cutoff_radius(model: DensityModel) -> float:
 
     With z = exp(-R) and coth x - 1 = 2 exp(-2x) / (1 - exp(-2x)), the
     equation excess(R) = c, c = 0.1% of h, is the quadratic
-    (2h + c) z^2 + p z - c = 0 with p = 2(n - 1 - h): the p of dr:p,q, and 0
-    on hyperbolic space.  Its positive root is taken in the form
+    (2h + c) z^2 + p z - c = 0 with the model's p (0 on hyperbolic space).
+    Its positive root is taken in the form
     2c / (p + sqrt(p^2 + 4c(2h + c))), which has no cancellation.
     """
     if model.kind == EUCLIDEAN:
         raise DomainError("flat space has no exponential tail cutoff")
     h = model.h
     c = _CUTOFF_EXCESS * h
-    p = 2.0 * (model.n - 1.0 - h)
+    p = model.p
     return -math.log(2.0 * c / (p + math.sqrt(p * p + 4.0 * c * (2.0 * h + c))))
 
 
@@ -115,10 +115,15 @@ def _far_cutoff(model: DensityModel, P: float, r: float) -> float:
 
     The tail scale decays like exp(-h (t - r)/(P-1)); 46 e-foldings push it
     below 1e-20 of the local value, and the additive 12 absorbs the slower
-    decay of the excess factor in the J-form tail.
+    decay of the excess factor in the J-form tail.  Past P = 1 + h the
+    distance stops growing: the J tail's share of delta is at most
+    excess(R_far)/h whatever P is, and the excess decays at least like
+    exp(-(t - R_near)) beyond the near cutoff R_near, so 58 units put that
+    share below 1e-3 exp(-58).  The bracket of the direct tail, which G(0)
+    uses, is as tight: its relative half-width is at most excess(R_far)/(2h).
     """
     base = max(r, _cutoff_radius(model))
-    return base + 46.0 * (P - 1.0) / model.h + 12.0
+    return base + 46.0 * min(P - 1.0, model.h) / model.h + 12.0
 
 
 def _tail_bracket_scaled(model: DensityModel, P: float, R: float, log_f_ref: float):
@@ -173,9 +178,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     P = float(P)
     if not 1.0 < P < math.inf:
         raise PreconditionError("Green function needs a finite P > 1")
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if not np.all((radii > 0.0) & np.isfinite(radii)):
-        raise DomainError("radius must be positive and finite")
+    radii = np.atleast_1d(check_radius(radii))
     s = 1.0 / (P - 1.0)
     n = model.n
     omega = unit_sphere_volume(n)
@@ -345,7 +348,7 @@ def green_value(model: DensityModel, P: float, r: float, tol: float = 1e-10) -> 
     volume growth makes it converge for every P > 1.  Raises QuadratureError
     when the bound exceeds ``tol``.
     """
-    r = float(_check_radius(r))
+    r = float(check_radius(r))
     out = green_weight_batch(model, P, r)
     value, error_bound = float(out["G"][0]), float(out["G_err"][0])
     if error_bound > tol:
@@ -358,7 +361,7 @@ def green_value(model: DensityModel, P: float, r: float, tol: float = 1e-10) -> 
 
 def green_log_derivative(model: DensityModel, P: float, r: float) -> float:
     """G'/G at radius r; always <= -h/(P-1), exactly -(n-P)/((P-1)r) when flat."""
-    r = float(_check_radius(r))
+    r = float(check_radius(r))
     return float(green_weight_batch(model, P, r)["dlogG"][0])
 
 
@@ -367,12 +370,11 @@ def green_log_derivative(model: DensityModel, P: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def green_weight(model: DensityModel, P: float, r=None):
+def green_weight(model: DensityModel, P: float):
     """Hardy weight of the P-Laplacian built from the Green function.
 
     W = ((P-1)/P)^P |G'/G|^P with V = 0; the surplus Wtilde = W - Lambda_P is
     nonnegative and available in ``extras`` together with Lambda_P = (h/P)^P.
-    With ``r`` given, returns the sample at that radius.
     """
     P = float(P)
     if not P > 1.0:
@@ -389,7 +391,7 @@ def green_weight(model: DensityModel, P: float, r=None):
 
     w_scalar = column("W")
     terms = (("((P-1)/P)^P |G'/G|^P", w_scalar),)
-    pair = WeightPair(
+    return WeightPair(
         theorem_id="green_p",
         space=model.spec.descriptor(),
         params={"P": P},
@@ -403,7 +405,6 @@ def green_weight(model: DensityModel, P: float, r=None):
             "Wtilde": column("Wtilde"),
         },
     )
-    return _maybe_sample(pair, r)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +459,7 @@ def green_weight_supercritical(model: DensityModel, P: float, r: float) -> float
     P = float(P)
     if P <= model.n:
         raise PreconditionError("supercritical weight needs P > n")
-    r = float(_check_radius(r))
+    r = float(check_radius(r))
     gamma = green_gamma0(model, P)
     G = green_value(model, P, r).value
     dlog = green_log_derivative(model, P, r)
@@ -493,7 +494,7 @@ def asymptotic_prediction(model: DensityModel, P: float, r) -> AsymptoticPredict
     if not P > 1.0:
         raise PreconditionError("Green weight needs P > 1")
     n = model.n
-    r = _check_radius(r)
+    r = check_radius(r)
     rr = np.asarray(r, dtype=float)
     if abs(P - n) < 1e-9:
         coef = ((P - 1.0) / P) ** P

@@ -10,6 +10,11 @@ dV = f(r) dr d(angle):
 The third family is indexed by an even integer p >= 2 and an integer q >= 1
 (dimension n = p + q + 1) subject to a divisibility condition on p coming
 from the algebra that builds the space; see validate_heisenberg_params.
+
+DensityModel evaluates one curved formula for the last two families: the
+hyperbolic density is the two-parameter one at p = 0, q = n - 1, and the
+terms of the sinh(r/2)^p factor drop out.  The kind of a space still decides
+which theorems apply to it.
 """
 
 from __future__ import annotations
@@ -182,14 +187,13 @@ class DensityModel:
         if spec.kind == EUCLIDEAN:
             self.h = 0.0
             self.scalar_curvature = 0.0
-        elif spec.kind == HYPERBOLIC:
-            self.h = float(spec.n - 1)
-            self.scalar_curvature = -float(spec.n * (spec.n - 1))
-        elif spec.kind == DAMEK_RICCI:
-            self.p = spec.p
-            self.q = spec.q
-            self.h = (spec.p + 2.0 * spec.q) / 2.0
-            self.scalar_curvature = -spec.n * (spec.p + 4.0 * spec.q) / 4.0
+        elif spec.kind in (HYPERBOLIC, DAMEK_RICCI):
+            # the curved density 2^p sinh(r/2)^p sinh(r)^q with n = p + q + 1;
+            # hyperbolic space is its p = 0 member
+            self.p = spec.p or 0
+            self.q = spec.n - 1 - self.p
+            self.h = (self.p + 2.0 * self.q) / 2.0
+            self.scalar_curvature = -spec.n * (self.p + 4.0 * self.q) / 4.0
         else:
             raise SpaceValidationError(f"unknown space kind {spec.kind!r}")
         self.lambda0 = self.h**2 / 4.0
@@ -200,54 +204,49 @@ class DensityModel:
         return f"DensityModel({self.spec.descriptor()})"
 
     # -- density and derivatives ------------------------------------------
+    #
+    # Each curved formula takes the sinh(r)^q factor's term and, unless p = 0,
+    # combines the 2^p sinh(r/2)^p factor's term in front of it.
 
     @_scalar_ok
     def f(self, r):
         """Density f(r) of the radial volume element."""
         if self.kind == EUCLIDEAN:
             return r ** (self.n - 1)
-        if self.kind == HYPERBOLIC:
-            return np.sinh(r) ** (self.n - 1)
-        return 2.0**self.p * np.sinh(r / 2.0) ** self.p * np.sinh(r) ** self.q
+        out = np.sinh(r) ** self.q
+        return 2.0**self.p * np.sinh(r / 2.0) ** self.p * out if self.p else out
 
     @_scalar_ok
     def log_f(self, r):
         """log f(r), safe for radii far beyond the overflow range of f."""
         if self.kind == EUCLIDEAN:
             return (self.n - 1) * np.log(r)
-        if self.kind == HYPERBOLIC:
-            return (self.n - 1) * _logsinh(r)
-        return self.p * _LN2 + self.p * _logsinh(r / 2.0) + self.q * _logsinh(r)
+        out = self.q * _logsinh(r)
+        return self.p * _LN2 + self.p * _logsinh(r / 2.0) + out if self.p else out
 
     @_scalar_ok
     def log_df(self, r):
         """Logarithmic derivative f'(r)/f(r)."""
         if self.kind == EUCLIDEAN:
             return (self.n - 1) / r
-        if self.kind == HYPERBOLIC:
-            return (self.n - 1) / np.tanh(r)
-        return self.p / (2.0 * np.tanh(r / 2.0)) + self.q / np.tanh(r)
+        out = self.q / np.tanh(r)
+        return self.p / (2.0 * np.tanh(r / 2.0)) + out if self.p else out
 
     @_scalar_ok
     def dlog_df(self, r):
         """Derivative of f'/f."""
         if self.kind == EUCLIDEAN:
             return -(self.n - 1) / r**2
-        if self.kind == HYPERBOLIC:
-            return -(self.n - 1) / np.sinh(r) ** 2
-        return -self.p / (4.0 * np.sinh(r / 2.0) ** 2) - self.q / np.sinh(r) ** 2
+        out = self.q / np.sinh(r) ** 2
+        return -self.p / (4.0 * np.sinh(r / 2.0) ** 2) - out if self.p else -out
 
     @_scalar_ok
     def d2log_df(self, r):
         """Second derivative of log f, i.e. (f'/f)''."""
         if self.kind == EUCLIDEAN:
             return 2.0 * (self.n - 1) / r**3
-        if self.kind == HYPERBOLIC:
-            return 2.0 * (self.n - 1) * np.cosh(r) / np.sinh(r) ** 3
-        return (
-            (self.p / 4.0) * np.cosh(r / 2.0) / np.sinh(r / 2.0) ** 3
-            + 2.0 * self.q * np.cosh(r) / np.sinh(r) ** 3
-        )
+        out = 2.0 * self.q * np.cosh(r) / np.sinh(r) ** 3
+        return (self.p / 4.0) * np.cosh(r / 2.0) / np.sinh(r / 2.0) ** 3 + out if self.p else out
 
     @_scalar_ok
     def d2f_over_f(self, r):
@@ -268,9 +267,8 @@ class DensityModel:
         """f'/f minus its limit h, computed without cancellation at large r."""
         if self.kind == EUCLIDEAN:
             return (self.n - 1) / r
-        if self.kind == HYPERBOLIC:
-            return (self.n - 1) * _cothm1(r)
-        return (self.p / 2.0) * _cothm1(r / 2.0) + self.q * _cothm1(r)
+        out = self.q * _cothm1(r)
+        return (self.p / 2.0) * _cothm1(r / 2.0) + out if self.p else out
 
     # -- jet access ---------------------------------------------------------
 
@@ -278,9 +276,12 @@ class DensityModel:
         """Evaluate f on a jet, propagating two derivatives."""
         if self.kind == EUCLIDEAN:
             return x ** (self.n - 1)
-        if self.kind == HYPERBOLIC:
-            return x.sinh() ** (self.n - 1)
-        return 2.0**self.p * (x * 0.5).sinh() ** self.p * x.sinh() ** self.q
+        out = x.sinh() ** self.q
+        return 2.0**self.p * (x * 0.5).sinh() ** self.p * out if self.p else out
+
+    def log_f_scalar(self) -> RadialScalar:
+        """log f as a composable radial scalar, with f'/f and (f'/f)' as its derivatives."""
+        return RadialScalar.from_values(self.log_f, self.log_df, self.dlog_df)
 
     def f_scalar(self) -> RadialScalar:
         """The density as a composable radial scalar."""

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import green as green_mod
-from .calculus import PanelPlan, RadialScalar, p_laplacian_radial
+from .calculus import PanelPlan, RadialScalar, check_radius, p_laplacian_radial
 from .errors import DomainError, PreconditionError, QuadratureError
 from .spaces import DEFAULT_CATALOG, DensityModel, build_density, default_grid
 from .weights import (
@@ -252,11 +252,9 @@ def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
     """
     if pair.ground_state is None:
         raise PreconditionError(f"pair {pair.theorem_id} has no ground state")
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.min(grid) <= 0.0:
-        raise DomainError("residual grid must stay strictly inside (0, inf)")
+    grid = default_grid() if grid is None else np.atleast_1d(check_radius(grid))
+    if grid.size == 0:
+        raise DomainError("residual grid is empty")
 
     phi = pair.ground_state
     j = phi.jet(grid)

@@ -5,6 +5,12 @@ term breakdown that sums to W exactly, the ground state where one exists, and
 auxiliary evaluators in ``extras``.  All evaluators accept positive scalars or
 numpy arrays.
 
+A ground state is written once, as its logarithm: a radial scalar combining
+log r, the model's log f (``DensityModel.log_f_scalar``) and, for the gamma
+family, log aux_h.  ``extras["log_ground_state"]`` is that scalar and the
+ground state is its exponential, so neither passes through f itself, which
+overflows once log f exceeds about 709.
+
 Evaluation strategy: V and W default to algebraically collapsed closed forms,
 which stay accurate near the pole where the raw quotient-of-derivatives
 expressions lose digits to cancellation.  The raw forms remain available (for
@@ -15,16 +21,14 @@ two against each other at moderate radii.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .calculus import Jet2, RadialScalar
+from .calculus import Jet2, RadialScalar, check_radius, radius
 from .errors import DomainError, PreconditionError
 from .spaces import (
     DAMEK_RICCI,
     EUCLIDEAN,
-    HYPERBOLIC,
     DensityModel,
     SpaceSpec,
     build_density,
@@ -84,7 +88,7 @@ class WeightPair:
     extras: dict = field(default_factory=dict)
 
     def sample(self, r) -> WeightSample:
-        r = _check_radius(r)
+        r = check_radius(r)
         v = self.V.value(r)
         w = self.W.value(r)
         return WeightSample(
@@ -95,19 +99,6 @@ class WeightPair:
             terms={name: scalar.value(r) for name, scalar in self.terms},
             ground_state=None if self.ground_state is None else self.ground_state.value(r),
         )
-
-
-def _check_radius(r):
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("radius must be positive and finite")
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def _maybe_sample(pair: WeightPair, r):
-    if r is None:
-        return pair
-    return pair.sample(r)
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +177,6 @@ def raw_density_ratio(model: DensityModel) -> RadialScalar:
     return RadialScalar.from_value_only(value)
 
 
-def _sqrt_r_over_f(model: DensityModel, P: float = 2.0) -> RadialScalar:
-    """Ground state (r / f(r))^(1/P) with exact derivatives from jets."""
-    inv_p = 1.0 / P
-    return RadialScalar(lambda x: (x / model.f_jet(x)) ** inv_p)
-
-
-def _log_sqrt_r_over_f(model: DensityModel, P: float = 2.0) -> Callable:
-    def log_gs(r):
-        r = np.asarray(r, dtype=float)
-        return (np.log(r) - model.log_f(r)) / P
-
-    return log_gs
-
-
 def _simplified_minus_v(model: DensityModel):
     """Collapsed coefficients of -V for the quadratic pair, per family.
 
@@ -207,11 +184,9 @@ def _simplified_minus_v(model: DensityModel):
     -V = constant + coef_sinh_r/sinh(r)^2 + coef_sinh_half/sinh(r/2)^2
          + coef_inv_r2/r^2.
     """
-    n = model.n
     if model.kind == EUCLIDEAN:
+        n = model.n
         return 0.0, 0.0, 0.0, (n - 1) * (n - 3) / 4.0
-    if model.kind == HYPERBOLIC:
-        return model.lambda0, (n - 1) * (n - 3) / 4.0, 0.0, 0.0
     p, q = model.p, model.q
     return model.lambda0, q * (q - 2.0) / 4.0, p * (p + 2.0 * q - 2.0) / 16.0, 0.0
 
@@ -221,13 +196,12 @@ def _simplified_minus_v(model: DensityModel):
 # ---------------------------------------------------------------------------
 
 
-def weight_theorem_b(model: DensityModel, r=None):
+def weight_theorem_b(model: DensityModel):
     """Pair with V = ((f')^2 - 2 f f'')/(4 f^2), W = 1/(4 r^2).
 
     The ground state is (r/f)^(1/2).  ``extras["W_total"]`` is the combined
     density W - V; on flat space it collapses to the single classical Hardy
-    coefficient (n-2)^2/4 over r^2.  With ``r`` given, returns the sample at
-    that radius instead of the pair.
+    coefficient (n-2)^2/4 over r^2.
     """
     const, c_sr, c_sh, c_r2 = _simplified_minus_v(model)
 
@@ -249,25 +223,25 @@ def weight_theorem_b(model: DensityModel, r=None):
         w_total = _sum_terms(total_terms)
 
     terms = (("1/(4r^2)", _inverse_square(0.25)),)
-    pair = WeightPair(
+    log_gs = (radius().log() - model.log_f_scalar()) / 2.0
+    return WeightPair(
         theorem_id="B",
         space=model.spec.descriptor(),
         params={},
         V=v_scalar,
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=_sqrt_r_over_f(model),
+        ground_state=log_gs.exp(),
         extras={
             "W_total": w_total,
             "W_total_terms": total_terms,
             "V_raw": raw_density_ratio(model),
-            "log_ground_state": _log_sqrt_r_over_f(model),
+            "log_ground_state": log_gs,
         },
     )
-    return _maybe_sample(pair, r)
 
 
-def weight_dr_poincare(p: int, q: int, r=None):
+def weight_dr_poincare(p: int, q: int):
     """Shifted pair on the two-parameter spaces: V = -lambda0, explicit W.
 
     W = 1/(4 r^2) + p(p+2q-2)/(16 sinh(r/2)^2) + q(q-2)/(4 sinh(r)^2), with
@@ -280,17 +254,17 @@ def weight_dr_poincare(p: int, q: int, r=None):
         ("sinh(r/2) term", _inverse_sinh_sq(p * (p + 2.0 * q - 2.0) / 16.0, 0.5)),
         ("sinh(r) term", _inverse_sinh_sq(q * (q - 2.0) / 4.0, 1.0)),
     )
-    pair = WeightPair(
+    log_gs = (radius().log() - model.log_f_scalar()) / 2.0
+    return WeightPair(
         theorem_id="A",
         space=model.spec.descriptor(),
         params={},
         V=_constant(-model.lambda0),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=_sqrt_r_over_f(model),
-        extras={"log_ground_state": _log_sqrt_r_over_f(model)},
+        ground_state=log_gs.exp(),
+        extras={"log_ground_state": log_gs},
     )
-    return _maybe_sample(pair, r)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +288,7 @@ def _validate_aux_h(aux_h: RadialScalar) -> None:
         raise PreconditionError("aux_h must grow at least linearly from the pole (aux_h(r)/r bounded below)")
 
 
-def weight_gamma_family(model: DensityModel, gamma: float, aux_h: RadialScalar | None = None, r=None):
+def weight_gamma_family(model: DensityModel, gamma: float, aux_h: RadialScalar | None = None):
     """One-parameter deformation of the quadratic pair.
 
     W = (1 - 4 gamma^2)/(4 r^2) and V collects the density curvature together
@@ -341,34 +315,28 @@ def weight_gamma_family(model: DensityModel, gamma: float, aux_h: RadialScalar |
         correction = gamma * (j.d2 / j.val + (1.0 + 2.0 * gamma) * lh / rr - (1.0 + gamma) * lh**2)
         return -(base + correction)
 
-    half_plus = 0.5 + gamma
-
-    def gs_fn(x: Jet2) -> Jet2:
-        return x**half_plus * model.f_jet(x) ** (-0.5) * aux_h.apply(x) ** (-gamma)
-
-    def log_gs(rr):
-        rr = np.asarray(rr, dtype=float)
-        return half_plus * np.log(rr) - 0.5 * np.asarray(model.log_f(rr)) - gamma * np.log(aux_h.value(rr))
-
+    log_gs = (0.5 + gamma) * radius().log() - 0.5 * model.log_f_scalar()
+    if gamma:
+        # at gamma = 0 the term would be 0 * inf where aux_h overflows with f
+        log_gs = log_gs - gamma * aux_h.log()
     terms = (("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),)
-    pair = WeightPair(
+    return WeightPair(
         theorem_id="gamma_family",
         space=model.spec.descriptor(),
         params={"gamma": gamma},
         V=RadialScalar.from_value_only(v_value),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=RadialScalar(gs_fn),
+        ground_state=log_gs.exp(),
         extras={
             "aux_h": aux_h,
             "lambda0_shift": (1.0 - 4.0 * gamma**2 / (model.n - 1.0) ** 2) * model.lambda0,
             "log_ground_state": log_gs,
         },
     )
-    return _maybe_sample(pair, r)
 
 
-def weight_gamma_dr(p: int, q: int, gamma: float, r=None):
+def weight_gamma_dr(p: int, q: int, gamma: float):
     """Collapsed form of the gamma family on the two-parameter spaces.
 
     With m = p+q, b = 1/2 + gamma/m and d = b^2 - b the pair collapses to
@@ -392,13 +360,7 @@ def weight_gamma_dr(p: int, q: int, gamma: float, r=None):
     drift_coef = gamma * (1.0 + 2.0 * gamma) / m
     coef_sinh_r = -q * (q * d + b)
     coef_sinh_half = -p * ((p + 2.0 * q) * d + b) / 4.0
-
-    def gs_fn(x: Jet2) -> Jet2:
-        return x ** (0.5 + gamma) * model.f_jet(x) ** (-b)
-
-    def log_gs(rr):
-        rr = np.asarray(rr, dtype=float)
-        return (0.5 + gamma) * np.log(rr) - b * np.asarray(model.log_f(rr))
+    log_gs = (0.5 + gamma) * radius().log() - b * model.log_f_scalar()
 
     terms = (
         ("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),
@@ -406,21 +368,20 @@ def weight_gamma_dr(p: int, q: int, gamma: float, r=None):
         ("sinh(r) term", _inverse_sinh_sq(coef_sinh_r, 1.0)),
         ("sinh(r/2) term", _inverse_sinh_sq(coef_sinh_half, 0.5)),
     )
-    pair = WeightPair(
+    return WeightPair(
         theorem_id="gamma_dr",
         space=model.spec.descriptor(),
         params={"gamma": gamma},
         V=_constant(-shift),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=RadialScalar(gs_fn),
+        ground_state=log_gs.exp(),
         extras={
             "lambda0_shift": shift,
             "drift_coefficient": drift_coef,
             "log_ground_state": log_gs,
         },
     )
-    return _maybe_sample(pair, r)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +389,7 @@ def weight_gamma_dr(p: int, q: int, gamma: float, r=None):
 # ---------------------------------------------------------------------------
 
 
-def weight_weighted(model: DensityModel, alpha: float, r=None):
+def weight_weighted(model: DensityModel, alpha: float):
     """Hardy density against the measure r^(-2 alpha) f dr.
 
     The full density is (2 f f'' - (f')^2)/(4 f^2) - alpha f'/(r f)
@@ -468,7 +429,7 @@ def weight_weighted(model: DensityModel, alpha: float, r=None):
         lambda rr: 2.0 * alpha * (2.0 * alpha + 1.0) * rr ** (-2.0 * alpha - 2.0),
     )
     w_scalar = _sum_terms(terms)
-    pair = WeightPair(
+    return WeightPair(
         theorem_id="weighted_alpha",
         space=model.spec.descriptor(),
         params={"alpha": alpha, "measure_exponent": -2.0 * alpha},
@@ -479,7 +440,6 @@ def weight_weighted(model: DensityModel, alpha: float, r=None):
         measure=measure,
         extras={"density": w_scalar - v_scalar},
     )
-    return _maybe_sample(pair, r)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +469,7 @@ def _pdr_g_scalar(p: int, q: int) -> RadialScalar:
     return RadialScalar.from_values(value, d1, d2)
 
 
-def weight_p_dr(p: int, q: int, P: float, r=None):
+def weight_p_dr(p: int, q: int, P: float):
     """Quasi-linear pair with ground state (r/f)^(1/P) on the two-parameter spaces.
 
     V = -Lambda_P g^(P-2) with Lambda_P = (h/P)^P and the comparison function
@@ -553,22 +513,22 @@ def weight_p_dr(p: int, q: int, P: float, r=None):
         ("drift term", RadialScalar.from_value_only(t2_value)),
         ("sinh terms", RadialScalar.from_value_only(t3_value)),
     )
-    pair = WeightPair(
+    log_gs = (radius().log() - model.log_f_scalar()) / P
+    return WeightPair(
         theorem_id="p_dr",
         space=model.spec.descriptor(),
         params={"P": P},
         V=RadialScalar.from_value_only(v_value),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=_sqrt_r_over_f(model, P),
+        ground_state=log_gs.exp(),
         P=P,
         extras={
             "Lambda_P": lam_p,
             "g": g,
-            "log_ground_state": _log_sqrt_r_over_f(model, P),
+            "log_ground_state": log_gs,
         },
     )
-    return _maybe_sample(pair, r)
 
 
 def hpw_g(p: int, q: int, r):
@@ -584,7 +544,7 @@ def hpw_g(p: int, q: int, r):
     validate_heisenberg_params(p, q)
     if q in (0, 2):
         raise PreconditionError("ratio needs q outside {0, 2}; W reduces to the Hardy term at q = 2")
-    r = _check_radius(r)
+    r = check_radius(r)
     rr = np.asarray(r, dtype=float)
     half = _inverse_sinh_sq(p * (p + 2.0 * q - 2.0) / 16.0, 0.5)
     full = _inverse_sinh_sq(q * (q - 2.0) / 4.0, 1.0)

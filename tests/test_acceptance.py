@@ -81,8 +81,8 @@ def test_criterion_03_ground_state_identities():
         worst_a = max(worst_a, ode_residual(model, weight_dr_poincare(model.p, model.q)))
         for gamma in (0.1, 0.25, 0.4):
             worst_g = max(worst_g, ode_residual(model, weight_gamma_family(model, gamma)))
-    assert worst_a <= 1e-10, f"shifted-pair residual {worst_a:.3e}"
-    assert worst_g <= 1e-8, f"gamma-family residual {worst_g:.3e}"
+    assert worst_a <= 1e-13, f"shifted-pair residual {worst_a:.3e}"
+    assert worst_g <= 1e-13, f"gamma-family residual {worst_g:.3e}"
     print(
         "PASS: criterion 03 ground-state identities "
         f"(shifted {worst_a:.1e}, gamma {worst_g:.1e})"

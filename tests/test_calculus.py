@@ -160,6 +160,16 @@ def test_laplacian_radial_rejects_nonpositive_radius():
         laplacian_radial(radius() ** 2.0, e3, 0.0)
 
 
+def test_laplacian_radial_rejects_infinite_radius():
+    with pytest.raises(DomainError):
+        laplacian_radial(radius() ** 2.0, build_density("euclidean:3"), math.inf)
+
+
+def test_p_laplacian_radial_rejects_infinite_radius():
+    with pytest.raises(DomainError):
+        p_laplacian_radial(radius() ** 2.0, build_density("hyperbolic:3"), 3.0, math.inf)
+
+
 def test_panel_plan_error_estimate_bounds_the_error():
     # integral of exp(-lam t) over [0, 4] is -expm1(-4 lam)/lam
     for lam, width in ((40.0, 2.0), (40.0, 1.0), (5.0, 4.0), (1.0, 0.25)):

@@ -220,6 +220,27 @@ def test_dense_batch_reads_radii_off_shared_panels():
                 assert batch[key][i] == pytest.approx(single[key][0], rel=1e-13, abs=0.0), (desc, radii[i], key)
 
 
+def test_far_cutoff_stops_growing_past_P_equal_one_plus_h(monkeypatch):
+    # radii >= 1 give one chain, the J chain: its panels must not grow with P
+    # once P - 1 exceeds h
+    plans = []
+
+    class RecordingPlan(green_module.PanelPlan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            plans.append(self)
+
+    monkeypatch.setattr(green_module, "PanelPlan", RecordingPlan)
+    model = build_density("dr:2,1")
+    panels = []
+    for P in (1.0 + model.h, 1e4):
+        plans.clear()
+        green_weight_batch(model, P, [1.0, 2.0])
+        (plan,) = plans
+        panels.append(plan.nodes()[0].size)
+    assert panels[0] == panels[1]
+
+
 _ADMISSIBLE_DR = []
 for _p in range(2, 33, 2):
     for _q in range(1, 12):

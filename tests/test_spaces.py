@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from hardyscope.calculus import Jet2
 from hardyscope.errors import SpaceValidationError
 from hardyscope.spaces import (
     DEFAULT_CATALOG,
     SpaceSpec,
+    _cothm1,
+    _logsinh,
     build_density,
     default_grid,
     default_models,
@@ -169,3 +172,38 @@ def test_spec_dataclass_validation():
     m = build_density(spec)
     assert m.spec == spec
     assert build_density("dr:2,1").spec == spec
+
+
+def test_hyperbolic_is_the_p0_curved_density_bit_for_bit():
+    # the reference is the closed form sinh(r)^(n-1) written out on its own
+    r = np.geomspace(1e-8, 1e3, 3000)
+    for n in (2, 3, 7, 30):
+        m = build_density(f"hyperbolic:{n}")
+        k = n - 1
+        assert (m.p, m.q, m.h, m.scalar_curvature) == (0, k, float(k), -float(n * k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.sinh(r) ** k
+            log_df = k / np.tanh(r)
+            dlog_df = -k / np.sinh(r) ** 2
+            d2f_over_f = dlog_df + log_df**2
+            expected = {
+                "f": f,
+                "log_f": k * _logsinh(r),
+                "log_df": log_df,
+                "dlog_df": dlog_df,
+                "d2log_df": 2.0 * k * np.cosh(r) / np.sinh(r) ** 3,
+                "d2f_over_f": d2f_over_f,
+                "df": f * log_df,
+                "ddf": f * d2f_over_f,
+                "excess": k * _cothm1(r),
+            }
+            jet = m.f_jet(Jet2.variable(r))
+            reference = Jet2.variable(r).sinh() ** k
+            for name, want in expected.items():
+                np.testing.assert_array_equal(getattr(m, name)(r), want, err_msg=f"{name} n={n}")
+            # where sinh(r)^(n-1) overflows but sinh(r) does not, the jet is inf, not NaN
+            over = np.isinf(f) & np.isfinite(np.sinh(r))
+        for part in ("val", "d1", "d2"):
+            np.testing.assert_array_equal(getattr(jet, part), getattr(reference, part), err_msg=f"{part} n={n}")
+        assert over.any() == (n > 2)
+        assert np.all(np.isinf(jet.d1[over])) and np.all(np.isinf(jet.d2[over]))

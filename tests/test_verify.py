@@ -87,6 +87,13 @@ def test_ode_residual_requires_ground_state_and_valid_grid():
         ode_residual(dr, weight_theorem_b(dr), grid=np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ode_residual_rejects_a_grid_with_nan_or_inf(bad):
+    h3 = build_density("hyperbolic:3")
+    with pytest.raises(DomainError):
+        ode_residual(h3, weight_theorem_b(h3), grid=np.array([bad, 1.0, 2.0]))
+
+
 def test_criticality_probe_decays_on_both_ends():
     probe = criticality_probe(build_density("hyperbolic:4"))
     (r1, v1), (r2, v2) = probe.at_origin

@@ -79,7 +79,7 @@ def test_shifted_pair_weight_value_and_term_sum():
 
 
 def test_sample_contains_breakdown_and_rejects_bad_radius():
-    sample = weight_dr_poincare(4, 3, r=1.5)
+    sample = weight_dr_poincare(4, 3).sample(1.5)
     assert isinstance(sample, WeightSample)
     assert sample.W_total == pytest.approx(sample.W - sample.V)
     assert set(sample.terms) == {"1/(4r^2)", "sinh(r/2) term", "sinh(r) term"}
