@@ -1,11 +1,10 @@
 """Forward-mode second-order jets, radial differential operators, quadrature.
 
-Every radial quantity in this package enters computations through its value
-and first two derivatives.  Instead of symbolic trees we push (value, d1, d2)
-triples through arithmetic with the chain rule, so derivatives of composite
-expressions stay exact to rounding.  Jet components may be floats or numpy
-arrays of matching shape; all primitives are numpy ufuncs, so evaluation over
-a whole radius grid is a single vectorised pass.
+Test functions, ground states, f and the auxiliary h carry their value and
+first two derivatives: (value, d1, d2) triples pass through arithmetic by the
+chain rule, exact to rounding.  Weights are values only, and reading their
+derivatives raises.  Jet components may be floats or matching numpy arrays,
+so evaluation over a whole radius grid is a single vectorised pass.
 """
 
 from __future__ import annotations
@@ -376,25 +375,22 @@ def power_product_coefficient(alpha: float, beta: float, model, r: ArrayLike) ->
     )
 
 
-def hilfe_rhs(a: float, b: float, p: int, q: int, r: ArrayLike) -> ArrayLike:
-    """Collapsed closed form of a (f'/f)^2 - b f''/f for the two-parameter density.
+def hilfe_coefficients(c: float, b: float, p: int, q: int) -> tuple[float, float, float]:
+    """Coefficients of c (f'/f)^2 - b (f'/f)' for f = 2^p sinh(r/2)^p sinh(r)^q.
 
-    For f(r) = 2^(p+q) sinh(r/2)^(p+q) cosh(r/2)^q the combination collapses to
-    a constant plus two inverse-sinh-square terms:
-
-        4 (a-b) lambda0 + q (q (a-b) + b) / sinh(r)^2
-                        + p ((a-b)(p+2q) + b) / (4 sinh(r/2)^2)
-
-    with lambda0 = (p+2q)^2 / 16.
+    The form collapses to 4 c lambda0 + q (q c + b) / sinh(r)^2
+    + p (c (p+2q) + b) / (4 sinh(r/2)^2) with lambda0 = (p+2q)^2 / 16 (p = 0
+    is hyperbolic space); returns the three numerators.
     """
-    r = check_radius(r)
     lam0 = (p + 2.0 * q) ** 2 / 16.0
-    ab = a - b
-    return (
-        4.0 * ab * lam0
-        + q * (q * ab + b) / np.sinh(r) ** 2
-        + p * (ab * (p + 2.0 * q) + b) / (4.0 * np.sinh(r / 2.0) ** 2)
-    )
+    return 4.0 * c * lam0, q * (q * c + b), p * (c * (p + 2.0 * q) + b)
+
+
+def hilfe_rhs(a: float, b: float, p: int, q: int, r: ArrayLike) -> ArrayLike:
+    """a (f'/f)^2 - b f''/f for the two-parameter density: ``hilfe_coefficients`` at c = a - b."""
+    r = check_radius(r)
+    const, coef_r, coef_half = hilfe_coefficients(a - b, b, p, q)
+    return const + coef_r / np.sinh(r) ** 2 + coef_half / (4.0 * np.sinh(r / 2.0) ** 2)
 
 
 # ---------------------------------------------------------------------------

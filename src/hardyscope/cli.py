@@ -241,15 +241,7 @@ def _cmd_green_eval(args, cfg) -> int:
     grid = _resolve_grid(args, cfg, section)
 
     batch = green_mod.green_weight_batch(model, P, grid)
-    # below the normal range G keeps too few digits for G_err to mean anything
-    underflowed = np.flatnonzero(batch["G"] < np.finfo(float).tiny)
-    if underflowed.size:
-        i = underflowed[0]
-        raise QuadratureError(f"green value at r={grid[i]} underflows: G={batch['G'][i]:.3e}")
-    uncertified = np.flatnonzero(batch["G_err"] > tol)
-    if uncertified.size:
-        i = uncertified[0]
-        raise QuadratureError(f"green value at r={grid[i]} certified only to {batch['G_err'][i]:.3e} > tol={tol:.3e}")
+    green_mod.certify(grid, batch, tol)
     columns = ("G", "G_err", "dlogG", "W", "Wtilde")
     rows = zip(grid.tolist(), *(batch[c] for c in columns))
     _emit(_csv_text(["r", *columns], rows), _resolve(args.out, cfg, section, "out"))

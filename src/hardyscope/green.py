@@ -42,11 +42,12 @@ from scipy import integrate
 from .calculus import PanelPlan, RadialScalar, check_radius
 from .errors import DomainError, PreconditionError, QuadratureError
 from .spaces import EUCLIDEAN, DensityModel
-from .weights import WeightPair, _constant
+from .weights import WeightPair
 
 __all__ = [
     "GreenEvaluation",
     "unit_sphere_volume",
+    "certify",
     "green_value",
     "green_log_derivative",
     "green_weight",
@@ -340,19 +341,36 @@ def _rounding_floor(G: np.ndarray, exponent: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def certify(radii: np.ndarray, batch: dict, tol: float) -> None:
+    """Raise QuadratureError at the first radius whose G is not certified to ``tol``.
+
+    G must be a normal double (below that range it keeps too few digits for
+    G_err to mean anything) and G_err at most ``tol``; NaN fails both tests.
+    """
+    G, G_err = batch["G"], batch["G_err"]
+    bad = ~(G >= np.finfo(float).tiny)
+    if bad.any():
+        i = int(np.argmax(bad))
+        state = "underflows" if np.isfinite(G[i]) else "is not finite"
+        raise QuadratureError(f"green value at r={radii[i]} {state}: G={G[i]:.3e}")
+    bad = ~(G_err <= tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureError(f"green value at r={radii[i]} certified only to {G_err[i]:.3e} > tol={tol:.3e}")
+
+
 def green_value(model: DensityModel, P: float, r: float, tol: float = 1e-10) -> GreenEvaluation:
     """P-Green function value G(r) with the error bound G_err of the engine.
 
     G(r) = omega_n^(-1/(P-1)) * integral_r^inf f(t)^(-1/(P-1)) dt.  On flat
     space the integral only converges for P < n; elsewhere the exponential
     volume growth makes it converge for every P > 1.  Raises QuadratureError
-    when the bound exceeds ``tol``.
+    as ``certify`` does.
     """
     r = float(check_radius(r))
     out = green_weight_batch(model, P, r)
+    certify(np.atleast_1d(r), out, tol)
     value, error_bound = float(out["G"][0]), float(out["G_err"][0])
-    if error_bound > tol:
-        raise QuadratureError(f"green value at r={r} certified only to {error_bound:.3e} > tol={tol:.3e}")
     cutoff = math.inf if model.kind == EUCLIDEAN else _far_cutoff(model, float(P), max(r, 1.0))
     return GreenEvaluation(
         P=float(P), r=r, value=value, error_bound=error_bound, cutoff=cutoff, omega_n=unit_sphere_volume(model.n)
@@ -395,7 +413,7 @@ def green_weight(model: DensityModel, P: float):
         theorem_id="green_p",
         space=model.spec.descriptor(),
         params={"P": P},
-        V=_constant(0.0),
+        V=RadialScalar.constant(0.0),
         W=w_scalar,
         terms=terms,
         ground_state=None,

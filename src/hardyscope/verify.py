@@ -366,7 +366,8 @@ class UncertaintyResult:
     def ratio(self) -> float:
         if self.norm == 0.0:
             return float("nan")
-        return self.energy * self.weighted_moment / (0.25 * self.norm**2)
+        # the norm squared can overflow where each quotient is finite
+        return 4.0 * (self.energy / self.norm) * (self.weighted_moment / self.norm)
 
 
 def _uncertainty_results(model: DensityModel, suite: TestFunctionSuite) -> list[UncertaintyResult]:

@@ -3,7 +3,14 @@
 Each builder assembles a WeightPair: a potential V, a weight W with a named
 term breakdown that sums to W exactly, the ground state where one exists, and
 auxiliary evaluators in ``extras``.  All evaluators accept positive scalars or
-numpy arrays.
+numpy arrays.  V, W, their terms and the measure are values only (reading a
+derivative raises DomainError); the ground states keep their jets.
+
+Every curvature coefficient comes from one collapsed identity for
+c (f'/f)^2 - b (f'/f)', ``calculus.hilfe_coefficients`` on the curved density
+and (n-1)(c (n-1) + b) / r^2 on flat space: (c, b) = (1/4, -1/2) for the
+quadratic, shifted and weighted pairs, (b^2 - b, b) negated for the collapsed
+gamma pair and (1, -P(P-1)) for the quasi-linear pair.
 
 A ground state is written once, as its logarithm: a radial scalar combining
 log r, the model's log f (``DensityModel.log_f_scalar``) and, for the gamma
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import Jet2, RadialScalar, check_radius, radius
+from .calculus import Jet2, RadialScalar, check_radius, hilfe_coefficients, radius
 from .errors import DomainError, PreconditionError
 from .spaces import (
     DAMEK_RICCI,
@@ -107,52 +114,24 @@ class WeightPair:
 
 
 def _inverse_square(coef: float) -> RadialScalar:
-    """coef / r^2 with exact derivatives."""
-    return RadialScalar.from_values(
-        lambda r: coef / r**2,
-        lambda r: -2.0 * coef / r**3,
-        lambda r: 6.0 * coef / r**4,
-    )
+    """coef / r^2."""
+    return RadialScalar.from_value_only(lambda r: coef / r**2)
 
 
 def _inverse_sinh_sq(coef: float, a: float) -> RadialScalar:
-    """coef / sinh(a r)^2 with exact derivatives."""
-
-    def value(r):
-        return coef / np.sinh(a * r) ** 2
-
-    def d1(r):
-        s = np.sinh(a * r)
-        return -2.0 * a * coef * np.cosh(a * r) / s**3
-
-    def d2(r):
-        s = np.sinh(a * r)
-        return 2.0 * a * a * coef * (3.0 / s**2 + 2.0) / s**2
-
-    return RadialScalar.from_values(value, d1, d2)
+    """coef / sinh(a r)^2."""
+    return RadialScalar.from_value_only(lambda r: coef / np.sinh(a * r) ** 2)
 
 
-def _constant(c: float) -> RadialScalar:
-    return RadialScalar.constant(c)
+def _sinh_terms(c_sr: float, c_sh: float) -> tuple:
+    """The named terms c_sr/sinh(r)^2 and c_sh/sinh(r/2)^2 whose coefficient is nonzero."""
+    pieces = (("sinh(r) term", c_sr, 1.0), ("sinh(r/2) term", c_sh, 0.5))
+    return tuple((name, _inverse_sinh_sq(coef, a)) for name, coef, a in pieces if coef != 0.0)
 
 
 def _drift_scalar(model: DensityModel, coef: float) -> RadialScalar:
-    """coef * (f'/f) / r with exact derivatives."""
-
-    def value(r):
-        return coef * model.log_df(r) / r
-
-    def d1(r):
-        return coef * (model.dlog_df(r) / r - model.log_df(r) / r**2)
-
-    def d2(r):
-        return coef * (
-            model.d2log_df(r) / r
-            - 2.0 * model.dlog_df(r) / r**2
-            + 2.0 * model.log_df(r) / r**3
-        )
-
-    return RadialScalar.from_values(value, d1, d2)
+    """coef * (f'/f) / r."""
+    return RadialScalar.from_value_only(lambda r: coef * model.log_df(r) / r)
 
 
 def _sum_terms(terms) -> RadialScalar:
@@ -177,18 +156,17 @@ def raw_density_ratio(model: DensityModel) -> RadialScalar:
     return RadialScalar.from_value_only(value)
 
 
-def _simplified_minus_v(model: DensityModel):
-    """Collapsed coefficients of -V for the quadratic pair, per family.
+def _curvature_coefficients(model: DensityModel, c: float, b: float):
+    """Coefficients of 1, sinh(r)^-2, sinh(r/2)^-2 and r^-2 in c (f'/f)^2 - b (f'/f)'.
 
-    Returns (constant, coef_sinh_r, coef_sinh_half, coef_inv_r2) so that
-    -V = constant + coef_sinh_r/sinh(r)^2 + coef_sinh_half/sinh(r/2)^2
-         + coef_inv_r2/r^2.
+    Flat space has the r^-2 term (n-1)(c(n-1)+b) alone, curved spaces the
+    other three, from ``hilfe_coefficients``.
     """
     if model.kind == EUCLIDEAN:
         n = model.n
-        return 0.0, 0.0, 0.0, (n - 1) * (n - 3) / 4.0
-    p, q = model.p, model.q
-    return model.lambda0, q * (q - 2.0) / 4.0, p * (p + 2.0 * q - 2.0) / 16.0, 0.0
+        return 0.0, 0.0, 0.0, (n - 1) * (c * (n - 1) + b)
+    const, coef_r, coef_half = hilfe_coefficients(c, b, model.p, model.q)
+    return const, coef_r, coef_half / 4.0, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +181,16 @@ def weight_theorem_b(model: DensityModel):
     density W - V; on flat space it collapses to the single classical Hardy
     coefficient (n-2)^2/4 over r^2.
     """
-    const, c_sr, c_sh, c_r2 = _simplified_minus_v(model)
-
-    def v_value(rr):
-        out = const + c_sr / np.sinh(rr) ** 2 + c_sh / np.sinh(rr / 2.0) ** 2 + c_r2 / rr**2
-        return -out
-
+    # -V is the form at (c, b) = (1/4, -1/2)
+    const, c_sr, c_sh, c_r2 = _curvature_coefficients(model, 0.25, -0.5)
     if model.kind == EUCLIDEAN:
         v_scalar = _inverse_square(-c_r2)
         w_total = _inverse_square((model.n - 2) ** 2 / 4.0)
         total_terms = (("(n-2)^2/(4r^2)", w_total),)
     else:
-        v_scalar = RadialScalar.from_value_only(v_value)
-        total_terms = (("1/(4r^2)", _inverse_square(0.25)), ("lambda0 shift", _constant(const)))
-        if c_sr != 0.0:
-            total_terms += (("sinh(r) term", _inverse_sinh_sq(c_sr, 1.0)),)
-        if c_sh != 0.0:
-            total_terms += (("sinh(r/2) term", _inverse_sinh_sq(c_sh, 0.5)),)
+        curvature = (("lambda0 shift", RadialScalar.constant(const)),) + _sinh_terms(c_sr, c_sh)
+        v_scalar = -_sum_terms(curvature)
+        total_terms = (("1/(4r^2)", _inverse_square(0.25)),) + curvature
         w_total = _sum_terms(total_terms)
 
     terms = (("1/(4r^2)", _inverse_square(0.25)),)
@@ -249,17 +220,18 @@ def weight_dr_poincare(p: int, q: int):
     """
     validate_heisenberg_params(p, q)
     model = build_density(SpaceSpec(kind=DAMEK_RICCI, n=p + q + 1, p=p, q=q))
+    _, c_sr, c_sh, _ = _curvature_coefficients(model, 0.25, -0.5)
     terms = (
         ("1/(4r^2)", _inverse_square(0.25)),
-        ("sinh(r/2) term", _inverse_sinh_sq(p * (p + 2.0 * q - 2.0) / 16.0, 0.5)),
-        ("sinh(r) term", _inverse_sinh_sq(q * (q - 2.0) / 4.0, 1.0)),
+        ("sinh(r/2) term", _inverse_sinh_sq(c_sh, 0.5)),
+        ("sinh(r) term", _inverse_sinh_sq(c_sr, 1.0)),
     )
     log_gs = (radius().log() - model.log_f_scalar()) / 2.0
     return WeightPair(
         theorem_id="A",
         space=model.spec.descriptor(),
         params={},
-        V=_constant(-model.lambda0),
+        V=RadialScalar.constant(-model.lambda0),
         W=_sum_terms(terms),
         terms=terms,
         ground_state=log_gs.exp(),
@@ -358,21 +330,20 @@ def weight_gamma_dr(p: int, q: int, gamma: float):
     d = b * b - b
     shift = (1.0 - (2.0 * gamma / m) ** 2) * model.lambda0
     drift_coef = gamma * (1.0 + 2.0 * gamma) / m
-    coef_sinh_r = -q * (q * d + b)
-    coef_sinh_half = -p * ((p + 2.0 * q) * d + b) / 4.0
+    _, c_sr, c_sh, _ = _curvature_coefficients(model, d, b)
     log_gs = (0.5 + gamma) * radius().log() - b * model.log_f_scalar()
 
     terms = (
         ("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),
         ("drift term", _drift_scalar(model, drift_coef)),
-        ("sinh(r) term", _inverse_sinh_sq(coef_sinh_r, 1.0)),
-        ("sinh(r/2) term", _inverse_sinh_sq(coef_sinh_half, 0.5)),
+        ("sinh(r) term", _inverse_sinh_sq(-c_sr, 1.0)),
+        ("sinh(r/2) term", _inverse_sinh_sq(-c_sh, 0.5)),
     )
     return WeightPair(
         theorem_id="gamma_dr",
         space=model.spec.descriptor(),
         params={"gamma": gamma},
-        V=_constant(-shift),
+        V=RadialScalar.constant(-shift),
         W=_sum_terms(terms),
         terms=terms,
         ground_state=log_gs.exp(),
@@ -404,30 +375,23 @@ def weight_weighted(model: DensityModel, alpha: float):
     if model.n < 2.0 * (1.0 + alpha):
         raise PreconditionError(f"weighted pair needs n >= 2(1+alpha): n={model.n}, alpha={alpha}")
 
-    const, c_sr, c_sh, c_r2 = _simplified_minus_v(model)
+    const, c_sr, c_sh, c_r2 = _curvature_coefficients(model, 0.25, -0.5)
     hardy_coef = (4.0 * alpha + 1.0) / 4.0
     drift = _drift_scalar(model, -alpha)
 
     terms: tuple = ()
     if model.kind == DAMEK_RICCI:
-        v_scalar = _constant(-model.lambda0)
+        v_scalar = RadialScalar.constant(-model.lambda0)
     else:
-        v_scalar = _constant(0.0)
+        v_scalar = RadialScalar.constant(0.0)
         if const != 0.0:
-            terms += (("lambda0 shift", _constant(const)),)
+            terms += (("lambda0 shift", RadialScalar.constant(const)),)
     if c_r2 != 0.0:
         terms += (("flat curvature term", _inverse_square(c_r2)),)
-    if c_sr != 0.0:
-        terms += (("sinh(r) term", _inverse_sinh_sq(c_sr, 1.0)),)
-    if c_sh != 0.0:
-        terms += (("sinh(r/2) term", _inverse_sinh_sq(c_sh, 0.5)),)
+    terms += _sinh_terms(c_sr, c_sh)
     terms += (("drift term", drift), ("(4*alpha+1)/(4r^2)", _inverse_square(hardy_coef)))
 
-    measure = RadialScalar.from_values(
-        lambda rr: rr ** (-2.0 * alpha),
-        lambda rr: -2.0 * alpha * rr ** (-2.0 * alpha - 1.0),
-        lambda rr: 2.0 * alpha * (2.0 * alpha + 1.0) * rr ** (-2.0 * alpha - 2.0),
-    )
+    measure = RadialScalar.from_value_only(lambda rr: rr ** (-2.0 * alpha))
     w_scalar = _sum_terms(terms)
     return WeightPair(
         theorem_id="weighted_alpha",
@@ -447,28 +411,6 @@ def weight_weighted(model: DensityModel, alpha: float):
 # ---------------------------------------------------------------------------
 
 
-def _pdr_g_scalar(p: int, q: int) -> RadialScalar:
-    """g(r) = coth(r/2) - (2/(p+2q)) (q/sinh r + 1/r), with derivatives."""
-    k = 2.0 / (p + 2.0 * q)
-
-    def value(rr):
-        return 1.0 / np.tanh(rr / 2.0) - k * (q / np.sinh(rr) + 1.0 / rr)
-
-    def d1(rr):
-        sh = np.sinh(rr)
-        return -0.5 / np.sinh(rr / 2.0) ** 2 + k * (q * np.cosh(rr) / sh**2 + 1.0 / rr**2)
-
-    def d2(rr):
-        sh, ch = np.sinh(rr), np.cosh(rr)
-        shh = np.sinh(rr / 2.0)
-        return (
-            0.5 * np.cosh(rr / 2.0) / shh**3
-            - k * (q * (ch**2 + 1.0) / sh**3 + 2.0 / rr**3)
-        )
-
-    return RadialScalar.from_values(value, d1, d2)
-
-
 def weight_p_dr(p: int, q: int, P: float):
     """Quasi-linear pair with ground state (r/f)^(1/P) on the two-parameter spaces.
 
@@ -486,8 +428,10 @@ def weight_p_dr(p: int, q: int, P: float):
     model = build_density(SpaceSpec(kind=DAMEK_RICCI, n=p + q + 1, p=p, q=q))
     h = model.h
     lam_p = (h / P) ** P
-    g = _pdr_g_scalar(p, q)
+    k = 2.0 / (p + 2.0 * q)
+    g = RadialScalar.from_value_only(lambda rr: 1.0 / np.tanh(rr / 2.0) - k * (q / np.sinh(rr) + 1.0 / rr))
     pref = h ** (P - 2.0) / P**P
+    _, c_sr, c_half = hilfe_coefficients(1.0, -P * (P - 1.0), p, q)
 
     def gpow(rr):
         return g.value(rr) ** (P - 2.0)
@@ -500,9 +444,7 @@ def weight_p_dr(p: int, q: int, P: float):
         return h ** (P - 1.0) * (P - 2.0) / P**P * gv ** (P - 2.0) * (gv + 1.0 / (h * rr)) / rr
 
     def t3_value(rr):
-        bracket = q * (q - P * (P - 1.0)) / np.sinh(rr) ** 2 + p * (
-            p + 2.0 * q - P * (P - 1.0)
-        ) / (4.0 * np.sinh(rr / 2.0) ** 2)
+        bracket = c_sr / np.sinh(rr) ** 2 + c_half / (4.0 * np.sinh(rr / 2.0) ** 2)
         return pref * gpow(rr) * bracket
 
     def v_value(rr):
@@ -546,10 +488,12 @@ def hpw_g(p: int, q: int, r):
         raise PreconditionError("ratio needs q outside {0, 2}; W reduces to the Hardy term at q = 2")
     r = check_radius(r)
     rr = np.asarray(r, dtype=float)
-    half = _inverse_sinh_sq(p * (p + 2.0 * q - 2.0) / 16.0, 0.5)
-    full = _inverse_sinh_sq(q * (q - 2.0) / 4.0, 1.0)
-    surplus = 4.0 * rr**2 * (np.asarray(half.value(rr)) + np.asarray(full.value(rr)))
-    if not np.all(np.isfinite(surplus)) or np.any(surplus <= 0.0):
+    _, c_sr, c_half = hilfe_coefficients(0.25, -0.5, p, q)
+    # past r of about 710 both sinh terms underflow to exactly 0 and the
+    # ratio is the nudged value below 1
+    with np.errstate(over="ignore"):
+        surplus = 4.0 * rr**2 * (c_half / 4.0 / np.sinh(rr / 2.0) ** 2 + c_sr / np.sinh(rr) ** 2)
+    if not np.all(np.isfinite(surplus) & (surplus >= 0.0)):
         raise DomainError("comparison ratio left (0, 1); weight evaluation is suspect")
     out = np.minimum(1.0 / (1.0 + surplus), np.nextafter(1.0, 0.0))
     return float(out) if np.ndim(r) == 0 else out

@@ -97,6 +97,16 @@ def test_green_eval_refuses_underflowed_value(capsys):
     assert "r=33.0 " in captured.err  # the first radius below the normal range
 
 
+def test_green_eval_refuses_nan_value(capsys):
+    # near P = 1 the normalisation underflows to 0 while f^(-1/(P-1))
+    # overflows, and G comes out NaN
+    rc = main(["green", "eval", "--space", "dr:2,1", "--P", "1.001", "--grid", "0.001:0.005:0.001"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "r=0.001 is not finite" in captured.err
+
+
 def test_green_asymptotics_json(capsys):
     rc = main(["green", "asymptotics", "--space", "dr:2,1", "--P", "2"])
     assert rc == 0
@@ -120,6 +130,12 @@ def test_spectral_bottom_json(capsys):
     assert doc["target_lambda0"] == 1.0
     assert abs(doc["extrapolated"] - (1.0 + math.pi**2 / 25.0)) < 1e-4
     assert doc["gap"] == doc["extrapolated"] - doc["target_lambda0"]
+
+
+def test_verify_uncertainty_on_space_with_overflowing_norm_square(capsys):
+    # the squared suite norms pass the double range on dr:24,1
+    assert main(["verify", "uncertainty", "--space", "dr:24,1"]) == 0
+    assert _lines(capsys)[-1] == "20 checks: 20 passed, 0 failed, 0 skipped"
 
 
 def test_verify_family_summary_and_report(tmp_path, capsys):

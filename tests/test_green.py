@@ -355,6 +355,11 @@ def test_supercritical_values():
     )
 
 
+def test_green_value_refuses_nan():
+    with pytest.raises(QuadratureError, match="r=0.001 is not finite"):
+        green_value(build_density("dr:2,1"), 1.001, 0.001)
+
+
 def test_green_preconditions():
     e3 = build_density("euclidean:3")
     dr = build_density("dr:2,1")

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from hardyscope.errors import DomainError, PreconditionError
+from hardyscope.errors import DomainError, PreconditionError, SpaceValidationError
 from hardyscope.calculus import RadialScalar, radius
-from hardyscope.spaces import build_density, default_grid
+from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, validate_heisenberg_params
+from hardyscope.verify import _pairs_for
 from hardyscope.weights import (
     WeightPair,
     WeightSample,
@@ -19,6 +22,19 @@ from hardyscope.weights import (
 )
 
 DR_SPACES = ("dr:2,1", "dr:4,2", "dr:4,3", "dr:8,7")
+
+
+def _admissible(p, q):
+    try:
+        validate_heisenberg_params(p, q)
+    except SpaceValidationError:
+        return False
+    return True
+
+
+#: every admissible (p, q) with p <= 32 and q <= 11
+ADMISSIBLE = [(p, q) for p in range(2, 33, 2) for q in range(1, 12) if _admissible(p, q)]
+COEFFICIENT_RADII = np.geomspace(1e-3, 30.0, 25)
 
 
 def test_quadratic_pair_flat_is_single_hardy_coefficient():
@@ -211,6 +227,15 @@ def test_comparison_ratio_examples_and_range():
         hpw_g(4, 2, 1.0)
     vals = hpw_g(8, 7, default_grid())
     assert np.all(vals > 0.0) and np.all(vals < 1.0)
+    # out to r = 1e3, where both sinh terms underflow to 0, with no overflow
+    # warning and no refusal
+    radii = np.geomspace(1e-8, 1e3, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, q in ((2, 1), (4, 3), (8, 7), (32, 8)):
+            vals = hpw_g(p, q, radii)
+            assert np.all(vals > 0.0) and np.all(vals < 1.0), (p, q)
+            assert hpw_g(p, q, 1e3) == np.nextafter(1.0, 0.0)
 
 
 def test_ground_state_jets_survive_large_radii():
@@ -222,3 +247,72 @@ def test_ground_state_jets_survive_large_radii():
         assert jet.val > 0.0
     logs = weight_theorem_b(build_density("dr:8,7")).extras["log_ground_state"](60.0)
     assert logs == pytest.approx(-0.5 * (build_density("dr:8,7").log_f(60.0) - np.log(60.0)))
+
+
+# -- curvature coefficients against the formulas as written ---------------------
+
+
+def test_admissible_pairs_count():
+    assert len(ADMISSIBLE) == 51
+
+
+def test_shifted_pair_sinh_terms_match_written_coefficients():
+    r = COEFFICIENT_RADII
+    for p, q in ADMISSIBLE:
+        terms = dict(weight_dr_poincare(p, q).terms)
+        half = terms["sinh(r/2) term"].value(r) * np.sinh(r / 2.0) ** 2
+        full = terms["sinh(r) term"].value(r) * np.sinh(r) ** 2
+        np.testing.assert_allclose(half, p * (p + 2 * q - 2) / 16.0, rtol=1e-14, err_msg=str((p, q)))
+        np.testing.assert_allclose(full, q * (q - 2) / 4.0, rtol=1e-14, err_msg=str((p, q)))
+
+
+def test_collapsed_gamma_sinh_terms_match_written_coefficients():
+    r = COEFFICIENT_RADII
+    for p, q in ADMISSIBLE:
+        for gamma in (0.0, 0.2, 0.5):
+            b = 0.5 + gamma / (p + q)
+            d = b * b - b
+            terms = dict(weight_gamma_dr(p, q, gamma).terms)
+            full = terms["sinh(r) term"].value(r) * np.sinh(r) ** 2
+            half = terms["sinh(r/2) term"].value(r) * np.sinh(r / 2.0) ** 2
+            np.testing.assert_allclose(full, -q * (q * d + b), rtol=1e-14, err_msg=str((p, q, gamma)))
+            np.testing.assert_allclose(half, -p * ((p + 2 * q) * d + b) / 4.0, rtol=1e-14, err_msg=str((p, q, gamma)))
+
+
+def test_quasilinear_sinh_terms_match_written_bracket():
+    r = COEFFICIENT_RADII
+    checked = 0
+    for p, q in ADMISSIBLE:
+        for P in (2.0, 2.5, 3.0, 4.0):
+            if p + q < P * (P - 1.0):
+                continue
+            h = (p + 2.0 * q) / 2.0
+            g = 1.0 / np.tanh(r / 2.0) - 2.0 / (p + 2.0 * q) * (q / np.sinh(r) + 1.0 / r)
+            k = P * (P - 1.0)
+            bracket = q * (q - k) / np.sinh(r) ** 2 + p * (p + 2 * q - k) / (4.0 * np.sinh(r / 2.0) ** 2)
+            expected = h ** (P - 2.0) / P**P * g ** (P - 2.0) * bracket
+            got = dict(weight_p_dr(p, q, P).terms)["sinh terms"].value(r)
+            np.testing.assert_allclose(got, expected, rtol=1e-13, err_msg=str((p, q, P)))
+            checked += 1
+    assert checked > 100
+
+
+def test_weight_pieces_carry_values_only():
+    # only a constant keeps a derivative, the exact zero that costs nothing
+    r = np.geomspace(0.1, 10.0, 7)
+    checked = 0
+    for space in DEFAULT_CATALOG:
+        for label, _, pair in _pairs_for(build_density(space)):
+            if label.startswith("green"):
+                continue
+            pieces = [("V", pair.V), ("W", pair.W), *pair.terms, ("measure", pair.measure)]
+            for name, scalar in pieces:
+                if scalar is None:
+                    continue
+                try:
+                    d1 = scalar.d1(r)
+                except DomainError:
+                    checked += 1
+                    continue
+                assert np.all(d1 == 0.0) and np.ptp(scalar.value(r)) == 0.0, (space, label, name)
+    assert checked > 150
