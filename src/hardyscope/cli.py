@@ -270,6 +270,9 @@ def _cmd_green_asymptotics(args, cfg) -> int:
         "predicted_exponent": pred.exponent,
         "ratio_at_rmin": float(surplus[0] / np.asarray(pred.value)[0]),
     }
+    for key, value in doc.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise QuadratureError(f"green asymptotics: {key} is not finite ({value})")
     _emit(_json_text(doc), _resolve(args.out, cfg, section, "out"))
     return 0
 

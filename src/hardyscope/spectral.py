@@ -6,6 +6,9 @@ over functions vanishing at R.  A vertex-centered flux scheme on the
 self-adjoint form (f u')' keeps the matrices symmetric tridiagonal, never
 evaluates the singular drift f'/f, and gets the natural (Neumann-type)
 condition at r = 0 for free by treating node 0 as a half cell.
+
+The tridiagonal eigensolve is scipy's; ``scipy.linalg`` is imported at the
+first solve, so importing the package loads no scipy module.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .calculus import RadialScalar
 from .errors import PreconditionError, QuadratureError
@@ -43,6 +45,13 @@ class SpectralResult:
     gap: float
     R: float
     mesh: float
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, imported on the first call."""
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **kwargs)
 
 
 def _solve_once(model: DensityModel, potential: RadialScalar | None, R: float, h: float) -> float:

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardyscope
 from hardyscope.cli import main
 
 
@@ -121,6 +125,38 @@ def test_green_asymptotics_json(capsys):
     }
     assert doc["regime"] == "P<n"
     assert abs(doc["fitted_exponent"] - doc["predicted_exponent"]) < 0.02
+
+
+@pytest.mark.parametrize(
+    "space, P",
+    [("dr:2,1", "4.01"), ("hyperbolic:30", "31"), ("dr:32,8", "42")],
+)
+def test_green_asymptotics_finite_just_above_P_equal_n(capsys, space, P):
+    # G(0) near P = n was NaN (dr:2,1) or raised OverflowError (the others)
+    rc = main(["green", "asymptotics", "--space", space, "--P", P])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regime"] == "P>n"
+    for key in ("P", "fitted_exponent", "predicted_exponent", "ratio_at_rmin"):
+        assert isinstance(doc[key], float) and math.isfinite(doc[key]), key
+
+
+def test_green_asymptotics_refuses_non_finite_field(capsys):
+    # at P = n the surplus and the prediction both overflow at r = 1e-300
+    argv = ["green", "asymptotics", "--space", "hyperbolic:3", "--P", "3", "--rmin", "1e-300", "--rmax", "1e-290"]
+    with np.errstate(all="ignore"):
+        rc = main(argv)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not finite" in captured.err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, hardyscope.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(hardyscope.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_spectral_bottom_json(capsys):

@@ -20,7 +20,8 @@ from hardyscope.green import (
 )
 from hardyscope import green as green_module
 from hardyscope.green import _panel_width
-from hardyscope.spaces import build_density, default_grid, validate_heisenberg_params
+from hardyscope.calculus import PanelPlan
+from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, validate_heisenberg_params
 from hardyscope.verify import default_suite
 
 
@@ -348,11 +349,63 @@ def test_log_derivative_reproduces_exact_gradient():
 
 def test_supercritical_values():
     model = build_density("dr:2,1")
-    assert green_gamma0(model, 6.0) == pytest.approx(2.4845662158269715, rel=1e-10)
+    assert green_gamma0(model, 6.0) == pytest.approx(2.4845662158269715, rel=1e-14)
     assert green_value(model, 6.0, 1.0).value == pytest.approx(1.1189292867765177, rel=1e-10)
     assert green_weight_supercritical(model, 6.0, 1.0) == pytest.approx(
         3.732246725439097e-05, rel=1e-8
     )
+
+
+def test_total_integral_matches_mpmath_beta():
+    # 2^(-A) B((P-n)/(2(P-1)), (A+B)/2), A = (n-1)/(P-1), B = q/(P-1), from
+    # the float P itself, from P = n + 1e-9 up to P = 1e300
+    worst = 0.0
+    with mpmath.workdps(40):
+        for desc in [f"hyperbolic:{n}" for n in range(2, 31)] + _ADMISSIBLE_DR:
+            model = build_density(desc)
+            n = model.n
+            for P in (n + 1e-9, n + 1e-3, n + 0.5, n + 1.0, 2.0 * n, 1e3, 1e300):
+                Pm = mpmath.mpf(P)
+                A, B = (n - 1) / (Pm - 1), model.q / (Pm - 1)
+                ref = 2 ** (-A) * mpmath.beta((Pm - n) / (2 * (Pm - 1)), (A + B) / 2)
+                got = green_module._total_integral(model, P)
+                worst = max(worst, float(abs(got - ref) / ref))
+    assert worst <= 2e-15
+
+
+def test_total_integral_matches_panel_quadrature_of_the_density():
+    # the closed form against the model's own log f: Gauss-Legendre panels
+    # in u = log t over [log 1e-8, log R_far], the power law t^(-(n-1)s)
+    # below (f = t^(n-1) (1 + O(t^2)) at the pole) and the tail bracket beyond
+    for desc in DEFAULT_CATALOG:
+        model = build_density(desc)
+        if model.kind == "euclidean":
+            continue
+        for P in (model.n + 0.5, model.n + 1.0, 2.0 * model.n):
+            s = 1.0 / (P - 1.0)
+            a = 1.0 - (model.n - 1.0) * s
+            u0 = math.log(1e-8)
+            R_far = green_module._far_cutoff(model, P, 1.0)
+            bulk, _ = PanelPlan(u0, math.log(R_far), 0.1).integrate(lambda u, k: np.exp(u - s * model.log_f(np.exp(u))))
+            tail, _ = green_module._tail_bracket_scaled(model, P, R_far, 0.0)
+            total = math.exp(a * u0) / a + float(bulk[0]) + tail
+            assert total == pytest.approx(green_module._total_integral(model, P), rel=1e-13), (desc, P)
+
+
+def test_green_near_P_one_takes_one_exponential():
+    # omega^(-1/(P-1)) underflows and f^(-1/(P-1)) overflows at P = 1.001;
+    # the reference is G = (P-1)/h rho exp(-(log f + log omega)/(P-1)) to
+    # 40 digits from the engine's own rho
+    model, P = build_density("dr:2,1"), 1.001
+    radii = np.array([0.4, 0.45])
+    batch = green_weight_batch(model, P, radii)
+    for r, rho, G, G_err in zip(radii, batch["rho"], batch["G"], batch["G_err"]):
+        assert math.isfinite(G) and G > 0.0
+        with mpmath.workdps(40):
+            rm, s = mpmath.mpf(r), 1 / (mpmath.mpf(P) - 1)
+            log_f = 2 * mpmath.log(2) + 2 * mpmath.log(mpmath.sinh(rm / 2)) + mpmath.log(mpmath.sinh(rm))
+            ref = mpmath.mpf(rho) / (s * model.h) * mpmath.exp(-s * (log_f + mpmath.log(2 * mpmath.pi**2)))
+            assert abs(G - ref) <= G_err
 
 
 def test_green_value_refuses_nan():
