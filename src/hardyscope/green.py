@@ -68,6 +68,10 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+#: smallest P the Green engine takes: the panel width is 8 (P-1)/h, so the
+#: cost grows like h/(P-1); at this floor ``green eval`` on the default grid
+#: takes about 0.4 s on dr:32,8 (h = 24)
+P_MIN = 1.001
 #: relative slack of f'/f over its limit h defining the near cutoff
 _CUTOFF_EXCESS = 1e-3
 _EPS = float(np.finfo(float).eps)
@@ -185,12 +189,17 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     scales G: an error of a few ulps in its exponent is a relative error in G
     of that many ulps of the exponent.  Taking omega_n^(-1/(P-1)) inside that
     exponential keeps G finite near P = 1, where the factor alone underflows
-    while f(r)^(-1/(P-1)) overflows.  Where G overflows near the pole, G_err
-    is infinite.
+    while f(r)^(-1/(P-1)) overflows; the flat closed form takes it the same
+    way.  Where G overflows near the pole, G_err is infinite.  P below
+    ``P_MIN`` is refused.
     """
     P = float(P)
     if not 1.0 < P < math.inf:
         raise PreconditionError("Green function needs a finite P > 1")
+    if P < P_MIN:
+        raise PreconditionError(
+            f"Green function needs P >= {P_MIN}: its panels narrow like (P-1)/h, so the cost grows without bound as P -> 1"
+        )
     radii = np.atleast_1d(check_radius(radii))
     s = 1.0 / (P - 1.0)
     n = model.n
@@ -199,12 +208,14 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     if model.kind == EUCLIDEAN:
         if P >= n:
             raise DomainError("flat-space Green integral diverges unless P < n")
-        beta = math.exp(-s * log_omega)
+        # G = omega_n^(-s) r^(1-k)/(k-1) as one exponential, as below
         k = (n - 1.0) * s
-        G = beta * radii ** (1.0 - k) / (k - 1.0)
+        exponent = s * (model.log_f(radii) + log_omega)
+        with np.errstate(over="ignore"):
+            G = radii * np.exp(-exponent) / (k - 1.0)
         dlog = -(n - P) / ((P - 1.0) * radii)
         W = ((n - P) / P) ** P * radii ** (-P)
-        G_err = _rounding_floor(G, s * model.log_f(radii))
+        G_err = _rounding_floor(G, exponent)
         nan = np.full_like(radii, np.nan)
         return {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": W.copy(), "rho": nan, "delta": nan}
 

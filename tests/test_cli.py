@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,22 @@ def test_green_asymptotics_refuses_non_finite_field(capsys):
     assert "is not finite" in captured.err
 
 
+def test_green_asymptotics_at_the_P_floor(capsys):
+    rc = main(["green", "asymptotics", "--space", "dr:2,1", "--P", "1.001"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["P"] == 1.001 and math.isfinite(doc["ratio_at_rmin"])
+
+
+def test_green_asymptotics_refuses_P_below_the_floor(capsys):
+    # the cost grows like 1/(P-1): 1.8 s at P = 1.00001 and 23 s at 1.000001
+    rc = main(["green", "asymptotics", "--space", "dr:2,1", "--P", "1.0009"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "P >= 1.001" in captured.err
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = "import sys, hardyscope.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(hardyscope.__file__).resolve().parent.parent)}
@@ -166,6 +183,16 @@ def test_spectral_bottom_json(capsys):
     assert doc["target_lambda0"] == 1.0
     assert abs(doc["extrapolated"] - (1.0 + math.pi**2 / 25.0)) < 1e-4
     assert doc["gap"] == doc["extrapolated"] - doc["target_lambda0"]
+
+
+def test_spectral_bottom_refuses_overflowing_density_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["spectral", "bottom", "--space", "dr:8,7", "--R", "70", "--mesh", "0.07"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: density f is not finite")
 
 
 def test_verify_uncertainty_on_space_with_overflowing_norm_square(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -406,6 +407,34 @@ def test_green_near_P_one_takes_one_exponential():
             log_f = 2 * mpmath.log(2) + 2 * mpmath.log(mpmath.sinh(rm / 2)) + mpmath.log(mpmath.sinh(rm))
             ref = mpmath.mpf(rho) / (s * model.h) * mpmath.exp(-s * (log_f + mpmath.log(2 * mpmath.pi**2)))
             assert abs(G - ref) <= G_err
+
+
+def test_flat_green_near_P_one_takes_one_exponential():
+    # omega^(-1/(P-1)) underflows while r^(1-k) overflows at P = 1.001; the
+    # closed form log G = -s log omega + (1-k) log r - log(k-1), s = 1/(P-1),
+    # k = (n-1)s, is taken to 40 digits at radii where G is a normal double
+    for n, radii in ((3, np.array([0.22, 0.25, 0.3, 0.35])), (5, np.array([0.38, 0.42, 0.46, 0.5]))):
+        model, P = build_density(f"euclidean:{n}"), 1.001
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = green_weight_batch(model, P, radii)["G"]
+        for r, value in zip(radii, G):
+            assert np.finfo(float).tiny <= value < math.inf, (n, r)
+            with mpmath.workdps(40):
+                s = 1 / (mpmath.mpf(P) - 1)
+                k = (n - 1) * s
+                ref = -s * mpmath.log(2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2))
+                ref += (1 - k) * mpmath.log(mpmath.mpf(r)) - mpmath.log(k - 1)
+                assert abs(math.log(value) - ref) <= 1e-13 * abs(ref), (n, r)
+
+
+def test_green_engine_refuses_P_below_the_floor():
+    model = build_density("dr:2,1")
+    assert green_weight_batch(model, green_module.P_MIN, np.array([0.4]))["G"][0] > 0.0
+    with pytest.raises(PreconditionError, match="P >= 1.001"):
+        green_weight_batch(model, np.nextafter(green_module.P_MIN, 1.0), np.array([0.4]))
+    with pytest.raises(PreconditionError, match="P >= 1.001"):
+        green_weight_batch(build_density("euclidean:3"), 1.0005, np.array([0.5]))
 
 
 def test_green_value_refuses_nan():

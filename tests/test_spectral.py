@@ -1,12 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
 
+from hardyscope import spectral
 from hardyscope.calculus import RadialScalar
-from hardyscope.errors import PreconditionError
+from hardyscope.errors import PreconditionError, QuadratureError
 from hardyscope.spaces import build_density
-from hardyscope.spectral import EigenProblem, SpectralResult, bottom_eigenvalue
+from hardyscope.spectral import EigenProblem, SpectralResult, bottom_eigenvalue, eigh_tridiagonal
+
+EPS = np.finfo(float).eps
+#: the spaces of the benchmark's spectral workload
+WORKLOAD_SPACES = ("euclidean:3", "hyperbolic:3", "hyperbolic:5", "dr:2,1", "dr:4,2", "dr:8,7")
 
 
 def test_hyperbolic3_small_ball_reference():
@@ -70,3 +77,89 @@ def test_result_reports_inputs():
     assert isinstance(out, SpectralResult)
     assert out.R == 6.0 and out.mesh == 0.05
     assert out.target_lambda0 == model.lambda0
+
+
+def _bisection(d, e, tol=0.0):
+    return float(scipy_eigh_tridiagonal(d, e, select="i", select_range=(0, 0), eigvals_only=True, tol=tol)[0])
+
+
+@pytest.mark.parametrize("space", WORKLOAD_SPACES)
+def test_inverse_iteration_matches_bisection(space):
+    model = build_density(space)
+    for R in (5.0, 20.0, 70.0):
+        if space == "dr:8,7" and R == 70.0:
+            continue  # f overflows there; refused below
+        for cells in (1_000, 10_000):
+            d, e = spectral._assemble(model, None, R, R / cells)
+            value, lower = eigh_tridiagonal(d, e, model.lambda0)
+            # scipy's default bisection stops at an interval of eps ||T||_1
+            rows = np.abs(d)
+            rows[1:] += np.abs(e)
+            rows[:-1] += np.abs(e)
+            assert abs(value - _bisection(d, e)) <= 4.0 * EPS * rows.max(), (R, cells)
+            # run to the limit of the Sturm counts instead, it lies inside
+            # the certified bracket, within a quarter of its width of the top
+            limit = _bisection(d, e, tol=np.finfo(float).tiny)
+            assert lower <= limit, (R, cells)
+            assert abs(value - limit) <= 0.25 * (value - lower), (R, cells)
+
+
+@pytest.mark.parametrize("R", [5.0, 20.0])
+def test_refinement_no_longer_drifts_on_dr87(R):
+    # bisection moved the extrapolated value by 8e-5 relative at R = 5
+    model = build_density("dr:8,7")
+    coarse = bottom_eigenvalue(EigenProblem(model, R=R, mesh=R / 10_000)).extrapolated
+    fine = bottom_eigenvalue(EigenProblem(model, R=R, mesh=R / 50_000)).extrapolated
+    assert abs(fine - coarse) <= 1e-7 * fine
+
+
+@pytest.mark.parametrize("shift", [-0.7, -1.0])
+def test_negative_constant_potential_shifts_spectrum(shift):
+    # lambda0 = 2.25 and the bottom is 3.04 on H^4 at R = 4: -0.7 stays
+    # above lambda0, -1 goes below it, so T - lambda0 I does not factor and
+    # the shift search runs
+    model = build_density("hyperbolic:4")
+    base = bottom_eigenvalue(EigenProblem(model, R=4.0, mesh=0.01))
+    shifted = bottom_eigenvalue(
+        EigenProblem(model, R=4.0, mesh=0.01, potential=RadialScalar.constant(shift))
+    )
+    assert (shifted.eigenvalue < model.lambda0) == (shift == -1.0)
+    assert shifted.extrapolated - base.extrapolated == pytest.approx(shift, abs=1e-9)
+
+
+def test_shift_above_the_spectrum_is_searched_down():
+    model = build_density("dr:4,2")
+    d, e = spectral._assemble(model, None, 5.0, 0.005)
+    at_floor = eigh_tridiagonal(d, e, model.lambda0)
+    for shift in (at_floor[0], 10.0, 1e6):
+        value, lower = eigh_tridiagonal(d, e, shift)
+        # the two certified brackets overlap and the values agree to the
+        # rounding level
+        assert lower <= at_floor[0] and value >= at_floor[1]
+        assert abs(value - at_floor[0]) <= at_floor[0] - at_floor[1]
+
+
+def test_non_finite_assembly_is_refused_without_warnings():
+    # f overflows past r = 65 on dr:8,7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="density f is not finite from r=64.9"):
+            bottom_eigenvalue(EigenProblem(build_density("dr:8,7"), R=70.0, mesh=0.07))
+        nan_potential = RadialScalar.constant(math.nan)
+        with pytest.raises(QuadratureError, match="tridiagonal matrix is not finite"):
+            bottom_eigenvalue(EigenProblem(build_density("hyperbolic:3"), R=5.0, mesh=0.05, potential=nan_potential))
+        with pytest.raises(QuadratureError, match="tridiagonal matrix is not finite"):
+            eigh_tridiagonal(np.array([2.0, np.inf, 2.0]), np.array([-1.0, -1.0]), 0.0)
+
+
+def test_failed_certificate_and_unsettled_iteration_are_refused(monkeypatch):
+    model = build_density("hyperbolic:3")
+    d, e = spectral._assemble(model, None, 5.0, 0.05)
+    factors = spectral._factors
+    monkeypatch.setattr(spectral, "_factors", lambda d, e, shift: factors(d, e, shift) if shift == model.lambda0 else None)
+    with pytest.raises(QuadratureError, match="not certified"):
+        eigh_tridiagonal(d, e, model.lambda0)
+    monkeypatch.setattr(spectral, "_factors", factors)
+    monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 2)
+    with pytest.raises(QuadratureError, match="did not settle in 2 steps"):
+        eigh_tridiagonal(d, e, model.lambda0)
