@@ -6,6 +6,13 @@ verification reports as JSON.  Every option can also be supplied through an
 INI-style config file (section named after the subcommand, e.g.
 ``[green.eval]``); explicit flags win over file values.
 
+The commands are one table, ``_COMMANDS``: a row per group and per leaf
+with its help, handler and options.  ``main`` builds, on every call and
+from that table, only root, group and leaf of the command argv names (after
+an optional leading ``--config X``); anything else, such as ``-h`` before
+the command or an unknown token, goes to the whole tree, so every message is
+the one the whole tree gives.
+
 Exit codes: 0 on success, 1 when a verification check fails or a numeric
 result cannot be certified, 2 for unusable input (bad space descriptor,
 malformed grid or config).
@@ -43,6 +50,11 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 
 
+# The most points a ``--grid`` may ask for, refused before any allocation: 2,500
+# times the default 400 radii (``green eval`` on a million takes 12 s, 0.5 GB).
+_MAX_GRID_POINTS = 1_000_000
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -53,20 +65,24 @@ def _parse_grid(text: str) -> np.ndarray:
         raise PreconditionError(f"grid must be three numbers lo:hi:step, got {text!r}") from None
     if not (0.0 < lo < hi < math.inf and 0.0 < step < math.inf):
         raise PreconditionError("grid needs 0 < lo < hi and step > 0, all finite")
+    points = (hi - lo) / step + 0.5  # np.arange below makes ceil(points) of them
+    if not points <= _MAX_GRID_POINTS:
+        raise PreconditionError(f"grid {text!r} has {points:.3g} points, more than {_MAX_GRID_POINTS:,}")
     return np.arange(lo, hi + 0.5 * step, step)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+def _csv_text(header, columns) -> str:
+    """CSV table of equal-length columns, written by one %-format call.
 
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    A float column goes out as ``%.17g``, which reads back to the same
+    double; any other column as ``str`` of its values.
+    """
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
+    values = [None] * (len(columns) * len(columns[0]))
+    for j, col in enumerate(columns):
+        values[j :: len(columns)] = col.tolist()
+    return ",".join(header) + "\n" + (line * len(columns[0])) % tuple(values)
 
 
 def _jsonable(obj):
@@ -167,7 +183,7 @@ def _cmd_spaces_list(args, cfg) -> int:
         p = model.p if model.kind == "dr" else ""
         q = model.q if model.kind == "dr" else ""
         rows.append([desc, model.kind, model.n, p, q, model.h, model.lambda0])
-    _emit(_csv_text(header, rows), _resolve(args.out, cfg, "spaces.list", "out"))
+    _emit(_csv_text(header, zip(*rows)), _resolve(args.out, cfg, "spaces.list", "out"))
     return 0
 
 
@@ -182,8 +198,7 @@ def _cmd_calculus_eval(args, cfg) -> int:
         raise PreconditionError(f"op must be one of {', '.join(_CALC_OPS)}")
     grid = _resolve_grid(args, cfg, section)
     values = np.asarray(getattr(model, op)(grid), dtype=float)
-    rows = zip(grid.tolist(), values.tolist())
-    _emit(_csv_text(["r", "value"], rows), _resolve(args.out, cfg, section, "out"))
+    _emit(_csv_text(["r", "value"], [grid, values]), _resolve(args.out, cfg, section, "out"))
     return 0
 
 
@@ -221,15 +236,10 @@ def _cmd_weights_eval(args, cfg) -> int:
     pair = _build_pair(model, theorem, gamma, alpha, P)
     grid = _resolve_grid(args, cfg, section)
 
-    v = np.asarray(pair.V.value(grid), dtype=float)
-    w = np.asarray(pair.W.value(grid), dtype=float)
-    term_cols = [np.broadcast_to(np.asarray(scalar.value(grid), dtype=float), grid.shape) for _, scalar in pair.terms]
-    header = ["r", "V", "W"] + [f"term_{i + 1}" for i in range(len(term_cols))]
-    rows = (
-        [grid[i], v[i] if v.ndim else float(v), w[i]] + [col[i] for col in term_cols]
-        for i in range(grid.size)
-    )
-    _emit(_csv_text(header, rows), _resolve(args.out, cfg, section, "out"))
+    scalars = [pair.V, pair.W] + [scalar for _, scalar in pair.terms]
+    columns = [np.broadcast_to(np.asarray(s.value(grid), dtype=float), grid.shape) for s in scalars]
+    header = ["r", "V", "W"] + [f"term_{i + 1}" for i in range(len(pair.terms))]
+    _emit(_csv_text(header, [grid, *columns]), _resolve(args.out, cfg, section, "out"))
     return 0
 
 
@@ -243,8 +253,8 @@ def _cmd_green_eval(args, cfg) -> int:
     batch = green_mod.green_weight_batch(model, P, grid)
     green_mod.certify(grid, batch, tol)
     columns = ("G", "G_err", "dlogG", "W", "Wtilde")
-    rows = zip(grid.tolist(), *(batch[c] for c in columns))
-    _emit(_csv_text(["r", *columns], rows), _resolve(args.out, cfg, section, "out"))
+    table = [grid, *(batch[c] for c in columns)]
+    _emit(_csv_text(["r", *columns], table), _resolve(args.out, cfg, section, "out"))
     return 0
 
 
@@ -257,6 +267,8 @@ def _cmd_green_asymptotics(args, cfg) -> int:
     samples = _resolve(args.samples, cfg, section, "samples", int, 15)
     if not (0.0 < rmin < rmax):
         raise PreconditionError("need 0 < rmin < rmax")
+    if samples < 5:
+        raise PreconditionError("need at least five (radius, value) samples")
 
     radii = np.geomspace(rmin, rmax, samples)
     surplus = green_mod.green_weight_batch(model, P, radii)["Wtilde"]
@@ -334,82 +346,77 @@ def _cmd_verify(args, cfg) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+_FLOAT = {"type": float}
+_SPACE, _P, _GRID, _OUT = ("--space", {}), ("--P", _FLOAT), ("--grid", {"help": "lo:hi:step"}), ("--out", {})
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hardyscope",
-        description="Numerical checks for Hardy-type weights on rank-one spaces.",
-    )
+# group, subcommand (None on the group's own row), help, handler, options;
+# a group row with a handler is a leaf itself
+_COMMANDS = (
+    ("spaces", None, "space catalog", None, ()),
+    ("spaces", "list", "print the default catalog as CSV", _cmd_spaces_list, (_OUT,)),
+    ("calculus", None, "density-model scalars", None, ()),
+    ("calculus", "eval", "evaluate a model scalar on a grid", _cmd_calculus_eval,
+     (_SPACE, ("--op", {"choices": _CALC_OPS}), _GRID, _OUT)),
+    ("weights", None, "Hardy weight pairs", None, ()),
+    ("weights", "eval", "tabulate V, W and the term split", _cmd_weights_eval,
+     (_SPACE, ("--theorem", {"choices": _THEOREMS}), ("--gamma", _FLOAT), ("--alpha", _FLOAT), _P, _GRID, _OUT)),
+    ("green", None, "P-Green function and its weight", None, ()),
+    ("green", "eval", "tabulate G and the Green weight", _cmd_green_eval, (_SPACE, _P, ("--tol", _FLOAT), _GRID, _OUT)),
+    ("green", "asymptotics", "fit the small-radius power law", _cmd_green_asymptotics,
+     (_SPACE, _P, ("--rmin", _FLOAT), ("--rmax", _FLOAT), ("--samples", {"type": int}), _OUT)),
+    ("spectral", None, "bottom eigenvalue on balls", None, ()),
+    ("spectral", "bottom", "Dirichlet bottom eigenvalue with extrapolation", _cmd_spectral_bottom,
+     (_SPACE, ("--R", _FLOAT), ("--mesh", _FLOAT), _OUT)),
+    ("verify", None, "run numerical check families", _cmd_verify,
+     (("family", {"choices": list(verify.FAMILIES) + ["all"]}),
+      ("--space", {"action": "append", "help": "repeatable; defaults to the catalog"}),
+      ("--out", {"help": "write the full JSON report here"}))),
+)
+
+
+def build_parser(group: str | None = None, sub: str | None = None) -> argparse.ArgumentParser:
+    """The whole command tree, or with ``group`` (and ``sub``) root, group and
+    leaf only.  A pruned subparsers action gets the metavar the whole tree
+    derives from all its names, so usage lines stay the same."""
+
+    def names(parent):
+        return "{" + ",".join(s or g for g, s, *_ in _COMMANDS if (s and g) == parent) + "}"
+
+    parser = argparse.ArgumentParser(prog="hardyscope", description="Numerical checks for Hardy-type weights on rank-one spaces.")
     parser.add_argument("--config", help="INI-style config file; flags override its values")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_spaces = sub.add_parser("spaces", help="space catalog")
-    spaces_sub = p_spaces.add_subparsers(dest="subcommand", required=True)
-    p_list = spaces_sub.add_parser("list", help="print the default catalog as CSV")
-    p_list.add_argument("--out")
-    p_list.set_defaults(func=_cmd_spaces_list)
-
-    p_calc = sub.add_parser("calculus", help="density-model scalars")
-    calc_sub = p_calc.add_subparsers(dest="subcommand", required=True)
-    p_ceval = calc_sub.add_parser("eval", help="evaluate a model scalar on a grid")
-    p_ceval.add_argument("--space")
-    p_ceval.add_argument("--op", choices=_CALC_OPS)
-    p_ceval.add_argument("--grid", help="lo:hi:step")
-    p_ceval.add_argument("--out")
-    p_ceval.set_defaults(func=_cmd_calculus_eval)
-
-    p_weights = sub.add_parser("weights", help="Hardy weight pairs")
-    weights_sub = p_weights.add_subparsers(dest="subcommand", required=True)
-    p_weval = weights_sub.add_parser("eval", help="tabulate V, W and the term split")
-    p_weval.add_argument("--space")
-    p_weval.add_argument("--theorem", choices=_THEOREMS)
-    p_weval.add_argument("--gamma", type=float)
-    p_weval.add_argument("--alpha", type=float)
-    p_weval.add_argument("--P", type=float)
-    p_weval.add_argument("--grid", help="lo:hi:step")
-    p_weval.add_argument("--out")
-    p_weval.set_defaults(func=_cmd_weights_eval)
-
-    p_green = sub.add_parser("green", help="P-Green function and its weight")
-    green_sub = p_green.add_subparsers(dest="subcommand", required=True)
-    p_geval = green_sub.add_parser("eval", help="tabulate G and the Green weight")
-    p_geval.add_argument("--space")
-    p_geval.add_argument("--P", type=float)
-    p_geval.add_argument("--tol", type=float)
-    p_geval.add_argument("--grid", help="lo:hi:step")
-    p_geval.add_argument("--out")
-    p_geval.set_defaults(func=_cmd_green_eval)
-    p_gasy = green_sub.add_parser("asymptotics", help="fit the small-radius power law")
-    p_gasy.add_argument("--space")
-    p_gasy.add_argument("--P", type=float)
-    p_gasy.add_argument("--rmin", type=float)
-    p_gasy.add_argument("--rmax", type=float)
-    p_gasy.add_argument("--samples", type=int)
-    p_gasy.add_argument("--out")
-    p_gasy.set_defaults(func=_cmd_green_asymptotics)
-
-    p_spec = sub.add_parser("spectral", help="bottom eigenvalue on balls")
-    spec_sub = p_spec.add_subparsers(dest="subcommand", required=True)
-    p_bottom = spec_sub.add_parser("bottom", help="Dirichlet bottom eigenvalue with extrapolation")
-    p_bottom.add_argument("--space")
-    p_bottom.add_argument("--R", type=float)
-    p_bottom.add_argument("--mesh", type=float)
-    p_bottom.add_argument("--out")
-    p_bottom.set_defaults(func=_cmd_spectral_bottom)
-
-    p_verify = sub.add_parser("verify", help="run numerical check families")
-    p_verify.add_argument("family", choices=list(verify.FAMILIES) + ["all"])
-    p_verify.add_argument("--space", action="append", help="repeatable; defaults to the catalog")
-    p_verify.add_argument("--out", help="write the full JSON report here")
-    p_verify.set_defaults(func=_cmd_verify)
-
+    levels = {None: parser.add_subparsers(dest="command", required=True, metavar=group and names(None))}
+    for g, s, help_, handler, options in _COMMANDS:
+        if group is not None and (g != group or s not in (None, sub)):
+            continue
+        p = levels[s and g].add_parser(s or g, help=help_)
+        if handler is None:
+            levels[g] = p.add_subparsers(dest="subcommand", required=True, metavar=group and names(g))
+            continue
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _parser_for(argv: list[str]) -> argparse.ArgumentParser:
+    """Root, group and leaf of the command that argv names after an optional
+    leading ``--config X``; the whole tree for anything else."""
+    start = 0
+    if argv[:1] == ["--config"] and len(argv) > 1 and not argv[1].startswith("-"):
+        start = 2
+    elif argv[:1] and argv[0].startswith("--config="):
+        start = 1
+    group, sub = (argv[start : start + 2] + [None, None])[:2]
+    for g, s, _, handler, _ in _COMMANDS:
+        if handler is not None and g == group and s in (None, sub):
+            return build_parser(g, s)
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parser_for(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse exits on usage errors (and --help); fold that into the
         # normal return path so callers of main() never see the exception

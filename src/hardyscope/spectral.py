@@ -57,6 +57,10 @@ _EPS = float(np.finfo(float).eps)
 _MAX_ITERATIONS = 100
 #: doublings of the step in the search for a positive definite shift
 _MAX_SHIFTS = 64
+#: the most cells R/mesh a ball may have, refused before any allocation: 200
+#: times the 50k-cell balls of the benchmark; 5M cells (10M at half mesh) take
+#: 3.4 s and 0.76 GB, so this limit needs about twice that
+_MAX_CELLS = 10_000_000
 
 
 @dataclass
@@ -228,6 +232,8 @@ def bottom_eigenvalue(problem: EigenProblem) -> SpectralResult:
         raise PreconditionError("ball radius must be positive and finite")
     if not 0.0 < problem.mesh <= problem.R / 100.0:
         raise PreconditionError("mesh must satisfy 0 < mesh <= R/100 (at least 100 cells)")
+    if not problem.R / problem.mesh <= _MAX_CELLS:
+        raise PreconditionError(f"R/mesh is {problem.R / problem.mesh:.3g} cells, more than {_MAX_CELLS:,}")
     lam = _solve_once(problem.model, problem.potential, problem.R, problem.mesh)
     lam_half = _solve_once(problem.model, problem.potential, problem.R, problem.mesh / 2.0)
     extrapolated = (4.0 * lam_half - lam) / 3.0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import hardyscope
+from hardyscope import cli
 from hardyscope.cli import main
 
 
@@ -169,6 +171,39 @@ def test_green_asymptotics_refuses_P_below_the_floor(capsys):
     assert captured.err.startswith("error: ") and "P >= 1.001" in captured.err
 
 
+@pytest.mark.parametrize("samples", ["-3", "0", "4"])
+def test_green_asymptotics_refuses_fewer_than_five_samples(samples, capsys):
+    # 0 used to end in an IndexError and -3 in a numpy ValueError, both exit 1
+    rc = main(["green", "asymptotics", "--space", "dr:2,1", "--samples", samples])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least five (radius, value) samples\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["calculus", "eval", "--space", "euclidean:3", "--op", "f", "--grid", "0.001:1000:1e-12"], "1e+15 points"),
+        (["calculus", "eval", "--space", "euclidean:3", "--op", "f", "--grid", "0.001:1e300:1e-300"], "inf points"),
+        (["green", "eval", "--space", "hyperbolic:3", "--grid", "1:1000001:1"], "more than 1,000,000"),
+        (["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5", "--mesh", "1e-9"], "5e+09 cells"),
+    ],
+    ids=["grid-7-PiB", "grid-max-size", "grid-one-past-the-limit", "spectral-37-GiB"],
+)
+def test_oversized_inputs_exit_two_before_allocating(argv, message, capsys):
+    # the first, second and last ended in numpy's ArrayMemoryError or
+    # "Maximum allowed size exceeded" with exit 1
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_grid_at_the_point_limit_is_accepted():
+    assert cli._parse_grid("1:1000000:1").size == cli._MAX_GRID_POINTS
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = "import sys, hardyscope.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(hardyscope.__file__).resolve().parent.parent)}
@@ -291,3 +326,125 @@ def test_weights_eval_runs_identically_twice(capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def _reference_csv(header, columns):
+    """The per-value writer the column writer replaced."""
+    rows = zip(*(list(col) for col in columns))
+    lines = [",".join(header)]
+    lines += [",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_per_value_formatting_on_special_values():
+    floats = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e300])
+    header = ["x", "name", "n", "p", "reversed"]
+    columns = [floats, [f"s{i}" for i in range(7)], list(range(-3, 4)), ["", "", 2, 4, "", 7, 8], floats[::-1]]
+    text = cli._csv_text(header, columns)
+    assert text == _reference_csv(header, columns)
+    assert text.splitlines() == [
+        "x,name,n,p,reversed",
+        "nan,s0,-3,,1.0000000000000001e+300",
+        "inf,s1,-2,,0.10000000000000001",
+        "-inf,s2,-1,2,4.9406564584124654e-324",
+        "-0,s3,0,4,-0",
+        "4.9406564584124654e-324,s4,1,,-inf",
+        "0.10000000000000001,s5,2,7,inf",
+        "1.0000000000000001e+300,s6,3,8,nan",
+    ]
+    assert cli._csv_text(["r"], [np.array([])]) == "r\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spaces", "list"],
+        ["calculus", "eval", "--space", "dr:8,7", "--op", "f", "--grid", "1:900:50"],  # f overflows to inf
+        ["calculus", "eval", "--space", "euclidean:3", "--op", "excess", "--grid", "1e-300:2:0.5"],
+        ["weights", "eval", "--space", "dr:2,1", "--theorem", "A", "--grid", "1:2:0.25"],  # V is one scalar
+        ["weights", "eval", "--space", "hyperbolic:5", "--theorem", "weighted", "--alpha", "1.5"],
+        ["green", "eval", "--space", "hyperbolic:3", "--grid", "0.5:60:0.5"],
+        ["green", "eval", "--space", "dr:4,2", "--P", "4", "--tol", "inf"],
+    ],
+    ids=lambda argv: "-".join(argv[:2] + argv[3:4]),
+)
+def test_every_table_matches_per_value_formatting(argv, monkeypatch, capsys):
+    with np.errstate(all="ignore"):
+        assert main(argv) == 0
+        columnar = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_csv_text", _reference_csv)
+        assert main(argv) == 0
+    assert columnar == capsys.readouterr().out
+
+
+def _run(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+_GREEN_EVAL = ["green", "eval", "--space", "hyperbolic:3", "--grid", "0.5:1.5:0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spaces", "list"],
+        ["calculus", "eval", "--space", "hyperbolic:3", "--op", "excess", "--grid", "1:2:0.25"],
+        ["weights", "eval", "--space", "dr:2,1", "--theorem", "A", "--grid", "1:2:0.5"],
+        _GREEN_EVAL,
+        ["green", "asymptotics", "--space", "dr:2,1", "--P", "2"],
+        ["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5", "--mesh", "0.05"],
+        ["verify", "criticality", "--space", "hyperbolic:3"],
+        ["-h"],
+        ["--help", "green", "eval"],
+        ["green", "-h"],
+        ["verify", "-h"],
+        ["green", "eval", "-h"],
+        ["green", "asymptotics", "--help"],
+        ["spectral", "bottom", "-h", "--bogus"],
+        ["--config", "CONFIG", "green", "eval"],
+        ["--config=CONFIG", *_GREEN_EVAL],
+        ["--conf", "CONFIG", *_GREEN_EVAL],
+        ["--config", *_GREEN_EVAL],
+        [*_GREEN_EVAL, "--bogus"],
+        [*_GREEN_EVAL, "--P"],
+        [*_GREEN_EVAL, "--P", "two"],
+        ["spaces", "list", "extra"],
+        ["calculus", "eval", "--space", "hyperbolic:3", "--op", "nope"],
+        ["weights", "eval", "--space", "dr:2,1", "--theorem", "Q"],
+        ["verify", "nope"],
+        ["verify"],
+        ["green"],
+        ["green", "bogus"],
+        ["green", "ev"],
+        ["bogus"],
+        ["gr", "eval"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_pruned_parser_behaves_like_the_whole_tree(argv, tmp_path, monkeypatch, capsys):
+    ini = tmp_path / "conf.ini"
+    ini.write_text("[green.eval]\nspace = hyperbolic:3\ngrid = 1:2:0.5\n")
+    argv = [a.replace("CONFIG", str(ini)) for a in argv]
+    pruned = _run(argv, capsys)
+    monkeypatch.setattr(cli, "_parser_for", lambda argv: cli.build_parser())
+    assert _run(argv, capsys) == pruned
+
+
+def test_main_builds_only_the_parsers_of_the_named_command(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(_GREEN_EVAL) == 0
+    assert built == ["hardyscope", "hardyscope green", "hardyscope green eval"]
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 13  # the whole tree
+    capsys.readouterr()
