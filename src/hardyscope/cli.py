@@ -85,6 +85,19 @@ def _csv_text(header, columns) -> str:
     return ",".join(header) + "\n" + (line * len(columns[0])) % tuple(values)
 
 
+def _finite_columns(grid: np.ndarray, named) -> list[np.ndarray]:
+    """fn(grid) per (name, fn), numpy warnings off; QuadratureError at the
+    first value that is not finite, naming its column and radius."""
+    with np.errstate(all="ignore"):
+        columns = [np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape) for _, fn in named]
+    for (name, _), col in zip(named, columns):
+        bad = ~np.isfinite(col)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise QuadratureError(f"{name} at r={grid[i]} is not finite: {col[i]}")
+    return columns
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -197,8 +210,8 @@ def _cmd_calculus_eval(args, cfg) -> int:
     if op not in _CALC_OPS:
         raise PreconditionError(f"op must be one of {', '.join(_CALC_OPS)}")
     grid = _resolve_grid(args, cfg, section)
-    values = np.asarray(getattr(model, op)(grid), dtype=float)
-    _emit(_csv_text(["r", "value"], [grid, values]), _resolve(args.out, cfg, section, "out"))
+    values = _finite_columns(grid, [(op, getattr(model, op))])
+    _emit(_csv_text(["r", "value"], [grid, *values]), _resolve(args.out, cfg, section, "out"))
     return 0
 
 
@@ -236,10 +249,10 @@ def _cmd_weights_eval(args, cfg) -> int:
     pair = _build_pair(model, theorem, gamma, alpha, P)
     grid = _resolve_grid(args, cfg, section)
 
+    header = ["V", "W"] + [f"term_{i + 1}" for i in range(len(pair.terms))]
     scalars = [pair.V, pair.W] + [scalar for _, scalar in pair.terms]
-    columns = [np.broadcast_to(np.asarray(s.value(grid), dtype=float), grid.shape) for s in scalars]
-    header = ["r", "V", "W"] + [f"term_{i + 1}" for i in range(len(pair.terms))]
-    _emit(_csv_text(header, [grid, *columns]), _resolve(args.out, cfg, section, "out"))
+    columns = _finite_columns(grid, [(name, s.value) for name, s in zip(header, scalars)])
+    _emit(_csv_text(["r", *header], [grid, *columns]), _resolve(args.out, cfg, section, "out"))
     return 0
 
 

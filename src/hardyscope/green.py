@@ -501,15 +501,17 @@ def green_weight_supercritical(model: DensityModel, P: float, r: float) -> float
 
     With gamma = G(0), returns
     ((P-1)/P)^P |G'/G|^P |gamma - 2G|^(P-2) / |gamma - G|^P
-    * (gamma^2 + 2(P-2) G (gamma - G)).
+    * (gamma^2 + 2(P-2) G (gamma - G)), with G and G'/G from one engine call
+    and G certified to 1e-10 as by ``green_value``.
     """
     P = float(P)
     if P <= model.n:
         raise PreconditionError("supercritical weight needs P > n")
     r = float(check_radius(r))
     gamma = green_gamma0(model, P)
-    G = green_value(model, P, r).value
-    dlog = green_log_derivative(model, P, r)
+    batch = green_weight_batch(model, P, r)
+    certify(np.atleast_1d(r), batch, 1e-10)
+    G, dlog = float(batch["G"][0]), float(batch["dlogG"][0])
     lead = ((P - 1.0) / P) ** P * abs(dlog) ** P
     return (
         lead

@@ -15,6 +15,11 @@ DensityModel evaluates one curved formula for the last two families: the
 hyperbolic density is the two-parameter one at p = 0, q = n - 1, and the
 terms of the sinh(r/2)^p factor drop out.  The kind of a space still decides
 which theorems apply to it.
+
+The library computes with log f, f'/f and (f'/f)', finite where f leaves the
+double range (log f > 709: r = 65 on dr:8,7, r = 25 on hyperbolic:30).  f
+keeps its direct formula, cheaper than exp(log f), for ``calculus eval --op
+f`` and the spectral assembly alone.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import wraps
 
 import numpy as np
 
-from .calculus import Jet2, RadialScalar
+from .calculus import RadialScalar
 from .errors import SpaceValidationError
 
 EUCLIDEAN = "euclidean"
@@ -150,11 +155,9 @@ def _scalar_ok(fn):
 
 
 def _logsinh(x: np.ndarray) -> np.ndarray:
-    """log(sinh(x)) without overflow for large x."""
-    big = x > 20.0
-    safe = np.where(big, 1.0, x)
-    grown = np.where(big, x, 1.0)
-    return np.where(big, grown - _LN2 + np.log1p(-np.exp(-2.0 * grown)), np.log(np.sinh(safe)))
+    """log(sinh(x)) as x - log 2 + log(1 - e^(-2x)): no branch, no overflow, and
+    within 1 ulp on [1e-8, 1e3] (absolute where |log sinh x| < 1)."""
+    return x - _LN2 + np.log(-np.expm1(-2.0 * x))
 
 
 def _cothm1(x: np.ndarray) -> np.ndarray:
@@ -241,26 +244,10 @@ class DensityModel:
         return -self.p / (4.0 * np.sinh(r / 2.0) ** 2) - out if self.p else -out
 
     @_scalar_ok
-    def d2log_df(self, r):
-        """Second derivative of log f, i.e. (f'/f)''."""
-        if self.kind == EUCLIDEAN:
-            return 2.0 * (self.n - 1) / r**3
-        out = 2.0 * self.q * np.cosh(r) / np.sinh(r) ** 3
-        return (self.p / 4.0) * np.cosh(r / 2.0) / np.sinh(r / 2.0) ** 3 + out if self.p else out
-
-    @_scalar_ok
     def d2f_over_f(self, r):
         """Second derivative ratio f''(r)/f(r)."""
         arr_log_df = np.asarray(self.log_df(r))
         return np.asarray(self.dlog_df(r)) + arr_log_df**2
-
-    @_scalar_ok
-    def df(self, r):
-        return np.asarray(self.f(r)) * np.asarray(self.log_df(r))
-
-    @_scalar_ok
-    def ddf(self, r):
-        return np.asarray(self.f(r)) * np.asarray(self.d2f_over_f(r))
 
     @_scalar_ok
     def excess(self, r):
@@ -272,20 +259,9 @@ class DensityModel:
 
     # -- jet access ---------------------------------------------------------
 
-    def f_jet(self, x: Jet2) -> Jet2:
-        """Evaluate f on a jet, propagating two derivatives."""
-        if self.kind == EUCLIDEAN:
-            return x ** (self.n - 1)
-        out = x.sinh() ** self.q
-        return 2.0**self.p * (x * 0.5).sinh() ** self.p * out if self.p else out
-
     def log_f_scalar(self) -> RadialScalar:
         """log f as a composable radial scalar, with f'/f and (f'/f)' as its derivatives."""
         return RadialScalar.from_values(self.log_f, self.log_df, self.dlog_df)
-
-    def f_scalar(self) -> RadialScalar:
-        """The density as a composable radial scalar."""
-        return RadialScalar(self.f_jet)
 
 
 def build_density(spec: SpaceSpec | str) -> DensityModel:

@@ -9,14 +9,22 @@ a bare boolean.
 Quadrature: each member's support is cut into panels no wider than 0.25 (at
 least 8), each integrated by the 20-point Gauss-Legendre rule.  The suite
 builds these nodes once, for all members together, and evaluates every
-member's value and first two derivatives on them.  A form is then assembled
-once per space and pair: f, the measure and the weights are evaluated on the
-suite's nodes in one call each (the Green weight in one engine batch), and
-one reduction per side gives that side for every member.  The single-member
-functions (``rayleigh_gap`` and friends) run the same code on a one-member
-suite.  The null-criticality mass is taken on the same rule, in log r, and
-is certified by its null-rule estimate: above 1e-10 relative it raises
-QuadratureError instead of returning a number.
+member's value and first two derivatives on them.  The density is evaluated
+on them once per space (``SuiteDensity``), and a form once per space and
+pair: the measure and the weights in one call each (the Green weight in one
+engine batch), then one reduction per side gives that side for every member.
+The single-member functions (``rayleigh_gap`` and friends) run the same code
+on a one-member suite.  The null-criticality mass is taken on the same rule,
+in log r, and is certified by its null-rule estimate: above 1e-10 relative
+it raises QuadratureError instead of returning a number.
+
+The density shift: member m's share of f is exp(log f - c_m), with c_m =
+max(0, log f(b_m) - 600) at its right support end b_m (f increases), so
+e^100 is left to the other factors where f overflows (hyperbolic:30 past
+r = 25).  Both sides of m's checks carry exp(-c_m); no verdict depends on
+it, as gaps are judged against 1e-8 (|lhs| + |rhs|) and the uncertainty
+ratio cancels it.  A scaled member's reports name c_m as ``log_scale`` in
+their params (none on the catalog).
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ __all__ = [
     "SuiteMember",
     "SuitePlan",
     "TestFunctionSuite",
+    "SuiteDensity",
     "default_suite",
     "GapResult",
     "rayleigh_gap",
@@ -87,10 +96,12 @@ class SuiteMember:
 @dataclass(frozen=True)
 class SuitePlan:
     """Quadrature nodes of every member's support, concatenated in member
-    order, with each member's value and first two derivatives on its nodes."""
+    order, with each node's member index (``segment``) and each member's value
+    and first two derivatives on its nodes."""
 
     panels: PanelPlan
     nodes: np.ndarray
+    segment: np.ndarray
     val: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
@@ -117,7 +128,8 @@ class TestFunctionSuite:
         panels = PanelPlan(lo, hi, _PANEL_WIDTH, _MIN_PANELS)
         nodes, segment = panels.nodes()
         jets = [m.scalar.jet(nodes[segment == k]) for k, m in enumerate(self.members)]
-        return SuitePlan(panels, nodes, *(np.concatenate([getattr(j, s) for j in jets]) for s in ("val", "d1", "d2")))
+        columns = (np.concatenate([getattr(j, s) for j in jets]) for s in ("val", "d1", "d2"))
+        return SuitePlan(panels, nodes, segment, *columns)
 
 
 def _bump_scalar(lo: float, hi: float) -> RadialScalar:
@@ -194,6 +206,24 @@ def default_suite(support: tuple[float, float] = (0.2, 30.0), count: int = 18) -
     return TestFunctionSuite(tuple(members))
 
 
+class SuiteDensity:
+    """f of one space on a suite's nodes with the density shift, both computed
+    on first use: ``log_scale`` holds c_m per member, ``values`` the shifted f."""
+
+    def __init__(self, model: DensityModel, suite: TestFunctionSuite):
+        self.model, self.suite = model, suite
+
+    @cached_property
+    def log_scale(self) -> np.ndarray:
+        ends = np.array([m.support[1] for m in self.suite])
+        return np.maximum(0.0, self.model.log_f(ends) - 600.0)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        plan = self.suite.plan
+        return np.exp(self.model.log_f(plan.nodes) - self.log_scale[plan.segment])
+
+
 # ---------------------------------------------------------------------------
 # energy-form gaps
 # ---------------------------------------------------------------------------
@@ -213,10 +243,10 @@ class GapResult:
         return abs(self.lhs) + abs(self.rhs)
 
 
-def _form_gaps(model: DensityModel, pair: WeightPair, suite: TestFunctionSuite, P: float) -> list[GapResult]:
-    plan = suite.plan
+def _form_gaps(density: SuiteDensity, pair: WeightPair, P: float) -> list[GapResult]:
+    plan = density.suite.plan
     r = plan.nodes
-    weight = np.asarray(model.f(r))
+    weight = density.values
     if pair.measure is not None:
         weight = weight * np.asarray(pair.measure.value(r))
     net = np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r))
@@ -233,12 +263,12 @@ def rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> 
     where mu is the pair's reference measure (1 when absent).  A nonnegative
     gap confirms the inequality on this test function.
     """
-    return _form_gaps(model, pair, TestFunctionSuite((member,)), 2.0)[0]
+    return _form_gaps(SuiteDensity(model, TestFunctionSuite((member,))), pair, 2.0)[0]
 
 
 def p_rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> GapResult:
     """Same as rayleigh_gap but with |phi'|^P against (W - V)|phi|^P."""
-    return _form_gaps(model, pair, TestFunctionSuite((member,)), pair.P)[0]
+    return _form_gaps(SuiteDensity(model, TestFunctionSuite((member,))), pair, pair.P)[0]
 
 
 def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
@@ -370,10 +400,9 @@ class UncertaintyResult:
         return 4.0 * (self.energy / self.norm) * (self.weighted_moment / self.norm)
 
 
-def _uncertainty_results(model: DensityModel, suite: TestFunctionSuite) -> list[UncertaintyResult]:
-    plan = suite.plan
-    r, v = plan.nodes, plan.val
-    f = np.asarray(model.f(r))
+def _uncertainty_results(density: SuiteDensity) -> list[UncertaintyResult]:
+    model, plan = density.model, density.suite.plan
+    r, v, f = plan.nodes, plan.val, density.values
     energy = plan.integrals((plan.d1**2 - model.lambda0 * v**2) * f)
     moment = plan.integrals(hpw_g(model.p, model.q, r) * r**2 * v**2 * f)
     norm = plan.integrals(v**2 * f)
@@ -388,13 +417,12 @@ def uncertainty_gap(p: int, q: int, member: SuiteMember) -> UncertaintyResult:
     product E * moment must dominate (1/4) norm^2; the ratio is returned
     (NaN when phi vanishes identically, reported as a skip upstream).
     """
-    return _uncertainty_results(build_density(f"dr:{p},{q}"), TestFunctionSuite((member,)))[0]
+    return _uncertainty_results(SuiteDensity(build_density(f"dr:{p},{q}"), TestFunctionSuite((member,))))[0]
 
 
-def _rellich_results(model: DensityModel, suite: TestFunctionSuite) -> list[GapResult]:
-    plan = suite.plan
-    r, v = plan.nodes, plan.val
-    f = np.asarray(model.f(r))
+def _rellich_results(density: SuiteDensity) -> list[GapResult]:
+    model, plan = density.model, density.suite.plan
+    r, v, f = plan.nodes, plan.val, density.values
     g = hpw_g(model.p, model.q, r)
     lap = plan.d2 + np.asarray(model.log_df(r)) * plan.d1
     lhs = plan.integrals(g * r**2 * (lap + model.lambda0 * v) ** 2 * f)
@@ -410,7 +438,7 @@ def rellich_gap(p: int, q: int, member: SuiteMember) -> GapResult:
       >= (1/16) integral phi^2 / (g r^2) f
     on a Heisenberg-type space, with g the uncertainty weight.
     """
-    return _rellich_results(build_density(f"dr:{p},{q}"), TestFunctionSuite((member,)))[0]
+    return _rellich_results(SuiteDensity(build_density(f"dr:{p},{q}"), TestFunctionSuite((member,))))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +507,8 @@ class VerificationReport:
     seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "space": self.space,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "seconds": self.seconds,
-        }
+        # the fields in their declared order
+        return dict(vars(self))
 
 
 def _pairs_for(model: DensityModel) -> list[tuple[str, dict, WeightPair]]:
@@ -522,41 +541,40 @@ def _gap_row(res: GapResult):
     return res.lhs, res.rhs, res.gap, tol, verdict
 
 
-def _member_reports(prefix: str, space: str, params: dict, suite: TestFunctionSuite):
+def _member_reports(prefix: str, space: str, params: dict, density: SuiteDensity):
     return [
-        VerificationReport(check_id=f"{prefix}.{m.name}", space=space, params=dict(params, member=m.name))
-        for m in suite
+        VerificationReport(f"{prefix}.{m.name}", space, {**params, "member": m.name, **({"log_scale": c} if c else {})})
+        for m, c in zip(density.suite, density.log_scale.tolist())
     ]
 
 
-def _rayleigh_jobs(space: str, model: DensityModel, suite: TestFunctionSuite):
-    for label, params, pair in _pairs_for(model):
+def _rayleigh_jobs(space: str, density: SuiteDensity):
+    for label, params, pair in _pairs_for(density.model):
         def job(pair=pair):
-            return [_gap_row(res) for res in _form_gaps(model, pair, suite, pair.P)]
+            return [_gap_row(res) for res in _form_gaps(density, pair, pair.P)]
 
-        yield _member_reports(f"rayleigh.{label}", space, params, suite), job
+        yield _member_reports(f"rayleigh.{label}", space, params, density), job
 
 
-def _ode_jobs(space: str, model: DensityModel):
+def _ode_jobs(space: str, density: SuiteDensity):
+    model = density.model
     for label, params, pair in _pairs_for(model):
         if pair.ground_state is None:
             continue
         tol = 1e-8 if label.startswith("gamma") else 1e-10
-        if pair.P == 2.0:
-            def job(pair=pair, tol=tol):
-                resid = ode_residual(model, pair)
-                verdict = "pass" if resid <= tol else "fail"
-                return [(resid, 0.0, -resid, tol, verdict)]
-        else:
-            def job(pair=pair, tol=tol):
-                resid = ode_residual(model, pair)
-                verdict = "pass" if resid >= -tol else "fail"
-                return [(resid, 0.0, resid, tol, verdict)]
+
+        def job(pair=pair, tol=tol):
+            # the P = 2 residual is a size; the supersolution residual is signed
+            resid = ode_residual(model, pair)
+            gap = -resid if pair.P == 2.0 else resid
+            return [(resid, 0.0, gap, tol, "pass" if gap >= -tol else "fail")]
 
         yield [VerificationReport(check_id=f"ode.{label}", space=space, params=dict(params))], job
 
 
-def _criticality_jobs(space: str, model: DensityModel):
+def _criticality_jobs(space: str, density: SuiteDensity):
+    model = density.model
+
     def job():
         probe = criticality_probe(model)
         rows = []
@@ -575,10 +593,6 @@ def _criticality_jobs(space: str, model: DensityModel):
     yield [VerificationReport(check_id=f"criticality.{name}", space=space) for name in names], job
 
 
-def _heisenberg_ok(model: DensityModel) -> bool:
-    return model.kind == "dr" and model.q not in (0, 2)
-
-
 def _uncertainty_row(res: UncertaintyResult):
     ratio = res.ratio
     if not np.isfinite(ratio):
@@ -587,27 +601,18 @@ def _uncertainty_row(res: UncertaintyResult):
     return ratio, 1.0, ratio - 1.0, 1e-8, verdict
 
 
-def _uncertainty_jobs(space: str, model: DensityModel, suite: TestFunctionSuite):
-    if not _heisenberg_ok(model):
-        return
+def _heisenberg_jobs(family: str, results, row):
+    """Jobs of a family with one job per Heisenberg-type space (dr with q not 0 or 2)."""
 
-    def job():
-        return [_uncertainty_row(res) for res in _uncertainty_results(model, suite)]
+    def jobs(space: str, density: SuiteDensity):
+        if density.model.kind == "dr" and density.model.q not in (0, 2):
+            yield _member_reports(family, space, {}, density), lambda: [row(res) for res in results(density)]
 
-    yield _member_reports("uncertainty", space, {}, suite), job
-
-
-def _rellich_jobs(space: str, model: DensityModel, suite: TestFunctionSuite):
-    if not _heisenberg_ok(model):
-        return
-
-    def job():
-        return [_gap_row(res) for res in _rellich_results(model, suite)]
-
-    yield _member_reports("rellich", space, {}, suite), job
+    return jobs
 
 
-def _asymptotics_jobs(space: str, model: DensityModel):
+def _asymptotics_jobs(space: str, density: SuiteDensity):
+    model = density.model
     if model.kind == "euclidean":
         return
 
@@ -622,25 +627,25 @@ def _asymptotics_jobs(space: str, model: DensityModel):
     yield [VerificationReport(check_id="asymptotics.green[2]", space=space, params={"P": 2.0})], job
 
 
+_FAMILY_JOBS = {
+    "rayleigh": _rayleigh_jobs,
+    "ode": _ode_jobs,
+    "criticality": _criticality_jobs,
+    "uncertainty": _heisenberg_jobs("uncertainty", _uncertainty_results, _uncertainty_row),
+    "rellich": _heisenberg_jobs("rellich", _rellich_results, _gap_row),
+    "asymptotics": _asymptotics_jobs,
+}
+
+
 def _collect_jobs(spaces, families, suite):
     jobs = []
     for space in spaces:
-        model = build_density(space)
+        # one density per space, shared by its integral families
+        density = SuiteDensity(build_density(space), suite)
         for family in families:
-            if family == "rayleigh":
-                jobs.extend(_rayleigh_jobs(space, model, suite))
-            elif family == "ode":
-                jobs.extend(_ode_jobs(space, model))
-            elif family == "criticality":
-                jobs.extend(_criticality_jobs(space, model))
-            elif family == "uncertainty":
-                jobs.extend(_uncertainty_jobs(space, model, suite))
-            elif family == "rellich":
-                jobs.extend(_rellich_jobs(space, model, suite))
-            elif family == "asymptotics":
-                jobs.extend(_asymptotics_jobs(space, model))
-            else:
+            if family not in _FAMILY_JOBS:
                 raise PreconditionError(f"unknown verification family: {family!r}")
+            jobs.extend(_FAMILY_JOBS[family](space, density))
     return jobs
 
 

@@ -16,7 +16,8 @@ A ground state is written once, as its logarithm: a radial scalar combining
 log r, the model's log f (``DensityModel.log_f_scalar``) and, for the gamma
 family, log aux_h.  ``extras["log_ground_state"]`` is that scalar and the
 ground state is its exponential, so neither passes through f itself, which
-overflows once log f exceeds about 709.
+overflows once log f exceeds about 709.  The default aux_h and the
+cross-check ``raw_density_ratio`` take f as exp(log f) too.
 
 Evaluation strategy: V and W default to algebraically collapsed closed forms,
 which stay accurate near the pole where the raw quotient-of-derivatives
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import Jet2, RadialScalar, check_radius, hilfe_coefficients, radius
+from .calculus import RadialScalar, check_radius, hilfe_coefficients, radius
 from .errors import DomainError, PreconditionError
 from .spaces import (
     DAMEK_RICCI,
@@ -145,12 +146,13 @@ def raw_density_ratio(model: DensityModel) -> RadialScalar:
     """((f')^2 - 2 f f'') / (4 f^2) straight from density jets (value only).
 
     This is the defining expression of the quadratic pair's potential before
-    algebraic simplification; it loses roughly six digits at r = 1e-3 to
-    cancellation, so it serves as a cross-check rather than a default.
+    algebraic simplification, with f's jet taken as exp(log f); it loses
+    digits to cancellation near the pole, so it serves as a cross-check.
     """
+    density = model.log_f_scalar().exp()
 
     def value(r):
-        j = model.f_jet(Jet2.variable(np.asarray(r, dtype=float)))
+        j = density.jet(r)
         return (j.d1**2 - 2.0 * j.val * j.d2) / (4.0 * j.val**2)
 
     return RadialScalar.from_value_only(value)
@@ -245,9 +247,9 @@ def weight_dr_poincare(p: int, q: int):
 
 
 def default_aux_h(model: DensityModel) -> RadialScalar:
-    """The canonical auxiliary function f(r)^(1/(n-1)), which grows like r."""
-    exponent = 1.0 / (model.n - 1)
-    return RadialScalar(lambda x: model.f_jet(x) ** exponent)
+    """The canonical auxiliary function f^(1/(n-1)) = exp(log f/(n-1)), which
+    grows like r near the pole and at most like e^r, finite where f overflows."""
+    return (model.log_f_scalar() * (1.0 / (model.n - 1))).exp()
 
 
 def _validate_aux_h(aux_h: RadialScalar) -> None:

@@ -230,6 +230,26 @@ def test_spectral_bottom_refuses_overflowing_density_without_warnings(capsys):
     assert captured.err.startswith("error: density f is not finite")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # f leaves the double range at r = 65
+        (["calculus", "eval", "--space", "dr:8,7", "--op", "f", "--grid", "1:900:100"],
+         "error: f at r=101.0 is not finite: inf"),
+        (["weights", "eval", "--space", "hyperbolic:3", "--theorem", "B", "--grid", "1e-300:1e-299:1e-300"],
+         "error: W at r=1e-300 is not finite: inf"),
+    ],
+)
+def test_tables_refuse_values_that_are_not_finite(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
 def test_verify_uncertainty_on_space_with_overflowing_norm_square(capsys):
     # the squared suite norms pass the double range on dr:24,1
     assert main(["verify", "uncertainty", "--space", "dr:24,1"]) == 0
@@ -359,7 +379,7 @@ def test_csv_writer_matches_per_value_formatting_on_special_values():
     "argv",
     [
         ["spaces", "list"],
-        ["calculus", "eval", "--space", "dr:8,7", "--op", "f", "--grid", "1:900:50"],  # f overflows to inf
+        ["calculus", "eval", "--space", "dr:8,7", "--op", "f", "--grid", "1:64:0.5"],  # f up to about 1e283
         ["calculus", "eval", "--space", "euclidean:3", "--op", "excess", "--grid", "1e-300:2:0.5"],
         ["weights", "eval", "--space", "dr:2,1", "--theorem", "A", "--grid", "1:2:0.25"],  # V is one scalar
         ["weights", "eval", "--space", "hyperbolic:5", "--theorem", "weighted", "--alpha", "1.5"],

@@ -357,6 +357,32 @@ def test_supercritical_values():
     )
 
 
+@pytest.mark.parametrize("desc, P, r", [("dr:2,1", 6.0, 1.0), ("dr:4,2", 8.5, 0.03), ("hyperbolic:3", 4.0, 7.0)])
+def test_supercritical_weight_runs_the_engine_once(monkeypatch, desc, P, r):
+    model = build_density(desc)
+    gamma = green_gamma0(model, P)
+    G = green_value(model, P, r).value
+    dlog = green_log_derivative(model, P, r)
+    # the former composition of one green_value and one green_log_derivative call
+    two_calls = (
+        ((P - 1.0) / P) ** P
+        * abs(dlog) ** P
+        * abs(gamma - 2.0 * G) ** (P - 2.0)
+        / abs(gamma - G) ** P
+        * (gamma**2 + 2.0 * (P - 2.0) * G * (gamma - G))
+    )
+    calls = []
+    real = green_module.green_weight_batch
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(green_module, "green_weight_batch", counted)
+    assert green_weight_supercritical(model, P, r) == two_calls
+    assert len(calls) == 1
+
+
 def test_total_integral_matches_mpmath_beta():
     # 2^(-A) B((P-n)/(2(P-1)), (A+B)/2), A = (n-1)/(P-1), B = q/(P-1), from
     # the float P itself, from P = n + 1e-9 up to P = 1e300

@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyscope import verify
 from hardyscope.calculus import PanelPlan, RadialScalar, jet_where, radius
-from hardyscope.errors import DomainError, PreconditionError, QuadratureError
+from hardyscope.errors import DomainError, PreconditionError, QuadratureError, SpaceValidationError
 from hardyscope.green import green_weight
-from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid
+from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, validate_heisenberg_params
 from hardyscope.verify import (
     FAMILIES,
     asymptotics_fit,
@@ -208,12 +210,13 @@ def _per_member(fn, member):
     return float(PanelPlan(a, b, 0.25, 8).integrate(lambda t, _k: fn(t))[0][0])
 
 
-def _reference_form_gap(model, pair, member):
-    """Both sides of the P-Rayleigh form, one member at a time."""
+def _reference_form_gap(model, pair, member, density=None):
+    """Both sides of the P-Rayleigh form, one member at a time, against f or
+    against the given density."""
     phi, P = member.scalar, pair.P
 
     def weight_fn(r):
-        base = np.asarray(model.f(r))
+        base = np.asarray(model.f(r) if density is None else density(r))
         return base if pair.measure is None else base * np.asarray(pair.measure.value(r))
 
     def lhs_fn(r):
@@ -282,7 +285,7 @@ def test_batched_uncertainty_and_rellich_match_per_member_integrals():
     suite = default_suite()
     reports = run_verification(spaces=["dr:8,7"], families=["uncertainty", "rellich"], suite=suite)
     by_id = {r.check_id: r for r in reports}
-    for res, member in zip(verify._uncertainty_results(model, suite), suite):
+    for res, member in zip(verify._uncertainty_results(verify.SuiteDensity(model, suite)), suite):
         expected = _reference_uncertainty(model, member)
         _assert_sides_close((res.energy, res.weighted_moment, res.norm), expected, member.name)
         ratio = expected[0] * expected[1] / (0.25 * expected[2] ** 2)
@@ -296,7 +299,7 @@ def test_single_member_gaps_run_the_suite_path():
     model = build_density("dr:4,2")
     suite = default_suite()
     pair = weight_p_dr(4, 2, 3.0)
-    batched = verify._form_gaps(model, pair, suite, pair.P)
+    batched = verify._form_gaps(verify.SuiteDensity(model, suite), pair, pair.P)
     for member, res in zip(suite, batched):
         single = p_rayleigh_gap(model, pair, member)
         _assert_sides_close((single.lhs, single.rhs), (res.lhs, res.rhs), member.name)
@@ -344,11 +347,13 @@ def test_value_only_scalars_still_guard_and_select():
 
 
 class _CountingModel:
-    """Delegates to a density model and counts calls of f and log_df."""
+    """Delegates to a density model and counts calls of f and log_df, and the
+    suite-density evaluations: log f on the suite's nodes."""
 
-    def __init__(self, model, counts):
+    def __init__(self, model, counts, nodes):
         self._model = model
         self._counts = counts
+        self._nodes = nodes
 
     def __getattr__(self, name):
         return getattr(self._model, name)
@@ -356,6 +361,10 @@ class _CountingModel:
     def f(self, r):
         self._counts["f"] += 1
         return self._model.f(r)
+
+    def log_f(self, r):
+        self._counts["density"] += r is self._nodes
+        return self._model.log_f(r)
 
     def log_df(self, r):
         self._counts["log_df"] += 1
@@ -372,7 +381,7 @@ class _CountingScalar:
 
 
 def _counted_run(monkeypatch, space, families, suite, label=None):
-    counts = {"f": 0, "log_df": 0, "W": 0, "V": 0, "hpw_g": 0}
+    counts = {"f": 0, "density": 0, "log_df": 0, "W": 0, "V": 0, "hpw_g": 0}
     real_build, real_pairs, real_hpw_g = verify.build_density, verify._pairs_for, verify.hpw_g
 
     def pairs_for(model):
@@ -387,11 +396,14 @@ def _counted_run(monkeypatch, space, families, suite, label=None):
         counts["hpw_g"] += 1
         return real_hpw_g(*args)
 
-    monkeypatch.setattr(verify, "build_density", lambda desc: _CountingModel(real_build(desc), counts))
+    nodes = suite.plan.nodes
+    monkeypatch.setattr(verify, "build_density", lambda desc: _CountingModel(real_build(desc), counts, nodes))
     monkeypatch.setattr(verify, "_pairs_for", pairs_for)
     monkeypatch.setattr(verify, "hpw_g", counted_hpw_g)
     reports = run_verification(spaces=[space], families=families, suite=suite)
     assert len(reports) == len(families) * len(suite)
+    # raw f is not evaluated: the density comes from log f
+    assert counts["f"] == 0
     assert all(r.verdict == "pass" for r in reports)
     monkeypatch.undo()
     return counts
@@ -406,7 +418,7 @@ def test_rayleigh_evaluates_each_weight_once_per_pair(monkeypatch, space, label)
     small = _counted_run(monkeypatch, space, ["rayleigh"], _small_suite(), label)
     full = _counted_run(monkeypatch, space, ["rayleigh"], default_suite(), label)
     assert small == full
-    assert full["f"] == full["W"] == full["V"] == 1, full
+    assert full["density"] == full["W"] == full["V"] == 1, full
 
 
 def test_uncertainty_and_rellich_evaluate_once_per_space(monkeypatch):
@@ -414,8 +426,13 @@ def test_uncertainty_and_rellich_evaluate_once_per_space(monkeypatch):
         small = _counted_run(monkeypatch, "dr:8,7", [family], _small_suite())
         full = _counted_run(monkeypatch, "dr:8,7", [family], default_suite())
         assert small == full
-        assert full["f"] == full["hpw_g"] == 1, (family, full)
+        assert full["density"] == full["hpw_g"] == 1, (family, full)
         assert full["log_df"] == (1 if family == "rellich" else 0), (family, full)
+
+
+def test_integral_families_share_one_density_per_space(monkeypatch):
+    counts = _counted_run(monkeypatch, "dr:8,7", ["rayleigh", "uncertainty", "rellich"], _small_suite(), "B")
+    assert counts["density"] == 1, counts
 
 
 def test_report_seconds_split_the_group_time():
@@ -424,3 +441,54 @@ def test_report_seconds_split_the_group_time():
     assert len({r.seconds for r in reports[:3]}) == 1
     assert len({r.seconds for r in reports[3:]}) == 1
     assert all(r.seconds > 0.0 for r in reports)
+
+
+# -- every admissible space, where f overflows on the suite's support too ------
+
+
+_ADMISSIBLE = []
+for _p in range(2, 33, 2):
+    for _q in range(1, 12):
+        try:
+            validate_heisenberg_params(_p, _q)
+        except SpaceValidationError:
+            continue
+        _ADMISSIBLE.append(f"dr:{_p},{_q}")
+assert len(_ADMISSIBLE) == 51
+_ADMISSIBLE += ["hyperbolic:2", "hyperbolic:30", "hyperbolic:100", "euclidean:2"]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(space=st.sampled_from(_ADMISSIBLE))
+def test_integral_families_pass_on_admissible_spaces(space):
+    # all 55 spaces take about 2.8 s on a 2-CPU machine, so a fixed sample
+    reports = run_verification(spaces=[space], families=["rayleigh", "uncertainty", "rellich"])
+    assert reports
+    for r in reports:
+        assert np.isfinite(r.lhs) and np.isfinite(r.rhs), (space, r.check_id)
+        assert r.verdict == "pass", (space, r.check_id, r.gap, r.tolerance)
+
+
+def test_members_past_log_f_600_are_shifted_and_named():
+    suite = default_suite()
+    ends = np.array([m.support[1] for m in suite])
+    for space in DEFAULT_CATALOG:
+        assert not verify.SuiteDensity(build_density(space), suite).log_scale.any(), space
+
+    model = build_density("hyperbolic:30")
+    shift = np.maximum(0.0, model.log_f(ends) - 600.0)
+    np.testing.assert_array_equal(verify.SuiteDensity(model, suite).log_scale, shift)
+    assert 0 < np.count_nonzero(shift) < len(suite)
+    pair = weight_theorem_b(model)
+    reports = run_verification(spaces=["hyperbolic:30"], families=["rayleigh"], suite=suite)
+    by_id = {r.check_id: r for r in reports}
+    for member, c in zip(suite, shift):
+        report = by_id[f"rayleigh.B.{member.name}"]
+        assert report.params.get("log_scale", 0.0) == c
+        assert ("log_scale" in report.params) == (c > 0.0)
+        # each member's sides are those of the density exp(log f - c_m); f
+        # itself overflows past r = 25
+        expected = _reference_form_gap(model, pair, member, lambda r, c=c: np.exp(model.log_f(r) - c))
+        _assert_sides_close((report.lhs, report.rhs), expected, member.name)
+    assert all(r.verdict == "pass" for r in reports)
