@@ -178,9 +178,24 @@ class RadialScalar:
             v = value(x.val)
             if x.d1 is _MISSING:
                 return Jet2(v, _MISSING, _MISSING)
-            g1 = d1(x.val)
-            g2 = d2(x.val)
-            return Jet2(v, g1 * x.d1, g2 * x.d1 * x.d1 + g1 * x.d2)
+            return _chain(Jet2(v, d1(x.val), d2(x.val)), x)
+
+        return RadialScalar(fn)
+
+    @staticmethod
+    def from_jet(jet: Callable[[ArrayLike], Jet2]) -> "RadialScalar":
+        """Build from a callable giving the value and both derivatives at
+        plain radii as one Jet2, so the three share their common work.
+
+        Composes like ``from_values``; a value-only evaluation still calls
+        ``jet`` in full.
+        """
+
+        def fn(x: Jet2) -> Jet2:
+            g = jet(x.val)
+            if x.d1 is _MISSING:
+                return Jet2(g.val, _MISSING, _MISSING)
+            return _chain(g, x)
 
         return RadialScalar(fn)
 
@@ -279,6 +294,11 @@ class RadialScalar:
 
     def cosh(self):
         return RadialScalar(lambda x: self._fn(x).cosh())
+
+
+def _chain(g: Jet2, x: Jet2) -> Jet2:
+    # the jet of g(x) from g's jet at x.val: the chain rule to second order
+    return Jet2(g.val, g.d1 * x.d1, g.d2 * x.d1 * x.d1 + g.d1 * x.d2)
 
 
 class _Missing:
@@ -428,10 +448,12 @@ class PanelPlan:
 
     ``a`` and ``b`` are floats or matching arrays of segments.  Each segment
     is cut into equal panels no wider than ``width`` (at least ``min_panels``
-    of them), each carrying the 20 nodes of the Gauss-Legendre rule.  The
-    plan is built once; ``nodes`` gives the nodes and ``reduce`` turns values
-    of any number of integrands on them into per-segment integrals, so
-    integrands that share a domain share the nodes too.
+    of them, a number or one per segment), each carrying the 20 nodes of the
+    Gauss-Legendre rule.  The plan is built once; ``nodes`` gives the nodes
+    and ``reduce`` turns values of any number of integrands on them into
+    per-segment integrals, so integrands that share a domain share the nodes
+    too.  ``join`` regroups runs of segments into single segments on the same
+    panels, so several domains can share one grid.
 
     Alongside each integral ``reduce`` returns an error estimate from a null
     rule on the same nodes (Berntsen and Espelid): half the panel width times
@@ -446,18 +468,48 @@ class PanelPlan:
         hi = np.atleast_1d(np.asarray(b, dtype=float))
         if not np.all(hi > lo):
             raise DomainError("integration interval is empty")
-        counts = np.maximum(min_panels, np.ceil((hi - lo) / width).astype(np.int64))
-        self._starts = np.cumsum(counts) - counts
-        self._seg = np.repeat(np.arange(lo.size), counts)
-        k = np.arange(self._seg.size) - self._starts[self._seg]
+        counts = np.maximum(min_panels, np.ceil((hi - lo) / width)).astype(np.int64)
+        starts = np.cumsum(counts) - counts
+        seg = np.repeat(np.arange(lo.size), counts)
+        k = np.arange(seg.size) - starts[seg]
         # edges k*step + a, bit for bit np.linspace(a, b, panels + 1) of each
         # segment, with the last edge at exactly b
-        step = ((hi - lo) / counts)[self._seg]
-        left = k * step + lo[self._seg]
-        right = (k + 1) * step + lo[self._seg]
-        right[self._starts + counts - 1] = hi
+        step = ((hi - lo) / counts)[seg]
+        left = k * step + lo[seg]
+        right = (k + 1) * step + lo[seg]
+        right[starts + counts - 1] = hi
+        self._set_panels(left, right, counts)
+
+    def _set_panels(self, left: np.ndarray, right: np.ndarray, counts: np.ndarray) -> None:
+        # panels by their edges, in order, counts[k] of them in segment k
+        self._left, self._right = left, right
+        self._starts = np.cumsum(counts) - counts
+        self._seg = np.repeat(np.arange(counts.size), counts)
         self._halfs = 0.5 * (right - left)
         self._centers = 0.5 * (left + right)
+
+    def join(self, first, stop) -> tuple["PanelPlan", np.ndarray]:
+        """The plan whose segment k is this plan's segments first[k] to stop[k] - 1.
+
+        Segments are picked by index, so the joined segment k spans exactly
+        from the left end of segment first[k] to the right end of segment
+        stop[k] - 1.  The panels, and so the nodes, are this plan's bit for
+        bit; the second array gives each node's index among ``nodes()``.
+        """
+        bounds = np.append(self._starts, self._seg.size)
+        begin = bounds[np.asarray(first)]
+        counts = bounds[np.asarray(stop)] - begin
+        if not np.all(counts > 0):
+            raise DomainError("integration interval is empty")
+        panels = np.arange(counts.sum()) + np.repeat(begin - (np.cumsum(counts) - counts), counts)
+        plan = PanelPlan.__new__(PanelPlan)
+        plan._set_panels(self._left[panels], self._right[panels], counts)
+        return plan, (panels[:, None] * _GL_ORDER + np.arange(_GL_ORDER)).ravel()
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each segment's first left and last right panel edge."""
+        last = np.append(self._starts[1:], self._seg.size) - 1
+        return self._left[self._starts], self._right[last]
 
     def nodes(self, panels: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Nodes of the given panels, flat and in order, and each node's segment index."""

@@ -98,21 +98,17 @@ def _finite_columns(grid: np.ndarray, named) -> list[np.ndarray]:
     return columns
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+def _finite(doc: dict, what: str) -> dict:
+    """The document, once every float in it is finite; QuadratureError otherwise."""
+    for key, value in doc.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise QuadratureError(f"{what}: {key} is not finite ({value})")
+    return doc
 
 
 def _json_text(doc) -> str:
-    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+    # documents are built JSON-ready; a NaN or infinity is an error, never a token
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -295,10 +291,7 @@ def _cmd_green_asymptotics(args, cfg) -> int:
         "predicted_exponent": pred.exponent,
         "ratio_at_rmin": float(surplus[0] / np.asarray(pred.value)[0]),
     }
-    for key, value in doc.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise QuadratureError(f"green asymptotics: {key} is not finite ({value})")
-    _emit(_json_text(doc), _resolve(args.out, cfg, section, "out"))
+    _emit(_json_text(_finite(doc, "green asymptotics")), _resolve(args.out, cfg, section, "out"))
     return 0
 
 
@@ -320,7 +313,7 @@ def _cmd_spectral_bottom(args, cfg) -> int:
         "target_lambda0": result.target_lambda0,
         "gap": result.gap,
     }
-    _emit(_json_text(doc), _resolve(args.out, cfg, section, "out"))
+    _emit(_json_text(_finite(doc, "spectral bottom")), _resolve(args.out, cfg, section, "out"))
     return 0
 
 

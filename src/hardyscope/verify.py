@@ -6,17 +6,23 @@ Checks return signed gaps (nonnegative means the inequality holds) together
 with the raw sides, so a failure report shows the actual numbers instead of
 a bare boolean.
 
-Quadrature: each member's support is cut into panels no wider than 0.25 (at
-least 8), each integrated by the 20-point Gauss-Legendre rule.  The suite
-builds these nodes once, for all members together, and evaluates every
-member's value and first two derivatives on them.  The density is evaluated
-on them once per space (``SuiteDensity``), and a form once per space and
-pair: the measure and the weights in one call each (the Green weight in one
-engine batch), then one reduction per side gives that side for every member.
-The single-member functions (``rayleigh_gap`` and friends) run the same code
-on a one-member suite.  The null-criticality mass is taken on the same rule,
-in log r, and is certified by its null-rule estimate: above 1e-10 relative
-it raises QuadratureError instead of returning a number.
+Quadrature: the suite lays one grid of 20-point Gauss-Legendre panels over
+all its members (``SuitePlan``).  Its breakpoints are the members' distinct
+support ends, each interval between two is cut into equal panels no wider
+than 0.25, and every member spans at least 8 of them; on the default suite
+that is 2,860 nodes.  Functions of the space and of a pair are evaluated
+once on those shared nodes: the density once per space (``SuiteDensity``),
+and per pair the measure and the weights in one call each (the Green weight
+in one engine batch).  Each member's value and first two derivatives live on
+its own panels of the grid only (32,720 entries on the default suite, the
+bumps computed in one pass); one reduction per side then gives that side
+for every member, with its null-rule estimate.  The parts of a form that do
+not depend on the pair are computed once per space and order P.  The
+single-member functions (``rayleigh_gap`` and friends) run the same code on
+a one-member suite, whose grid is the member's own.  The null-criticality
+mass is taken on the same rule, in log r, and is certified by its null-rule
+estimate: above 1e-10 relative it raises QuadratureError instead of
+returning a number.
 
 The density shift: member m's share of f is exp(log f - c_m), with c_m =
 max(0, log f(b_m) - 600) at its right support end b_m (f increases), so
@@ -29,6 +35,7 @@ their params (none on the catalog).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import green as green_mod
-from .calculus import PanelPlan, RadialScalar, check_radius, p_laplacian_radial
+from .calculus import Jet2, PanelPlan, RadialScalar, check_radius, p_laplacian_radial
 from .errors import DomainError, PreconditionError, QuadratureError
 from .spaces import DEFAULT_CATALOG, DensityModel, build_density, default_grid
 from .weights import (
@@ -95,20 +102,31 @@ class SuiteMember:
 
 @dataclass(frozen=True)
 class SuitePlan:
-    """Quadrature nodes of every member's support, concatenated in member
-    order, with each node's member index (``segment``) and each member's value
-    and first two derivatives on its nodes."""
+    """The suite's quadrature: one panel grid shared by every member.
 
-    panels: PanelPlan
+    The grid's breakpoints are the members' sorted distinct support ends;
+    each interval between two is cut into equal panels no wider than 0.25,
+    with more where a member would otherwise span fewer than 8.  ``nodes``
+    are the grid's nodes, where functions of the space and of a pair are
+    evaluated once.  ``panels`` holds each member's panels of the grid as one
+    segment, in member order, chosen by breakpoint index so each member's
+    panels tile its support exactly.  On the nodes of ``panels``, ``index``
+    gives each node's place in ``nodes`` and ``segment`` its member, and
+    ``val``, ``d1`` and ``d2`` the member's value and first two derivatives.
+    """
+
     nodes: np.ndarray
+    panels: PanelPlan
+    index: np.ndarray
     segment: np.ndarray
     val: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
 
-    def integrals(self, values) -> list[float]:
-        """Per-member integrals from the integrand's values at all nodes."""
-        return self.panels.reduce(values)[0].tolist()
+    def integrals(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Per-member integrals and their null-rule estimates from the
+        integrand's values on the members' nodes."""
+        return self.panels.reduce(values)
 
 
 @dataclass(frozen=True)
@@ -124,43 +142,65 @@ class TestFunctionSuite:
     @cached_property
     def plan(self) -> SuitePlan:
         """Built on first use and kept with the suite."""
-        lo, hi = np.array([m.support for m in self.members], dtype=float).T
-        panels = PanelPlan(lo, hi, _PANEL_WIDTH, _MIN_PANELS)
-        nodes, segment = panels.nodes()
-        jets = [m.scalar.jet(nodes[segment == k]) for k, m in enumerate(self.members)]
-        columns = (np.concatenate([getattr(j, s) for j in jets]) for s in ("val", "d1", "d2"))
-        return SuitePlan(panels, nodes, segment, *columns)
+        ends, where = np.unique([m.support for m in self.members], return_inverse=True)
+        first, stop = where.reshape(-1, 2).T
+        # a member spanning fewer than _MIN_PANELS panels gets them spread
+        # over its intervals in proportion to their lengths
+        length = np.diff(ends)
+        spanned = np.append(0.0, np.cumsum(np.ceil(length / _PANEL_WIDTH)))
+        mins = np.ones(length.size)
+        for i, j in zip(first, stop):
+            if spanned[j] - spanned[i] < _MIN_PANELS:
+                mins[i:j] = np.maximum(mins[i:j], np.ceil(_MIN_PANELS * length[i:j] / (ends[j] - ends[i])))
+        grid = PanelPlan(ends[:-1], ends[1:], _PANEL_WIDTH, mins)
+        panels, index = grid.join(first, stop)
+        r, segment = panels.nodes()
+        return SuitePlan(grid.nodes()[0], panels, index, segment, *_member_jets(self.members, r, segment))
 
 
-def _bump_scalar(lo: float, hi: float) -> RadialScalar:
-    """Smooth bump exp(-1/(1-t^2)) on (lo, hi), zero outside."""
-    mid = 0.5 * (lo + hi)
-    k1 = 2.0 / (hi - lo)
+def _member_jets(members, r: np.ndarray, segment: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # value, d1 and d2 of each member on its nodes (segment is nondecreasing):
+    # one bump pass over all nodes, then every other member overwrites its own
+    mid, k1 = np.array([(m.scalar.mid, m.scalar.k1) if isinstance(m.scalar, _Bump) else (0.0, 0.0) for m in members]).T
+    j = _bump_jet(r, mid[segment], k1[segment])
+    bounds = np.searchsorted(segment, np.arange(len(members) + 1))
+    for k, m in enumerate(members):
+        if not isinstance(m.scalar, _Bump):
+            own = slice(bounds[k], bounds[k + 1])
+            mj = m.scalar.jet(r[own])
+            j.val[own], j.d1[own], j.d2[own] = mj.val, mj.d1, mj.d2
+    return j.val, j.d1, j.d2
 
-    def _pieces(r):
-        t = (np.asarray(r, dtype=float) - mid) * k1
-        inside = np.abs(t) < 1.0
-        tt = np.where(inside, t, 0.0)
-        om = 1.0 - tt * tt
-        e = np.exp(-1.0 / om)
-        return inside, tt, om, e
 
-    def value(r):
-        inside, _, _, e = _pieces(r)
-        return np.where(inside, e, 0.0)
+def _bump_jet(r, mid, k1) -> Jet2:
+    """Jet of the smooth bump exp(-1/(1-t^2)), t = (r - mid) k1, zero where
+    |t| >= 1; ``mid`` and ``k1`` are floats or arrays matching r, so one call
+    covers bumps on any number of supports."""
+    shape = np.shape(r)
+    t = np.atleast_1d((np.asarray(r, dtype=float) - mid) * k1)
+    outside = ~(np.abs(t) < 1.0)
+    t[outside] = 0.0
+    sq = t * t
+    inv = 1.0 / (1.0 - sq)
+    val = np.exp(-inv)
+    # the exponent's t-derivatives are du and -(6 t^2 + 2) inv^3
+    du = -2.0 * t * inv * inv
+    d2 = (du * du - (6.0 * sq + 2.0) * inv * inv * inv) * val * k1 * k1
+    d1 = du * val * k1
+    for a in (val, d1, d2):
+        a[outside] = 0.0
+    return Jet2(val.reshape(shape), d1.reshape(shape), d2.reshape(shape))
 
-    def d1(r):
-        inside, tt, om, e = _pieces(r)
-        du = -2.0 * tt / om**2
-        return np.where(inside, e * du * k1, 0.0)
 
-    def d2(r):
-        inside, tt, om, e = _pieces(r)
-        du = -2.0 * tt / om**2
-        ddu = -(2.0 + 6.0 * tt * tt) / om**3
-        return np.where(inside, e * (ddu + du * du) * k1 * k1, 0.0)
+class _Bump(RadialScalar):
+    """Smooth bump on (lo, hi), zero outside; the suite plan evaluates all
+    its bumps together from ``mid`` and ``k1``."""
 
-    return RadialScalar.from_values(value, d1, d2)
+    __slots__ = ("mid", "k1")
+
+    def __init__(self, lo: float, hi: float):
+        self.mid, self.k1 = 0.5 * (lo + hi), 2.0 / (hi - lo)
+        super().__init__(RadialScalar.from_jet(lambda r: _bump_jet(r, self.mid, self.k1))._fn)
 
 
 def _gaussian_scalar(center: float, width: float) -> RadialScalar:
@@ -197,8 +237,8 @@ def default_suite(support: tuple[float, float] = (0.2, 30.0), count: int = 18) -
     for k in range(count):
         lo = a + k * shift
         hi = b - (count - 1 - k) * shift
-        members.append(SuiteMember(f"bump_{k:02d}", _bump_scalar(lo, hi), (lo, hi)))
-    envelope = _bump_scalar(a, b)
+        members.append(SuiteMember(f"bump_{k:02d}", _Bump(lo, hi), (lo, hi)))
+    envelope = _Bump(a, b)
     g1 = _gaussian_scalar(a + 0.3 * (b - a), 0.2 * (b - a)) * envelope
     g2 = _gaussian_scalar(a + 0.7 * (b - a), 0.15 * (b - a)) * envelope
     members.append(SuiteMember("gauss_lo", g1, (a, b)))
@@ -207,11 +247,14 @@ def default_suite(support: tuple[float, float] = (0.2, 30.0), count: int = 18) -
 
 
 class SuiteDensity:
-    """f of one space on a suite's nodes with the density shift, both computed
-    on first use: ``log_scale`` holds c_m per member, ``values`` the shifted f."""
+    """f of one space on a suite's nodes with the density shift, computed on
+    first use: ``log_scale`` holds c_m per member, ``values`` the shifted f
+    on the members' nodes.  ``form`` keeps the pair-independent parts of the
+    energy forms, one set per order P."""
 
     def __init__(self, model: DensityModel, suite: TestFunctionSuite):
         self.model, self.suite = model, suite
+        self._forms: dict[float, tuple] = {}
 
     @cached_property
     def log_scale(self) -> np.ndarray:
@@ -221,7 +264,18 @@ class SuiteDensity:
     @cached_property
     def values(self) -> np.ndarray:
         plan = self.suite.plan
-        return np.exp(self.model.log_f(plan.nodes) - self.log_scale[plan.segment])
+        # log f once on the shared nodes; each member's shift stays in the
+        # exponent, so an f that overflows never meets a factor 0
+        return np.exp(self.model.log_f(plan.nodes)[plan.index] - self.log_scale[plan.segment])
+
+    def form(self, P: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """|phi'|^P f and |phi|^P f on the members' nodes, and the integrals of
+        the first (the energy side of every pair without a measure)."""
+        if P not in self._forms:
+            plan, f = self.suite.plan, self.values
+            energy = np.abs(plan.d1) ** P * f
+            self._forms[P] = energy, np.abs(plan.val) ** P * f, plan.integrals(energy)
+        return self._forms[P]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +285,12 @@ class SuiteDensity:
 
 @dataclass(frozen=True)
 class GapResult:
+    """Both sides of an inequality, and the null-rule estimates of the two
+    integrals (zero where not computed)."""
+
     lhs: float
     rhs: float
+    errors: tuple[float, float] = (0.0, 0.0)
 
     @property
     def gap(self) -> float:
@@ -243,16 +301,21 @@ class GapResult:
         return abs(self.lhs) + abs(self.rhs)
 
 
+def _gap_results(lhs, rhs) -> list[GapResult]:
+    # each side as (integrals, null-rule estimates), one entry per member
+    (a, a_err), (b, b_err) = lhs, rhs
+    return [GapResult(*sides) for sides in zip(a.tolist(), b.tolist(), zip(a_err.tolist(), b_err.tolist()))]
+
+
 def _form_gaps(density: SuiteDensity, pair: WeightPair, P: float) -> list[GapResult]:
     plan = density.suite.plan
     r = plan.nodes
-    weight = density.values
-    if pair.measure is not None:
-        weight = weight * np.asarray(pair.measure.value(r))
-    net = np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r))
-    lhs = plan.integrals(np.abs(plan.d1) ** P * weight)
-    rhs = plan.integrals(net * np.abs(plan.val) ** P * weight)
-    return [GapResult(a, b) for a, b in zip(lhs, rhs)]
+    energy, mass, energy_sides = density.form(P)
+    net = (np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r)))[plan.index]
+    if pair.measure is None:
+        return _gap_results(energy_sides, plan.integrals(net * mass))
+    mu = np.asarray(pair.measure.value(r))[plan.index]
+    return _gap_results(plan.integrals(energy * mu), plan.integrals(net * mass * mu))
 
 
 def rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> GapResult:
@@ -276,7 +339,9 @@ def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
 
     For P = 2 the ground state solves -Phi'' - L Phi' + (V - W) Phi = 0
     exactly, so the return value is the maximum relative residual and should
-    sit at rounding level.  For P != 2 the ground state is a supersolution:
+    sit at rounding level.  Its scale includes |Phi|/r^2, the size of the
+    terms that cancel inside Phi'' (on euclidean:2 Phi is constant, and its
+    d2 is their rounding alone).  For P != 2 the ground state is a supersolution:
     the return value is the signed minimum of the normalized residual
     -Delta_P Phi + (V - W) Phi^(P-1), which must not dip below rounding.
     """
@@ -293,7 +358,7 @@ def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
     if pair.P == 2.0:
         drift = np.asarray(model.log_df(grid)) * j.d1
         resid = -(j.d2 + drift) + net * j.val
-        scale = np.abs(j.d2) + np.abs(drift) + np.abs(net * j.val) + tiny
+        scale = np.abs(j.d2) + np.abs(drift) + np.abs(net * j.val) + np.abs(j.val) / grid**2 + tiny
         return float(np.max(np.abs(resid) / scale))
     plap = p_laplacian_radial(phi, model, pair.P, grid)
     mass = net * j.val ** (pair.P - 1.0)
@@ -388,9 +453,13 @@ def null_criticality_mass(model: DensityModel, eps: float, R: float) -> NullCrit
 
 @dataclass(frozen=True)
 class UncertaintyResult:
+    """The three integrals of the uncertainty product and their null-rule
+    estimates (zero where not computed)."""
+
     energy: float
     weighted_moment: float
     norm: float
+    errors: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     @property
     def ratio(self) -> float:
@@ -400,13 +469,22 @@ class UncertaintyResult:
         return 4.0 * (self.energy / self.norm) * (self.weighted_moment / self.norm)
 
 
+def _moment_weight(density: SuiteDensity) -> np.ndarray:
+    # g r^2 on the members' nodes, g the uncertainty weight
+    model, r = density.model, density.suite.plan.nodes
+    return (hpw_g(model.p, model.q, r) * r**2)[density.suite.plan.index]
+
+
 def _uncertainty_results(density: SuiteDensity) -> list[UncertaintyResult]:
-    model, plan = density.model, density.suite.plan
-    r, v, f = plan.nodes, plan.val, density.values
-    energy = plan.integrals((plan.d1**2 - model.lambda0 * v**2) * f)
-    moment = plan.integrals(hpw_g(model.p, model.q, r) * r**2 * v**2 * f)
-    norm = plan.integrals(v**2 * f)
-    return [UncertaintyResult(*sides) for sides in zip(energy, moment, norm)]
+    plan = density.suite.plan
+    d1_sq, v_sq, _ = density.form(2.0)
+    (e, e_err), (m, m_err), (n, n_err) = (
+        plan.integrals(d1_sq - density.model.lambda0 * v_sq),
+        plan.integrals(_moment_weight(density) * v_sq),
+        plan.integrals(v_sq),
+    )
+    errors = zip(e_err.tolist(), m_err.tolist(), n_err.tolist())
+    return [UncertaintyResult(*sides) for sides in zip(e.tolist(), m.tolist(), n.tolist(), errors)]
 
 
 def uncertainty_gap(p: int, q: int, member: SuiteMember) -> UncertaintyResult:
@@ -422,12 +500,11 @@ def uncertainty_gap(p: int, q: int, member: SuiteMember) -> UncertaintyResult:
 
 def _rellich_results(density: SuiteDensity) -> list[GapResult]:
     model, plan = density.model, density.suite.plan
-    r, v, f = plan.nodes, plan.val, density.values
-    g = hpw_g(model.p, model.q, r)
-    lap = plan.d2 + np.asarray(model.log_df(r)) * plan.d1
-    lhs = plan.integrals(g * r**2 * (lap + model.lambda0 * v) ** 2 * f)
-    rhs = plan.integrals(v**2 / (16.0 * g * r**2) * f)
-    return [GapResult(a, b) for a, b in zip(lhs, rhs)]
+    weight = _moment_weight(density)
+    lap = plan.d2 + np.asarray(model.log_df(plan.nodes))[plan.index] * plan.d1
+    lhs = plan.integrals(weight * (lap + model.lambda0 * plan.val) ** 2 * density.values)
+    rhs = plan.integrals(density.form(2.0)[1] / (16.0 * weight))
+    return _gap_results(lhs, rhs)
 
 
 def rellich_gap(p: int, q: int, member: SuiteMember) -> GapResult:
@@ -507,8 +584,9 @@ class VerificationReport:
     seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        # the fields in their declared order
-        return dict(vars(self))
+        """The fields in their declared order, ready for JSON: a non-finite
+        side or gap (a skip) is None."""
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in vars(self).items()}
 
 
 def _pairs_for(model: DensityModel) -> list[tuple[str, dict, WeightPair]]:

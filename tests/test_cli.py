@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -220,6 +221,15 @@ def test_spectral_bottom_json(capsys):
     assert doc["gap"] == doc["extrapolated"] - doc["target_lambda0"]
 
 
+def test_spectral_bottom_refuses_a_non_finite_field(monkeypatch, capsys):
+    real = cli.spectral.bottom_eigenvalue
+    monkeypatch.setattr(cli.spectral, "bottom_eigenvalue", lambda problem: dataclasses.replace(real(problem), gap=math.inf))
+    assert main(["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5", "--mesh", "0.05"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spectral bottom: gap is not finite (inf)\n"
+
+
 def test_spectral_bottom_refuses_overflowing_density_without_warnings(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -267,6 +277,21 @@ def test_verify_family_summary_and_report(tmp_path, capsys):
     assert len(doc["reports"]) == 4
     assert doc["spaces"] == ["hyperbolic:3"]
     assert all(rep["verdict"] == "pass" for rep in doc["reports"])
+
+
+def test_verify_report_writes_a_skip_as_null(monkeypatch, tmp_path, capsys):
+    skip = cli.verify.VerificationReport("uncertainty.bump_00", "dr:8,7", {"member": "bump_00"}, verdict="skip")
+    monkeypatch.setattr(cli.verify, "run_verification", lambda **_: [skip])
+    out = tmp_path / "report.json"
+    assert main(["verify", "uncertainty", "--space", "dr:8,7", "--out", str(out)]) == 0
+    assert _lines(capsys)[-1] == "1 checks: 0 passed, 0 failed, 1 skipped"
+    text = out.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    (row,) = json.loads(text)["reports"]
+    assert row["lhs"] is None and row["rhs"] is None and row["gap"] is None
+    assert row["verdict"] == "skip" and row["params"] == {"member": "bump_00"}
+    with pytest.raises(ValueError):
+        cli._json_text({"x": math.nan})
 
 
 def test_exit_code_two_on_unusable_input(capsys):

@@ -208,9 +208,12 @@ def test_batch_calls_the_density_a_fixed_number_of_times():
 
 
 def test_dense_batch_reads_radii_off_shared_panels():
-    # the suite's 25,080 distinct radii lie about 0.0125 apart: one panel per
-    # gap would pass about 1,000,000 items to the density
-    radii = default_suite().plan.nodes
+    # the nodes of 0.25-wide panels over each suite member's support: 25,080
+    # distinct radii about 0.0125 apart; one panel per gap would pass about
+    # 1,000,000 items to the density
+    lo, hi = np.array([m.support for m in default_suite()]).T
+    radii = PanelPlan(lo, hi, 0.25, 8).nodes()[0]
+    assert np.unique(radii).size == 25_080
     sample = np.random.default_rng(7).choice(radii.size, 50, replace=False)
     for desc in ("dr:8,7", "hyperbolic:3"):
         model = _CountingModel(build_density(desc))

@@ -89,6 +89,21 @@ def test_ode_residual_requires_ground_state_and_valid_grid():
         ode_residual(dr, weight_theorem_b(dr), grid=np.array([0.0, 1.0]))
 
 
+def test_ode_passes_on_the_flat_plane_and_fails_a_scaled_net_weight(monkeypatch):
+    # on euclidean:2 the ground state is constant and V = W: its d2 is the
+    # rounding of cancelling 1/r^2 terms, which must read as rounding
+    assert all(r.verdict == "pass" for r in run_verification(spaces=["euclidean:2"], families=["ode"]))
+    real_pairs = verify._pairs_for
+
+    def scaled(model):
+        return [(label, params, dataclasses.replace(pair, W=pair.V + 1.05 * (pair.W - pair.V))) for label, params, pair in real_pairs(model)]
+
+    monkeypatch.setattr(verify, "_pairs_for", scaled)
+    reports = run_verification(spaces=DEFAULT_CATALOG, families=["ode"])
+    assert len(reports) == 38
+    assert all(r.verdict == "fail" for r in reports), [r.check_id for r in reports if r.verdict != "fail"]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_ode_residual_rejects_a_grid_with_nan_or_inf(bad):
     h3 = build_density("hyperbolic:3")
@@ -303,6 +318,89 @@ def test_single_member_gaps_run_the_suite_path():
     for member, res in zip(suite, batched):
         single = p_rayleigh_gap(model, pair, member)
         _assert_sides_close((single.lhs, single.rhs), (res.lhs, res.rhs), member.name)
+
+
+# -- the shared panel grid ------------------------------------------------------
+
+
+def _assert_members_tile_their_supports(suite):
+    lo, hi = suite.plan.panels.bounds()
+    for member, a, b in zip(suite, lo, hi):
+        assert _same_bits([a, b], member.support), (member.name, a, b, member.support)
+
+
+def test_members_share_one_grid_and_tile_their_supports():
+    suite = default_suite()
+    plan = suite.plan
+    # 36 distinct support ends, 143 panels; the members' own panels of them
+    # hold 32,720 nodes (27,480 on a 0.25-wide grid per member)
+    assert plan.nodes.size == 2_860
+    assert plan.val.size == plan.index.size == plan.segment.size == 32_720
+    _assert_members_tile_their_supports(suite)
+    r, segment = plan.panels.nodes()
+    assert _same_bits(r, plan.nodes[plan.index])
+    np.testing.assert_array_equal(segment, plan.segment)
+    assert np.all(np.diff(plan.nodes) > 0.0)
+
+
+def test_one_member_suite_keeps_the_per_member_plan():
+    member = default_suite().members[4]
+    plan = verify.TestFunctionSuite((member,)).plan
+    own = PanelPlan(*member.support, 0.25, 8).nodes()[0]
+    assert _same_bits(plan.nodes, own) and _same_bits(plan.nodes[plan.index], own)
+
+
+def test_support_ends_one_ulp_apart_tile_exactly():
+    bump = default_suite().members[3]
+    lo, hi = bump.support
+    down, up = (lambda x: np.nextafter(x, 0.0)), (lambda x: np.nextafter(x, np.inf))
+    supports = [(down(lo), hi), (up(lo), down(hi)), (lo, up(hi)), (up(lo), lo + 0.3)]
+    members = [bump] + [
+        verify.SuiteMember(f"ulp_{k}", verify._Bump(a, b), (a, b)) for k, (a, b) in enumerate(supports)
+    ]
+    suite = verify.TestFunctionSuite(tuple(members))
+    _assert_members_tile_their_supports(suite)
+    # the short member still spans at least 8 panels
+    assert np.bincount(suite.plan.segment).min() >= 8 * 20
+    with pytest.raises(DomainError):
+        verify.TestFunctionSuite((verify.SuiteMember("empty", bump.scalar, (hi, lo)),)).plan
+    model = build_density("dr:4,2")
+    pair = weight_theorem_b(model)
+    for member, res in zip(suite, verify._form_gaps(verify.SuiteDensity(model, suite), pair, 2.0)):
+        _assert_sides_close((res.lhs, res.rhs), _reference_form_gap(model, pair, member), member.name)
+
+
+def test_suite_jets_equal_each_members_jet_bit_for_bit():
+    suite = default_suite()
+    plan = suite.plan
+    r = plan.nodes[plan.index]
+    for k, member in enumerate(suite):
+        own = plan.segment == k
+        j = member.scalar.jet(r[own])
+        for name in ("val", "d1", "d2"):
+            assert _same_bits(getattr(plan, name)[own], getattr(j, name)), (member.name, name)
+
+
+def test_null_rule_estimates_of_the_catalog_sides():
+    # relative to |lhs| + |rhs| (uncertainty: the sizes of its three
+    # integrals); the per-member grid read 1.4e-11 on rayleigh and 7.5e-9 on
+    # rellich, whose estimates peak in the last panels of bump_00 on dr:8,7
+    suite = default_suite()
+    worst = dict.fromkeys(("rayleigh", "uncertainty", "rellich"), 0.0)
+    for space in DEFAULT_CATALOG:
+        density = verify.SuiteDensity(build_density(space), suite)
+        model = density.model
+        for _, _, pair in verify._pairs_for(model):
+            for res in verify._form_gaps(density, pair, pair.P):
+                worst["rayleigh"] = max(worst["rayleigh"], max(res.errors) / res.scale)
+        if model.kind == "dr" and model.q not in (0, 2):
+            for res in verify._uncertainty_results(density):
+                scale = abs(res.energy) + abs(res.weighted_moment) + abs(res.norm)
+                worst["uncertainty"] = max(worst["uncertainty"], max(res.errors) / scale)
+            for res in verify._rellich_results(density):
+                worst["rellich"] = max(worst["rellich"], max(res.errors) / res.scale)
+    assert worst["rayleigh"] <= 1e-11 and worst["uncertainty"] <= 1e-11, worst
+    assert worst["rellich"] <= 4e-9, worst
 
 
 # -- value-only evaluation ----------------------------------------------------
