@@ -8,18 +8,22 @@ evaluates the singular drift f'/f, and gets the natural (Neumann-type)
 condition at r = 0 for free by treating node 0 as a half cell.  The lumped
 mass is diagonal, so the pencil scales to one symmetric tridiagonal T.
 
-The solver is shifted inverse iteration, certified at both ends.
+Each ball is solved at the requested mesh h = R/N and at exactly h/2.  f is
+evaluated once, on the half mesh's grid, which holds every coarse node and
+midpoint bit for bit.  The solver is shifted inverse iteration, certified at
+both ends.
 
 * Shift.  T - sigma I is factored once (LAPACK ``dpttrf``, L D L^T) at
   sigma = lambda0 = h^2/4, the bottom of the whole space's spectrum, which
   lies below the Dirichlet bottom of every ball.  Only a potential can push
   the bottom below lambda0; then further factorization tests lower sigma
   until one succeeds.
-* Iteration.  ``dpttrs`` solves with those factors from a flat start vector
-  until the Rayleigh quotient moves by no more than its rounding level.
-  Each step costs O(cells); 5 to 14 steps suffice on the benchmark's balls.
-  On big balls lambda_k - lambda0 approaches k^2 pi^2 / R^2, so the error
-  contracts by about (1/4)^2 per step.
+* Iteration.  ``dpttrs`` solves with those factors until the Rayleigh
+  quotient moves by no more than its rounding level, O(cells) a step.  On
+  big balls lambda_k - lambda0 approaches k^2 pi^2 / R^2, so the error
+  contracts by about (1/4)^2 per step.  From a flat vector the coarse mesh
+  takes 5 to 14 steps on the benchmark's balls; from the coarse eigenvector
+  the half mesh takes 2 from 10k cells on, at most 4 at 1k.
 * Certificate.  The quotient bounds the eigenvalue from above (min-max).
   One more factorization test just below it shows that no eigenvalue lies
   below that point.  A failed test, an iteration that does not settle or a
@@ -30,11 +34,6 @@ Bisection (LAPACK ``stebz``) is only accurate to eps times the 1-norm of T,
 which grows like cells^2 and, through the half cell at the pole, like 2^n;
 Richardson extrapolation amplifies that error.  On dr:8,7 at R = 5 it moved
 the extrapolated value by 8e-5 relative from 10k to 50k cells.
-
-The solve keeps the name and ``d``-first signature of scipy's
-``eigh_tridiagonal``, whose bisection it replaces, and every solve goes
-through that one module-level function: the benchmark's traced pass wraps
-it by name and counts its calls and the size of ``d``.
 ``scipy.linalg.lapack`` is imported at the first solve, so importing the
 package loads no scipy module.
 """
@@ -58,8 +57,8 @@ _MAX_ITERATIONS = 100
 #: doublings of the step in the search for a positive definite shift
 _MAX_SHIFTS = 64
 #: the most cells R/mesh a ball may have, refused before any allocation: 200
-#: times the 50k-cell balls of the benchmark; 5M cells (10M at half mesh) take
-#: 3.4 s and 0.76 GB, so this limit needs about twice that
+#: times the 50k-cell balls of the benchmark; 2M cells (4M at half mesh) take
+#: 1.2 s and 0.33 GB on dr:4,2, so this limit needs about 1.7 GB
 _MAX_CELLS = 10_000_000
 
 
@@ -86,27 +85,32 @@ class SpectralResult:
     mesh: float
 
 
-def eigh_tridiagonal(d, e, shift: float) -> tuple[float, float]:
+def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarray]:
     """Smallest eigenvalue of the symmetric tridiagonal (d, e), with a certified lower end.
 
-    Returns (value, lower): ``value`` is a Rayleigh quotient, so no less than
-    the eigenvalue, and T - lower I factors, so no eigenvalue lies below
-    ``lower``.  ``shift`` is the first shift tried (``_shift_below``).
+    Returns (value, lower, x): ``value`` is a Rayleigh quotient, so no less
+    than the eigenvalue, T - lower I factors, so no eigenvalue lies below
+    ``lower``, and x is the last unit iterate.  ``shift`` is the first shift
+    tried (``_shift_below``); the start vector ``x`` (any scale) is flat by
+    default.
 
-    Each step solves (T - shift I) y = x for the normalised iterate x and
-    takes the quotient shift + <x, y>/<y, y>, which never forms T y and so
-    loses nothing to cancellation against ||T||.  Its rounding level is
+    Each step solves (T - shift I) y = x for the iterate x and takes the
+    quotient shift + <x, y>/<y, y>, which never forms T y and so loses
+    nothing to cancellation against ||T||.  Its rounding level is
     eps (|shift| + x^T |T - shift I| x), bounded through the absolute row
     sums of T - shift I: how far a relative error of one ulp in every entry
     moves it.  For a smooth x that is about eps ||T||, far below eps times
     the 1-norm of T, which the pole's half cell dominates in high dimension.
     The quotients decrease monotonically in exact arithmetic, so the
     iteration stops once a step is within that level, and the lower end is
-    tested 4 max(last step, rounding level) below the quotient.
+    tested 4 max(last step, rounding level) below the quotient.  The level
+    is computed only once the step is within 2 eps (|shift| + max rows), a
+    bound on it for a unit x, so the iteration stops at the same step.
 
     The name and the ``d``-first signature are those of scipy's bisection,
     which this replaces: the benchmark's traced pass wraps this function by
-    name, so every solve must go through it.
+    name and counts its calls and the size of ``d``, so every solve must go
+    through it.
     """
     from scipy.linalg.lapack import dpttrs
 
@@ -116,9 +120,13 @@ def eigh_tridiagonal(d, e, shift: float) -> tuple[float, float]:
     shift, (fd, fe) = _shift_below(d, e, float(shift))
     # absolute row sums of T - shift I: x^T |T - shift I| x <= rows @ x^2
     rows = np.abs(d - shift)
-    rows[1:] += np.abs(e)
-    rows[:-1] += np.abs(e)
-    x = np.full(d.size, d.size**-0.5)
+    abs_e = np.abs(e)
+    rows[1:] += abs_e
+    rows[:-1] += abs_e
+    del abs_e
+    ceiling = 2.0 * _EPS * (abs(shift) + float(rows.max()))
+    if x is None:
+        x = np.full(d.size, d.size**-0.5)
     value = step = math.inf
     for _ in range(_MAX_ITERATIONS):
         y = dpttrs(fd, fe, x)[0]
@@ -126,15 +134,16 @@ def eigh_tridiagonal(d, e, shift: float) -> tuple[float, float]:
         quotient = shift + float(x @ y) / yy
         step, value = value - quotient, quotient
         x = y * (1.0 / math.sqrt(yy))
-        rounding = _EPS * (abs(shift) + float(rows @ (x * x)))
-        if abs(step) <= rounding:
-            break
+        if abs(step) <= ceiling:
+            rounding = _EPS * (abs(shift) + float(rows @ (x * x)))
+            if abs(step) <= rounding:
+                break
     else:
         raise QuadratureError(f"inverse iteration did not settle in {_MAX_ITERATIONS} steps (last step {step:.3e})")
     lower = value - 4.0 * max(abs(step), rounding)
     if _factors(d, e, lower) is None:
         raise QuadratureError(f"eigenvalue {value!r} not certified: T - {lower!r} I is not positive definite")
-    return value, lower
+    return value, lower, x
 
 
 def _factors(d, e, shift: float):
@@ -176,73 +185,92 @@ def _shift_below(d, e, shift: float):
     return lo, factors
 
 
-def _assemble(model: DensityModel, potential: RadialScalar | None, R: float, h: float):
-    """Scaled symmetric tridiagonal (d, e) of the flux scheme with ``R/h`` cells."""
-    cells = int(round(R / h))
-    h = R / cells
-    # unknowns at nodes 0..cells-1; node `cells` is the Dirichlet boundary
-    mids = (np.arange(cells) + 0.5) * h
-    nodes = np.arange(cells) * h
-    # f overflows on big balls in high dimension; that is refused below,
-    # not warned about on the way
+def _density(model: DensityModel, h: float, cells: int) -> np.ndarray:
+    """f on a mesh of width h: f(h/4), then f(k h/2) for k = 1 .. 2 cells - 1.
+
+    Odd k are the midpoints, even k the nodes.  k h/2 equals (i + 1/2) h and
+    i h bit for bit, so the grid of the mesh h/2 holds that of the mesh h at
+    its entry 1 and its entries 2k.
+    """
+    # a float range: scaling an integer one converts every entry first, 8x slower
+    r = np.arange(2 * cells, dtype=float) * (0.5 * h)
+    r[0] = 0.25 * h
+    # f overflows on big balls in high dimension; `_assemble` refuses that
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(model.f(r))
+
+
+def _assemble(f_pole: float, f_mid, f_node, h: float, R: float, potential: RadialScalar | None):
+    """Scaled symmetric tridiagonal (d, e) of the flux scheme from f at h/4, the midpoints and the nodes i >= 1."""
+    cells = f_mid.size
+    # unknowns at nodes 0..cells-1; node `cells` is the Dirichlet boundary.
+    # f grows with r and the last midpoint lies beyond every node
+    finite = np.isfinite(f_mid)
+    if not finite.all():
+        r_bad = (np.argmin(finite) + 0.5) * h
+        raise QuadratureError(f"density f is not finite from r={r_bad:.6g} on the ball of radius {R:g}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f_mid = np.asarray(model.f(mids))
         m_diag = np.empty(cells)
-        m_diag[0] = 0.5 * h * float(model.f(0.25 * h))
-        m_diag[1:] = h * np.asarray(model.f(nodes[1:]))
-        # f grows with r and the last midpoint lies beyond every node
-        finite = np.isfinite(f_mid)
-        if not finite.all():
-            r_bad = mids[np.argmin(finite)]
-            raise QuadratureError(f"density f is not finite from r={r_bad:.6g} on the ball of radius {R:g}")
-
-        k_diag = np.empty(cells)
-        k_diag[0] = f_mid[0] / h
-        k_diag[1:] = (f_mid[:-1] + f_mid[1:]) / h
-        k_off = -f_mid[: cells - 1] / h
+        m_diag[0] = 0.5 * h * f_pole
+        np.multiply(f_node, h, out=m_diag[1:])
+        d = np.empty(cells)  # the stiffness diagonal until scaled
+        d[0] = f_mid[0] / h
+        np.add(f_mid[:-1], f_mid[1:], out=d[1:])
+        d[1:] /= h
         if potential is not None:
-            r_eval = nodes.copy()
+            r_eval = np.arange(cells, dtype=float) * h
             r_eval[0] = 0.25 * h
-            k_diag = k_diag + np.asarray(potential.value(r_eval)) * m_diag
-
+            d += np.asarray(potential.value(r_eval)) * m_diag
         # the lumped mass is strictly positive, so the generalized pencil
         # reduces to a standard symmetric tridiagonal problem by diagonal
         # scaling; the two square roots are applied one at a time because the
         # mass product overflows on big balls in high dimension even when the
         # quotient is tame
-        d = k_diag / m_diag
-        e = k_off / np.sqrt(m_diag[:-1]) / np.sqrt(m_diag[1:])
+        d /= m_diag
+        root_m = np.sqrt(m_diag, out=m_diag)
+        e = np.divide(f_mid[:-1], -h)
+        e /= root_m[:-1]
+        e /= root_m[1:]
     return d, e
-
-
-def _solve_once(model: DensityModel, potential: RadialScalar | None, R: float, h: float) -> float:
-    d, e = _assemble(model, potential, R, h)
-    return eigh_tridiagonal(d, e, model.lambda0)[0]
 
 
 def bottom_eigenvalue(problem: EigenProblem) -> SpectralResult:
     """Smallest generalized eigenvalue with Richardson extrapolation.
 
-    Solves at the requested mesh and at half the mesh; the scheme is second
+    Solves at h = R/round(R/mesh) and at exactly h/2; the scheme is second
     order, so (4 lambda_{h/2} - lambda_h)/3 cancels the leading error term.
-    The Dirichlet value is an upper bound for the spectral bottom and
-    decreases as R grows.
+    The half mesh starts from the coarse eigenvector x interpolated linearly
+    (0 at R).  Away from the pole x = sqrt(m) u is sqrt(h) times the
+    Liouville variable sqrt(f) u, smooth where u decays like f^(-1/2).  The
+    Dirichlet value is an upper bound for the spectral bottom and decreases
+    as R grows.
     """
-    if not 0.0 < problem.R < np.inf:
+    R, mesh, model = problem.R, problem.mesh, problem.model
+    if not 0.0 < R < np.inf:
         raise PreconditionError("ball radius must be positive and finite")
-    if not 0.0 < problem.mesh <= problem.R / 100.0:
+    if not 0.0 < mesh <= R / 100.0:
         raise PreconditionError("mesh must satisfy 0 < mesh <= R/100 (at least 100 cells)")
-    if not problem.R / problem.mesh <= _MAX_CELLS:
-        raise PreconditionError(f"R/mesh is {problem.R / problem.mesh:.3g} cells, more than {_MAX_CELLS:,}")
-    lam = _solve_once(problem.model, problem.potential, problem.R, problem.mesh)
-    lam_half = _solve_once(problem.model, problem.potential, problem.R, problem.mesh / 2.0)
+    if not R / mesh <= _MAX_CELLS:
+        raise PreconditionError(f"R/mesh is {R / mesh:.3g} cells, more than {_MAX_CELLS:,}")
+    cells = int(round(R / mesh))
+    h = R / cells
+    f = _density(model, 0.5 * h, 2 * cells)
+    d, e = _assemble(f[1], f[2::4], f[4::4], h, R, problem.potential)
+    lam, _, x = eigh_tridiagonal(d, e, model.lambda0)
+    del d, e
+    d, e = _assemble(f[0], f[1::2], f[2::2], 0.5 * h, R, problem.potential)
+    del f
+    x = np.repeat(x, 2)
+    x[1:-1:2] += x[2::2]
+    x[1::2] *= 0.5
+    lam_half = eigh_tridiagonal(d, e, model.lambda0, x)[0]
     extrapolated = (4.0 * lam_half - lam) / 3.0
     return SpectralResult(
         eigenvalue=lam,
         eigenvalue_half_mesh=lam_half,
         extrapolated=extrapolated,
-        target_lambda0=problem.model.lambda0,
-        gap=extrapolated - problem.model.lambda0,
-        R=problem.R,
-        mesh=problem.mesh,
+        target_lambda0=model.lambda0,
+        gap=extrapolated - model.lambda0,
+        R=R,
+        mesh=mesh,
     )

@@ -1,9 +1,11 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+from scipy.linalg import lapack
 
 from hardyscope import spectral
 from hardyscope.calculus import RadialScalar
@@ -14,6 +16,37 @@ from hardyscope.spectral import EigenProblem, SpectralResult, bottom_eigenvalue,
 EPS = np.finfo(float).eps
 #: the spaces of the benchmark's spectral workload
 WORKLOAD_SPACES = ("euclidean:3", "hyperbolic:3", "hyperbolic:5", "dr:2,1", "dr:4,2", "dr:8,7")
+#: the workload's 17 certified (space, R) balls; f overflows on dr:8,7 at R = 70
+CERTIFIED_BALLS = [(space, R) for space in WORKLOAD_SPACES for R in (5.0, 20.0, 70.0) if (space, R) != ("dr:8,7", 70.0)]
+
+
+def _assemble(model, R, cells):
+    """(d, e) of one mesh of R/cells cells, assembled cold from its own density grid."""
+    h = R / cells
+    f = spectral._density(model, h, cells)
+    return spectral._assemble(f[0], f[1::2], f[2::2], h, R, None)
+
+
+def _record_solves(monkeypatch):
+    """Record every solve of ``eigh_tridiagonal`` with its matrix, bracket and ``dpttrs`` steps."""
+    solves, steps = [], [0]
+    dpttrs = lapack.dpttrs
+
+    def counting(*args, **kwargs):
+        steps[0] += 1
+        return dpttrs(*args, **kwargs)
+
+    eigh = spectral.eigh_tridiagonal
+
+    def recording(d, e, shift, x=None):
+        before = steps[0]
+        value, lower, vec = eigh(d, e, shift, x)
+        solves.append(SimpleNamespace(d=d, e=e, value=value, lower=lower, steps=steps[0] - before))
+        return value, lower, vec
+
+    monkeypatch.setattr(lapack, "dpttrs", counting)
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", recording)
+    return solves
 
 
 def test_hyperbolic3_small_ball_reference():
@@ -90,8 +123,8 @@ def test_inverse_iteration_matches_bisection(space):
         if space == "dr:8,7" and R == 70.0:
             continue  # f overflows there; refused below
         for cells in (1_000, 10_000):
-            d, e = spectral._assemble(model, None, R, R / cells)
-            value, lower = eigh_tridiagonal(d, e, model.lambda0)
+            d, e = _assemble(model, R, cells)
+            value, lower, _ = eigh_tridiagonal(d, e, model.lambda0)
             # scipy's default bisection stops at an interval of eps ||T||_1
             rows = np.abs(d)
             rows[1:] += np.abs(e)
@@ -129,10 +162,10 @@ def test_negative_constant_potential_shifts_spectrum(shift):
 
 def test_shift_above_the_spectrum_is_searched_down():
     model = build_density("dr:4,2")
-    d, e = spectral._assemble(model, None, 5.0, 0.005)
+    d, e = _assemble(model, 5.0, 1000)
     at_floor = eigh_tridiagonal(d, e, model.lambda0)
     for shift in (at_floor[0], 10.0, 1e6):
-        value, lower = eigh_tridiagonal(d, e, shift)
+        value, lower, _ = eigh_tridiagonal(d, e, shift)
         # the two certified brackets overlap and the values agree to the
         # rounding level
         assert lower <= at_floor[0] and value >= at_floor[1]
@@ -154,7 +187,7 @@ def test_non_finite_assembly_is_refused_without_warnings():
 
 def test_failed_certificate_and_unsettled_iteration_are_refused(monkeypatch):
     model = build_density("hyperbolic:3")
-    d, e = spectral._assemble(model, None, 5.0, 0.05)
+    d, e = _assemble(model, 5.0, 100)
     factors = spectral._factors
     monkeypatch.setattr(spectral, "_factors", lambda d, e, shift: factors(d, e, shift) if shift == model.lambda0 else None)
     with pytest.raises(QuadratureError, match="not certified"):
@@ -163,3 +196,69 @@ def test_failed_certificate_and_unsettled_iteration_are_refused(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 2)
     with pytest.raises(QuadratureError, match="did not settle in 2 steps"):
         eigh_tridiagonal(d, e, model.lambda0)
+
+
+def test_half_mesh_solve_is_bracketed(monkeypatch):
+    # the half mesh starts from the coarse eigenvector; its certified bracket
+    # still holds the bisection limit of its own matrix, within a quarter of
+    # its width of the top, as for a cold solve: the limit is itself only
+    # good to about eps ||T||_1, and lies up to 2e-12 above a cold quotient
+    solves = _record_solves(monkeypatch)
+    for space, R in CERTIFIED_BALLS:
+        model = build_density(space)
+        out = bottom_eigenvalue(EigenProblem(model, R=R, mesh=R / 1_000))
+        coarse, half = solves[-2:]
+        assert (coarse.d.size, half.d.size) == (1_000, 2_000)
+        assert half.value == out.eigenvalue_half_mesh
+        limit = _bisection(half.d, half.e, tol=np.finfo(float).tiny)
+        assert half.lower <= limit, (space, R)
+        assert abs(half.value - limit) <= 0.25 * (half.value - half.lower), (space, R)
+
+
+def test_half_mesh_solve_starts_warm(monkeypatch):
+    # a flat start takes 5 to 14 steps on these balls; the interpolated coarse
+    # eigenvector is within the coarse mesh's own discretization error of the
+    # half mesh's, which two steps resolve from 10k cells on (four at most
+    # at 1k: dr:8,7 at R = 20)
+    solves = _record_solves(monkeypatch)
+    for cells, most in ((1_000, 4), (10_000, 2)):
+        for space, R in CERTIFIED_BALLS:
+            bottom_eigenvalue(EigenProblem(build_density(space), R=R, mesh=R / cells))
+            coarse, half = solves[-2:]
+            assert coarse.steps >= 5 and half.steps <= most, (space, R, cells, coarse.steps, half.steps)
+
+
+def test_coarse_eigenvalue_matches_a_cold_solve_bit_for_bit():
+    # the coarse mesh reads f off the half mesh's grid as strided views
+    for space, R in CERTIFIED_BALLS:
+        model = build_density(space)
+        for cells in (1_000, 2_345):
+            out = bottom_eigenvalue(EigenProblem(model, R=R, mesh=R / cells))
+            cold = eigh_tridiagonal(*_assemble(model, R, cells), model.lambda0)[0]
+            assert out.eigenvalue == cold, (space, R, cells)
+
+
+@pytest.mark.parametrize("space", ["hyperbolic:3", "dr:4,2"])
+def test_half_mesh_halves_the_mesh_exactly(space):
+    # R/mesh = 1000.3 and 999.7 round to the same 1000 cells, and the half
+    # mesh has exactly 2000, so Richardson's ratio is exactly 2
+    model = build_density(space)
+    R = 5.0
+    results = [bottom_eigenvalue(EigenProblem(model, R=R, mesh=R / ratio)) for ratio in (1000.0, 1000.3, 999.7)]
+    numbers = [(r.eigenvalue, r.eigenvalue_half_mesh, r.extrapolated, r.target_lambda0, r.gap) for r in results]
+    assert numbers[1] == numbers[0] and numbers[2] == numbers[0]
+    if space == "hyperbolic:3":
+        exact = 1.0 + math.pi**2 / R**2
+        assert abs(results[0].extrapolated - exact) < 2e-10 * exact
+
+
+def test_gap_is_positive_on_the_certified_balls(monkeypatch):
+    # the Dirichlet bottom of a ball lies strictly above lambda0, and so does
+    # each mesh's certified lower end
+    solves = _record_solves(monkeypatch)
+    for space, R in CERTIFIED_BALLS:
+        model = build_density(space)
+        out = bottom_eigenvalue(EigenProblem(model, R=R, mesh=R / 1_000))
+        assert out.gap > 0.0, (space, R)
+        for solve in solves[-2:]:
+            assert solve.lower > model.lambda0, (space, R)

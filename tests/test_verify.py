@@ -174,6 +174,17 @@ def test_asymptotics_fit_validation():
         asymptotics_fit(radii, -(radii**2))
 
 
+def test_asymptotics_uses_the_critical_law_at_P_equal_n():
+    # P = 2 = n on hyperbolic:2: W ~ |r ln r|^(-2), whose fitted slope is
+    # -1.88 on [1e-8, 1e-6]; the P < n rows of the catalog keep -P exactly
+    (critical,) = run_verification(spaces=["hyperbolic:2"], families=["asymptotics"])
+    assert critical.verdict == "pass"
+    assert -1.9 < critical.rhs < -1.85 and abs(critical.gap) <= 0.01
+    catalog = run_verification(families=["asymptotics"])
+    assert len(catalog) == 7
+    assert all(r.rhs == -2.0 and r.gap == r.lhs + 2.0 and r.verdict == "pass" for r in catalog)
+
+
 def test_run_verification_orders_reports_deterministically():
     kwargs = dict(spaces=["hyperbolic:3"], families=["criticality"])
     first = run_verification(**kwargs)
