@@ -13,10 +13,7 @@ from .calculus import (
     Jet2,
     RadialScalar,
     hilfe_rhs,
-    jet_where,
-    laplacian_radial,
     p_laplacian_radial,
-    power_product_coefficient,
     radius,
 )
 from .errors import (
@@ -31,7 +28,6 @@ from .green import (
     GreenEvaluation,
     asymptotic_prediction,
     green_gamma0,
-    green_log_derivative,
     green_value,
     green_weight,
     green_weight_batch,
@@ -44,7 +40,6 @@ from .spaces import (
     SpaceSpec,
     build_density,
     default_grid,
-    default_models,
     heisenberg_exponent,
     parse_space,
     validate_heisenberg_params,
@@ -72,8 +67,6 @@ from .verify import (
 )
 from .weights import (
     WeightPair,
-    WeightSample,
-    default_aux_h,
     hpw_g,
     raw_density_ratio,
     weight_dr_poincare,
@@ -100,7 +93,6 @@ __all__ = [
     "DEFAULT_CATALOG",
     "parse_space",
     "build_density",
-    "default_models",
     "default_grid",
     "heisenberg_exponent",
     "validate_heisenberg_params",
@@ -108,28 +100,22 @@ __all__ = [
     "Jet2",
     "RadialScalar",
     "radius",
-    "jet_where",
-    "laplacian_radial",
     "p_laplacian_radial",
-    "power_product_coefficient",
     "hilfe_rhs",
     # weights
     "WeightPair",
-    "WeightSample",
     "weight_theorem_b",
     "weight_dr_poincare",
     "weight_gamma_family",
     "weight_gamma_dr",
     "weight_weighted",
     "weight_p_dr",
-    "default_aux_h",
     "raw_density_ratio",
     "hpw_g",
     # green
     "GreenEvaluation",
     "AsymptoticPrediction",
     "green_value",
-    "green_log_derivative",
     "green_weight",
     "green_weight_batch",
     "green_gamma0",

@@ -110,38 +110,15 @@ class Jet2:
         u = self.d1 / self.val
         return Jet2(np.log(self.val), u, self.d2 / self.val - u * u)
 
-    def sqrt(self):
-        s = np.sqrt(self.val)
-        return Jet2(s, self.d1 / (2.0 * s), self.d2 / (2.0 * s) - self.d1 * self.d1 / (4.0 * s * self.val))
-
     def sinh(self):
         sh, ch = np.sinh(self.val), np.cosh(self.val)
         return Jet2(sh, ch * self.d1, ch * self.d2 + sh * self.d1 * self.d1)
-
-    def cosh(self):
-        sh, ch = np.sinh(self.val), np.cosh(self.val)
-        return Jet2(ch, sh * self.d1, sh * self.d2 + ch * self.d1 * self.d1)
 
 
 def _as_jet(x) -> Jet2:
     if isinstance(x, Jet2):
         return x
     return Jet2.constant(x)
-
-
-def jet_where(mask: np.ndarray, a: Jet2, b: Jet2) -> Jet2:
-    """Elementwise selection between two jets.
-
-    Both branches are evaluated in full before selection, so callers should
-    silence spurious overflow warnings from the discarded branch themselves.
-    """
-    return Jet2(np.where(mask, a.val, b.val), _where(mask, a.d1, b.d1), _where(mask, a.d2, b.d2))
-
-
-def _where(mask, a, b):
-    if a is _MISSING or b is _MISSING:
-        return _MISSING
-    return np.where(mask, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +196,6 @@ class RadialScalar:
     def jet(self, r: ArrayLike) -> Jet2:
         return self._fn(Jet2.variable(r))
 
-    def apply(self, x: Jet2) -> Jet2:
-        """Evaluate on an arbitrary jet (for composing scalars by hand)."""
-        return self._fn(x)
-
     def value(self, r: ArrayLike) -> ArrayLike:
         # no derivative slot feeds a value slot, so the placeholders give the
         # value of the full jet without computing any derivative
@@ -286,14 +259,8 @@ class RadialScalar:
     def log(self):
         return RadialScalar(lambda x: self._fn(x).log())
 
-    def sqrt(self):
-        return RadialScalar(lambda x: self._fn(x).sqrt())
-
     def sinh(self):
         return RadialScalar(lambda x: self._fn(x).sinh())
-
-    def cosh(self):
-        return RadialScalar(lambda x: self._fn(x).cosh())
 
 
 def _chain(g: Jet2, x: Jet2) -> Jet2:
@@ -354,13 +321,6 @@ def check_radius(r: ArrayLike) -> ArrayLike:
     return float(arr) if arr.ndim == 0 else arr
 
 
-def laplacian_radial(u: RadialScalar, model, r: ArrayLike) -> ArrayLike:
-    """Laplace-Beltrami operator on a radial function: u'' + (f'/f) u'."""
-    r = check_radius(r)
-    j = u.jet(r)
-    return j.d2 + model.log_df(r) * j.d1
-
-
 def p_laplacian_radial(u: RadialScalar, model, P: float, r: ArrayLike) -> ArrayLike:
     """P-Laplacian of a radial function.
 
@@ -377,22 +337,6 @@ def p_laplacian_radial(u: RadialScalar, model, P: float, r: ArrayLike) -> ArrayL
     if P == 2.0:
         return core
     return np.abs(du) ** (P - 2.0) * core
-
-
-def power_product_coefficient(alpha: float, beta: float, model, r: ArrayLike) -> ArrayLike:
-    """Coefficient c(r) with Delta(r^alpha f^beta) = c(r) * r^alpha f^beta.
-
-    Expanding the product rule gives four groups:
-    alpha(alpha-1)/r^2 + alpha(2 beta + 1)(f'/f)/r + beta f''/f + beta^2 (f'/f)^2.
-    """
-    r = check_radius(r)
-    L = model.log_df(r)
-    return (
-        alpha * (alpha - 1.0) / r**2
-        + alpha * (2.0 * beta + 1.0) * L / r
-        + beta * model.d2f_over_f(r)
-        + beta**2 * L**2
-    )
 
 
 def hilfe_coefficients(c: float, b: float, p: int, q: int) -> tuple[float, float, float]:

@@ -48,7 +48,6 @@ __all__ = [
     "unit_sphere_volume",
     "certify",
     "green_value",
-    "green_log_derivative",
     "green_weight",
     "green_weight_batch",
     "green_gamma0",
@@ -89,18 +88,12 @@ def unit_sphere_volume(n: int) -> float:
 
 @dataclass
 class GreenEvaluation:
-    """Evaluation of the P-Green function at one radius with its error bound.
-
-    ``cutoff`` is the far cutoff where the bracketed tail begins (infinite on
-    flat space, where G has a closed form).
-    """
+    """Evaluation of the P-Green function at one radius with its error bound."""
 
     P: float
     r: float
     value: float
     error_bound: float
-    cutoff: float
-    omega_n: float
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +387,7 @@ def green_value(model: DensityModel, P: float, r: float, tol: float = 1e-10) -> 
     r = float(check_radius(r))
     out = green_weight_batch(model, P, r)
     certify(np.atleast_1d(r), out, tol)
-    value, error_bound = float(out["G"][0]), float(out["G_err"][0])
-    cutoff = math.inf if model.kind == EUCLIDEAN else _far_cutoff(model, float(P), max(r, 1.0))
-    return GreenEvaluation(
-        P=float(P), r=r, value=value, error_bound=error_bound, cutoff=cutoff, omega_n=unit_sphere_volume(model.n)
-    )
-
-
-def green_log_derivative(model: DensityModel, P: float, r: float) -> float:
-    """G'/G at radius r; always <= -h/(P-1), exactly -(n-P)/((P-1)r) when flat."""
-    r = float(check_radius(r))
-    return float(green_weight_batch(model, P, r)["dlogG"][0])
+    return GreenEvaluation(P=float(P), r=r, value=float(out["G"][0]), error_bound=float(out["G_err"][0]))
 
 
 # ---------------------------------------------------------------------------

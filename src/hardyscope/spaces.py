@@ -237,11 +237,13 @@ class DensityModel:
 
     @_scalar_ok
     def dlog_df(self, r):
-        """Derivative of f'/f."""
+        """Derivative of f'/f.  Past r = 355 sinh(r)^2 overflows and its term
+        reads 0, which is right: the true term is below the normal doubles."""
         if self.kind == EUCLIDEAN:
             return -(self.n - 1) / r**2
-        out = self.q / np.sinh(r) ** 2
-        return -self.p / (4.0 * np.sinh(r / 2.0) ** 2) - out if self.p else -out
+        with np.errstate(over="ignore"):
+            out = self.q / np.sinh(r) ** 2
+            return -self.p / (4.0 * np.sinh(r / 2.0) ** 2) - out if self.p else -out
 
     @_scalar_ok
     def d2f_over_f(self, r):
@@ -269,11 +271,6 @@ def build_density(spec: SpaceSpec | str) -> DensityModel:
     if isinstance(spec, str):
         spec = parse_space(spec)
     return DensityModel(spec)
-
-
-def default_models() -> list[DensityModel]:
-    """Models for every space in the default catalog, in catalog order."""
-    return [build_density(text) for text in DEFAULT_CATALOG]
 
 
 def default_grid() -> np.ndarray:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -110,7 +110,8 @@ class SuitePlan:
     are the grid's nodes, where functions of the space and of a pair are
     evaluated once.  ``panels`` holds each member's panels of the grid as one
     segment, in member order, chosen by breakpoint index so each member's
-    panels tile its support exactly.  On the nodes of ``panels``, ``index``
+    panels tile its support exactly; its ``reduce`` gives every member's
+    integral and null-rule estimate.  On the nodes of ``panels``, ``index``
     gives each node's place in ``nodes`` and ``segment`` its member, and
     ``val``, ``d1`` and ``d2`` the member's value and first two derivatives.
     """
@@ -122,11 +123,6 @@ class SuitePlan:
     val: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-
-    def integrals(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """Per-member integrals and their null-rule estimates from the
-        integrand's values on the members' nodes."""
-        return self.panels.reduce(values)
 
 
 @dataclass(frozen=True)
@@ -219,19 +215,17 @@ def _gaussian_scalar(center: float, width: float) -> RadialScalar:
     return RadialScalar.from_values(value, d1, d2)
 
 
-def default_suite(support: tuple[float, float] = (0.2, 30.0), count: int = 18) -> TestFunctionSuite:
-    """Bumps sliding across the support plus two truncated Gaussians.
+@cache
+def default_suite() -> TestFunctionSuite:
+    """Bumps sliding across the support (0.2, 30) plus two truncated Gaussians.
 
-    The bumps share a common width and move from the left edge to the right
-    edge of the support, so the suite probes both the origin side and the
-    far side of each weight.  The Gaussians are multiplied by the full-width
-    bump so every member is compactly supported.
+    The 18 bumps share a common width and move from the left edge to the
+    right edge of the support, so the suite probes both the origin side and
+    the far side of each weight.  The Gaussians are multiplied by the
+    full-width bump so every member is compactly supported.  Built once per
+    process, and its plan with it on first use.
     """
-    a, b = support
-    if not (0.0 < a < b):
-        raise PreconditionError("suite support must satisfy 0 < a < b")
-    if count < 1:
-        raise PreconditionError("need at least one bump")
+    a, b, count = 0.2, 30.0, 18
     members = []
     shift = (b - a) / (2.0 * count)
     for k in range(count):
@@ -274,7 +268,7 @@ class SuiteDensity:
         if P not in self._forms:
             plan, f = self.suite.plan, self.values
             energy = np.abs(plan.d1) ** P * f
-            self._forms[P] = energy, np.abs(plan.val) ** P * f, plan.integrals(energy)
+            self._forms[P] = energy, np.abs(plan.val) ** P * f, plan.panels.reduce(energy)
         return self._forms[P]
 
 
@@ -313,9 +307,9 @@ def _form_gaps(density: SuiteDensity, pair: WeightPair, P: float) -> list[GapRes
     energy, mass, energy_sides = density.form(P)
     net = (np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r)))[plan.index]
     if pair.measure is None:
-        return _gap_results(energy_sides, plan.integrals(net * mass))
+        return _gap_results(energy_sides, plan.panels.reduce(net * mass))
     mu = np.asarray(pair.measure.value(r))[plan.index]
-    return _gap_results(plan.integrals(energy * mu), plan.integrals(net * mass * mu))
+    return _gap_results(plan.panels.reduce(energy * mu), plan.panels.reduce(net * mass * mu))
 
 
 def rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> GapResult:
@@ -378,7 +372,11 @@ class CriticalityProbe:
 
     The ground state ceases to be optimal iff some positive supersolution
     grows strictly slower; the standard candidate multiplies Phi by |log r|.
-    The ratio must decay to zero on both ends for the pair to be critical.
+    Phi cancels in the ratio, which is 1/|log r| on every space (within 3e-10
+    on the catalog, the rounding of log Phi), so the ``criticality.probe_*``
+    checks cannot fail: they show only that log Phi is finite at the probe
+    radii.  The evidence for criticality is the null mass
+    (``null_criticality_mass``), which grows like (1/4) log R.
     """
 
     at_origin: tuple[tuple[float, float], ...]
@@ -479,9 +477,9 @@ def _uncertainty_results(density: SuiteDensity) -> list[UncertaintyResult]:
     plan = density.suite.plan
     d1_sq, v_sq, _ = density.form(2.0)
     (e, e_err), (m, m_err), (n, n_err) = (
-        plan.integrals(d1_sq - density.model.lambda0 * v_sq),
-        plan.integrals(_moment_weight(density) * v_sq),
-        plan.integrals(v_sq),
+        plan.panels.reduce(d1_sq - density.model.lambda0 * v_sq),
+        plan.panels.reduce(_moment_weight(density) * v_sq),
+        plan.panels.reduce(v_sq),
     )
     errors = zip(e_err.tolist(), m_err.tolist(), n_err.tolist())
     return [UncertaintyResult(*sides) for sides in zip(e.tolist(), m.tolist(), n.tolist(), errors)]
@@ -502,8 +500,8 @@ def _rellich_results(density: SuiteDensity) -> list[GapResult]:
     model, plan = density.model, density.suite.plan
     weight = _moment_weight(density)
     lap = plan.d2 + np.asarray(model.log_df(plan.nodes))[plan.index] * plan.d1
-    lhs = plan.integrals(weight * (lap + model.lambda0 * plan.val) ** 2 * density.values)
-    rhs = plan.integrals(density.form(2.0)[1] / (16.0 * weight))
+    lhs = plan.panels.reduce(weight * (lap + model.lambda0 * plan.val) ** 2 * density.values)
+    rhs = plan.panels.reduce(density.form(2.0)[1] / (16.0 * weight))
     return _gap_results(lhs, rhs)
 
 

@@ -16,8 +16,10 @@ A ground state is written once, as its logarithm: a radial scalar combining
 log r, the model's log f (``DensityModel.log_f_scalar``) and, for the gamma
 family, log aux_h.  ``extras["log_ground_state"]`` is that scalar and the
 ground state is its exponential, so neither passes through f itself, which
-overflows once log f exceeds about 709.  The default aux_h and the
-cross-check ``raw_density_ratio`` take f as exp(log f) too.
+overflows once log f exceeds about 709.  The gamma family's V takes aux_h
+through its logarithm too; the cross-check ``raw_density_ratio`` takes f as
+exp(log f).  The sinh terms read 0 where sinh overflows (past r = 355 for
+sinh(r)^2), which is their value to double precision.
 
 Evaluation strategy: V and W default to algebraically collapsed closed forms,
 which stay accurate near the pole where the raw quotient-of-derivatives
@@ -45,7 +47,6 @@ from .spaces import (
 
 __all__ = [
     "WeightPair",
-    "WeightSample",
     "weight_theorem_b",
     "weight_dr_poincare",
     "weight_gamma_family",
@@ -53,7 +54,6 @@ __all__ = [
     "weight_weighted",
     "weight_p_dr",
     "hpw_g",
-    "default_aux_h",
     "raw_density_ratio",
 ]
 
@@ -61,18 +61,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class WeightSample:
-    """Pointwise evaluation of a WeightPair."""
-
-    r: float | np.ndarray
-    V: float | np.ndarray
-    W: float | np.ndarray
-    W_total: float | np.ndarray
-    terms: dict
-    ground_state: float | np.ndarray | None
 
 
 @dataclass
@@ -95,19 +83,6 @@ class WeightPair:
     P: float = 2.0
     extras: dict = field(default_factory=dict)
 
-    def sample(self, r) -> WeightSample:
-        r = check_radius(r)
-        v = self.V.value(r)
-        w = self.W.value(r)
-        return WeightSample(
-            r=r,
-            V=v,
-            W=w,
-            W_total=w - v,
-            terms={name: scalar.value(r) for name, scalar in self.terms},
-            ground_state=None if self.ground_state is None else self.ground_state.value(r),
-        )
-
 
 # ---------------------------------------------------------------------------
 # closed-form building blocks
@@ -121,7 +96,12 @@ def _inverse_square(coef: float) -> RadialScalar:
 
 def _inverse_sinh_sq(coef: float, a: float) -> RadialScalar:
     """coef / sinh(a r)^2."""
-    return RadialScalar.from_value_only(lambda r: coef / np.sinh(a * r) ** 2)
+
+    def value(r):
+        with np.errstate(over="ignore"):
+            return coef / np.sinh(a * r) ** 2
+
+    return RadialScalar.from_value_only(value)
 
 
 def _sinh_terms(c_sr: float, c_sh: float) -> tuple:
@@ -246,12 +226,6 @@ def weight_dr_poincare(p: int, q: int):
 # ---------------------------------------------------------------------------
 
 
-def default_aux_h(model: DensityModel) -> RadialScalar:
-    """The canonical auxiliary function f^(1/(n-1)) = exp(log f/(n-1)), which
-    grows like r near the pole and at most like e^r, finite where f overflows."""
-    return (model.log_f_scalar() * (1.0 / (model.n - 1))).exp()
-
-
 def _validate_aux_h(aux_h: RadialScalar) -> None:
     probe = np.geomspace(1e-6, 60.0, 200)
     vals = np.asarray(aux_h.value(probe), dtype=float)
@@ -266,33 +240,35 @@ def weight_gamma_family(model: DensityModel, gamma: float, aux_h: RadialScalar |
     """One-parameter deformation of the quadratic pair.
 
     W = (1 - 4 gamma^2)/(4 r^2) and V collects the density curvature together
-    with a gamma-weighted correction built from the auxiliary function:
+    with a gamma-weighted correction built from the auxiliary function h:
 
         V = -[ f''/(2f) - (f'/f)^2/4
                + gamma ( h''/h + (1+2 gamma) h'/(r h) - (1+gamma)(h'/h)^2 ) ].
 
-    Ground state r^(1/2+gamma) f^(-1/2) aux_h^(-gamma).  gamma = 0 reduces to
-    weight_theorem_b; gamma = 1/2 kills the Hardy term entirely.
+    Ground state r^(1/2+gamma) f^(-1/2) h^(-gamma).  h defaults to
+    f^(1/(n-1)), which grows like r near the pole; a given ``aux_h`` is
+    checked on (0, 60].  Both V and the ground state take h through
+    l = log h, with h'/h = l' and h''/h = l'' + l'^2, so they stay finite
+    where h overflows with f.  gamma = 0 reduces to weight_theorem_b;
+    gamma = 1/2 kills the Hardy term entirely.
     """
     gamma = float(gamma)
     if not 0.0 <= gamma <= 0.5:
         raise PreconditionError("gamma must lie in [0, 1/2]")
     if aux_h is None:
-        aux_h = default_aux_h(model)
-    _validate_aux_h(aux_h)
+        log_h = model.log_f_scalar() / (model.n - 1)
+    else:
+        _validate_aux_h(aux_h)
+        log_h = aux_h.log()
 
     def v_value(rr):
         rr = np.asarray(rr, dtype=float)
         base = 0.5 * np.asarray(model.d2f_over_f(rr)) - 0.25 * np.asarray(model.log_df(rr)) ** 2
-        j = aux_h.jet(rr)
-        lh = j.d1 / j.val
-        correction = gamma * (j.d2 / j.val + (1.0 + 2.0 * gamma) * lh / rr - (1.0 + gamma) * lh**2)
+        j = log_h.jet(rr)
+        correction = gamma * (j.d2 + (1.0 + 2.0 * gamma) * j.d1 / rr - gamma * j.d1**2)
         return -(base + correction)
 
-    log_gs = (0.5 + gamma) * radius().log() - 0.5 * model.log_f_scalar()
-    if gamma:
-        # at gamma = 0 the term would be 0 * inf where aux_h overflows with f
-        log_gs = log_gs - gamma * aux_h.log()
+    log_gs = (0.5 + gamma) * radius().log() - 0.5 * model.log_f_scalar() - gamma * log_h
     terms = (("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),)
     return WeightPair(
         theorem_id="gamma_family",
@@ -303,7 +279,6 @@ def weight_gamma_family(model: DensityModel, gamma: float, aux_h: RadialScalar |
         terms=terms,
         ground_state=log_gs.exp(),
         extras={
-            "aux_h": aux_h,
             "lambda0_shift": (1.0 - 4.0 * gamma**2 / (model.n - 1.0) ** 2) * model.lambda0,
             "log_ground_state": log_gs,
         },
@@ -351,7 +326,6 @@ def weight_gamma_dr(p: int, q: int, gamma: float):
         ground_state=log_gs.exp(),
         extras={
             "lambda0_shift": shift,
-            "drift_coefficient": drift_coef,
             "log_ground_state": log_gs,
         },
     )
@@ -431,7 +405,12 @@ def weight_p_dr(p: int, q: int, P: float):
     h = model.h
     lam_p = (h / P) ** P
     k = 2.0 / (p + 2.0 * q)
-    g = RadialScalar.from_value_only(lambda rr: 1.0 / np.tanh(rr / 2.0) - k * (q / np.sinh(rr) + 1.0 / rr))
+
+    def g_value(rr):
+        with np.errstate(over="ignore"):
+            return 1.0 / np.tanh(rr / 2.0) - k * (q / np.sinh(rr) + 1.0 / rr)
+
+    g = RadialScalar.from_value_only(g_value)
     pref = h ** (P - 2.0) / P**P
     _, c_sr, c_half = hilfe_coefficients(1.0, -P * (P - 1.0), p, q)
 
@@ -446,7 +425,8 @@ def weight_p_dr(p: int, q: int, P: float):
         return h ** (P - 1.0) * (P - 2.0) / P**P * gv ** (P - 2.0) * (gv + 1.0 / (h * rr)) / rr
 
     def t3_value(rr):
-        bracket = c_sr / np.sinh(rr) ** 2 + c_half / (4.0 * np.sinh(rr / 2.0) ** 2)
+        with np.errstate(over="ignore"):
+            bracket = c_sr / np.sinh(rr) ** 2 + c_half / (4.0 * np.sinh(rr / 2.0) ** 2)
         return pref * gpow(rr) * bracket
 
     def v_value(rr):

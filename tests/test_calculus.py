@@ -8,10 +8,7 @@ from hardyscope.calculus import (
     PanelPlan,
     RadialScalar,
     hilfe_rhs,
-    jet_where,
-    laplacian_radial,
     p_laplacian_radial,
-    power_product_coefficient,
     radius,
 )
 from hardyscope.errors import DomainError
@@ -49,14 +46,6 @@ def test_jet_power_rule_extreme_magnitudes():
     assert out.val == pytest.approx(1e-140)
 
 
-def test_jet_where_selects_branches():
-    a = Jet2(np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-    b = Jet2(np.array([5.0, 6.0]), np.array([0.0, 0.0]), np.array([0.0, 0.0]))
-    out = jet_where(np.array([True, False]), a, b)
-    np.testing.assert_array_equal(out.val, [1.0, 6.0])
-    np.testing.assert_array_equal(out.d1, [1.0, 0.0])
-
-
 def test_radial_scalar_value_only_guards_derivatives():
     s = RadialScalar.from_value_only(lambda rr: rr**2)
     assert s.value(3.0) == 9.0
@@ -73,7 +62,7 @@ def test_laplacian_on_known_function():
     e5 = build_density("euclidean:5")
     u = radius() ** 2.0
     grid = np.array([0.25, 1.0, 4.0])
-    np.testing.assert_allclose(laplacian_radial(u, e5, grid), 2.0 * 5.0, rtol=1e-12)
+    np.testing.assert_allclose(p_laplacian_radial(u, e5, 2.0, grid), 2.0 * 5.0, rtol=1e-12)
 
 
 def test_p_laplacian_matches_laplacian_at_p2():
@@ -81,7 +70,9 @@ def test_p_laplacian_matches_laplacian_at_p2():
     u = (radius() * 0.5).sinh() + radius() ** 1.5
     grid = np.geomspace(0.1, 10.0, 17)
     a = p_laplacian_radial(u, dr, 2.0, grid)
-    b = laplacian_radial(u, dr, grid)
+    # the Laplace-Beltrami operator on a radial function: u'' + (f'/f) u'
+    j = u.jet(grid)
+    b = j.d2 + dr.log_df(grid) * j.d1
     np.testing.assert_allclose(a, b, rtol=1e-14)
 
 
@@ -99,9 +90,16 @@ def test_p_laplacian_of_power_profile():
     np.testing.assert_allclose(p_laplacian_radial(u, e3, P, grid), expect, rtol=1e-12)
 
 
+def _half_power_coefficient(model, r):
+    # c(r) with Delta(r^(1/2) f^(-1/2)) = c(r) r^(1/2) f^(-1/2): the product
+    # rule's alpha(alpha-1)/r^2 + alpha(2 beta + 1)(f'/f)/r + beta f''/f
+    # + beta^2 (f'/f)^2 at alpha = 1/2, beta = -1/2
+    return -0.25 / r**2 - 0.5 * model.d2f_over_f(r) + 0.25 * model.log_df(r) ** 2
+
+
 def test_power_product_coefficient_example():
     dr = build_density("dr:2,1")
-    val = power_product_coefficient(0.5, -0.5, dr, 2.0)
+    val = _half_power_coefficient(dr, 2.0)
     assert val == pytest.approx(-1.2245099577820602, rel=1e-12)
     # alpha(alpha-1)/r^2 contributes -1/16 at r=2 on top of the density part
     assert val == pytest.approx(hilfe_rhs(0.25, 0.5, 2, 1, 2.0) - 1.0 / 16.0, rel=1e-12)
@@ -109,14 +107,14 @@ def test_power_product_coefficient_example():
 
 def test_product_identity_log_profile():
     # Phi = (r/f)^(1/2), h = ln r: Delta(Phi h) = c(r) Phi h with
-    # c = power_product_coefficient(1/2, -1/2); relative residual <= 1e-9
+    # c = _half_power_coefficient; relative residual <= 1e-9
     for desc in ("dr:2,1", "dr:8,7", "hyperbolic:4"):
         m = build_density(desc)
         x = radius()
         phi_h = (x / m.log_f_scalar().exp()) ** 0.5 * x.log()
         grid = np.geomspace(1.5, 30.0, 25)  # stay off ln r = 0
-        lhs = laplacian_radial(phi_h, m, grid)
-        rhs = power_product_coefficient(0.5, -0.5, m, grid) * phi_h.value(grid)
+        lhs = p_laplacian_radial(phi_h, m, 2.0, grid)
+        rhs = _half_power_coefficient(m, grid) * phi_h.value(grid)
         scale = np.abs(lhs) + np.abs(rhs)
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-9
 
@@ -157,12 +155,12 @@ def test_hilfe_rhs_domain_error():
 def test_laplacian_radial_rejects_nonpositive_radius():
     e3 = build_density("euclidean:3")
     with pytest.raises(DomainError):
-        laplacian_radial(radius() ** 2.0, e3, 0.0)
+        p_laplacian_radial(radius() ** 2.0, e3, 2.0, 0.0)
 
 
 def test_laplacian_radial_rejects_infinite_radius():
     with pytest.raises(DomainError):
-        laplacian_radial(radius() ** 2.0, build_density("euclidean:3"), math.inf)
+        p_laplacian_radial(radius() ** 2.0, build_density("euclidean:3"), 2.0, math.inf)
 
 
 def test_p_laplacian_radial_rejects_infinite_radius():

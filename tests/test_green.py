@@ -12,7 +12,6 @@ from hardyscope.errors import DomainError, PreconditionError, QuadratureError, S
 from hardyscope.green import (
     asymptotic_prediction,
     green_gamma0,
-    green_log_derivative,
     green_value,
     green_weight,
     green_weight_batch,
@@ -72,7 +71,7 @@ def test_hyperbolic3_weight_identities():
     # reference needs coth(r) - 1 in expm1 form for the same reason
     cm1 = 2.0 / np.expm1(2.0 * radii)
     np.testing.assert_allclose(batch["Wtilde"], 0.25 * cm1 * (cm1 + 4.0), rtol=1e-8)
-    assert green_log_derivative(h3, 2.0, 1.0) == pytest.approx(-2.3130352854993315, rel=1e-10)
+    assert green_weight_batch(h3, 2.0, 1.0)["dlogG"][0] == pytest.approx(-2.3130352854993315, rel=1e-10)
 
 
 def _mp_green(p, q, P, r):
@@ -119,7 +118,7 @@ def test_batch_matches_mpmath_reference_and_preserves_order():
         assert batch["dlogG"][i] == pytest.approx(dlog, rel=1e-12)
         assert abs(batch["G"][i] - G) <= batch["G_err"][i]
         assert green_value(model, 2.5, float(r)).value == pytest.approx(G, rel=1e-12)
-        assert green_log_derivative(model, 2.5, float(r)) == pytest.approx(dlog, rel=1e-12)
+        assert green_weight_batch(model, 2.5, float(r))["dlogG"][0] == pytest.approx(dlog, rel=1e-12)
 
 
 def test_batch_matches_mpmath_reference_on_dense_clusters(monkeypatch):
@@ -365,8 +364,8 @@ def test_supercritical_weight_runs_the_engine_once(monkeypatch, desc, P, r):
     model = build_density(desc)
     gamma = green_gamma0(model, P)
     G = green_value(model, P, r).value
-    dlog = green_log_derivative(model, P, r)
-    # the former composition of one green_value and one green_log_derivative call
+    dlog = green_weight_batch(model, P, r)["dlogG"][0]
+    # the former composition of one green_value call and a second engine call for G'/G
     two_calls = (
         ((P - 1.0) / P) ** P
         * abs(dlog) ** P
@@ -477,7 +476,7 @@ def test_green_preconditions():
     with pytest.raises(DomainError):
         green_value(e3, 3.0, 1.0)  # flat integral diverges for P >= n
     with pytest.raises(DomainError):
-        green_log_derivative(e3, 4.0, 1.0)
+        green_weight_batch(e3, 4.0, 1.0)
     with pytest.raises(PreconditionError):
         green_value(dr, 1.0, 1.0)
     with pytest.raises(PreconditionError):
@@ -522,9 +521,9 @@ def test_green_weight_pair_shape():
     model = build_density("dr:4,3")
     pair = green_weight(model, 2.5)
     assert pair.extras["Lambda_P"] == pytest.approx((model.h / 2.5) ** 2.5, rel=1e-15)
-    sample = pair.sample(2.0)
-    assert sample.V == 0.0
-    assert sample.W_total == sample.W
-    assert sample.W >= pair.extras["Lambda_P"]
+    V, W = pair.V.value(2.0), pair.W.value(2.0)
+    assert V == 0.0
+    assert W - V == W
+    assert W >= pair.extras["Lambda_P"]
     tilde = pair.extras["Wtilde"].value(np.array([0.5, 2.0]))
     assert np.all(tilde >= 0.0)

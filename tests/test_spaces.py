@@ -10,7 +10,6 @@ from hardyscope.spaces import (
     _logsinh,
     build_density,
     default_grid,
-    default_models,
     heisenberg_exponent,
     parse_space,
     validate_heisenberg_params,
@@ -156,7 +155,7 @@ def test_excess_avoids_cancellation():
 
 def test_default_catalog_and_grid():
     assert len(DEFAULT_CATALOG) == 11
-    models = default_models()
+    models = [build_density(text) for text in DEFAULT_CATALOG]
     assert [m.spec.descriptor() for m in models] == list(DEFAULT_CATALOG)
     grid = default_grid()
     assert grid.size == 400

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyscope.errors import DomainError, PreconditionError, SpaceValidationError
 from hardyscope.calculus import RadialScalar, radius
@@ -9,8 +11,6 @@ from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, vali
 from hardyscope.verify import _pairs_for
 from hardyscope.weights import (
     WeightPair,
-    WeightSample,
-    default_aux_h,
     hpw_g,
     raw_density_ratio,
     weight_dr_poincare,
@@ -94,19 +94,14 @@ def test_shifted_pair_weight_value_and_term_sum():
     assert np.array_equal(pair.W.value(grid), acc)
 
 
-def test_sample_contains_breakdown_and_rejects_bad_radius():
-    sample = weight_dr_poincare(4, 3).sample(1.5)
-    assert isinstance(sample, WeightSample)
-    assert sample.W_total == pytest.approx(sample.W - sample.V)
-    assert set(sample.terms) == {"1/(4r^2)", "sinh(r/2) term", "sinh(r) term"}
-    assert sample.ground_state > 0.0
-
+def test_pair_names_its_breakdown_and_ground_state():
     pair = weight_dr_poincare(4, 3)
     assert isinstance(pair, WeightPair)
-    with pytest.raises(DomainError):
-        pair.sample(0.0)
-    with pytest.raises(DomainError):
-        pair.sample(np.array([1.0, -2.0]))
+    terms = dict(pair.terms)
+    assert set(terms) == {"1/(4r^2)", "sinh(r/2) term", "sinh(r) term"}
+    assert pair.W.value(1.5) == sum(scalar.value(1.5) for scalar in terms.values())
+    assert pair.V.value(1.5) == -build_density("dr:4,3").lambda0
+    assert pair.ground_state.value(1.5) > 0.0
 
 
 def test_gamma_family_at_zero_reduces_to_quadratic_pair():
@@ -157,9 +152,30 @@ def test_gamma_parameter_and_aux_validation():
             weight_gamma_dr(2, 1, bad)
     with pytest.raises(PreconditionError):
         weight_gamma_family(model, 0.3, aux_h=RadialScalar.constant(-1.0))
-    # the default auxiliary function grows linearly from the pole
-    aux = default_aux_h(model)
-    assert aux.value(1e-4) / 1e-4 == pytest.approx(1.0, rel=1e-6)
+    # on hyperbolic space the default auxiliary function f^(1/(n-1)) is
+    # sinh r; given as aux_h it enters through its logarithm and gives the
+    # default pair
+    h4 = build_density("hyperbolic:4")
+    grid = np.geomspace(1e-3, 60.0, 50)
+    supplied, default = weight_gamma_family(h4, 0.3, aux_h=radius().sinh()), weight_gamma_family(h4, 0.3)
+    np.testing.assert_allclose(supplied.V.value(grid), default.V.value(grid), rtol=1e-12)
+    np.testing.assert_allclose(supplied.ground_state.value(grid), default.ground_state.value(grid), rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 100), gamma=st.floats(0.0, 0.5), r=st.floats(40.0, 1e3))
+def test_gamma_pair_potential_far_out_on_hyperbolic_space(n, gamma, r):
+    # past r = 40, coth r = 1 and 1/sinh(r)^2 < 1e-34 in double precision, so
+    # with h = f^(1/(n-1)) = sinh r the potential is
+    # V = -((n-1)^2/4 - gamma^2 + gamma (1 + 2 gamma)/r); h itself overflows
+    # past r = 710, so the ends of the range are checked on every example
+    radii = np.array([40.0, r, 1e3])
+    V = weight_gamma_family(build_density(f"hyperbolic:{n}"), gamma).V.value(radii)
+    expected = -((n - 1) ** 2 / 4.0 - gamma**2 + gamma * (1.0 + 2.0 * gamma) / radii)
+    # relative to the size of the terms, as at n = 2 and gamma = 1/2 the first two cancel
+    size = (n - 1) ** 2 / 4.0 + gamma**2 + gamma * (1.0 + 2.0 * gamma) / radii
+    assert np.all(np.abs(V - expected) <= 1e-13 * size), (V, expected)
 
 
 def test_weighted_pair_needs_enough_dimensions():
@@ -174,8 +190,7 @@ def test_weighted_pair_needs_enough_dimensions():
 
 def test_weighted_pair_flat_value_and_measure():
     pair = weight_weighted(build_density("euclidean:4"), 1.0)
-    sample = pair.sample(1.0)
-    assert sample.W_total == pytest.approx(-1.0, rel=1e-14)
+    assert pair.W.value(1.0) - pair.V.value(1.0) == pytest.approx(-1.0, rel=1e-14)
     assert pair.measure.value(2.0) == pytest.approx(0.25, rel=1e-15)
     assert pair.params["measure_exponent"] == -2.0
     assert pair.ground_state is None
