@@ -14,7 +14,6 @@ from .calculus import (
     RadialScalar,
     hilfe_rhs,
     p_laplacian_radial,
-    radius,
 )
 from .errors import (
     DomainError,
@@ -99,7 +98,6 @@ __all__ = [
     # calculus
     "Jet2",
     "RadialScalar",
-    "radius",
     "p_laplacian_radial",
     "hilfe_rhs",
     # weights

@@ -1,10 +1,12 @@
-"""Forward-mode second-order jets, radial differential operators, quadrature.
+"""Radial scalars with closed-form jets, radial differential operators, quadrature.
 
-Test functions, ground states, f and the auxiliary h carry their value and
-first two derivatives: (value, d1, d2) triples pass through arithmetic by the
-chain rule, exact to rounding.  Weights are values only, and reading their
-derivatives raises.  Jet components may be floats or matching numpy arrays,
-so evaluation over a whole radius grid is a single vectorised pass.
+A ``RadialScalar`` is a function of the radius: a value callable and, where
+derivatives are needed, a jet callable giving the value and the first two
+derivatives as one ``Jet2``.  Weights are values only, and reading their jet
+raises.  Ground states and test functions carry jets written in closed form;
+the one rule that combines two jets is the product rule.  Values may be
+floats or matching numpy arrays, so evaluation over a whole radius grid is a
+single vectorised pass.
 """
 
 from __future__ import annotations
@@ -21,287 +23,69 @@ ArrayLike = float | np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# second-order jets
+# jets and radial scalars
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Jet2:
-    """Truncated Taylor data (f, f', f'') of a scalar function at a point."""
+    """Value and first two derivatives (f, f', f'') of a radial function."""
 
     val: ArrayLike
     d1: ArrayLike
     d2: ArrayLike
 
-    @staticmethod
-    def variable(r: ArrayLike) -> "Jet2":
-        """Jet of the identity map at ``r``: value r, slope one, no curvature."""
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return Jet2(float(r), 1.0, 0.0)
-        return Jet2(r, np.ones_like(r), np.zeros_like(r))
-
-    @staticmethod
-    def constant(c: ArrayLike) -> "Jet2":
-        c = np.asarray(c, dtype=float)
-        if c.ndim == 0:
-            return Jet2(float(c), 0.0, 0.0)
-        return Jet2(c, np.zeros_like(c), np.zeros_like(c))
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_jet(other)
-        return Jet2(self.val + other.val, self.d1 + other.d1, self.d2 + other.d2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.val, -self.d1, -self.d2)
-
-    def __sub__(self, other):
-        other = _as_jet(other)
-        return Jet2(self.val - other.val, self.d1 - other.d1, self.d2 - other.d2)
-
-    def __rsub__(self, other):
-        return _as_jet(other).__sub__(self)
-
-    def __mul__(self, other):
-        other = _as_jet(other)
+    def __mul__(self, other: "Jet2") -> "Jet2":
+        """The jet of the product, by the product rule to second order."""
         return Jet2(
             self.val * other.val,
             self.d1 * other.val + self.val * other.d1,
             self.d2 * other.val + 2.0 * self.d1 * other.d1 + self.val * other.d2,
         )
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_jet(other)
-        q = self.val / other.val
-        q1 = (self.d1 - q * other.d1) / other.val
-        q2 = (self.d2 - 2.0 * q1 * other.d1 - q * other.d2) / other.val
-        return Jet2(q, q1, q2)
-
-    def __rtruediv__(self, other):
-        return _as_jet(other).__truediv__(self)
-
-    def __pow__(self, c: float):
-        """Real power with constant exponent; the base must stay positive.
-
-        Derivatives are assembled from the logarithmic ratios d1/val and
-        d2/val rather than v**(c-1) and v**(c-2): when v is astronomically
-        large or small those intermediate powers over/underflow even though
-        the jet of v**c itself is perfectly representable.
-        """
-        c = float(c)
-        v, d1, d2 = self.val, self.d1, self.d2
-        val = v**c
-        t = d1 / v
-        return Jet2(val, val * (c * t), val * (c * d2 / v + c * (c - 1.0) * t * t))
-
-    # -- elementary functions -------------------------------------------------
-
-    def exp(self):
-        e = np.exp(self.val)
-        return Jet2(e, e * self.d1, e * (self.d2 + self.d1 * self.d1))
-
-    def log(self):
-        u = self.d1 / self.val
-        return Jet2(np.log(self.val), u, self.d2 / self.val - u * u)
-
-    def sinh(self):
-        sh, ch = np.sinh(self.val), np.cosh(self.val)
-        return Jet2(sh, ch * self.d1, ch * self.d2 + sh * self.d1 * self.d1)
-
-
-def _as_jet(x) -> Jet2:
-    if isinstance(x, Jet2):
-        return x
-    return Jet2.constant(x)
-
-
-# ---------------------------------------------------------------------------
-# radial scalars
-# ---------------------------------------------------------------------------
-
 
 class RadialScalar:
-    """A function of the radius carrying exact first and second derivatives.
+    """A function of the radius: a value callable and an optional jet callable.
 
-    Internally this is just a map from jets to jets, which makes the objects
-    closed under arithmetic: sums, products, quotients, and powers of radial
-    scalars are again radial scalars with correct derivatives.
+    Both callables take a float or an array of radii.  ``value`` and ``jet``
+    pass them a float for a scalar radius; ``jet`` raises DomainError when
+    the scalar carries no derivative data.
     """
 
-    __slots__ = ("_fn",)
+    __slots__ = ("_value", "_jet")
 
-    def __init__(self, fn: Callable[[Jet2], Jet2]):
-        self._fn = fn
-
-    @staticmethod
-    def from_values(
+    def __init__(
+        self,
         value: Callable[[ArrayLike], ArrayLike],
-        d1: Callable[[ArrayLike], ArrayLike],
-        d2: Callable[[ArrayLike], ArrayLike],
-    ) -> "RadialScalar":
-        """Build from closed-form value and derivative callables.
-
-        The chain rule is applied when the result is evaluated on a non-trivial
-        jet, so scalars built this way compose like any other.
-        """
-
-        def fn(x: Jet2) -> Jet2:
-            v = value(x.val)
-            if x.d1 is _MISSING:
-                return Jet2(v, _MISSING, _MISSING)
-            return _chain(Jet2(v, d1(x.val), d2(x.val)), x)
-
-        return RadialScalar(fn)
-
-    @staticmethod
-    def from_jet(jet: Callable[[ArrayLike], Jet2]) -> "RadialScalar":
-        """Build from a callable giving the value and both derivatives at
-        plain radii as one Jet2, so the three share their common work.
-
-        Composes like ``from_values``; a value-only evaluation still calls
-        ``jet`` in full.
-        """
-
-        def fn(x: Jet2) -> Jet2:
-            g = jet(x.val)
-            if x.d1 is _MISSING:
-                return Jet2(g.val, _MISSING, _MISSING)
-            return _chain(g, x)
-
-        return RadialScalar(fn)
-
-    @staticmethod
-    def from_value_only(value: Callable[[ArrayLike], ArrayLike]) -> "RadialScalar":
-        """Build from a value callable with no derivative information.
-
-        Arithmetic on the result still works for value evaluation; asking for
-        d1 or d2 raises a DomainError.
-        """
-
-        def fn(x: Jet2) -> Jet2:
-            return Jet2(value(x.val), _MISSING, _MISSING)
-
-        return RadialScalar(fn)
+        jet: Callable[[ArrayLike], Jet2] | None = None,
+    ):
+        self._value, self._jet = value, jet
 
     @staticmethod
     def constant(c: float) -> "RadialScalar":
-        return _as_radial(c)
+        c = float(c)
+        return RadialScalar(lambda r: np.full(np.shape(r), c) if np.ndim(r) else c)
 
-    def jet(self, r: ArrayLike) -> Jet2:
-        return self._fn(Jet2.variable(r))
+    @staticmethod
+    def from_jet(jet: Callable[[ArrayLike], Jet2]) -> "RadialScalar":
+        """The scalar of a jet callable; its value evaluation computes the whole jet."""
+        return RadialScalar(lambda r: jet(r).val, jet)
 
     def value(self, r: ArrayLike) -> ArrayLike:
-        # no derivative slot feeds a value slot, so the placeholders give the
-        # value of the full jet without computing any derivative
-        r = np.asarray(r, dtype=float)
-        return self._fn(Jet2(float(r) if r.ndim == 0 else r, _MISSING, _MISSING)).val
+        return self._value(_radii(r))
 
-    def d1(self, r: ArrayLike) -> ArrayLike:
-        out = self._fn(Jet2.variable(r)).d1
-        if isinstance(out, _Missing):
+    def jet(self, r: ArrayLike) -> Jet2:
+        if self._jet is None:
             raise DomainError("this radial scalar carries no derivative data")
-        return out
-
-    def d2(self, r: ArrayLike) -> ArrayLike:
-        out = self._fn(Jet2.variable(r)).d2
-        if isinstance(out, _Missing):
-            raise DomainError("this radial scalar carries no derivative data")
-        return out
+        return self._jet(_radii(r))
 
     def __call__(self, r: ArrayLike) -> ArrayLike:
         return self.value(r)
 
-    # arithmetic between radial scalars (or with plain numbers)
 
-    def __add__(self, other):
-        other = _as_radial(other)
-        return RadialScalar(lambda x: self._fn(x) + other._fn(x))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_radial(other)
-        return RadialScalar(lambda x: self._fn(x) - other._fn(x))
-
-    def __rsub__(self, other):
-        other = _as_radial(other)
-        return RadialScalar(lambda x: other._fn(x) - self._fn(x))
-
-    def __mul__(self, other):
-        other = _as_radial(other)
-        return RadialScalar(lambda x: self._fn(x) * other._fn(x))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_radial(other)
-        return RadialScalar(lambda x: self._fn(x) / other._fn(x))
-
-    def __rtruediv__(self, other):
-        other = _as_radial(other)
-        return RadialScalar(lambda x: other._fn(x) / self._fn(x))
-
-    def __pow__(self, c: float):
-        return RadialScalar(lambda x: self._fn(x) ** c)
-
-    def __neg__(self):
-        return RadialScalar(lambda x: -self._fn(x))
-
-    def exp(self):
-        return RadialScalar(lambda x: self._fn(x).exp())
-
-    def log(self):
-        return RadialScalar(lambda x: self._fn(x).log())
-
-    def sinh(self):
-        return RadialScalar(lambda x: self._fn(x).sinh())
-
-
-def _chain(g: Jet2, x: Jet2) -> Jet2:
-    # the jet of g(x) from g's jet at x.val: the chain rule to second order
-    return Jet2(g.val, g.d1 * x.d1, g.d2 * x.d1 * x.d1 + g.d1 * x.d2)
-
-
-class _Missing:
-    """Absorbing placeholder for derivative slots that are unavailable or unwanted.
-
-    Any arithmetic involving the placeholder yields the placeholder again, so
-    value-only scalars survive composition; only an actual d1/d2 read fails.
-    """
-
-    __slots__ = ()
-
-    # keep numpy from broadcasting over the placeholder; binary ops then fall
-    # back to the reflected dunder below
-    __array_ufunc__ = None
-
-    def _absorb(self, *_a, **_k):
-        return self
-
-    __add__ = __radd__ = __sub__ = __rsub__ = _absorb
-    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _absorb
-    __pow__ = __rpow__ = __neg__ = _absorb
-
-
-_MISSING = _Missing()
-
-
-def _as_radial(x) -> RadialScalar:
-    if isinstance(x, RadialScalar):
-        return x
-    c = float(x)
-    return RadialScalar(lambda jet: Jet2.constant(np.broadcast_to(c, np.shape(jet.val)) if np.ndim(jet.val) else c))
-
-
-def radius() -> RadialScalar:
-    """The coordinate function r itself."""
-    return RadialScalar(lambda x: x)
+def _radii(r: ArrayLike) -> ArrayLike:
+    r = np.asarray(r, dtype=float)
+    return float(r) if r.ndim == 0 else r
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,11 @@ def unit_sphere_volume(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def _log_unit_sphere_volume(n: int) -> float:
+    """log of ``unit_sphere_volume``, finite where Gamma(n/2) overflows (n >= 344)."""
+    return math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)
+
+
 @dataclass
 class GreenEvaluation:
     """Evaluation of the P-Green function at one radius with its error bound."""
@@ -196,7 +201,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     radii = np.atleast_1d(check_radius(radii))
     s = 1.0 / (P - 1.0)
     n = model.n
-    log_omega = math.log(unit_sphere_volume(n))
+    log_omega = _log_unit_sphere_volume(n)
 
     if model.kind == EUCLIDEAN:
         if P >= n:
@@ -412,7 +417,7 @@ def green_weight(model: DensityModel, P: float):
             out = green_weight_batch(model, P, np.atleast_1d(np.asarray(rr, dtype=float)))[key]
             return float(out[0]) if np.ndim(rr) == 0 else out
 
-        return RadialScalar.from_value_only(value)
+        return RadialScalar(value)
 
     w_scalar = column("W")
     terms = (("((P-1)/P)^P |G'/G|^P", w_scalar),)
@@ -474,8 +479,7 @@ def green_gamma0(model: DensityModel, P: float) -> float:
         raise PreconditionError("flat-space Green function is unbounded at the pole")
     if not P > model.n:
         raise PreconditionError("G(0) is finite only for P > n")
-    omega = unit_sphere_volume(model.n)
-    beta = math.exp(-math.log(omega) / (P - 1.0))
+    beta = math.exp(-_log_unit_sphere_volume(model.n) / (P - 1.0))
     return beta * _total_integral(model, P)
 
 

@@ -29,7 +29,6 @@ from functools import wraps
 
 import numpy as np
 
-from .calculus import RadialScalar
 from .errors import SpaceValidationError
 
 EUCLIDEAN = "euclidean"
@@ -258,12 +257,6 @@ class DensityModel:
             return (self.n - 1) / r
         out = self.q * _cothm1(r)
         return (self.p / 2.0) * _cothm1(r / 2.0) + out if self.p else out
-
-    # -- jet access ---------------------------------------------------------
-
-    def log_f_scalar(self) -> RadialScalar:
-        """log f as a composable radial scalar, with f'/f and (f'/f)' as its derivatives."""
-        return RadialScalar.from_values(self.log_f, self.log_df, self.dlog_df)
 
 
 def build_density(spec: SpaceSpec | str) -> DensityModel:

@@ -43,7 +43,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import green as green_mod
-from .calculus import Jet2, PanelPlan, RadialScalar, check_radius, p_laplacian_radial
+from .calculus import Jet2, PanelPlan, RadialScalar, check_radius
 from .errors import DomainError, PreconditionError, QuadratureError
 from .spaces import DEFAULT_CATALOG, DensityModel, build_density, default_grid
 from .weights import (
@@ -196,23 +196,23 @@ class _Bump(RadialScalar):
 
     def __init__(self, lo: float, hi: float):
         self.mid, self.k1 = 0.5 * (lo + hi), 2.0 / (hi - lo)
-        super().__init__(RadialScalar.from_jet(lambda r: _bump_jet(r, self.mid, self.k1))._fn)
+
+        def jet(r):
+            return _bump_jet(r, self.mid, self.k1)
+
+        super().__init__(lambda r: jet(r).val, jet)
 
 
-def _gaussian_scalar(center: float, width: float) -> RadialScalar:
-    def value(r):
-        return np.exp(-(((np.asarray(r, dtype=float) - center) / width) ** 2))
+def _gaussian_times(center: float, width: float, envelope: _Bump) -> RadialScalar:
+    """exp(-((r - center)/width)^2) times the envelope bump."""
 
-    def d1(r):
-        rr = np.asarray(r, dtype=float)
-        return value(rr) * (-2.0 * (rr - center) / width**2)
+    def jet(r):
+        s = (r - center) / width
+        val = np.exp(-(s**2))
+        gauss = Jet2(val, val * (-2.0 * (r - center) / width**2), val * (4.0 * s * s - 2.0) / width**2)
+        return gauss * envelope.jet(r)
 
-    def d2(r):
-        rr = np.asarray(r, dtype=float)
-        s = (rr - center) / width
-        return value(rr) * (4.0 * s * s - 2.0) / width**2
-
-    return RadialScalar.from_values(value, d1, d2)
+    return RadialScalar.from_jet(jet)
 
 
 @cache
@@ -233,8 +233,8 @@ def default_suite() -> TestFunctionSuite:
         hi = b - (count - 1 - k) * shift
         members.append(SuiteMember(f"bump_{k:02d}", _Bump(lo, hi), (lo, hi)))
     envelope = _Bump(a, b)
-    g1 = _gaussian_scalar(a + 0.3 * (b - a), 0.2 * (b - a)) * envelope
-    g2 = _gaussian_scalar(a + 0.7 * (b - a), 0.15 * (b - a)) * envelope
+    g1 = _gaussian_times(a + 0.3 * (b - a), 0.2 * (b - a), envelope)
+    g2 = _gaussian_times(a + 0.7 * (b - a), 0.15 * (b - a), envelope)
     members.append(SuiteMember("gauss_lo", g1, (a, b)))
     members.append(SuiteMember("gauss_hi", g2, (a, b)))
     return TestFunctionSuite(tuple(members))
@@ -328,6 +328,24 @@ def p_rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -
     return _form_gaps(SuiteDensity(model, TestFunctionSuite((member,))), pair, pair.P)[0]
 
 
+def _ode_terms(model: DensityModel, pair: WeightPair, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ground state equation's residual divided by Phi^(P-1), and its scale.
+
+    With l = log Phi from ``extras["log_ground_state"]``, Phi'/Phi = l' and
+    Phi''/Phi = l'' + l'^2, so Phi itself, which leaves the doubles near the
+    pole on high dimensions (about r^(-(n-2)/2) on flat space), never forms.
+    """
+    j = pair.extras["log_ground_state"].jet(grid)
+    d1, d2 = j.d1, j.d2 + j.d1 * j.d1
+    net = np.asarray(pair.V.value(grid)) - np.asarray(pair.W.value(grid))
+    drift = np.asarray(model.log_df(grid)) * d1
+    tiny = np.finfo(float).tiny
+    if pair.P == 2.0:
+        return -(d2 + drift) + net, np.abs(d2) + np.abs(drift) + np.abs(net) + 1.0 / grid**2 + tiny
+    plap = np.abs(d1) ** (pair.P - 2.0) * ((pair.P - 1.0) * d2 + drift)
+    return -plap + net, np.abs(plap) + np.abs(net) + tiny
+
+
 def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
     """Pointwise residual of the ground state equation on a grid.
 
@@ -338,26 +356,16 @@ def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
     d2 is their rounding alone).  For P != 2 the ground state is a supersolution:
     the return value is the signed minimum of the normalized residual
     -Delta_P Phi + (V - W) Phi^(P-1), which must not dip below rounding.
+    Residual and scale are both divided through by Phi^(P-1) (``_ode_terms``).
     """
     if pair.ground_state is None:
         raise PreconditionError(f"pair {pair.theorem_id} has no ground state")
     grid = default_grid() if grid is None else np.atleast_1d(check_radius(grid))
     if grid.size == 0:
         raise DomainError("residual grid is empty")
-
-    phi = pair.ground_state
-    j = phi.jet(grid)
-    net = np.asarray(pair.V.value(grid)) - np.asarray(pair.W.value(grid))
-    tiny = np.finfo(float).tiny
+    resid, scale = _ode_terms(model, pair, grid)
     if pair.P == 2.0:
-        drift = np.asarray(model.log_df(grid)) * j.d1
-        resid = -(j.d2 + drift) + net * j.val
-        scale = np.abs(j.d2) + np.abs(drift) + np.abs(net * j.val) + np.abs(j.val) / grid**2 + tiny
         return float(np.max(np.abs(resid) / scale))
-    plap = p_laplacian_radial(phi, model, pair.P, grid)
-    mass = net * j.val ** (pair.P - 1.0)
-    resid = -plap + mass
-    scale = np.abs(plap) + np.abs(mass) + tiny
     return float(np.min(resid / scale))
 
 

@@ -3,8 +3,9 @@
 Each builder assembles a WeightPair: a potential V, a weight W with a named
 term breakdown that sums to W exactly, the ground state where one exists, and
 auxiliary evaluators in ``extras``.  All evaluators accept positive scalars or
-numpy arrays.  V, W, their terms and the measure are values only (reading a
-derivative raises DomainError); the ground states keep their jets.
+numpy arrays.  V, W, their terms and the measure are values only, sums taken
+in a fixed order (reading their jet raises DomainError); the ground states
+keep their jets.
 
 Every curvature coefficient comes from one collapsed identity for
 c (f'/f)^2 - b (f'/f)', ``calculus.hilfe_coefficients`` on the curved density
@@ -12,14 +13,14 @@ and (n-1)(c (n-1) + b) / r^2 on flat space: (c, b) = (1/4, -1/2) for the
 quadratic, shifted and weighted pairs, (b^2 - b, b) negated for the collapsed
 gamma pair and (1, -P(P-1)) for the quasi-linear pair.
 
-A ground state is written once, as its logarithm: a radial scalar combining
-log r, the model's log f (``DensityModel.log_f_scalar``) and, for the gamma
-family, log aux_h.  ``extras["log_ground_state"]`` is that scalar and the
-ground state is its exponential, so neither passes through f itself, which
-overflows once log f exceeds about 709.  The gamma family's V takes aux_h
-through its logarithm too; the cross-check ``raw_density_ratio`` takes f as
-exp(log f).  The sinh terms read 0 where sinh overflows (past r = 355 for
-sinh(r)^2), which is their value to double precision.
+Every ground state is a power r^a f^(-b), written once as its logarithm
+l = a log r - b log f with the closed-form jet l' = a/r - b f'/f and
+l'' = -a/r^2 - b (f'/f)' (``_ground_state``).  ``extras["log_ground_state"]``
+is that scalar and the ground state is its exponential, so neither passes
+through f itself, which overflows once log f exceeds about 709.  The gamma
+family's V takes its auxiliary function h = f^(1/(n-1)) through log h too.
+The sinh terms read 0 where sinh overflows (past r = 355 for sinh(r)^2),
+which is their value to double precision.
 
 Evaluation strategy: V and W default to algebraically collapsed closed forms,
 which stay accurate near the pole where the raw quotient-of-derivatives
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import RadialScalar, check_radius, hilfe_coefficients, radius
+from .calculus import Jet2, RadialScalar, check_radius, hilfe_coefficients
 from .errors import DomainError, PreconditionError
 from .spaces import (
     DAMEK_RICCI,
@@ -91,7 +92,7 @@ class WeightPair:
 
 def _inverse_square(coef: float) -> RadialScalar:
     """coef / r^2."""
-    return RadialScalar.from_value_only(lambda r: coef / r**2)
+    return RadialScalar(lambda r: coef / r**2)
 
 
 def _inverse_sinh_sq(coef: float, a: float) -> RadialScalar:
@@ -101,7 +102,7 @@ def _inverse_sinh_sq(coef: float, a: float) -> RadialScalar:
         with np.errstate(over="ignore"):
             return coef / np.sinh(a * r) ** 2
 
-    return RadialScalar.from_value_only(value)
+    return RadialScalar(value)
 
 
 def _sinh_terms(c_sr: float, c_sh: float) -> tuple:
@@ -112,30 +113,51 @@ def _sinh_terms(c_sr: float, c_sh: float) -> tuple:
 
 def _drift_scalar(model: DensityModel, coef: float) -> RadialScalar:
     """coef * (f'/f) / r."""
-    return RadialScalar.from_value_only(lambda r: coef * model.log_df(r) / r)
+    return RadialScalar(lambda r: coef * model.log_df(r) / r)
 
 
 def _sum_terms(terms) -> RadialScalar:
-    total = terms[0][1]
-    for _, scalar in terms[1:]:
-        total = total + scalar
-    return total
+    """The sum of the named terms' values, taken in their order."""
+    scalars = [scalar for _, scalar in terms]
+
+    def value(r):
+        total = scalars[0].value(r)
+        for scalar in scalars[1:]:
+            total = total + scalar.value(r)
+        return total
+
+    return RadialScalar(value)
+
+
+def _ground_state(model: DensityModel, a: float, b: float) -> tuple[RadialScalar, RadialScalar]:
+    """The ground state r^a f^(-b) and its logarithm l, each with its jet.
+
+    l = a log r - b log f, l' = a/r - b f'/f and l'' = -a/r^2 - b (f'/f)';
+    the ground state's jet is e^l (1, l', l'' + l'^2).
+    """
+
+    def log_value(r):
+        return a * np.log(r) - b * model.log_f(r)
+
+    def log_jet(r):
+        return Jet2(log_value(r), a / r - b * model.log_df(r), -a / r**2 - b * model.dlog_df(r))
+
+    def jet(r):
+        lj = log_jet(r)
+        phi = np.exp(lj.val)
+        return Jet2(phi, phi * lj.d1, phi * (lj.d2 + lj.d1 * lj.d1))
+
+    return RadialScalar(lambda r: np.exp(log_value(r)), jet), RadialScalar(log_value, log_jet)
 
 
 def raw_density_ratio(model: DensityModel) -> RadialScalar:
-    """((f')^2 - 2 f f'') / (4 f^2) straight from density jets (value only).
+    """((f')^2 - 2 f f'') / (4 f^2) as ((f'/f)^2 - 2 f''/f) / 4 (value only).
 
     This is the defining expression of the quadratic pair's potential before
-    algebraic simplification, with f's jet taken as exp(log f); it loses
-    digits to cancellation near the pole, so it serves as a cross-check.
+    algebraic simplification; it loses digits to cancellation near the pole,
+    so it serves as a cross-check.
     """
-    density = model.log_f_scalar().exp()
-
-    def value(r):
-        j = density.jet(r)
-        return (j.d1**2 - 2.0 * j.val * j.d2) / (4.0 * j.val**2)
-
-    return RadialScalar.from_value_only(value)
+    return RadialScalar(lambda r: (model.log_df(r) ** 2 - 2.0 * model.d2f_over_f(r)) / 4.0)
 
 
 def _curvature_coefficients(model: DensityModel, c: float, b: float):
@@ -171,12 +193,13 @@ def weight_theorem_b(model: DensityModel):
         total_terms = (("(n-2)^2/(4r^2)", w_total),)
     else:
         curvature = (("lambda0 shift", RadialScalar.constant(const)),) + _sinh_terms(c_sr, c_sh)
-        v_scalar = -_sum_terms(curvature)
+        curvature_sum = _sum_terms(curvature)
+        v_scalar = RadialScalar(lambda r: -curvature_sum.value(r))
         total_terms = (("1/(4r^2)", _inverse_square(0.25)),) + curvature
         w_total = _sum_terms(total_terms)
 
     terms = (("1/(4r^2)", _inverse_square(0.25)),)
-    log_gs = (radius().log() - model.log_f_scalar()) / 2.0
+    ground_state, log_gs = _ground_state(model, 0.5, 0.5)
     return WeightPair(
         theorem_id="B",
         space=model.spec.descriptor(),
@@ -184,7 +207,7 @@ def weight_theorem_b(model: DensityModel):
         V=v_scalar,
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=log_gs.exp(),
+        ground_state=ground_state,
         extras={
             "W_total": w_total,
             "W_total_terms": total_terms,
@@ -208,7 +231,7 @@ def weight_dr_poincare(p: int, q: int):
         ("sinh(r/2) term", _inverse_sinh_sq(c_sh, 0.5)),
         ("sinh(r) term", _inverse_sinh_sq(c_sr, 1.0)),
     )
-    log_gs = (radius().log() - model.log_f_scalar()) / 2.0
+    ground_state, log_gs = _ground_state(model, 0.5, 0.5)
     return WeightPair(
         theorem_id="A",
         space=model.spec.descriptor(),
@@ -216,7 +239,7 @@ def weight_dr_poincare(p: int, q: int):
         V=RadialScalar.constant(-model.lambda0),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=log_gs.exp(),
+        ground_state=ground_state,
         extras={"log_ground_state": log_gs},
     )
 
@@ -226,58 +249,45 @@ def weight_dr_poincare(p: int, q: int):
 # ---------------------------------------------------------------------------
 
 
-def _validate_aux_h(aux_h: RadialScalar) -> None:
-    probe = np.geomspace(1e-6, 60.0, 200)
-    vals = np.asarray(aux_h.value(probe), dtype=float)
-    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-        raise PreconditionError("aux_h must be finite and positive on (0, 60]")
-    ratio = vals / probe
-    if not np.isfinite(ratio[0]) or np.min(ratio) <= 1e-12:
-        raise PreconditionError("aux_h must grow at least linearly from the pole (aux_h(r)/r bounded below)")
-
-
-def weight_gamma_family(model: DensityModel, gamma: float, aux_h: RadialScalar | None = None):
+def weight_gamma_family(model: DensityModel, gamma: float):
     """One-parameter deformation of the quadratic pair.
 
     W = (1 - 4 gamma^2)/(4 r^2) and V collects the density curvature together
-    with a gamma-weighted correction built from the auxiliary function h:
+    with a gamma-weighted correction built from the auxiliary function
+    h = f^(1/(n-1)), which grows like r near the pole:
 
         V = -[ f''/(2f) - (f'/f)^2/4
                + gamma ( h''/h + (1+2 gamma) h'/(r h) - (1+gamma)(h'/h)^2 ) ].
 
-    Ground state r^(1/2+gamma) f^(-1/2) h^(-gamma).  h defaults to
-    f^(1/(n-1)), which grows like r near the pole; a given ``aux_h`` is
-    checked on (0, 60].  Both V and the ground state take h through
-    l = log h, with h'/h = l' and h''/h = l'' + l'^2, so they stay finite
-    where h overflows with f.  gamma = 0 reduces to weight_theorem_b;
-    gamma = 1/2 kills the Hardy term entirely.
+    Ground state r^(1/2+gamma) f^(-1/2) h^(-gamma) = r^(1/2+gamma) f^(-b)
+    with b = 1/2 + gamma/(n-1).  V takes h through l = log h, with
+    h'/h = l' and h''/h = l'' + l'^2, so it stays finite where h overflows
+    with f.  gamma = 0 reduces to weight_theorem_b; gamma = 1/2 kills the
+    Hardy term entirely.
     """
     gamma = float(gamma)
     if not 0.0 <= gamma <= 0.5:
         raise PreconditionError("gamma must lie in [0, 1/2]")
-    if aux_h is None:
-        log_h = model.log_f_scalar() / (model.n - 1)
-    else:
-        _validate_aux_h(aux_h)
-        log_h = aux_h.log()
 
     def v_value(rr):
         rr = np.asarray(rr, dtype=float)
         base = 0.5 * np.asarray(model.d2f_over_f(rr)) - 0.25 * np.asarray(model.log_df(rr)) ** 2
-        j = log_h.jet(rr)
-        correction = gamma * (j.d2 + (1.0 + 2.0 * gamma) * j.d1 / rr - gamma * j.d1**2)
+        # l' and l'' of l = log h = log f / (n-1)
+        d1 = np.asarray(model.log_df(rr)) / (model.n - 1.0)
+        d2 = np.asarray(model.dlog_df(rr)) / (model.n - 1.0)
+        correction = gamma * (d2 + (1.0 + 2.0 * gamma) * d1 / rr - gamma * d1**2)
         return -(base + correction)
 
-    log_gs = (0.5 + gamma) * radius().log() - 0.5 * model.log_f_scalar() - gamma * log_h
+    ground_state, log_gs = _ground_state(model, 0.5 + gamma, 0.5 + gamma / (model.n - 1.0))
     terms = (("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),)
     return WeightPair(
         theorem_id="gamma_family",
         space=model.spec.descriptor(),
         params={"gamma": gamma},
-        V=RadialScalar.from_value_only(v_value),
+        V=RadialScalar(v_value),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=log_gs.exp(),
+        ground_state=ground_state,
         extras={
             "lambda0_shift": (1.0 - 4.0 * gamma**2 / (model.n - 1.0) ** 2) * model.lambda0,
             "log_ground_state": log_gs,
@@ -294,7 +304,7 @@ def weight_gamma_dr(p: int, q: int, gamma: float):
         W = (1-4 gamma^2)/(4 r^2) + gamma(1+2 gamma)/m * (f'/f)/r
             - q (q d + b)/sinh(r)^2 - p ((p+2q) d + b)/(4 sinh(r/2)^2),
 
-    which agrees pointwise with weight_gamma_family at aux_h = f^(1/(n-1)).
+    which agrees pointwise with weight_gamma_family.
     The ground state collapses to r^(1/2+gamma) f^(-b).
     """
     validate_heisenberg_params(p, q)
@@ -308,7 +318,7 @@ def weight_gamma_dr(p: int, q: int, gamma: float):
     shift = (1.0 - (2.0 * gamma / m) ** 2) * model.lambda0
     drift_coef = gamma * (1.0 + 2.0 * gamma) / m
     _, c_sr, c_sh, _ = _curvature_coefficients(model, d, b)
-    log_gs = (0.5 + gamma) * radius().log() - b * model.log_f_scalar()
+    ground_state, log_gs = _ground_state(model, 0.5 + gamma, b)
 
     terms = (
         ("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),
@@ -323,7 +333,7 @@ def weight_gamma_dr(p: int, q: int, gamma: float):
         V=RadialScalar.constant(-shift),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=log_gs.exp(),
+        ground_state=ground_state,
         extras={
             "lambda0_shift": shift,
             "log_ground_state": log_gs,
@@ -367,7 +377,7 @@ def weight_weighted(model: DensityModel, alpha: float):
     terms += _sinh_terms(c_sr, c_sh)
     terms += (("drift term", drift), ("(4*alpha+1)/(4r^2)", _inverse_square(hardy_coef)))
 
-    measure = RadialScalar.from_value_only(lambda rr: rr ** (-2.0 * alpha))
+    measure = RadialScalar(lambda rr: rr ** (-2.0 * alpha))
     w_scalar = _sum_terms(terms)
     return WeightPair(
         theorem_id="weighted_alpha",
@@ -378,7 +388,7 @@ def weight_weighted(model: DensityModel, alpha: float):
         terms=terms,
         ground_state=None,
         measure=measure,
-        extras={"density": w_scalar - v_scalar},
+        extras={"density": RadialScalar(lambda r: w_scalar.value(r) - v_scalar.value(r))},
     )
 
 
@@ -410,18 +420,17 @@ def weight_p_dr(p: int, q: int, P: float):
         with np.errstate(over="ignore"):
             return 1.0 / np.tanh(rr / 2.0) - k * (q / np.sinh(rr) + 1.0 / rr)
 
-    g = RadialScalar.from_value_only(g_value)
     pref = h ** (P - 2.0) / P**P
     _, c_sr, c_half = hilfe_coefficients(1.0, -P * (P - 1.0), p, q)
 
     def gpow(rr):
-        return g.value(rr) ** (P - 2.0)
+        return g_value(rr) ** (P - 2.0)
 
     def t1_value(rr):
         return pref * (P - 1.0) ** 2 * gpow(rr) / rr**2
 
     def t2_value(rr):
-        gv = g.value(rr)
+        gv = g_value(rr)
         return h ** (P - 1.0) * (P - 2.0) / P**P * gv ** (P - 2.0) * (gv + 1.0 / (h * rr)) / rr
 
     def t3_value(rr):
@@ -433,23 +442,23 @@ def weight_p_dr(p: int, q: int, P: float):
         return -lam_p * gpow(rr)
 
     terms = (
-        ("Hardy term", RadialScalar.from_value_only(t1_value)),
-        ("drift term", RadialScalar.from_value_only(t2_value)),
-        ("sinh terms", RadialScalar.from_value_only(t3_value)),
+        ("Hardy term", RadialScalar(t1_value)),
+        ("drift term", RadialScalar(t2_value)),
+        ("sinh terms", RadialScalar(t3_value)),
     )
-    log_gs = (radius().log() - model.log_f_scalar()) / P
+    ground_state, log_gs = _ground_state(model, 1.0 / P, 1.0 / P)
     return WeightPair(
         theorem_id="p_dr",
         space=model.spec.descriptor(),
         params={"P": P},
-        V=RadialScalar.from_value_only(v_value),
+        V=RadialScalar(v_value),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=log_gs.exp(),
+        ground_state=ground_state,
         P=P,
         extras={
             "Lambda_P": lam_p,
-            "g": g,
+            "g": RadialScalar(g_value),
             "log_ground_state": log_gs,
         },
     )

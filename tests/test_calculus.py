@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from hardyscope import verify
 from hardyscope.calculus import (
     Jet2,
     PanelPlan,
     RadialScalar,
     hilfe_rhs,
     p_laplacian_radial,
-    radius,
 )
 from hardyscope.errors import DomainError
 from hardyscope.spaces import build_density
+from hardyscope.weights import weight_theorem_b
+
+
+def _power(a):
+    """r^a with its closed-form jet."""
+    return RadialScalar.from_jet(lambda r: Jet2(r**a, a * r ** (a - 1.0), a * (a - 1.0) * r ** (a - 2.0)))
+
+
+def _log_jet(r):
+    return Jet2(np.log(r), 1.0 / r, -1.0 / r**2)
 
 
 def _fd_check(scalar: RadialScalar, r: np.ndarray, rtol=1e-6):
@@ -28,46 +38,49 @@ def _fd_check(scalar: RadialScalar, r: np.ndarray, rtol=1e-6):
 
 
 def test_jet_arithmetic_against_finite_differences():
+    # the product rule, and the closed-form jets of every ground state and
+    # of its logarithm
     r = np.array([0.3, 1.0, 2.7])
-    x = radius()
-    expr = (x * x + 1.0) / (x.sinh() + 2.0) - x.log() * 0.5 + (x * 0.3).exp()
-    _fd_check(expr, r)
-
-
-def test_jet_power_rule_extreme_magnitudes():
-    # the power rule must survive bases around 1e300 and 1e-300
-    big = Jet2(1e300, 1e302, 1e304)
-    out = big**-0.5
-    assert np.isfinite(out.val) and np.isfinite(out.d1) and np.isfinite(out.d2)
-    assert out.val == pytest.approx(1e-150)
-    tiny = Jet2(1e-280, 1e-278, 1e-276)
-    out = tiny**0.5
-    assert np.isfinite(out.d2)
-    assert out.val == pytest.approx(1e-140)
+    _fd_check(RadialScalar.from_jet(lambda rr: Jet2(np.sinh(rr), np.cosh(rr), np.sinh(rr)) * _log_jet(rr)), r)
+    checked = 0
+    for space in ("hyperbolic:3", "dr:4,2"):
+        for label, _, pair in verify._pairs_for(build_density(space)):
+            if pair.ground_state is not None:
+                _fd_check(pair.ground_state, r)
+                _fd_check(pair.extras["log_ground_state"], r)
+                checked += 1
+    assert checked == 8
 
 
 def test_radial_scalar_value_only_guards_derivatives():
-    s = RadialScalar.from_value_only(lambda rr: rr**2)
-    assert s.value(3.0) == 9.0
+    s = RadialScalar(lambda rr: rr**2)
+    assert s.value(3.0) == s(3.0) == 9.0
     with pytest.raises(DomainError):
-        s.d1(3.0)
-    composed = s + radius()
-    assert composed.value(2.0) == 6.0
+        s.jet(3.0)
+    c = RadialScalar.constant(2.5)
+    assert c.value(1.0) == 2.5
+    np.testing.assert_array_equal(c.value(np.ones(3)), np.full(3, 2.5))
     with pytest.raises(DomainError):
-        composed.d1(2.0)
+        c.jet(1.0)
 
 
 def test_laplacian_on_known_function():
     # Delta u = u'' + (n-1)/r u' for flat space; u = r^2 gives 2n
     e5 = build_density("euclidean:5")
-    u = radius() ** 2.0
     grid = np.array([0.25, 1.0, 4.0])
-    np.testing.assert_allclose(p_laplacian_radial(u, e5, 2.0, grid), 2.0 * 5.0, rtol=1e-12)
+    np.testing.assert_allclose(p_laplacian_radial(_power(2.0), e5, 2.0, grid), 2.0 * 5.0, rtol=1e-12)
 
 
 def test_p_laplacian_matches_laplacian_at_p2():
     dr = build_density("dr:4,2")
-    u = (radius() * 0.5).sinh() + radius() ** 1.5
+    # u = sinh(r/2) + r^1.5
+    u = RadialScalar.from_jet(
+        lambda r: Jet2(
+            np.sinh(r / 2.0) + r**1.5,
+            0.5 * np.cosh(r / 2.0) + 1.5 * r**0.5,
+            0.25 * np.sinh(r / 2.0) + 0.75 * r**-0.5,
+        )
+    )
     grid = np.geomspace(0.1, 10.0, 17)
     a = p_laplacian_radial(u, dr, 2.0, grid)
     # the Laplace-Beltrami operator on a radial function: u'' + (f'/f) u'
@@ -82,12 +95,11 @@ def test_p_laplacian_of_power_profile():
     e3 = build_density("euclidean:3")
     P = 3.0
     a = 0.75
-    u = radius() ** a
     grid = np.array([0.5, 1.0, 2.0])
     expect = np.abs(a * grid ** (a - 1.0)) ** (P - 2.0) * (
         (P - 1.0) * a * (a - 1.0) * grid ** (a - 2.0) + (2.0 / grid) * a * grid ** (a - 1.0)
     )
-    np.testing.assert_allclose(p_laplacian_radial(u, e3, P, grid), expect, rtol=1e-12)
+    np.testing.assert_allclose(p_laplacian_radial(_power(a), e3, P, grid), expect, rtol=1e-12)
 
 
 def _half_power_coefficient(model, r):
@@ -110,8 +122,8 @@ def test_product_identity_log_profile():
     # c = _half_power_coefficient; relative residual <= 1e-9
     for desc in ("dr:2,1", "dr:8,7", "hyperbolic:4"):
         m = build_density(desc)
-        x = radius()
-        phi_h = (x / m.log_f_scalar().exp()) ** 0.5 * x.log()
+        phi = weight_theorem_b(m).ground_state
+        phi_h = RadialScalar.from_jet(lambda r, phi=phi: phi.jet(r) * _log_jet(r))
         grid = np.geomspace(1.5, 30.0, 25)  # stay off ln r = 0
         lhs = p_laplacian_radial(phi_h, m, 2.0, grid)
         rhs = _half_power_coefficient(m, grid) * phi_h.value(grid)
@@ -155,17 +167,17 @@ def test_hilfe_rhs_domain_error():
 def test_laplacian_radial_rejects_nonpositive_radius():
     e3 = build_density("euclidean:3")
     with pytest.raises(DomainError):
-        p_laplacian_radial(radius() ** 2.0, e3, 2.0, 0.0)
+        p_laplacian_radial(_power(2.0), e3, 2.0, 0.0)
 
 
 def test_laplacian_radial_rejects_infinite_radius():
     with pytest.raises(DomainError):
-        p_laplacian_radial(radius() ** 2.0, build_density("euclidean:3"), 2.0, math.inf)
+        p_laplacian_radial(_power(2.0), build_density("euclidean:3"), 2.0, math.inf)
 
 
 def test_p_laplacian_radial_rejects_infinite_radius():
     with pytest.raises(DomainError):
-        p_laplacian_radial(radius() ** 2.0, build_density("hyperbolic:3"), 3.0, math.inf)
+        p_laplacian_radial(_power(2.0), build_density("hyperbolic:3"), 3.0, math.inf)
 
 
 def test_panel_plan_error_estimate_bounds_the_error():

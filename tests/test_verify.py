@@ -2,11 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardyscope import verify
-from hardyscope.calculus import PanelPlan, RadialScalar
+from hardyscope.calculus import PanelPlan, RadialScalar, p_laplacian_radial
 from hardyscope.errors import DomainError, PreconditionError, QuadratureError, SpaceValidationError
 from hardyscope.green import green_weight
 from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, validate_heisenberg_params
@@ -95,13 +95,42 @@ def test_ode_passes_on_the_flat_plane_and_fails_a_scaled_net_weight(monkeypatch)
     assert all(r.verdict == "pass" for r in run_verification(spaces=["euclidean:2"], families=["ode"]))
     real_pairs = verify._pairs_for
 
+    def scaled_net(pair):
+        return RadialScalar(lambda r: pair.V.value(r) + 1.05 * (pair.W.value(r) - pair.V.value(r)))
+
     def scaled(model):
-        return [(label, params, dataclasses.replace(pair, W=pair.V + 1.05 * (pair.W - pair.V))) for label, params, pair in real_pairs(model)]
+        return [(label, params, dataclasses.replace(pair, W=scaled_net(pair))) for label, params, pair in real_pairs(model)]
 
     monkeypatch.setattr(verify, "_pairs_for", scaled)
     reports = run_verification(spaces=DEFAULT_CATALOG, families=["ode"])
     assert len(reports) == 38
     assert all(r.verdict == "fail" for r in reports), [r.check_id for r in reports if r.verdict != "fail"]
+
+
+@pytest.mark.parametrize("space, label", [("dr:8,7", "p_dr[3]"), ("dr:8,7", "p_dr[4]"), ("hyperbolic:3", "B")])
+def test_divided_ode_residual_is_the_residual_over_the_ground_state(space, label):
+    # the residual taken through log Phi equals the one built from Phi's jet,
+    # -Delta_P Phi / Phi^(P-1) + (V - W), on radii where Phi is moderate
+    model = build_density(space)
+    pair = next(pair for lab, _, pair in verify._pairs_for(model) if lab == label)
+    grid = np.geomspace(0.1, 10.0, 40)
+    resid, _ = verify._ode_terms(model, pair, grid)
+    plap = p_laplacian_radial(pair.ground_state, model, pair.P, grid) / pair.ground_state.value(grid) ** (pair.P - 1.0)
+    net = pair.V.value(grid) - pair.W.value(grid)
+    assert np.all(np.abs(resid - (net - plap)) <= 1e-12 * (np.abs(plap) + np.abs(net)))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 800))
+@example(n=205)
+@example(n=344)
+@example(n=800)
+def test_ode_criticality_and_asymptotics_pass_on_any_dimension(n):
+    # Phi = (r/f)^(1/2) leaves the doubles near the pole from n = 205 on,
+    # and Gamma(n/2) in the sphere volume from n = 344 on
+    reports = run_verification(spaces=[f"euclidean:{n}", f"hyperbolic:{n}"], families=["ode", "criticality", "asymptotics"])
+    assert [r.check_id for r in reports if r.verdict != "pass"] == [], n
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -134,8 +163,8 @@ def test_null_mass_refuses_a_weight_with_a_jump(monkeypatch):
     # a jump at r = 2 lies inside a panel (u = log r): the null rules see it
     model = build_density("hyperbolic:5")
     pair = weight_theorem_b(model)
-    step = RadialScalar.from_value_only(lambda r: np.where(r < 2.0, 1.0, 2.0))
-    monkeypatch.setattr(verify, "weight_theorem_b", lambda m: dataclasses.replace(pair, W=pair.W * step))
+    stepped = RadialScalar(lambda r: pair.W.value(r) * np.where(r < 2.0, 1.0, 2.0))
+    monkeypatch.setattr(verify, "weight_theorem_b", lambda m: dataclasses.replace(pair, W=stepped))
     with pytest.raises(QuadratureError):
         null_criticality_mass(model, 1e-2, 10.0)
 
@@ -423,26 +452,24 @@ def _same_bits(a, b):
 
 
 def test_scalar_values_equal_jet_values_bit_for_bit():
+    # every scalar with a jet: the ground states, their logarithms and the
+    # suite's members
     grid = default_grid()
     checked = 0
     for space in DEFAULT_CATALOG:
         model = build_density(space)
         for label, _, pair in verify._pairs_for(model):
-            scalars = [("V", pair.V), ("W", pair.W)] + list(pair.terms)
-            scalars += [(k, s) for k, s in (("measure", pair.measure), ("ground_state", pair.ground_state)) if s]
-            for name, scalar in scalars:
+            if pair.ground_state is None:
+                continue
+            for name, scalar in (("ground_state", pair.ground_state), ("log", pair.extras["log_ground_state"])):
                 with np.errstate(all="ignore"):
                     value, full = scalar.value(grid), scalar.jet(grid).val
                 assert _same_bits(value, full), (space, label, name)
                 checked += 1
-    assert checked > 200
-
-
-def test_value_only_scalars_still_guard():
-    s = RadialScalar.from_value_only(lambda r: r**2) * RadialScalar.from_values(np.exp, np.exp, np.exp)
-    with pytest.raises(DomainError):
-        s.d1(2.0)
-    assert s.value(2.0) == 4.0 * np.exp(2.0)
+    for member in default_suite():
+        assert _same_bits(member.scalar.value(grid), member.scalar.jet(grid).val), member.name
+        checked += 1
+    assert checked > 90
 
 
 # -- one evaluation per space, not per member -----------------------------------
