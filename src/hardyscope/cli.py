@@ -50,8 +50,9 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 
 
-# The most points a ``--grid`` may ask for, refused before any allocation: 2,500
-# times the default 400 radii (``green eval`` on a million takes 12 s, 0.5 GB).
+# The most points a ``--grid`` or ``--samples`` may ask for, refused before any
+# allocation: 2,500 times the default 400 radii (``green eval`` on a million
+# takes 12 s, 0.5 GB).
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -278,6 +279,8 @@ def _cmd_green_asymptotics(args, cfg) -> int:
         raise PreconditionError("need 0 < rmin < rmax")
     if samples < 5:
         raise PreconditionError("need at least five (radius, value) samples")
+    if samples > _MAX_GRID_POINTS:
+        raise PreconditionError(f"--samples {samples:,} is more than {_MAX_GRID_POINTS:,}")
 
     radii = np.geomspace(rmin, rmax, samples)
     surplus = green_mod.green_weight_batch(model, P, radii)["Wtilde"]

@@ -45,7 +45,6 @@ from .weights import WeightPair
 
 __all__ = [
     "GreenEvaluation",
-    "unit_sphere_volume",
     "certify",
     "green_value",
     "green_weight",
@@ -79,15 +78,8 @@ _EPS = float(np.finfo(float).eps)
 _MIN_SHARED = 128
 
 
-def unit_sphere_volume(n: int) -> float:
-    """Volume of the unit (n-1)-sphere, 2 pi^(n/2) / Gamma(n/2)."""
-    if n < 1:
-        raise PreconditionError("dimension must be >= 1")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
 def _log_unit_sphere_volume(n: int) -> float:
-    """log of ``unit_sphere_volume``, finite where Gamma(n/2) overflows (n >= 344)."""
+    """log of the unit (n-1)-sphere's volume 2 pi^(n/2) / Gamma(n/2), finite for n >= 344."""
     return math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)
 
 

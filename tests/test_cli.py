@@ -182,6 +182,16 @@ def test_green_asymptotics_refuses_fewer_than_five_samples(samples, capsys):
     assert captured.err == "error: need at least five (radius, value) samples\n"
 
 
+@pytest.mark.parametrize("samples", [1_000_001, 10**12])
+def test_green_asymptotics_refuses_too_many_samples_from_the_config_file(samples, tmp_path, capsys):
+    ini = tmp_path / "conf.ini"
+    ini.write_text(f"[green.asymptotics]\nsamples = {samples}\n")
+    assert main(["--config", str(ini), "green", "asymptotics", "--space", "hyperbolic:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples {samples:,} is more than 1,000,000\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -189,12 +199,16 @@ def test_green_asymptotics_refuses_fewer_than_five_samples(samples, capsys):
         (["calculus", "eval", "--space", "euclidean:3", "--op", "f", "--grid", "0.001:1e300:1e-300"], "inf points"),
         (["green", "eval", "--space", "hyperbolic:3", "--grid", "1:1000001:1"], "more than 1,000,000"),
         (["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5", "--mesh", "1e-9"], "5e+09 cells"),
+        (["green", "asymptotics", "--space", "hyperbolic:3", "--samples", "1000001"], "more than 1,000,000"),
+        (["green", "asymptotics", "--space", "hyperbolic:3", "--samples", str(10**12)], "more than 1,000,000"),
     ],
-    ids=["grid-7-PiB", "grid-max-size", "grid-one-past-the-limit", "spectral-37-GiB"],
+    ids=["grid-7-PiB", "grid-max-size", "grid-one-past-the-limit", "spectral-37-GiB",
+         "samples-one-past-the-limit", "samples-7-TiB"],
 )
 def test_oversized_inputs_exit_two_before_allocating(argv, message, capsys):
-    # the first, second and last ended in numpy's ArrayMemoryError or
-    # "Maximum allowed size exceeded" with exit 1
+    # the first, second and fourth ended in numpy's ArrayMemoryError or
+    # "Maximum allowed size exceeded" with exit 1, and --samples 100000000
+    # was allocated until the process was killed
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -16,20 +16,23 @@ from hardyscope.green import (
     green_weight,
     green_weight_batch,
     green_weight_supercritical,
-    unit_sphere_volume,
 )
 from hardyscope import green as green_module
-from hardyscope.green import _panel_width
+from hardyscope.green import _log_unit_sphere_volume, _panel_width
 from hardyscope.calculus import PanelPlan
 from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, validate_heisenberg_params
 from hardyscope.verify import default_suite
 
 
 def test_unit_sphere_volumes():
-    assert unit_sphere_volume(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
-    assert unit_sphere_volume(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
-    assert unit_sphere_volume(4) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
-    assert unit_sphere_volume(6) == pytest.approx(math.pi**3, rel=1e-15)
+    for n, omega in ((2, 2.0 * math.pi), (3, 4.0 * math.pi), (4, 2.0 * math.pi**2), (6, math.pi**3)):
+        assert math.exp(_log_unit_sphere_volume(n)) == pytest.approx(omega, rel=1e-15)
+    # Gamma(n/2) leaves the doubles from n = 344 on; the log form stays finite
+    for n in (344, 1000):
+        with mpmath.workdps(40):
+            half = mpmath.mpf(n) / 2
+            exact = float(mpmath.log(2 * mpmath.pi**half / mpmath.gamma(half)))
+        assert _log_unit_sphere_volume(n) == pytest.approx(exact, rel=1e-15)
 
 
 def test_flat_closed_forms():
@@ -346,7 +349,7 @@ def test_log_derivative_reproduces_exact_gradient():
         radii = np.geomspace(0.02, 12.0, 18)
         batch = green_weight_batch(model, P, radii)
         s = 1.0 / (P - 1.0)
-        exact = -np.exp(-s * (math.log(unit_sphere_volume(model.n)) + np.asarray(model.log_f(radii))))
+        exact = -np.exp(-s * (_log_unit_sphere_volume(model.n) + np.asarray(model.log_f(radii))))
         np.testing.assert_allclose(batch["G"] * batch["dlogG"], exact, rtol=1e-9)
 
 
