@@ -11,7 +11,8 @@ with its help, handler and options.  ``main`` builds, on every call and
 from that table, only root, group and leaf of the command argv names (after
 an optional leading ``--config X``); anything else, such as ``-h`` before
 the command or an unknown token, goes to the whole tree, so every message is
-the one the whole tree gives.
+the one the whole tree gives.  Before that it pins glibc's malloc
+thresholds (``_pin_malloc_thresholds``); importing the module sets nothing.
 
 Exit codes: 0 on success, 1 when a verification check fails or a numeric
 result cannot be certified, 2 for unusable input (bad space descriptor,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import datetime
 import json
 import math
@@ -263,8 +265,8 @@ def _cmd_green_eval(args, cfg) -> int:
     batch = green_mod.green_weight_batch(model, P, grid)
     green_mod.certify(grid, batch, tol)
     columns = ("G", "G_err", "dlogG", "W", "Wtilde")
-    table = [grid, *(batch[c] for c in columns)]
-    _emit(_csv_text(["r", *columns], table), _resolve(args.out, cfg, section, "out"))
+    table = _finite_columns(grid, [(c, lambda _, v=batch[c]: v) for c in columns])
+    _emit(_csv_text(["r", *columns], [grid, *table]), _resolve(args.out, cfg, section, "out"))
     return 0
 
 
@@ -422,7 +424,37 @@ def _parser_for(argv: list[str]) -> argparse.ArgumentParser:
     return build_parser()
 
 
+# glibc's mallopt parameters (malloc.h) and the values pinned for them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 32 << 20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Keep freed numpy arrays of up to 32 MiB in the process for the next task.
+
+    By default glibc serves every block of 128 KiB or more with mmap and
+    returns the heap top to the kernel on free, so each new density array,
+    tridiagonal matrix and iterate is faulted in again page by page.  32 MiB
+    is glibc's own ceiling for its dynamic mmap threshold, whose rule sets
+    the trim threshold to twice that; larger arrays are still mapped and
+    unmapped.  Setting one value alone turns off the dynamic rule for both,
+    so the mmap threshold goes first and the trim threshold only once it
+    took.  Linux only; a libc without ``mallopt`` is left as it is.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    # ctypes.pythonapi is a handle on the running program, whose symbols
+    # include libc's; a new CDLL(None) would cost about 20 us per call
+    mallopt = getattr(ctypes.pythonapi, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser_for(argv).parse_args(argv)

@@ -115,6 +115,57 @@ def test_green_eval_refuses_nan_value(capsys):
     assert "r=0.001 is not finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["green", "eval", "--space", "hyperbolic:3", "--tol", "inf", "--grid", "1e9:2e9:1e9"], "2e+09 panels"),
+        (["green", "eval", "--space", "hyperbolic:3", "--tol", "inf", "--grid", "1e20:2e20:1e20"], "2e+20 panels"),
+        (["green", "asymptotics", "--space", "hyperbolic:3", "--rmin", "1e-300", "--rmax", "1e300"], "2e+300 panels"),
+    ],
+    ids=["eval-1e9", "eval-1e20", "asymptotics-1e300"],
+)
+def test_green_refuses_a_chain_too_long_before_allocating(argv, message, capsys):
+    # the engine laid one panel per half unit between the radii: 1e9 ended in
+    # numpy's ArrayMemoryError for 14.9 GiB, 1e20 in "negative dimensions"
+    # and the asymptotics in "repeats may not contain negative values"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: green integral needs {message} of width 0.5, more than 4,000,000"]
+
+
+@pytest.mark.parametrize("P", ["1e200", "1e308"])
+def test_green_eval_weights_stay_finite_at_huge_P(P, capsys):
+    # Lambda_P = (h/P)^P underflows to 0 while expm1 of the surplus exponent
+    # overflows, so Wtilde read 0 * inf = nan (and -W error raised)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["green", "eval", "--space", "hyperbolic:3", "--P", P, "--tol", "inf", "--grid", "0.5:2:0.5"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out and "inf" not in out
+    table = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+    assert np.all(table[:, 4:] == 0.0)  # W and Wtilde underflow, as Lambda_P does
+
+
+def test_green_eval_refuses_a_column_that_is_not_finite(monkeypatch, capsys):
+    real = cli.green_mod.green_weight_batch
+
+    def with_inf(model, P, radii):
+        batch = real(model, P, radii)
+        batch["Wtilde"][1] = math.inf
+        return batch
+
+    monkeypatch.setattr(cli.green_mod, "green_weight_batch", with_inf)
+    assert main(["green", "eval", "--space", "hyperbolic:3", "--grid", "1:3:1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Wtilde at r=2.0 is not finite: inf\n"
+
+
 def test_green_asymptotics_json(capsys):
     rc = main(["green", "asymptotics", "--space", "dr:2,1", "--P", "2"])
     assert rc == 0
@@ -224,6 +275,42 @@ def test_importing_the_cli_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(hardyscope.__file__).resolve().parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_REPEATED_SOLVES = """
+import contextlib, io, json, resource
+from hardyscope import cli
+
+argv = ["spectral", "bottom", "--space", "hyperbolic:3", "--R", "20", "--mesh", "0.0004"]
+faults, outs = [], []
+for _ in range(3):
+    out = io.StringIO()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    outs.append(out.getvalue())
+    assert rc == 0, rc
+print(json.dumps({"faults": faults, "outs": outs}))
+"""
+
+
+def _has_mallopt() -> bool:
+    import ctypes
+
+    return sys.platform.startswith("linux") and hasattr(ctypes.pythonapi, "mallopt")
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the malloc policy is set through glibc's mallopt")
+def test_repeated_solves_reuse_freed_memory_without_page_faults():
+    # main pins glibc's mmap and trim thresholds, so the 50k- and 100k-cell
+    # arrays freed by one solve serve the next; by default each solve faulted
+    # about 2,480 pages in again
+    env = {**os.environ, "PYTHONPATH": str(Path(hardyscope.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", _REPEATED_SOLVES], env=env, capture_output=True, text=True, timeout=120, check=True)
+    doc = json.loads(out.stdout)
+    assert max(doc["faults"][1:]) <= 100, doc["faults"]
+    assert doc["outs"][0] == doc["outs"][1] == doc["outs"][2]
 
 
 def test_spectral_bottom_json(capsys):
