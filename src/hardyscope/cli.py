@@ -7,16 +7,19 @@ INI-style config file (section named after the subcommand, e.g.
 ``[green.eval]``); explicit flags win over file values.
 
 The commands are one table, ``_COMMANDS``: a row per group and per leaf
-with its help, handler and options.  ``main`` builds, on every call and
-from that table, only root, group and leaf of the command argv names (after
-an optional leading ``--config X``); anything else, such as ``-h`` before
-the command or an unknown token, goes to the whole tree, so every message is
-the one the whole tree gives.  Before that it pins glibc's malloc
-thresholds (``_pin_malloc_thresholds``); importing the module sets nothing.
+with its help, handler and options.  ``main`` reads a well-formed argv
+straight off that table (``_table_args``) into the Namespace argparse would
+give, and builds no parser.  Anything else, such as help, an abbreviated
+flag or a bad value, goes to argparse over the whole tree
+(``build_parser``), which prints every help and error message.  Before
+either it pins glibc's malloc thresholds (``_pin_malloc_thresholds``);
+importing the module sets nothing and builds no parser.
 
 Exit codes: 0 on success, 1 when a verification check fails or a numeric
 result cannot be certified, 2 for unusable input (bad space descriptor,
-malformed grid or config).
+malformed grid or config, an ``--out`` path that cannot be written).
+``--out`` files are replaced at once and created with mode 0o666 less the
+umask.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -115,17 +117,28 @@ def _json_text(doc) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hardyscope-", suffix=".tmp")
+    """Replace ``path`` by ``text`` at once, through a new file next to it.
+
+    The new file is created with mode 0o666, so the umask applies as to a
+    plain open() (mkstemp would make it 0600).  A path that cannot be
+    written, a directory among them, is a PreconditionError (exit 2), and
+    no temporary file is left behind.
+    """
+    if os.path.isdir(path):
+        raise PreconditionError(f"cannot write {path}: Is a directory")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".hardyscope-{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise PreconditionError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 
@@ -286,15 +299,19 @@ def _cmd_green_asymptotics(args, cfg) -> int:
 
     radii = np.geomspace(rmin, rmax, samples)
     surplus = green_mod.green_weight_batch(model, P, radii)["Wtilde"]
+    _finite_columns(radii, [("Wtilde", lambda _: surplus)])
     fit = verify.asymptotics_fit(radii, surplus)
     pred = green_mod.asymptotic_prediction(model, P, radii)
+    (predicted,) = _finite_columns(radii, [("predicted Wtilde", lambda _: pred.value)])
+    with np.errstate(divide="ignore"):
+        ratio = float(surplus[0] / predicted[0])  # inf where the prediction underflows, refused below
     doc = {
         "space": model.spec.descriptor(),
         "P": P,
         "regime": pred.regime,
         "fitted_exponent": fit.slope,
         "predicted_exponent": pred.exponent,
-        "ratio_at_rmin": float(surplus[0] / np.asarray(pred.value)[0]),
+        "ratio_at_rmin": ratio,
     }
     _emit(_json_text(_finite(doc, "green asymptotics")), _resolve(args.out, cfg, section, "out"))
     return 0
@@ -385,23 +402,15 @@ _COMMANDS = (
 )
 
 
-def build_parser(group: str | None = None, sub: str | None = None) -> argparse.ArgumentParser:
-    """The whole command tree, or with ``group`` (and ``sub``) root, group and
-    leaf only.  A pruned subparsers action gets the metavar the whole tree
-    derives from all its names, so usage lines stay the same."""
-
-    def names(parent):
-        return "{" + ",".join(s or g for g, s, *_ in _COMMANDS if (s and g) == parent) + "}"
-
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, a parser per row of ``_COMMANDS``."""
     parser = argparse.ArgumentParser(prog="hardyscope", description="Numerical checks for Hardy-type weights on rank-one spaces.")
     parser.add_argument("--config", help="INI-style config file; flags override its values")
-    levels = {None: parser.add_subparsers(dest="command", required=True, metavar=group and names(None))}
+    levels = {None: parser.add_subparsers(dest="command", required=True)}
     for g, s, help_, handler, options in _COMMANDS:
-        if group is not None and (g != group or s not in (None, sub)):
-            continue
         p = levels[s and g].add_parser(s or g, help=help_)
         if handler is None:
-            levels[g] = p.add_subparsers(dest="subcommand", required=True, metavar=group and names(g))
+            levels[g] = p.add_subparsers(dest="subcommand", required=True)
             continue
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
@@ -409,19 +418,44 @@ def build_parser(group: str | None = None, sub: str | None = None) -> argparse.A
     return parser
 
 
-def _parser_for(argv: list[str]) -> argparse.ArgumentParser:
-    """Root, group and leaf of the command that argv names after an optional
-    leading ``--config X``; the whole tree for anything else."""
-    start = 0
+def _table_args(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives a well-formed argv, read off ``_COMMANDS``:
+    an optional leading ``--config X``, the command's names, then the leaf's
+    positionals and exact flags, each flag with a value not starting with
+    ``-``.  None for anything else (help, an abbreviation, ``--flag=value``,
+    ``--``, a failed type or choices check, too few or too many positionals).
+    """
+    config = None
     if argv[:1] == ["--config"] and len(argv) > 1 and not argv[1].startswith("-"):
-        start = 2
-    elif argv[:1] and argv[0].startswith("--config="):
-        start = 1
-    group, sub = (argv[start : start + 2] + [None, None])[:2]
-    for g, s, _, handler, _ in _COMMANDS:
-        if handler is not None and g == group and s in (None, sub):
-            return build_parser(g, s)
-    return build_parser()
+        config, argv = argv[1], argv[2:]
+    for group, sub, _, handler, options in _COMMANDS:
+        names = [group, sub] if sub else [group]
+        if handler is not None and argv[: len(names)] == names:
+            break
+    else:
+        return None
+    flags = {flag: kwargs for flag, kwargs in options if flag.startswith("-")}
+    positionals = [(flag, kwargs) for flag, kwargs in options if flag not in flags]
+    args = argparse.Namespace(config=config, command=group, **dict.fromkeys(flag[2:] for flag in flags))
+    if sub:
+        args.subcommand = sub
+    tokens = iter(argv[len(names) :])
+    for token in tokens:
+        if token in flags:
+            dest, kwargs, raw = token[2:], flags[token], next(tokens, "-")
+        elif positionals:
+            (dest, kwargs), raw = positionals.pop(0), token
+        else:
+            return None
+        try:
+            value = kwargs.get("type", str)(raw)
+        except ValueError:
+            return None
+        if raw.startswith("-") or ("choices" in kwargs and value not in kwargs["choices"]):
+            return None
+        setattr(args, dest, (getattr(args, dest) or []) + [value] if kwargs.get("action") == "append" else value)
+    args.func = handler
+    return None if positionals else args
 
 
 # glibc's mallopt parameters (malloc.h) and the values pinned for them
@@ -456,12 +490,14 @@ def _pin_malloc_thresholds() -> None:
 def main(argv=None) -> int:
     _pin_malloc_thresholds()
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _parser_for(argv).parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits on usage errors (and --help); fold that into the
-        # normal return path so callers of main() never see the exception
-        return int(exc.code or 0)
+    args = _table_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits on usage errors (and --help); fold that into the
+            # normal return path so callers of main() never see the exception
+            return int(exc.code or 0)
     try:
         cfg = _load_config(args.config)
         return args.func(args, cfg)

@@ -87,6 +87,14 @@ def _log_unit_sphere_volume(n: int) -> float:
     return math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)
 
 
+def _power(base: float, P: float) -> float:
+    """base ** P, or inf past the double range, where Python's float power raises."""
+    try:
+        return base**P
+    except OverflowError:
+        return math.inf
+
+
 @dataclass
 class GreenEvaluation:
     """Evaluation of the P-Green function at one radius with its error bound."""
@@ -208,13 +216,17 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
         with np.errstate(over="ignore"):
             G = radii * np.exp(-exponent) / (k - 1.0)
         dlog = -(n - P) / ((P - 1.0) * radii)
-        W = ((n - P) / P) ** P * radii ** (-P)
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = _power((n - P) / P, P) * radii ** (-P)
+            if not np.isfinite(W).all():
+                # ((n-P)/P)^P or r^(-P) leaves the double range: one exponential
+                W = np.where(np.isfinite(W), W, np.exp(P * (math.log((n - P) / P) - np.log(radii))))
         G_err = _rounding_floor(G, exponent)
         nan = np.full_like(radii, np.nan)
         return {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": W.copy(), "rho": nan, "delta": nan}
 
     h = model.h
-    lam_p = (h / P) ** P
+    lam_p = _power(h / P, P)
 
     # knots: every distinct radius, the anchor 1 when radii below 1 are
     # present, and the far cutoff; at[i] is the knot of radii[i]
@@ -270,11 +282,12 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
         W = lam_p * rho ** (-P)
         wtilde = lam_p * np.expm1(x)
         if not (np.isfinite(W).all() and np.isfinite(wtilde).all()):
-            # at large P, Lambda_P underflows while its factor overflows;
-            # there each is one exponential, from log Lambda_P
+            # at large P, Lambda_P leaves the double range or its factor
+            # does; there each is one exponential, from log Lambda_P, and
+            # Wtilde = Lambda_P e^x (1 - e^-x)
             log_lam = P * math.log(h / P)
             W = np.where(np.isfinite(W), W, np.exp(log_lam - P * np.log(rho)))
-            wtilde = np.where(np.isfinite(wtilde), wtilde, np.exp(log_lam + x))
+            wtilde = np.where(np.isfinite(wtilde), wtilde, np.exp(log_lam + x + np.log(-np.expm1(-x))))
     exponent = s * (lf[at] + log_omega)
     # G overflows near the pole when the exponent is hugely negative; the
     # infinite G_err then refuses the row
@@ -437,7 +450,7 @@ def green_weight(model: DensityModel, P: float):
         ground_state=None,
         P=P,
         extras={
-            "Lambda_P": (model.h / P) ** P,
+            "Lambda_P": _power(model.h / P, P),
             "Wtilde": column("Wtilde"),
         },
     )
@@ -538,17 +551,19 @@ def asymptotic_prediction(model: DensityModel, P: float, r) -> AsymptoticPredict
     n = model.n
     r = check_radius(r)
     rr = np.asarray(r, dtype=float)
-    if abs(P - n) < 1e-9:
-        coef = ((P - 1.0) / P) ** P
-        value = coef * np.abs(rr * np.log(rr)) ** (-P)
-        pred = AsymptoticPrediction("P=n", value, -P, coef, log_corrected=True)
-    elif P < n:
-        coef = ((n - P) / P) ** P
-        pred = AsymptoticPrediction("P<n", coef * rr ** (-P), -P, coef)
-    else:
-        coef = ((P - 1.0) / P) ** P * _total_integral(model, P) ** (-P)
-        expo = -P * (n - 1.0) / (P - 1.0)
-        pred = AsymptoticPrediction("P>n", coef * rr**expo, expo, coef)
+    # past the double range a coefficient or value is inf (0 * inf is NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if abs(P - n) < 1e-9:
+            coef = ((P - 1.0) / P) ** P
+            value = coef * np.abs(rr * np.log(rr)) ** (-P)
+            pred = AsymptoticPrediction("P=n", value, -P, coef, log_corrected=True)
+        elif P < n:
+            coef = _power((n - P) / P, P)
+            pred = AsymptoticPrediction("P<n", coef * rr ** (-P), -P, coef)
+        else:
+            coef = ((P - 1.0) / P) ** P * _power(_total_integral(model, P), -P)
+            expo = -P * (n - 1.0) / (P - 1.0)
+            pred = AsymptoticPrediction("P>n", coef * rr**expo, expo, coef)
     if np.ndim(r) == 0:
         pred.value = float(pred.value)
     return pred

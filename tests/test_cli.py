@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hardyscope
 from hardyscope import cli
@@ -37,6 +39,38 @@ def test_spaces_list_file_output_is_deterministic(tmp_path):
     assert main(["spaces", "list", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert not list(tmp_path.glob(".hardyscope-*"))  # no temp litter
+
+
+def test_out_to_a_missing_directory_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["spaces", "list", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: cannot write {out}: No such file or directory"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_to_a_directory_exits_two_and_leaves_no_temp_file(tmp_path, capsys):
+    # refused before anything is written next to the directory
+    out = tmp_path / "report"
+    out.mkdir()
+    assert main(["verify", "ode", "--space", "hyperbolic:3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: cannot write {out}: Is a directory"]
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_out_file_mode_follows_the_umask(umask, mode, tmp_path):
+    out = tmp_path / "catalog.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["spaces", "list", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["catalog.csv"]
 
 
 def test_calculus_eval_grid(capsys):
@@ -349,6 +383,16 @@ def test_spectral_bottom_refuses_overflowing_density_without_warnings(capsys):
          "error: f at r=101.0 is not finite: inf"),
         (["weights", "eval", "--space", "hyperbolic:3", "--theorem", "B", "--grid", "1e-300:1e-299:1e-300"],
          "error: W at r=1e-300 is not finite: inf"),
+        # Lambda_P = (h/P)^P or ((n-P)/P)^P passes the double range: one
+        # error line, no OverflowError traceback
+        (["green", "eval", "--space", "hyperbolic:2000", "--P", "700", "--tol", "inf", "--grid", "1:2:1"],
+         "error: W at r=1.0 is not finite: inf"),
+        (["green", "asymptotics", "--space", "hyperbolic:3000", "--P", "900"],
+         "error: Wtilde at r=1e-07 is not finite: inf"),
+        (["green", "eval", "--space", "euclidean:1000000", "--P", "100", "--tol", "inf", "--grid", "1:2:1"],
+         "error: green value at r=1.0 is not finite: G=inf"),
+        (["green", "asymptotics", "--space", "euclidean:1000000", "--P", "100"],
+         "error: Wtilde at r=1e-07 is not finite: inf"),
     ],
 )
 def test_tables_refuse_values_that_are_not_finite(argv, message, capsys):
@@ -567,19 +611,41 @@ _GREEN_EVAL = ["green", "eval", "--space", "hyperbolic:3", "--grid", "0.5:1.5:0.
         ["bogus"],
         ["gr", "eval"],
         [],
+        ["verify", "criticality", "--space", "hyperbolic:3", "--space", "dr:2,1"],
+        ["green", "eval", "--space", "dr:2,1", "--space", "hyperbolic:3", "--grid", "0.5:1.5:0.5"],
+        [*_GREEN_EVAL, "--P", "-1"],
+        [*_GREEN_EVAL, "--P", ""],
+        ["green", "asymptotics", "--space", "dr:2,1", "--samples", "1_0"],
+        [*_GREEN_EVAL, "--P=2"],
+        ["verify", "--space", "hyperbolic:3", "rayleigh"],
+        ["verify", "--space", "hyperbolic:3", "--", "criticality"],
+        [*_GREEN_EVAL, "--", "--P", "2"],
+        ["spaces", "list", "--out", "OUT"],
+        [*_GREEN_EVAL, "--out", "OUT"],
+        ["--config", "CONFIG", "green", "eval", "--out", "OUT"],
     ],
     ids=lambda argv: " ".join(argv) or "empty",
 )
 def test_pruned_parser_behaves_like_the_whole_tree(argv, tmp_path, monkeypatch, capsys):
+    # the table path, which reads only the named leaf, against argparse over
+    # the whole tree: the same exit code, output and written file
     ini = tmp_path / "conf.ini"
     ini.write_text("[green.eval]\nspace = hyperbolic:3\ngrid = 1:2:0.5\n")
-    argv = [a.replace("CONFIG", str(ini)) for a in argv]
-    pruned = _run(argv, capsys)
-    monkeypatch.setattr(cli, "_parser_for", lambda argv: cli.build_parser())
-    assert _run(argv, capsys) == pruned
+    out = tmp_path / "out.txt"
+    argv = [a.replace("CONFIG", str(ini)).replace("OUT", str(out)) for a in argv]
+
+    def run():
+        result = _run(argv, capsys)
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return result, written
+
+    table = run()
+    monkeypatch.setattr(cli, "_table_args", lambda argv: None)
+    assert run() == table
 
 
-def test_main_builds_only_the_parsers_of_the_named_command(monkeypatch, capsys):
+def test_main_builds_no_parser_for_a_well_formed_call(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -589,8 +655,44 @@ def test_main_builds_only_the_parsers_of_the_named_command(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(_GREEN_EVAL) == 0
-    assert built == ["hardyscope", "hardyscope green", "hardyscope green eval"]
-    built.clear()
-    cli.build_parser()
+    assert main(["verify", "criticality", "--space", "hyperbolic:3"]) == 0
+    assert built == []
+    assert main(["green", "eval", "-h"]) == 0
     assert len(built) == 13  # the whole tree
     capsys.readouterr()
+
+
+_ROWS = [([g, s] if s else [g], options) for g, s, _, handler, options in cli._COMMANDS if handler is not None]
+_NAMES = sorted({name for g, s, *_ in cli._COMMANDS for name in (g, s) if name})
+_FLAGS = sorted({flag for *_, options in cli._COMMANDS for flag, _ in options if flag.startswith("-")})
+_VALUES = [
+    "hyperbolic:3", "dr:2,1", "2", "1.5", "1e-3", "-1", "", "1_0", "nan", "two", "0.5:1.5:0.5",
+    "f", "excess", "A", "Q", *cli.verify.FAMILIES, "all", "nope", "CONFIG", "-", "-h", "--out",
+]
+_ODD = ["-h", "--help", "--P=2", "--", "--sp", "--conf", "--config", "--config=CONFIG"]
+
+
+@st.composite
+def _argv(draw):
+    """An argv from a grammar of the command table: a leaf's names (or any
+    names), its own flags with values, positionals, and tokens of every kind."""
+    names, options = draw(st.sampled_from(_ROWS))
+    head = draw(st.sampled_from([[], ["--config", "CONFIG"], ["--config"]]))
+    names = draw(st.one_of(st.just(names), st.just(names), st.lists(st.sampled_from(_NAMES), max_size=2)))
+    own = st.tuples(st.sampled_from([flag for flag, _ in options if flag.startswith("-")]), st.sampled_from(_VALUES))
+    single = st.sampled_from(_FLAGS + _VALUES + _ODD).map(lambda token: [token])
+    items = draw(st.lists(st.one_of(own.map(list), own.map(list), single), max_size=5))
+    return head + names + [token for item in items for token in item]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_argv())
+@example(["--config", "CONFIG", *_GREEN_EVAL, "--P", "3", "--out", "x.csv"])
+@example(["verify", "--space", "hyperbolic:3", "rayleigh", "--space", "dr:2,1"])
+@example(["green", "asymptotics", "--samples", "1_0", "--P", "2", "--P", "4"])
+def test_table_path_returns_none_or_what_argparse_returns(argv):
+    table = cli._table_args(argv)
+    if table is not None:
+        parsed = cli.build_parser().parse_args(argv)
+        # the sorted attributes by repr, so that NaN equals NaN
+        assert repr(sorted(vars(table).items())) == repr(sorted(vars(parsed).items()))

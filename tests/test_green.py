@@ -530,3 +530,27 @@ def test_green_weight_pair_shape():
     assert W >= pair.extras["Lambda_P"]
     tilde = pair.extras["Wtilde"].value(np.array([0.5, 2.0]))
     assert np.all(tilde >= 0.0)
+
+
+def test_weights_past_the_double_range_of_lambda_p_without_overflow_error():
+    # (h/P)^P = 2.72^735 passes the double range: W is inf, and Wtilde far
+    # out a finite number taken from log Lambda_P, with no OverflowError
+    model = build_density("hyperbolic:2000")
+    P = 735.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = green_weight_batch(model, P, np.array([1.0, 30.0]))
+        pair = green_weight(model, P)
+        pred = asymptotic_prediction(build_density("hyperbolic:3000"), 900.0, np.array([1e-7, 1e-6]))
+    assert pair.extras["Lambda_P"] == math.inf
+    assert np.all(batch["W"] == math.inf)
+    assert batch["Wtilde"][0] == math.inf
+    with mpmath.workdps(50):
+        delta = mpmath.mpf(float(batch["delta"][1]))
+        exact = (mpmath.mpf(model.h) / P) ** P * mpmath.expm1(-P * mpmath.log1p(-delta))
+        assert float(abs(batch["Wtilde"][1] - exact) / exact) < 1e-12
+    assert pred.coefficient == math.inf and np.all(pred.value == math.inf)  # (7/3)^900
+    # on flat space ((n-P)/P)^P overflows; far out W is finite again
+    flat = green_weight_batch(build_density("euclidean:1000000"), 100.0, np.array([1.0, 1e5]))["W"]
+    assert flat[0] == math.inf
+    assert flat[1] == pytest.approx((999900.0 / 100.0 / 1e5) ** 100, rel=1e-12)
