@@ -21,6 +21,8 @@ from .errors import DomainError
 
 ArrayLike = float | np.ndarray
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+
 
 # ---------------------------------------------------------------------------
 # jets and radial scalars
@@ -96,12 +98,13 @@ def _radii(r: ArrayLike) -> ArrayLike:
 def check_radius(r: ArrayLike) -> ArrayLike:
     """The radii as a float (given a scalar) or an array.
 
-    Raises DomainError unless every radius is positive and finite, so NaN and
-    infinity are refused too.
+    Raises DomainError unless every radius is finite and at least the
+    smallest normal double, so NaN, infinity and subnormal radii, whose
+    reciprocals overflow, are refused too.
     """
     arr = np.asarray(r, dtype=float)
-    if not np.all((arr > 0.0) & np.isfinite(arr)):
-        raise DomainError("radius must be positive and finite")
+    if not np.all((arr >= _TINY) & np.isfinite(arr)):
+        raise DomainError(f"radius must be finite and at least {_TINY:.17g}")
     return float(arr) if arr.ndim == 0 else arr
 
 

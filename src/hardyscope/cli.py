@@ -2,9 +2,9 @@
 
 Subcommands mirror the library layout: ``spaces``, ``calculus``, ``weights``,
 ``green``, ``spectral``, ``verify``.  Tables go out as CSV, single results and
-verification reports as JSON.  Every option can also be supplied through an
-INI-style config file (section named after the subcommand, e.g.
-``[green.eval]``); explicit flags win over file values.
+verification reports as JSON.  Each option takes its flag's value, else its
+value in an INI-style config file (section named after the command, e.g.
+``[green.eval]``), else its default; ``_settle`` fills them all in one pass.
 
 The commands are one table, ``_COMMANDS``: a row per group and per leaf
 with its help, handler and options.  ``main`` reads a well-formed argv
@@ -39,7 +39,6 @@ from . import green as green_mod
 from . import spectral, verify, weights
 from .errors import (
     DomainError,
-    HardyscopeError,
     PreconditionError,
     QuadratureError,
     SpaceValidationError,
@@ -124,8 +123,6 @@ def _atomic_write(path: str, text: str) -> None:
     written, a directory among them, is a PreconditionError (exit 2), and
     no temporary file is left behind.
     """
-    if os.path.isdir(path):
-        raise PreconditionError(f"cannot write {path}: Is a directory")
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".hardyscope-{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -149,9 +146,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_config(path: str | None):
+def _load_config(path: str | None, section: str):
+    """The ``[section]`` of the config file at ``path``; {} without either."""
     if path is None:
-        return None
+        return {}
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -160,34 +158,46 @@ def _load_config(path: str | None):
         raise PreconditionError(f"cannot read config file: {exc}") from exc
     except configparser.Error as exc:
         raise PreconditionError(f"malformed config file: {exc}") from exc
-    return parser
+    return parser[section] if parser.has_section(section) else {}
 
 
-def _resolve(arg, cfg, section: str, key: str, conv=str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    if arg is not None:
-        return arg
-    if cfg is not None and cfg.has_section(section) and key in cfg[section]:
-        raw = cfg[section][key]
-        try:
-            return conv(raw)
-        except (ValueError, HardyscopeError) as exc:
-            raise PreconditionError(f"config [{section}] {key} = {raw!r}: {exc}") from None
-    return default
+# the value of an option that neither a flag nor the config file sets
+_DEFAULTS = {"P": 2.0, "tol": 1e-10, "gamma": 0.25, "alpha": 0.0, "rmin": 1e-7, "rmax": 1e-5, "samples": 15}
 
 
-def _resolve_grid(args, cfg, section: str) -> np.ndarray:
-    spec = _resolve(args.grid, cfg, section, "grid")
-    if spec is None:
-        return default_grid()
-    return _parse_grid(spec)
+def _settle(args) -> None:
+    """Give each option of the command that no flag set its value from the
+    config file (section ``group.sub``, or ``group`` for a group that is a
+    leaf) through the option's own type, else from ``_DEFAULTS``; a
+    repeatable option reads its plural key as a whitespace-separated list.
+    Then refuse an ``--out`` that is a directory or lies in none."""
+    group, sub, _, _, options = next(row for row in _COMMANDS if row[3] is args.func)
+    section = f"{group}.{sub}" if sub else group
+    values = _load_config(args.config, section)
+    for flag, kwargs in options:
+        dest, many = flag.lstrip("-"), kwargs.get("action") == "append"
+        key, conv = dest + "s" if many else dest, kwargs.get("type", str)
+        if getattr(args, dest) is None and key in values:
+            try:
+                setattr(args, dest, [conv(v) for v in values[key].split()] if many else conv(values[key]))
+            except ValueError as exc:
+                raise PreconditionError(f"config [{section}] {key} = {values[key]!r}: {exc}") from None
+        elif getattr(args, dest) is None:
+            setattr(args, dest, _DEFAULTS.get(dest))
+    if args.out and os.path.isdir(args.out):
+        raise PreconditionError(f"cannot write {args.out}: Is a directory")
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise PreconditionError(f"cannot write {args.out}: No such file or directory")
 
 
-def _resolve_space(args, cfg, section: str) -> str:
-    space = _resolve(args.space, cfg, section, "space")
-    if space is None:
+def _grid(args) -> np.ndarray:
+    return default_grid() if args.grid is None else _parse_grid(args.grid)
+
+
+def _model(args):
+    if args.space is None:
         raise PreconditionError("a space descriptor is required (--space or config)")
-    return space
+    return build_density(args.space)
 
 
 def _require_dr(model, what: str):
@@ -200,7 +210,7 @@ def _require_dr(model, what: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spaces_list(args, cfg) -> int:
+def _cmd_spaces_list(args) -> int:
     header = ["space", "kind", "n", "p", "q", "h", "lambda0"]
     rows = []
     for desc in DEFAULT_CATALOG:
@@ -208,22 +218,20 @@ def _cmd_spaces_list(args, cfg) -> int:
         p = model.p if model.kind == "dr" else ""
         q = model.q if model.kind == "dr" else ""
         rows.append([desc, model.kind, model.n, p, q, model.h, model.lambda0])
-    _emit(_csv_text(header, zip(*rows)), _resolve(args.out, cfg, "spaces.list", "out"))
+    _emit(_csv_text(header, zip(*rows)), args.out)
     return 0
 
 
 _CALC_OPS = ("f", "log_f", "log_df", "dlog_df", "d2f_over_f", "excess")
 
 
-def _cmd_calculus_eval(args, cfg) -> int:
-    section = "calculus.eval"
-    model = build_density(_resolve_space(args, cfg, section))
-    op = _resolve(args.op, cfg, section, "op")
-    if op not in _CALC_OPS:
+def _cmd_calculus_eval(args) -> int:
+    model = _model(args)
+    if args.op not in _CALC_OPS:
         raise PreconditionError(f"op must be one of {', '.join(_CALC_OPS)}")
-    grid = _resolve_grid(args, cfg, section)
-    values = _finite_columns(grid, [(op, getattr(model, op))])
-    _emit(_csv_text(["r", "value"], [grid, *values]), _resolve(args.out, cfg, section, "out"))
+    grid = _grid(args)
+    values = _finite_columns(grid, [(args.op, getattr(model, args.op))])
+    _emit(_csv_text(["r", "value"], [grid, *values]), args.out)
     return 0
 
 
@@ -249,103 +257,85 @@ def _build_pair(model, theorem: str, gamma: float, alpha: float, P: float):
     raise PreconditionError(f"theorem must be one of {', '.join(_THEOREMS)}")
 
 
-def _cmd_weights_eval(args, cfg) -> int:
-    section = "weights.eval"
-    model = build_density(_resolve_space(args, cfg, section))
-    theorem = _resolve(args.theorem, cfg, section, "theorem")
-    if theorem is None:
+def _cmd_weights_eval(args) -> int:
+    model = _model(args)
+    if args.theorem is None:
         raise PreconditionError("--theorem is required")
-    gamma = _resolve(args.gamma, cfg, section, "gamma", float, 0.25)
-    alpha = _resolve(args.alpha, cfg, section, "alpha", float, 0.0)
-    P = _resolve(args.P, cfg, section, "P", float, 2.0)
-    pair = _build_pair(model, theorem, gamma, alpha, P)
-    grid = _resolve_grid(args, cfg, section)
+    pair = _build_pair(model, args.theorem, args.gamma, args.alpha, args.P)
+    grid = _grid(args)
 
     header = ["V", "W"] + [f"term_{i + 1}" for i in range(len(pair.terms))]
     scalars = [pair.V, pair.W] + [scalar for _, scalar in pair.terms]
     columns = _finite_columns(grid, [(name, s.value) for name, s in zip(header, scalars)])
-    _emit(_csv_text(["r", *header], [grid, *columns]), _resolve(args.out, cfg, section, "out"))
+    _emit(_csv_text(["r", *header], [grid, *columns]), args.out)
     return 0
 
 
-def _cmd_green_eval(args, cfg) -> int:
-    section = "green.eval"
-    model = build_density(_resolve_space(args, cfg, section))
-    P = _resolve(args.P, cfg, section, "P", float, 2.0)
-    tol = _resolve(args.tol, cfg, section, "tol", float, 1e-10)
-    grid = _resolve_grid(args, cfg, section)
+def _cmd_green_eval(args) -> int:
+    model = _model(args)
+    if not args.tol >= 0.0:  # NaN too; inf certifies every row
+        raise PreconditionError(f"--tol must be >= 0, got {args.tol}")
+    grid = _grid(args)
 
-    batch = green_mod.green_weight_batch(model, P, grid)
-    green_mod.certify(grid, batch, tol)
+    batch = green_mod.green_weight_batch(model, args.P, grid)
+    green_mod.certify(grid, batch, args.tol)
     columns = ("G", "G_err", "dlogG", "W", "Wtilde")
     table = _finite_columns(grid, [(c, lambda _, v=batch[c]: v) for c in columns])
-    _emit(_csv_text(["r", *columns], [grid, *table]), _resolve(args.out, cfg, section, "out"))
+    _emit(_csv_text(["r", *columns], [grid, *table]), args.out)
     return 0
 
 
-def _cmd_green_asymptotics(args, cfg) -> int:
-    section = "green.asymptotics"
-    model = build_density(_resolve_space(args, cfg, section))
-    P = _resolve(args.P, cfg, section, "P", float, 2.0)
-    rmin = _resolve(args.rmin, cfg, section, "rmin", float, 1e-7)
-    rmax = _resolve(args.rmax, cfg, section, "rmax", float, 1e-5)
-    samples = _resolve(args.samples, cfg, section, "samples", int, 15)
-    if not (0.0 < rmin < rmax):
-        raise PreconditionError("need 0 < rmin < rmax")
-    if samples < 5:
+def _cmd_green_asymptotics(args) -> int:
+    model = _model(args)
+    if not (0.0 < args.rmin < args.rmax < math.inf):
+        raise PreconditionError("need 0 < rmin < rmax < inf")
+    if args.samples < 5:
         raise PreconditionError("need at least five (radius, value) samples")
-    if samples > _MAX_GRID_POINTS:
-        raise PreconditionError(f"--samples {samples:,} is more than {_MAX_GRID_POINTS:,}")
+    if args.samples > _MAX_GRID_POINTS:
+        raise PreconditionError(f"--samples {args.samples:,} is more than {_MAX_GRID_POINTS:,}")
 
-    radii = np.geomspace(rmin, rmax, samples)
-    surplus = green_mod.green_weight_batch(model, P, radii)["Wtilde"]
+    radii = np.geomspace(args.rmin, args.rmax, args.samples)
+    surplus = green_mod.green_weight_batch(model, args.P, radii)["Wtilde"]
     _finite_columns(radii, [("Wtilde", lambda _: surplus)])
     fit = verify.asymptotics_fit(radii, surplus)
-    pred = green_mod.asymptotic_prediction(model, P, radii)
+    pred = green_mod.asymptotic_prediction(model, args.P, radii)
     (predicted,) = _finite_columns(radii, [("predicted Wtilde", lambda _: pred.value)])
     with np.errstate(divide="ignore"):
         ratio = float(surplus[0] / predicted[0])  # inf where the prediction underflows, refused below
     doc = {
         "space": model.spec.descriptor(),
-        "P": P,
+        "P": args.P,
         "regime": pred.regime,
         "fitted_exponent": fit.slope,
         "predicted_exponent": pred.exponent,
         "ratio_at_rmin": ratio,
     }
-    _emit(_json_text(_finite(doc, "green asymptotics")), _resolve(args.out, cfg, section, "out"))
+    _emit(_json_text(_finite(doc, "green asymptotics")), args.out)
     return 0
 
 
-def _cmd_spectral_bottom(args, cfg) -> int:
-    section = "spectral.bottom"
-    model = build_density(_resolve_space(args, cfg, section))
-    R = _resolve(args.R, cfg, section, "R", float)
-    mesh = _resolve(args.mesh, cfg, section, "mesh", float)
-    if R is None or mesh is None:
+def _cmd_spectral_bottom(args) -> int:
+    model = _model(args)
+    if args.R is None or args.mesh is None:
         raise PreconditionError("--R and --mesh are required")
-    result = spectral.bottom_eigenvalue(spectral.EigenProblem(model=model, R=R, mesh=mesh))
+    result = spectral.bottom_eigenvalue(spectral.EigenProblem(model=model, R=args.R, mesh=args.mesh))
     doc = {
         "space": model.spec.descriptor(),
-        "R": R,
-        "mesh": mesh,
+        "R": args.R,
+        "mesh": args.mesh,
         "lambda": result.eigenvalue,
         "lambda_half_mesh": result.eigenvalue_half_mesh,
         "extrapolated": result.extrapolated,
         "target_lambda0": result.target_lambda0,
         "gap": result.gap,
     }
-    _emit(_json_text(_finite(doc, "spectral bottom")), _resolve(args.out, cfg, section, "out"))
+    _emit(_json_text(_finite(doc, "spectral bottom")), args.out)
     return 0
 
 
-def _cmd_verify(args, cfg) -> int:
-    section = "verify"
+def _cmd_verify(args) -> int:
     families = list(verify.FAMILIES) if args.family == "all" else [args.family]
-    spaces = args.space
-    if not spaces:
-        raw = _resolve(None, cfg, section, "spaces")
-        spaces = raw.split() if raw else list(DEFAULT_CATALOG)
+    spaces = args.space or list(DEFAULT_CATALOG)
     for desc in spaces:
         build_density(desc)  # fail fast with exit 2 on a bad descriptor
 
@@ -357,8 +347,7 @@ def _cmd_verify(args, cfg) -> int:
             print(f"{rep.verdict.upper():5s} {rep.space} {rep.check_id} gap={rep.gap:.6e} tol={rep.tolerance:.1e}")
     print(f"{len(reports)} checks: {len(reports) - n_fail - n_skip} passed, {n_fail} failed, {n_skip} skipped")
 
-    out = _resolve(args.out, cfg, section, "out")
-    if out:
+    if args.out:
         doc = {
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "spaces": list(spaces),
@@ -366,7 +355,7 @@ def _cmd_verify(args, cfg) -> int:
             "reports": [rep.as_dict() for rep in reports],
             "summary": {"total": len(reports), "failed": n_fail, "skipped": n_skip},
         }
-        _atomic_write(out, _json_text(doc))
+        _atomic_write(args.out, _json_text(doc))
     return 1 if n_fail else 0
 
 
@@ -499,8 +488,8 @@ def main(argv=None) -> int:
             # normal return path so callers of main() never see the exception
             return int(exc.code or 0)
     try:
-        cfg = _load_config(args.config)
-        return args.func(args, cfg)
+        _settle(args)
+        return args.func(args)
     except (SpaceValidationError, PreconditionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ from hardyscope.calculus import (
     Jet2,
     PanelPlan,
     RadialScalar,
+    check_radius,
     hilfe_rhs,
     p_laplacian_radial,
 )
@@ -62,6 +63,15 @@ def test_radial_scalar_value_only_guards_derivatives():
     np.testing.assert_array_equal(c.value(np.ones(3)), np.full(3, 2.5))
     with pytest.raises(DomainError):
         c.jet(1.0)
+
+
+def test_check_radius_refuses_subnormal_radii():
+    tiny = np.finfo(float).tiny
+    assert check_radius(tiny) == tiny and check_radius(1e-300) == 1e-300
+    np.testing.assert_array_equal(check_radius(np.array([tiny, 1.0, 1e300])), [tiny, 1.0, 1e300])
+    for bad in (np.nextafter(tiny, 0.0), 1e-310, 5e-324, 0.0, -1.0, math.nan, math.inf, np.array([1.0, 5e-324])):
+        with pytest.raises(DomainError, match="finite and at least 2.2250738585072014e-308"):
+            check_radius(bad)
 
 
 def test_laplacian_on_known_function():

@@ -696,3 +696,187 @@ def test_table_path_returns_none_or_what_argparse_returns(argv):
         parsed = cli.build_parser().parse_args(argv)
         # the sorted attributes by repr, so that NaN equals NaN
         assert repr(sorted(vars(table).items())) == repr(sorted(vars(parsed).items()))
+
+
+# a working call per case, and the option of it that the config file then sets;
+# each value differs from the option's default and changes the result
+_CONFIG_CASES = [
+    (["calculus", "eval", "--space", "hyperbolic:3", "--op", "excess", "--grid", "1:2:0.5"], "--space"),
+    (["calculus", "eval", "--space", "hyperbolic:3", "--op", "excess", "--grid", "1:2:0.5"], "--op"),
+    (["calculus", "eval", "--space", "hyperbolic:3", "--op", "excess", "--grid", "1:2:0.5"], "--grid"),
+    (["weights", "eval", "--space", "dr:4,2", "--theorem", "gamma_dr", "--gamma", "0.4", "--grid", "1:2:0.5"], "--space"),
+    (["weights", "eval", "--space", "dr:4,2", "--theorem", "gamma_dr", "--gamma", "0.4", "--grid", "1:2:0.5"], "--theorem"),
+    (["weights", "eval", "--space", "dr:4,2", "--theorem", "gamma_dr", "--gamma", "0.4", "--grid", "1:2:0.5"], "--gamma"),
+    (["weights", "eval", "--space", "dr:4,2", "--theorem", "gamma_dr", "--gamma", "0.4", "--grid", "1:2:0.5"], "--grid"),
+    (["weights", "eval", "--space", "hyperbolic:5", "--theorem", "weighted", "--alpha", "1.5"], "--alpha"),
+    (["weights", "eval", "--space", "dr:4,2", "--theorem", "p", "--P", "3", "--grid", "1:2:0.5"], "--P"),
+    (["green", "eval", "--space", "dr:2,1", "--P", "3", "--grid", "0.5:1.5:0.5"], "--space"),
+    (["green", "eval", "--space", "dr:2,1", "--P", "3", "--grid", "0.5:1.5:0.5"], "--P"),
+    (["green", "eval", "--space", "dr:2,1", "--P", "3", "--grid", "0.5:1.5:0.5"], "--grid"),
+    (["green", "eval", "--space", "dr:2,1", "--tol", "1e-18", "--grid", "1:2:0.5"], "--tol"),
+    (["green", "asymptotics", "--space", "dr:2,1", "--P", "3", "--rmin", "1e-6", "--rmax", "1e-4", "--samples", "9"], "--space"),
+    (["green", "asymptotics", "--space", "dr:2,1", "--P", "3", "--rmin", "1e-6", "--rmax", "1e-4", "--samples", "9"], "--P"),
+    (["green", "asymptotics", "--space", "dr:2,1", "--P", "3", "--rmin", "1e-6", "--rmax", "1e-4", "--samples", "9"], "--rmin"),
+    (["green", "asymptotics", "--space", "dr:2,1", "--P", "3", "--rmin", "1e-6", "--rmax", "1e-4", "--samples", "9"], "--rmax"),
+    (["green", "asymptotics", "--space", "dr:2,1", "--P", "3", "--rmin", "1e-6", "--rmax", "1e-4", "--samples", "9"], "--samples"),
+    (["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5", "--mesh", "0.05"], "--space"),
+    (["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5", "--mesh", "0.05"], "--R"),
+    (["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5", "--mesh", "0.05"], "--mesh"),
+    (["verify", "criticality", "--space", "hyperbolic:3", "--space", "dr:2,1"], "--space"),
+]
+
+
+def _leaf(argv):
+    """The section and the option table of the leaf argv names."""
+    for g, s, _, handler, options in cli._COMMANDS:
+        names = [g, s] if s else [g]
+        if handler is not None and argv[: len(names)] == names:
+            return ".".join(names), dict(options)
+    raise AssertionError(argv)
+
+
+def test_config_cases_cover_every_option_of_every_leaf():
+    covered = {(_leaf(argv)[0], flag) for argv, flag in _CONFIG_CASES}
+    table = {
+        (section, flag)
+        for section, options in (_leaf([g, s] if s else [g]) for g, s, _, h, _ in cli._COMMANDS if h is not None)
+        for flag in options
+        if flag.startswith("--") and flag != "--out"
+    }
+    assert covered == table
+
+
+@pytest.mark.parametrize("argv, flag", _CONFIG_CASES, ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_config_file_gives_what_the_flag_gives(argv, flag, tmp_path, capsys):
+    section, options = _leaf(argv)
+    rest, values = [], []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == flag:
+            values.append(next(tokens))
+        else:
+            rest.append(token)
+    key = flag[2:] + "s" if options[flag].get("action") == "append" else flag[2:]
+    ini = tmp_path / "conf.ini"
+    ini.write_text(f"[{section}]\n{key} = {' '.join(values)}\n")
+
+    by_flag = _run(argv, capsys)
+    by_config = _run(["--config", str(ini), *rest], capsys)
+    assert by_config[:2] == by_flag[:2]
+    assert _run(rest, capsys)[:2] != by_flag[:2]  # the option is used
+
+
+@pytest.mark.parametrize(
+    "section, key, value, argv",
+    [
+        ("green.eval", "P", "two", ["green", "eval", "--space", "hyperbolic:3"]),
+        ("green.eval", "tol", "small", ["green", "eval", "--space", "hyperbolic:3"]),
+        ("weights.eval", "gamma", "0.4.1", ["weights", "eval", "--space", "hyperbolic:3", "--theorem", "gamma"]),
+        ("weights.eval", "alpha", "", ["weights", "eval", "--space", "hyperbolic:3", "--theorem", "weighted"]),
+        ("green.asymptotics", "samples", "1.5", ["green", "asymptotics", "--space", "hyperbolic:3"]),
+        ("green.asymptotics", "rmax", "1e-5e", ["green", "asymptotics", "--space", "hyperbolic:3"]),
+        ("spectral.bottom", "R", "five", ["spectral", "bottom", "--space", "hyperbolic:3", "--mesh", "0.05"]),
+        ("spectral.bottom", "mesh", "?", ["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5"]),
+    ],
+)
+def test_a_bad_config_value_exits_two_naming_section_and_key(section, key, value, argv, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli.green_mod, "green_weight_batch", no_work)
+    monkeypatch.setattr(cli.spectral, "bottom_eigenvalue", no_work)
+    ini = tmp_path / "conf.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    rc, out, err = _run(["--config", str(ini), *argv], capsys)
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: config [{section}] {key} = {value!r}: ")
+
+
+def test_defaults_table_holds_the_documented_values():
+    assert cli._DEFAULTS == {"P": 2.0, "tol": 1e-10, "gamma": 0.25, "alpha": 0.0, "rmin": 1e-7, "rmax": 1e-5, "samples": 15}
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["green", "eval", "--space", "dr:2,1", "--grid", "0.5:1.5:0.5"], ["--P", "2", "--tol", "1e-10"]),
+        (["green", "asymptotics", "--space", "dr:2,1"], ["--P", "2", "--rmin", "1e-7", "--rmax", "1e-5", "--samples", "15"]),
+        (["weights", "eval", "--space", "hyperbolic:5", "--theorem", "gamma", "--grid", "1:2:0.5"], ["--gamma", "0.25"]),
+        (["weights", "eval", "--space", "hyperbolic:5", "--theorem", "weighted", "--grid", "1:2:0.5"], ["--alpha", "0"]),
+        (["weights", "eval", "--space", "dr:4,2", "--theorem", "p", "--grid", "1:2:0.5"], ["--P", "2"]),
+    ],
+)
+def test_an_omitted_option_takes_its_default(argv, defaults, capsys):
+    assert _run(argv, capsys) == _run(argv + defaults, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--out", "MISSING/r.json"],
+        ["verify", "ode", "--space", "hyperbolic:3", "--out", "DIR"],
+        ["green", "eval", "--space", "hyperbolic:3", "--out", "DIR"],
+        ["green", "asymptotics", "--space", "hyperbolic:3", "--out", "MISSING/a.json"],
+        ["--config", "CONFIG", "green", "eval", "--space", "hyperbolic:3"],
+    ],
+    ids=["verify-missing", "verify-dir", "green-dir", "asymptotics-missing", "green-config-dir"],
+)
+def test_out_is_refused_before_the_work(argv, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli.verify, "run_verification", no_work)
+    monkeypatch.setattr(cli.green_mod, "green_weight_batch", no_work)
+    (tmp_path / "DIR").mkdir()
+    ini = tmp_path / "conf.ini"
+    ini.write_text(f"[green.eval]\nout = {tmp_path / 'DIR'}\n")
+    argv = [a.replace("MISSING", str(tmp_path / "missing")).replace("DIR", str(tmp_path / "DIR")) for a in argv]
+    argv = [a.replace("CONFIG", str(ini)) for a in argv]
+    rc, out, err = _run(argv, capsys)
+    assert (rc, out) == (2, "")
+    reason = "No such file or directory" if "missing" in " ".join(argv) else "Is a directory"
+    assert err.startswith("error: cannot write ") and err.endswith(f": {reason}\n") and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR", "conf.ini"]
+    assert list((tmp_path / "DIR").iterdir()) == []
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "-0.5"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_green_eval_refuses_a_negative_or_nan_tol_before_the_batch(tol, source, tmp_path, monkeypatch, capsys):
+    # these ran the batch and then exited 1 with "certified only to ... > tol"
+    def no_work(*args, **kwargs):
+        raise AssertionError("the batch ran")
+
+    monkeypatch.setattr(cli.green_mod, "green_weight_batch", no_work)
+    ini = tmp_path / "conf.ini"
+    ini.write_text(f"[green.eval]\ntol = {tol}\n")
+    argv = ["green", "eval", "--space", "hyperbolic:3", "--grid", "1:2:1"]
+    argv = argv + ["--tol", tol] if source == "flag" else ["--config", str(ini), *argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --tol must be >= 0, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["green", "eval", "--space", "hyperbolic:3", "--tol", "inf", "--grid", "1e-310:3e-310:1e-310"],
+         "radius must be finite and at least 2.2250738585072014e-308"),
+        (["green", "eval", "--space", "dr:8,7", "--P", "1.001", "--tol", "inf", "--grid", "5e-324:1e-323:5e-324"],
+         "radius must be finite and at least 2.2250738585072014e-308"),
+        (["green", "asymptotics", "--space", "euclidean:5", "--rmin", "5e-324"],
+         "radius must be finite and at least 2.2250738585072014e-308"),
+        (["green", "asymptotics", "--space", "hyperbolic:3", "--rmax", "inf"], "need 0 < rmin < rmax < inf"),
+    ],
+    ids=["eval-h3-subnormal", "eval-dr-subnormal", "asymptotics-subnormal-rmin", "asymptotics-rmax-inf"],
+)
+def test_green_refuses_subnormal_radii_and_an_infinite_rmax(argv, message, capsys):
+    # overflow in divide, divide by zero in log, and nan from np.geomspace
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {message}\n"
