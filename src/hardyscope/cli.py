@@ -37,6 +37,7 @@ import numpy as np
 
 from . import green as green_mod
 from . import spectral, verify, weights
+from .calculus import check_radius
 from .errors import (
     DomainError,
     PreconditionError,
@@ -60,6 +61,7 @@ _MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """The radii of ``lo:hi:step``, each a finite normal double (``check_radius``)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise PreconditionError(f"grid must be lo:hi:step, got {text!r}")
@@ -72,7 +74,7 @@ def _parse_grid(text: str) -> np.ndarray:
     points = (hi - lo) / step + 0.5  # np.arange below makes ceil(points) of them
     if not points <= _MAX_GRID_POINTS:
         raise PreconditionError(f"grid {text!r} has {points:.3g} points, more than {_MAX_GRID_POINTS:,}")
-    return np.arange(lo, hi + 0.5 * step, step)
+    return check_radius(np.arange(lo, hi + 0.5 * step, step))
 
 
 def _csv_text(header, columns) -> str:
@@ -168,9 +170,10 @@ _DEFAULTS = {"P": 2.0, "tol": 1e-10, "gamma": 0.25, "alpha": 0.0, "rmin": 1e-7, 
 def _settle(args) -> None:
     """Give each option of the command that no flag set its value from the
     config file (section ``group.sub``, or ``group`` for a group that is a
-    leaf) through the option's own type, else from ``_DEFAULTS``; a
-    repeatable option reads its plural key as a whitespace-separated list.
-    Then refuse an ``--out`` that is a directory or lies in none."""
+    leaf) through the option's own type and choices, and a grid through
+    ``_parse_grid``, else from ``_DEFAULTS``; a repeatable option reads its
+    plural key as a whitespace-separated list.  Then refuse an ``--out`` that
+    is a directory or lies in none."""
     group, sub, _, _, options = next(row for row in _COMMANDS if row[3] is args.func)
     section = f"{group}.{sub}" if sub else group
     values = _load_config(args.config, section)
@@ -179,9 +182,14 @@ def _settle(args) -> None:
         key, conv = dest + "s" if many else dest, kwargs.get("type", str)
         if getattr(args, dest) is None and key in values:
             try:
-                setattr(args, dest, [conv(v) for v in values[key].split()] if many else conv(values[key]))
-            except ValueError as exc:
+                value = [conv(v) for v in values[key].split()] if many else conv(values[key])
+                if "choices" in kwargs and value not in kwargs["choices"]:
+                    raise ValueError(f"must be one of {', '.join(kwargs['choices'])}")
+                if dest == "grid":
+                    _parse_grid(value)
+            except (ValueError, PreconditionError, DomainError) as exc:
                 raise PreconditionError(f"config [{section}] {key} = {values[key]!r}: {exc}") from None
+            setattr(args, dest, value)
         elif getattr(args, dest) is None:
             setattr(args, dest, _DEFAULTS.get(dest))
     if args.out and os.path.isdir(args.out):
@@ -198,11 +206,6 @@ def _model(args):
     if args.space is None:
         raise PreconditionError("a space descriptor is required (--space or config)")
     return build_density(args.space)
-
-
-def _require_dr(model, what: str):
-    if model.kind != "dr":
-        raise PreconditionError(f"{what} needs a Damek-Ricci space, got {model.spec.descriptor()}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +245,15 @@ def _build_pair(model, theorem: str, gamma: float, alpha: float, P: float):
     if theorem == "B":
         return weights.weight_theorem_b(model)
     if theorem == "A":
-        _require_dr(model, "theorem A")
-        return weights.weight_dr_poincare(model.p, model.q)
+        return weights.weight_dr_poincare(model)
     if theorem == "gamma":
         return weights.weight_gamma_family(model, gamma)
     if theorem == "gamma_dr":
-        _require_dr(model, "the closed-form gamma decomposition")
-        return weights.weight_gamma_dr(model.p, model.q, gamma)
+        return weights.weight_gamma_dr(model, gamma)
     if theorem == "weighted":
         return weights.weight_weighted(model, alpha)
     if theorem == "p":
-        _require_dr(model, "the p-Laplacian pair")
-        return weights.weight_p_dr(model.p, model.q, P)
+        return weights.weight_p_dr(model, P)
     raise PreconditionError(f"theorem must be one of {', '.join(_THEOREMS)}")
 
 
@@ -277,8 +277,7 @@ def _cmd_green_eval(args) -> int:
         raise PreconditionError(f"--tol must be >= 0, got {args.tol}")
     grid = _grid(args)
 
-    batch = green_mod.green_weight_batch(model, args.P, grid)
-    green_mod.certify(grid, batch, args.tol)
+    batch = green_mod.green_value(model, args.P, grid, args.tol)
     columns = ("G", "G_err", "dlogG", "W", "Wtilde")
     table = _finite_columns(grid, [(c, lambda _, v=batch[c]: v) for c in columns])
     _emit(_csv_text(["r", *columns], [grid, *table]), args.out)
@@ -303,7 +302,7 @@ def _cmd_green_asymptotics(args) -> int:
     with np.errstate(divide="ignore"):
         ratio = float(surplus[0] / predicted[0])  # inf where the prediction underflows, refused below
     doc = {
-        "space": model.spec.descriptor(),
+        "space": model.descriptor(),
         "P": args.P,
         "regime": pred.regime,
         "fitted_exponent": fit.slope,
@@ -320,7 +319,7 @@ def _cmd_spectral_bottom(args) -> int:
         raise PreconditionError("--R and --mesh are required")
     result = spectral.bottom_eigenvalue(spectral.EigenProblem(model=model, R=args.R, mesh=args.mesh))
     doc = {
-        "space": model.spec.descriptor(),
+        "space": model.descriptor(),
         "R": args.R,
         "mesh": args.mesh,
         "lambda": result.eigenvalue,

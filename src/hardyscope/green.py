@@ -20,8 +20,8 @@ Two complementary formulations are used:
 The excess form wins for r >= 1 (where the direct form would subtract nearly
 equal exponentials); the direct form wins for small r (where rho itself is
 tiny).  One Gauss-Legendre engine, ``green_weight_batch``, evaluates both
-over a whole radius grid and carries an error bound; the single-radius
-functions call it.  It integrates one vectorised pass of panels per form;
+over a whole radius grid and carries an error bound; ``green_value`` is that
+batch with G certified.  It integrates one vectorised pass of panels per form;
 radii that lie within about one e-folding of each other share a panel and
 are read off its interpolant, so on a dense grid the density is evaluated
 on a number of nodes set by the span of the radii, not by their count.
@@ -44,8 +44,6 @@ from .spaces import EUCLIDEAN, DensityModel
 from .weights import WeightPair
 
 __all__ = [
-    "GreenEvaluation",
-    "certify",
     "green_value",
     "green_weight",
     "green_weight_batch",
@@ -93,16 +91,6 @@ def _power(base: float, P: float) -> float:
         return base**P
     except OverflowError:
         return math.inf
-
-
-@dataclass
-class GreenEvaluation:
-    """Evaluation of the P-Green function at one radius with its error bound."""
-
-    P: float
-    r: float
-    value: float
-    error_bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +364,18 @@ def _rounding_floor(G: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     return 8.0 * _EPS * (1.0 + np.abs(exponent)) * G
 
 
-# ---------------------------------------------------------------------------
-# one radius at a time
-# ---------------------------------------------------------------------------
+def green_value(model: DensityModel, P: float, radii, tol: float = 1e-10) -> dict:
+    """``green_weight_batch`` over ``radii``, once every G is certified to ``tol``.
 
-
-def certify(radii: np.ndarray, batch: dict, tol: float) -> None:
-    """Raise QuadratureError at the first radius whose G is not certified to ``tol``.
-
-    G must be a finite normal double (below that range it keeps too few
-    digits for G_err to mean anything) and G_err at most ``tol``; NaN fails
-    both tests.
+    G(r) = omega_n^(-1/(P-1)) * integral_r^inf f(t)^(-1/(P-1)) dt.  On flat
+    space the integral only converges for P < n; elsewhere the exponential
+    volume growth makes it converge for every P > 1.  Raises QuadratureError
+    at the first radius whose G is not a finite normal double (below that
+    range it keeps too few digits for G_err to mean anything) or whose G_err
+    exceeds ``tol``; NaN fails both tests.
     """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    batch = green_weight_batch(model, P, radii)
     G, G_err = batch["G"], batch["G_err"]
     bad = ~((G >= np.finfo(float).tiny) & (G < math.inf))
     if bad.any():
@@ -398,20 +386,7 @@ def certify(radii: np.ndarray, batch: dict, tol: float) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(f"green value at r={radii[i]} certified only to {G_err[i]:.3e} > tol={tol:.3e}")
-
-
-def green_value(model: DensityModel, P: float, r: float, tol: float = 1e-10) -> GreenEvaluation:
-    """P-Green function value G(r) with the error bound G_err of the engine.
-
-    G(r) = omega_n^(-1/(P-1)) * integral_r^inf f(t)^(-1/(P-1)) dt.  On flat
-    space the integral only converges for P < n; elsewhere the exponential
-    volume growth makes it converge for every P > 1.  Raises QuadratureError
-    as ``certify`` does.
-    """
-    r = float(check_radius(r))
-    out = green_weight_batch(model, P, r)
-    certify(np.atleast_1d(r), out, tol)
-    return GreenEvaluation(P=float(P), r=r, value=float(out["G"][0]), error_bound=float(out["G_err"][0]))
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +417,7 @@ def green_weight(model: DensityModel, P: float):
     terms = (("((P-1)/P)^P |G'/G|^P", w_scalar),)
     return WeightPair(
         theorem_id="green_p",
-        space=model.spec.descriptor(),
+        space=model.descriptor(),
         params={"P": P},
         V=RadialScalar.constant(0.0),
         W=w_scalar,
@@ -507,16 +482,14 @@ def green_weight_supercritical(model: DensityModel, P: float, r: float) -> float
 
     With gamma = G(0), returns
     ((P-1)/P)^P |G'/G|^P |gamma - 2G|^(P-2) / |gamma - G|^P
-    * (gamma^2 + 2(P-2) G (gamma - G)), with G and G'/G from one engine call
-    and G certified to 1e-10 as by ``green_value``.
+    * (gamma^2 + 2(P-2) G (gamma - G)), with G and G'/G from one
+    ``green_value`` call, so G is certified to 1e-10.
     """
     P = float(P)
     if P <= model.n:
         raise PreconditionError("supercritical weight needs P > n")
-    r = float(check_radius(r))
     gamma = green_gamma0(model, P)
-    batch = green_weight_batch(model, P, r)
-    certify(np.atleast_1d(r), batch, 1e-10)
+    batch = green_value(model, P, r)
     G, dlog = float(batch["G"][0]), float(batch["dlogG"][0])
     lead = ((P - 1.0) / P) ** P * abs(dlog) ** P
     return (

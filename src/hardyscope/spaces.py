@@ -24,7 +24,6 @@ f`` and the spectral assembly alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 
 import numpy as np
@@ -56,21 +55,6 @@ DEFAULT_CATALOG = (
 # ---------------------------------------------------------------------------
 # descriptors and admissibility
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Parsed space descriptor."""
-
-    kind: str
-    n: int
-    p: int | None = None
-    q: int | None = None
-
-    def descriptor(self) -> str:
-        if self.kind == DAMEK_RICCI:
-            return f"dr:{self.p},{self.q}"
-        return f"{self.kind}:{self.n}"
 
 
 def heisenberg_exponent(q: int) -> int:
@@ -105,33 +89,6 @@ def validate_heisenberg_params(p: int, q: int) -> None:
         raise SpaceValidationError(
             f"pair (p={p}, q={q}) is not admissible: q={q} forces p to be a multiple of {1 << e}"
         )
-
-
-def parse_space(text: str) -> SpaceSpec:
-    """Parse a descriptor like ``euclidean:4``, ``hyperbolic:3`` or ``dr:2,1``."""
-    body = text.strip().lower()
-    kind, sep, rest = body.partition(":")
-    if not sep:
-        raise SpaceValidationError(f"bad space descriptor {text!r}: expected kind:params")
-    if kind in (EUCLIDEAN, HYPERBOLIC):
-        try:
-            n = int(rest)
-        except ValueError:
-            raise SpaceValidationError(f"bad dimension {rest!r} in {text!r}") from None
-        if n < 2:
-            raise SpaceValidationError(f"dimension must be >= 2, got {n}")
-        return SpaceSpec(kind=kind, n=n)
-    if kind == DAMEK_RICCI:
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise SpaceValidationError(f"bad parameter pair {rest!r} in {text!r}: expected p,q")
-        try:
-            p, q = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise SpaceValidationError(f"bad parameter pair {rest!r} in {text!r}") from None
-        validate_heisenberg_params(p, q)
-        return SpaceSpec(kind=DAMEK_RICCI, n=p + q + 1, p=p, q=q)
-    raise SpaceValidationError(f"unknown space kind {kind!r} in {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,34 +133,40 @@ def _cothm1(x: np.ndarray) -> np.ndarray:
 class DensityModel:
     """Closed-form evaluators for one space's density f and its logarithmic data.
 
-    All radial methods accept positive floats or numpy arrays.  The model also
-    carries the constants that the weight constructions keep reusing: the
-    volume growth rate h = lim f'/f, the spectral floor lambda0 = h^2/4, and
-    the scalar curvature at the pole.
+    A model is a kind, a dimension n and, on curved spaces, p (0 on hyperbolic
+    space), as ``build_density`` parses them from a descriptor.  All radial
+    methods accept positive floats or numpy arrays.  The model also carries the
+    constants that the weight constructions keep reusing: the volume growth
+    rate h = lim f'/f, the spectral floor lambda0 = h^2/4, and the scalar
+    curvature at the pole.
     """
 
-    def __init__(self, spec: SpaceSpec):
-        self.spec = spec
-        self.kind = spec.kind
-        self.n = spec.n
-        if spec.kind == EUCLIDEAN:
+    def __init__(self, kind: str, n: int, p: int = 0):
+        self.kind, self.n = kind, n
+        if kind == EUCLIDEAN:
             self.h = 0.0
             self.scalar_curvature = 0.0
-        elif spec.kind in (HYPERBOLIC, DAMEK_RICCI):
+        elif kind in (HYPERBOLIC, DAMEK_RICCI):
             # the curved density 2^p sinh(r/2)^p sinh(r)^q with n = p + q + 1;
             # hyperbolic space is its p = 0 member
-            self.p = spec.p or 0
-            self.q = spec.n - 1 - self.p
-            self.h = (self.p + 2.0 * self.q) / 2.0
-            self.scalar_curvature = -spec.n * (self.p + 4.0 * self.q) / 4.0
+            self.p = p
+            self.q = n - 1 - p
+            self.h = (p + 2.0 * self.q) / 2.0
+            self.scalar_curvature = -n * (p + 4.0 * self.q) / 4.0
         else:
-            raise SpaceValidationError(f"unknown space kind {spec.kind!r}")
+            raise SpaceValidationError(f"unknown space kind {kind!r}")
         self.lambda0 = self.h**2 / 4.0
         # quadratic coefficient of f(r)/r^(n-1) near the pole
-        self.series_coefficient = -self.scalar_curvature / (6.0 * self.n)
+        self.series_coefficient = -self.scalar_curvature / (6.0 * n)
+
+    def descriptor(self) -> str:
+        """The descriptor that ``build_density`` reads back into this model."""
+        if self.kind == DAMEK_RICCI:
+            return f"dr:{self.p},{self.q}"
+        return f"{self.kind}:{self.n}"
 
     def __repr__(self) -> str:
-        return f"DensityModel({self.spec.descriptor()})"
+        return f"DensityModel({self.descriptor()})"
 
     # -- density and derivatives ------------------------------------------
     #
@@ -259,11 +222,31 @@ class DensityModel:
         return (self.p / 2.0) * _cothm1(r / 2.0) + out if self.p else out
 
 
-def build_density(spec: SpaceSpec | str) -> DensityModel:
-    """Construct the density model for a parsed or textual descriptor."""
-    if isinstance(spec, str):
-        spec = parse_space(spec)
-    return DensityModel(spec)
+def build_density(text: str) -> DensityModel:
+    """The density model of a descriptor like ``euclidean:4``, ``hyperbolic:3`` or ``dr:2,1``."""
+    body = text.strip().lower()
+    kind, sep, rest = body.partition(":")
+    if not sep:
+        raise SpaceValidationError(f"bad space descriptor {text!r}: expected kind:params")
+    if kind in (EUCLIDEAN, HYPERBOLIC):
+        try:
+            n = int(rest)
+        except ValueError:
+            raise SpaceValidationError(f"bad dimension {rest!r} in {text!r}") from None
+        if n < 2:
+            raise SpaceValidationError(f"dimension must be >= 2, got {n}")
+        return DensityModel(kind, n)
+    if kind == DAMEK_RICCI:
+        parts = rest.split(",")
+        if len(parts) != 2:
+            raise SpaceValidationError(f"bad parameter pair {rest!r} in {text!r}: expected p,q")
+        try:
+            p, q = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise SpaceValidationError(f"bad parameter pair {rest!r} in {text!r}") from None
+        validate_heisenberg_params(p, q)
+        return DensityModel(DAMEK_RICCI, p + q + 1, p)
+    raise SpaceValidationError(f"unknown space kind {kind!r} in {text!r}")
 
 
 def default_grid() -> np.ndarray:

@@ -17,9 +17,10 @@ in one engine batch).  Each member's value and first two derivatives live on
 its own panels of the grid only (32,720 entries on the default suite, the
 bumps computed in one pass); one reduction per side then gives that side
 for every member, with its null-rule estimate.  The parts of a form that do
-not depend on the pair are computed once per space and order P.  The
-single-member functions (``rayleigh_gap`` and friends) run the same code on
-a one-member suite, whose grid is the member's own.  The null-criticality
+not depend on the pair are computed once per space and order P.
+``rayleigh_gap``, ``p_rayleigh_gap``, ``uncertainty_gap`` and
+``rellich_gap`` take a ``SuiteDensity`` and return one result per member;
+the report runner calls them by these names.  The null-criticality
 mass is taken on the same rule, in log r, and is certified by its null-rule
 estimate: above 1e-10 relative it raises QuadratureError instead of
 returning a number.
@@ -312,20 +313,20 @@ def _form_gaps(density: SuiteDensity, pair: WeightPair, P: float) -> list[GapRes
     return _gap_results(plan.panels.reduce(energy * mu), plan.panels.reduce(net * mass * mu))
 
 
-def rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> GapResult:
+def rayleigh_gap(density: SuiteDensity, pair: WeightPair) -> list[GapResult]:
     """Energy minus potential mass for the quadratic form of a pair.
 
-    Returns the two sides of
+    Returns, per suite member phi, the two sides of
     integral |phi'|^2 f mu  >=  integral (W - V) phi^2 f mu,
     where mu is the pair's reference measure (1 when absent).  A nonnegative
-    gap confirms the inequality on this test function.
+    gap confirms the inequality on that test function.
     """
-    return _form_gaps(SuiteDensity(model, TestFunctionSuite((member,))), pair, 2.0)[0]
+    return _form_gaps(density, pair, 2.0)
 
 
-def p_rayleigh_gap(model: DensityModel, pair: WeightPair, member: SuiteMember) -> GapResult:
-    """Same as rayleigh_gap but with |phi'|^P against (W - V)|phi|^P."""
-    return _form_gaps(SuiteDensity(model, TestFunctionSuite((member,))), pair, pair.P)[0]
+def p_rayleigh_gap(density: SuiteDensity, pair: WeightPair) -> list[GapResult]:
+    """Same as rayleigh_gap but with |phi'|^P against (W - V)|phi|^P, P the pair's order."""
+    return _form_gaps(density, pair, pair.P)
 
 
 def _ode_terms(model: DensityModel, pair: WeightPair, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -478,10 +479,19 @@ class UncertaintyResult:
 def _moment_weight(density: SuiteDensity) -> np.ndarray:
     # g r^2 on the members' nodes, g the uncertainty weight
     model, r = density.model, density.suite.plan.nodes
+    if model.kind != "dr":
+        raise PreconditionError(f"the uncertainty weight needs a Damek-Ricci space, got {model.descriptor()}")
     return (hpw_g(model.p, model.q, r) * r**2)[density.suite.plan.index]
 
 
-def _uncertainty_results(density: SuiteDensity) -> list[UncertaintyResult]:
+def uncertainty_gap(density: SuiteDensity) -> list[UncertaintyResult]:
+    """Shifted-energy uncertainty product on a Heisenberg-type space, per suite member.
+
+    Computes E = integral phi'^2 f - lambda0 integral phi^2 f, the weighted
+    moment integral g r^2 phi^2 f, and the norm integral phi^2 f.  The
+    product E * moment must dominate (1/4) norm^2; the ratio is returned
+    (NaN when phi vanishes identically, reported as a skip upstream).
+    """
     plan = density.suite.plan
     d1_sq, v_sq, _ = density.form(2.0)
     (e, e_err), (m, m_err), (n, n_err) = (
@@ -493,35 +503,20 @@ def _uncertainty_results(density: SuiteDensity) -> list[UncertaintyResult]:
     return [UncertaintyResult(*sides) for sides in zip(e.tolist(), m.tolist(), n.tolist(), errors)]
 
 
-def uncertainty_gap(p: int, q: int, member: SuiteMember) -> UncertaintyResult:
-    """Shifted-energy uncertainty product on a Heisenberg-type space.
-
-    Computes E = integral phi'^2 f - lambda0 integral phi^2 f, the weighted
-    moment integral g r^2 phi^2 f, and the norm integral phi^2 f.  The
-    product E * moment must dominate (1/4) norm^2; the ratio is returned
-    (NaN when phi vanishes identically, reported as a skip upstream).
-    """
-    return _uncertainty_results(SuiteDensity(build_density(f"dr:{p},{q}"), TestFunctionSuite((member,))))[0]
-
-
-def _rellich_results(density: SuiteDensity) -> list[GapResult]:
-    model, plan = density.model, density.suite.plan
-    weight = _moment_weight(density)
-    lap = plan.d2 + np.asarray(model.log_df(plan.nodes))[plan.index] * plan.d1
-    lhs = plan.panels.reduce(weight * (lap + model.lambda0 * plan.val) ** 2 * density.values)
-    rhs = plan.panels.reduce(density.form(2.0)[1] / (16.0 * weight))
-    return _gap_results(lhs, rhs)
-
-
-def rellich_gap(p: int, q: int, member: SuiteMember) -> GapResult:
-    """Second-order form against the inverse moment weight.
+def rellich_gap(density: SuiteDensity) -> list[GapResult]:
+    """Second-order form against the inverse moment weight, per suite member.
 
     Returns the two sides of
     integral g r^2 (Delta phi + lambda0 phi)^2 f
       >= (1/16) integral phi^2 / (g r^2) f
     on a Heisenberg-type space, with g the uncertainty weight.
     """
-    return _rellich_results(SuiteDensity(build_density(f"dr:{p},{q}"), TestFunctionSuite((member,))))[0]
+    model, plan = density.model, density.suite.plan
+    weight = _moment_weight(density)
+    lap = plan.d2 + np.asarray(model.log_df(plan.nodes))[plan.index] * plan.d1
+    lhs = plan.panels.reduce(weight * (lap + model.lambda0 * plan.val) ** 2 * density.values)
+    rhs = plan.panels.reduce(density.form(2.0)[1] / (16.0 * weight))
+    return _gap_results(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +594,17 @@ def _pairs_for(model: DensityModel) -> list[tuple[str, dict, WeightPair]]:
     """Deterministic list of (label, params, pair) applicable to a space."""
     out: list[tuple[str, dict, WeightPair]] = [("B", {}, weight_theorem_b(model))]
     if model.kind == "dr":
-        out.append(("A", {}, weight_dr_poincare(model.p, model.q)))
+        out.append(("A", {}, weight_dr_poincare(model)))
     out.append(("gamma", {"gamma": _GAMMA_DEFAULT}, weight_gamma_family(model, _GAMMA_DEFAULT)))
     if model.kind == "dr":
-        out.append(("gamma_dr", {"gamma": _GAMMA_DEFAULT}, weight_gamma_dr(model.p, model.q, _GAMMA_DEFAULT)))
+        out.append(("gamma_dr", {"gamma": _GAMMA_DEFAULT}, weight_gamma_dr(model, _GAMMA_DEFAULT)))
     for alpha in _WEIGHTED_ALPHAS:
         if model.n >= 2.0 * (1.0 + alpha):
             out.append((f"weighted[{alpha:g}]", {"alpha": alpha}, weight_weighted(model, alpha)))
     if model.kind == "dr":
         for P in _PDR_ORDERS:
             if model.p + model.q >= P * (P - 1.0):
-                out.append((f"p_dr[{P:g}]", {"P": P}, weight_p_dr(model.p, model.q, P)))
+                out.append((f"p_dr[{P:g}]", {"P": P}, weight_p_dr(model, P)))
     if model.kind != "euclidean":
         out.append(("green[2]", {"P": 2.0}, green_mod.green_weight(model, 2.0)))
     return out
@@ -635,7 +630,8 @@ def _member_reports(prefix: str, space: str, params: dict, density: SuiteDensity
 def _rayleigh_jobs(space: str, density: SuiteDensity):
     for label, params, pair in _pairs_for(density.model):
         def job(pair=pair):
-            return [_gap_row(res) for res in _form_gaps(density, pair, pair.P)]
+            gaps = rayleigh_gap if pair.P == 2.0 else p_rayleigh_gap
+            return [_gap_row(res) for res in gaps(density, pair)]
 
         yield _member_reports(f"rayleigh.{label}", space, params, density), job
 
@@ -685,14 +681,17 @@ def _uncertainty_row(res: UncertaintyResult):
     return ratio, 1.0, ratio - 1.0, 1e-8, verdict
 
 
-def _heisenberg_jobs(family: str, results, row):
-    """Jobs of a family with one job per Heisenberg-type space (dr with q not 0 or 2)."""
+# one uncertainty and one rellich job per Heisenberg-type space (dr with q not 0 or 2)
 
-    def jobs(space: str, density: SuiteDensity):
-        if density.model.kind == "dr" and density.model.q not in (0, 2):
-            yield _member_reports(family, space, {}, density), lambda: [row(res) for res in results(density)]
 
-    return jobs
+def _uncertainty_jobs(space: str, density: SuiteDensity):
+    if density.model.kind == "dr" and density.model.q not in (0, 2):
+        yield _member_reports("uncertainty", space, {}, density), lambda: [_uncertainty_row(res) for res in uncertainty_gap(density)]
+
+
+def _rellich_jobs(space: str, density: SuiteDensity):
+    if density.model.kind == "dr" and density.model.q not in (0, 2):
+        yield _member_reports("rellich", space, {}, density), lambda: [_gap_row(res) for res in rellich_gap(density)]
 
 
 def _asymptotics_jobs(space: str, density: SuiteDensity):
@@ -724,8 +723,8 @@ _FAMILY_JOBS = {
     "rayleigh": _rayleigh_jobs,
     "ode": _ode_jobs,
     "criticality": _criticality_jobs,
-    "uncertainty": _heisenberg_jobs("uncertainty", _uncertainty_results, _uncertainty_row),
-    "rellich": _heisenberg_jobs("rellich", _rellich_results, _gap_row),
+    "uncertainty": _uncertainty_jobs,
+    "rellich": _rellich_jobs,
     "asymptotics": _asymptotics_jobs,
 }
 

@@ -2,10 +2,11 @@
 
 Each builder assembles a WeightPair: a potential V, a weight W with a named
 term breakdown that sums to W exactly, the ground state where one exists, and
-auxiliary evaluators in ``extras``.  All evaluators accept positive scalars or
-numpy arrays.  V, W, their terms and the measure are values only, sums taken
-in a fixed order (reading their jet raises DomainError); the ground states
-keep their jets.
+auxiliary evaluators in ``extras``.  Every builder takes the space's
+``DensityModel``; those of the Damek-Ricci pairs (A, gamma_dr, p_dr) refuse
+any other kind.  All evaluators accept positive scalars or numpy arrays.  V,
+W, their terms and the measure are values only, sums taken in a fixed order
+(reading their jet raises DomainError); the ground states keep their jets.
 
 Every curvature coefficient comes from one collapsed identity for
 c (f'/f)^2 - b (f'/f)', ``calculus.hilfe_coefficients`` on the curved density
@@ -37,14 +38,7 @@ import numpy as np
 
 from .calculus import Jet2, RadialScalar, check_radius, hilfe_coefficients
 from .errors import DomainError, PreconditionError
-from .spaces import (
-    DAMEK_RICCI,
-    EUCLIDEAN,
-    DensityModel,
-    SpaceSpec,
-    build_density,
-    validate_heisenberg_params,
-)
+from .spaces import DAMEK_RICCI, EUCLIDEAN, DensityModel, validate_heisenberg_params
 
 __all__ = [
     "WeightPair",
@@ -173,6 +167,11 @@ def _curvature_coefficients(model: DensityModel, c: float, b: float):
     return const, coef_r, coef_half / 4.0, 0.0
 
 
+def _require_dr(model: DensityModel, what: str) -> None:
+    if model.kind != DAMEK_RICCI:
+        raise PreconditionError(f"{what} needs a Damek-Ricci space, got {model.descriptor()}")
+
+
 # ---------------------------------------------------------------------------
 # quadratic pair with ground state (r/f)^{1/2}
 # ---------------------------------------------------------------------------
@@ -202,7 +201,7 @@ def weight_theorem_b(model: DensityModel):
     ground_state, log_gs = _ground_state(model, 0.5, 0.5)
     return WeightPair(
         theorem_id="B",
-        space=model.spec.descriptor(),
+        space=model.descriptor(),
         params={},
         V=v_scalar,
         W=_sum_terms(terms),
@@ -217,14 +216,13 @@ def weight_theorem_b(model: DensityModel):
     )
 
 
-def weight_dr_poincare(p: int, q: int):
+def weight_dr_poincare(model: DensityModel):
     """Shifted pair on the two-parameter spaces: V = -lambda0, explicit W.
 
     W = 1/(4 r^2) + p(p+2q-2)/(16 sinh(r/2)^2) + q(q-2)/(4 sinh(r)^2), with
     ground state (r/f)^(1/2).  W is nonnegative for every admissible (p, q).
     """
-    validate_heisenberg_params(p, q)
-    model = build_density(SpaceSpec(kind=DAMEK_RICCI, n=p + q + 1, p=p, q=q))
+    _require_dr(model, "theorem A")
     _, c_sr, c_sh, _ = _curvature_coefficients(model, 0.25, -0.5)
     terms = (
         ("1/(4r^2)", _inverse_square(0.25)),
@@ -234,7 +232,7 @@ def weight_dr_poincare(p: int, q: int):
     ground_state, log_gs = _ground_state(model, 0.5, 0.5)
     return WeightPair(
         theorem_id="A",
-        space=model.spec.descriptor(),
+        space=model.descriptor(),
         params={},
         V=RadialScalar.constant(-model.lambda0),
         W=_sum_terms(terms),
@@ -282,7 +280,7 @@ def weight_gamma_family(model: DensityModel, gamma: float):
     terms = (("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),)
     return WeightPair(
         theorem_id="gamma_family",
-        space=model.spec.descriptor(),
+        space=model.descriptor(),
         params={"gamma": gamma},
         V=RadialScalar(v_value),
         W=_sum_terms(terms),
@@ -295,7 +293,7 @@ def weight_gamma_family(model: DensityModel, gamma: float):
     )
 
 
-def weight_gamma_dr(p: int, q: int, gamma: float):
+def weight_gamma_dr(model: DensityModel, gamma: float):
     """Collapsed form of the gamma family on the two-parameter spaces.
 
     With m = p+q, b = 1/2 + gamma/m and d = b^2 - b the pair collapses to
@@ -307,12 +305,11 @@ def weight_gamma_dr(p: int, q: int, gamma: float):
     which agrees pointwise with weight_gamma_family.
     The ground state collapses to r^(1/2+gamma) f^(-b).
     """
-    validate_heisenberg_params(p, q)
+    _require_dr(model, "the closed-form gamma decomposition")
     gamma = float(gamma)
     if not 0.0 <= gamma <= 0.5:
         raise PreconditionError("gamma must lie in [0, 1/2]")
-    model = build_density(SpaceSpec(kind=DAMEK_RICCI, n=p + q + 1, p=p, q=q))
-    m = float(p + q)
+    m = float(model.p + model.q)
     b = 0.5 + gamma / m
     d = b * b - b
     shift = (1.0 - (2.0 * gamma / m) ** 2) * model.lambda0
@@ -328,7 +325,7 @@ def weight_gamma_dr(p: int, q: int, gamma: float):
     )
     return WeightPair(
         theorem_id="gamma_dr",
-        space=model.spec.descriptor(),
+        space=model.descriptor(),
         params={"gamma": gamma},
         V=RadialScalar.constant(-shift),
         W=_sum_terms(terms),
@@ -381,7 +378,7 @@ def weight_weighted(model: DensityModel, alpha: float):
     w_scalar = _sum_terms(terms)
     return WeightPair(
         theorem_id="weighted_alpha",
-        space=model.spec.descriptor(),
+        space=model.descriptor(),
         params={"alpha": alpha, "measure_exponent": -2.0 * alpha},
         V=v_scalar,
         W=w_scalar,
@@ -397,7 +394,7 @@ def weight_weighted(model: DensityModel, alpha: float):
 # ---------------------------------------------------------------------------
 
 
-def weight_p_dr(p: int, q: int, P: float):
+def weight_p_dr(model: DensityModel, P: float):
     """Quasi-linear pair with ground state (r/f)^(1/P) on the two-parameter spaces.
 
     V = -Lambda_P g^(P-2) with Lambda_P = (h/P)^P and the comparison function
@@ -405,13 +402,13 @@ def weight_p_dr(p: int, q: int, P: float):
     right-hand-side densities, each individually nonnegative under the
     precondition p+q >= P(P-1).
     """
-    validate_heisenberg_params(p, q)
+    _require_dr(model, "the p-Laplacian pair")
     P = float(P)
     if not P >= 2.0:
         raise PreconditionError("quasi-linear pair needs P >= 2")
+    p, q = model.p, model.q
     if p + q < P * (P - 1.0):
-        raise PreconditionError(f"quasi-linear pair needs n >= 1 + P(P-1): n={p + q + 1}, P={P}")
-    model = build_density(SpaceSpec(kind=DAMEK_RICCI, n=p + q + 1, p=p, q=q))
+        raise PreconditionError(f"quasi-linear pair needs n >= 1 + P(P-1): n={model.n}, P={P}")
     h = model.h
     lam_p = (h / P) ** P
     k = 2.0 / (p + 2.0 * q)
@@ -449,7 +446,7 @@ def weight_p_dr(p: int, q: int, P: float):
     ground_state, log_gs = _ground_state(model, 1.0 / P, 1.0 / P)
     return WeightPair(
         theorem_id="p_dr",
-        space=model.spec.descriptor(),
+        space=model.descriptor(),
         params={"P": P},
         V=RadialScalar(v_value),
         W=_sum_terms(terms),

@@ -78,7 +78,7 @@ def test_criterion_03_ground_state_identities():
     worst_g = 0.0
     for desc in DR_SPACES:
         model = build_density(desc)
-        worst_a = max(worst_a, ode_residual(model, weight_dr_poincare(model.p, model.q)))
+        worst_a = max(worst_a, ode_residual(model, weight_dr_poincare(model)))
         for gamma in (0.1, 0.25, 0.4):
             worst_g = max(worst_g, ode_residual(model, weight_gamma_family(model, gamma)))
     assert worst_a <= 1e-13, f"shifted-pair residual {worst_a:.3e}"
@@ -146,9 +146,9 @@ def test_criterion_07_null_criticality_mass():
 
 
 def test_criterion_08_green_oracles():
-    e3 = green_value(build_density("euclidean:3"), 2.0, 1.0).value
+    e3 = green_value(build_density("euclidean:3"), 2.0, 1.0)["G"][0]
     dev3 = abs(e3 - 1.0 / (4.0 * math.pi)) * 4.0 * math.pi
-    e4 = green_value(build_density("euclidean:4"), 2.0, 2.0).value
+    e4 = green_value(build_density("euclidean:4"), 2.0, 2.0)["G"][0]
     dev4 = abs(e4 - 1.0 / (16.0 * math.pi**2)) * 16.0 * math.pi**2
     h3 = build_density("hyperbolic:3")
     radii = np.geomspace(0.01, 20.0, 25)
@@ -250,12 +250,13 @@ def test_criterion_12_reduction_chains():
                 np.asarray(base.extras["W_total"].value(grid)),
             ),
         )
-    for p, q in ((2, 1), (8, 7)):
-        shifted = weight_dr_poincare(p, q)
-        col = weight_gamma_dr(p, q, 0.0)
+    for desc in ("dr:2,1", "dr:8,7"):
+        model = build_density(desc)
+        shifted = weight_dr_poincare(model)
+        col = weight_gamma_dr(model, 0.0)
         worst = max(worst, rel(col.V.value(grid), shifted.V.value(grid)))
         worst = max(worst, rel(col.W.value(grid), shifted.W.value(grid)))
-        quasi = weight_p_dr(p, q, 2.0)
+        quasi = weight_p_dr(model, 2.0)
         worst = max(
             worst,
             rel(

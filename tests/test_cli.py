@@ -777,6 +777,9 @@ def test_config_file_gives_what_the_flag_gives(argv, flag, tmp_path, capsys):
         ("green.asymptotics", "rmax", "1e-5e", ["green", "asymptotics", "--space", "hyperbolic:3"]),
         ("spectral.bottom", "R", "five", ["spectral", "bottom", "--space", "hyperbolic:3", "--mesh", "0.05"]),
         ("spectral.bottom", "mesh", "?", ["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5"]),
+        ("calculus.eval", "op", "nope", ["calculus", "eval", "--space", "hyperbolic:3"]),
+        ("weights.eval", "theorem", "Q", ["weights", "eval", "--space", "hyperbolic:3"]),
+        ("calculus.eval", "grid", "1:2", ["calculus", "eval", "--space", "hyperbolic:3", "--op", "f"]),
     ],
 )
 def test_a_bad_config_value_exits_two_naming_section_and_key(section, key, value, argv, tmp_path, monkeypatch, capsys):
@@ -791,6 +794,17 @@ def test_a_bad_config_value_exits_two_naming_section_and_key(section, key, value
     assert (rc, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: config [{section}] {key} = {value!r}: ")
+
+
+@pytest.mark.parametrize(
+    "theorem, what",
+    [("A", "theorem A"), ("gamma_dr", "the closed-form gamma decomposition"), ("p", "the p-Laplacian pair")],
+)
+@pytest.mark.parametrize("space", ["hyperbolic:3", "euclidean:3"])
+def test_a_damek_ricci_theorem_on_another_space_exits_two(theorem, what, space, capsys):
+    rc, out, err = _run(["weights", "eval", "--space", space, "--theorem", theorem], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {what} needs a Damek-Ricci space, got {space}\n"
 
 
 def test_defaults_table_holds_the_documented_values():
@@ -870,10 +884,15 @@ def test_green_eval_refuses_a_negative_or_nan_tol_before_the_batch(tol, source, 
         (["green", "asymptotics", "--space", "euclidean:5", "--rmin", "5e-324"],
          "radius must be finite and at least 2.2250738585072014e-308"),
         (["green", "asymptotics", "--space", "hyperbolic:3", "--rmax", "inf"], "need 0 < rmin < rmax < inf"),
+        (["calculus", "eval", "--space", "hyperbolic:3", "--op", "log_f", "--grid", "1e-310:3e-310:1e-310"],
+         "radius must be finite and at least 2.2250738585072014e-308"),
+        (["weights", "eval", "--space", "hyperbolic:3", "--theorem", "B", "--grid", "1e-310:3e-310:1e-310"],
+         "radius must be finite and at least 2.2250738585072014e-308"),
     ],
-    ids=["eval-h3-subnormal", "eval-dr-subnormal", "asymptotics-subnormal-rmin", "asymptotics-rmax-inf"],
+    ids=["eval-h3-subnormal", "eval-dr-subnormal", "asymptotics-subnormal-rmin", "asymptotics-rmax-inf",
+         "calculus-subnormal", "weights-subnormal"],
 )
-def test_green_refuses_subnormal_radii_and_an_infinite_rmax(argv, message, capsys):
+def test_subnormal_radii_and_an_infinite_rmax_exit_two(argv, message, capsys):
     # overflow in divide, divide by zero in log, and nan from np.geomspace
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -38,9 +38,9 @@ def test_unit_sphere_volumes():
 def test_flat_closed_forms():
     e3 = build_density("euclidean:3")
     out = green_value(e3, 2.0, 1.0)
-    assert out.value == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-10)
+    assert out["G"][0] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-10)
     e4 = build_density("euclidean:4")
-    assert green_value(e4, 2.0, 2.0).value == pytest.approx(1.0 / (16.0 * math.pi**2), rel=1e-10)
+    assert green_value(e4, 2.0, 2.0)["G"][0] == pytest.approx(1.0 / (16.0 * math.pi**2), rel=1e-10)
 
     radii = np.array([0.5, 1.0, 2.0, 4.0])
     batch = green_weight_batch(e3, 2.0, radii)
@@ -59,8 +59,8 @@ def test_hyperbolic3_green_closed_form_sweep():
     expected = 2.0 / np.expm1(2.0 * radii) / (4.0 * math.pi)
     np.testing.assert_allclose(got, expected, rtol=1e-8)
     single = green_value(h3, 2.0, 1.0)
-    assert single.value == pytest.approx(2.0 / math.expm1(2.0) / (4.0 * math.pi), rel=1e-10)
-    assert single.error_bound <= 1e-10
+    assert single["G"][0] == pytest.approx(2.0 / math.expm1(2.0) / (4.0 * math.pi), rel=1e-10)
+    assert single["G_err"][0] <= 1e-10
 
 
 def test_hyperbolic3_weight_identities():
@@ -120,7 +120,7 @@ def test_batch_matches_mpmath_reference_and_preserves_order():
         assert batch["G"][i] == pytest.approx(G, rel=1e-12)
         assert batch["dlogG"][i] == pytest.approx(dlog, rel=1e-12)
         assert abs(batch["G"][i] - G) <= batch["G_err"][i]
-        assert green_value(model, 2.5, float(r)).value == pytest.approx(G, rel=1e-12)
+        assert green_value(model, 2.5, float(r))["G"][0] == pytest.approx(G, rel=1e-12)
         assert green_weight_batch(model, 2.5, float(r))["dlogG"][0] == pytest.approx(dlog, rel=1e-12)
 
 
@@ -335,7 +335,7 @@ def test_error_bound_covers_hyperbolic3_closed_form_on_default_grid():
 
 def test_green_decreases_and_certifies_error():
     model = build_density("dr:2,1")
-    vals = [green_value(model, 3.0, r).value for r in (0.5, 1.0, 2.0, 6.0)]
+    vals = [green_value(model, 3.0, r)["G"][0] for r in (0.5, 1.0, 2.0, 6.0)]
     assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
     with pytest.raises(QuadratureError):
         green_value(model, 3.0, 1.0, tol=1e-18)
@@ -356,7 +356,7 @@ def test_log_derivative_reproduces_exact_gradient():
 def test_supercritical_values():
     model = build_density("dr:2,1")
     assert green_gamma0(model, 6.0) == pytest.approx(2.4845662158269715, rel=1e-14)
-    assert green_value(model, 6.0, 1.0).value == pytest.approx(1.1189292867765177, rel=1e-10)
+    assert green_value(model, 6.0, 1.0)["G"][0] == pytest.approx(1.1189292867765177, rel=1e-10)
     assert green_weight_supercritical(model, 6.0, 1.0) == pytest.approx(
         3.732246725439097e-05, rel=1e-8
     )
@@ -366,7 +366,7 @@ def test_supercritical_values():
 def test_supercritical_weight_runs_the_engine_once(monkeypatch, desc, P, r):
     model = build_density(desc)
     gamma = green_gamma0(model, P)
-    G = green_value(model, P, r).value
+    G = green_value(model, P, r)["G"][0]
     dlog = green_weight_batch(model, P, r)["dlogG"][0]
     # the former composition of one green_value call and a second engine call for G'/G
     two_calls = (

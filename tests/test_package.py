@@ -36,3 +36,13 @@ def test_every_declared_name_resolves(name):
     module = importlib.import_module(f"hardyscope.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def test_the_readme_library_example_runs():
+    # the first python block under "## Library", run as a user would paste it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md (Library)", "exec"), namespace)
+    assert namespace["reports"] and all(r.verdict == "pass" for r in namespace["reports"])

@@ -5,27 +5,25 @@ import pytest
 from hardyscope.errors import SpaceValidationError
 from hardyscope.spaces import (
     DEFAULT_CATALOG,
-    SpaceSpec,
+    DensityModel,
     _cothm1,
     _logsinh,
     build_density,
     default_grid,
     heisenberg_exponent,
-    parse_space,
     validate_heisenberg_params,
 )
 
 
 def test_parse_space_round_trip():
     for desc in DEFAULT_CATALOG:
-        spec = parse_space(desc)
-        assert spec.descriptor() == desc
+        assert build_density(desc).descriptor() == desc
 
 
 def test_parse_rejects_bad_descriptors():
     for bad in ("dr:6,3", "dr:3,1", "foo:3", "euclidean:x", "hyperbolic:1", "dr:2", "euclidean:"):
         with pytest.raises(SpaceValidationError):
-            parse_space(bad)
+            build_density(bad)
 
 
 def test_heisenberg_exponent_table():
@@ -156,17 +154,17 @@ def test_excess_avoids_cancellation():
 def test_default_catalog_and_grid():
     assert len(DEFAULT_CATALOG) == 11
     models = [build_density(text) for text in DEFAULT_CATALOG]
-    assert [m.spec.descriptor() for m in models] == list(DEFAULT_CATALOG)
+    assert [m.descriptor() for m in models] == list(DEFAULT_CATALOG)
     grid = default_grid()
     assert grid.size == 400
     assert grid[0] == pytest.approx(1e-3) and grid[-1] == pytest.approx(60.0)
 
 
 def test_spec_dataclass_validation():
-    spec = SpaceSpec(kind="dr", n=4, p=2, q=1)
-    m = build_density(spec)
-    assert m.spec == spec
-    assert build_density("dr:2,1").spec == spec
+    m = DensityModel("dr", 4, 2)
+    assert (m.kind, m.n, m.p, m.q) == ("dr", 4, 2, 1)
+    parsed = build_density("dr:2,1")
+    assert (parsed.kind, parsed.n, parsed.p, parsed.q) == (m.kind, m.n, m.p, m.q)
 
 
 def test_hyperbolic_is_the_p0_curved_density_bit_for_bit():

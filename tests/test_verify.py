@@ -61,24 +61,24 @@ def test_rayleigh_gap_is_nonnegative():
     model = build_density("dr:2,1")
     suite = default_suite()
     pair = weight_theorem_b(model)
-    for member in (suite.members[0], suite.members[9], suite.members[-1]):
-        res = rayleigh_gap(model, pair, member)
+    gaps = rayleigh_gap(verify.SuiteDensity(model, suite), pair)
+    for res in (gaps[0], gaps[9], gaps[-1]):
         assert res.lhs > 0.0 and res.rhs > 0.0
         assert res.gap >= -1e-8 * res.scale
 
-    quasi = weight_p_dr(4, 2, 3.0)
     model42 = build_density("dr:4,2")
-    res = p_rayleigh_gap(model42, quasi, suite.members[9])
+    quasi = weight_p_dr(model42, 3.0)
+    res = p_rayleigh_gap(verify.SuiteDensity(model42, suite), quasi)[9]
     assert res.gap >= -1e-8 * res.scale
 
 
 def test_ode_residual_levels():
     dr = build_density("dr:4,2")
     assert ode_residual(dr, weight_theorem_b(dr)) <= 1e-10
-    assert ode_residual(dr, weight_dr_poincare(4, 2)) <= 1e-10
+    assert ode_residual(dr, weight_dr_poincare(dr)) <= 1e-10
     assert ode_residual(dr, weight_gamma_family(dr, 0.25)) <= 1e-8
     # supersolution residual is signed: it may be positive, just not negative
-    assert ode_residual(dr, weight_p_dr(4, 2, 3.0)) >= -1e-10
+    assert ode_residual(dr, weight_p_dr(dr, 3.0)) >= -1e-10
 
 
 def test_ode_residual_requires_ground_state_and_valid_grid():
@@ -170,17 +170,21 @@ def test_null_mass_refuses_a_weight_with_a_jump(monkeypatch):
 
 
 def test_uncertainty_ratio_dominates_one():
-    member = default_suite().members[9]
-    res = uncertainty_gap(2, 1, member)
+    suite = default_suite()
+    res = uncertainty_gap(verify.SuiteDensity(build_density("dr:2,1"), suite))[9]
     assert res.energy > 0.0 and res.weighted_moment > 0.0 and res.norm > 0.0
     assert res.ratio >= 1.0
     with pytest.raises(PreconditionError):
-        uncertainty_gap(4, 2, member)  # q = 2 has no comparison weight
+        uncertainty_gap(verify.SuiteDensity(build_density("dr:4,2"), suite))  # q = 2 has no comparison weight
+    for desc in ("hyperbolic:3", "euclidean:3"):
+        density = verify.SuiteDensity(build_density(desc), suite)
+        for gaps in (uncertainty_gap, rellich_gap):
+            with pytest.raises(PreconditionError, match=f"needs a Damek-Ricci space, got {desc}"):
+                gaps(density)
 
 
 def test_rellich_gap_nonnegative():
-    member = default_suite().members[5]
-    res = rellich_gap(8, 7, member)
+    res = rellich_gap(verify.SuiteDensity(build_density("dr:8,7"), default_suite()))[5]
     assert res.gap >= -1e-8 * res.scale
 
 
@@ -340,7 +344,7 @@ def test_batched_uncertainty_and_rellich_match_per_member_integrals():
     suite = default_suite()
     reports = run_verification(spaces=["dr:8,7"], families=["uncertainty", "rellich"], suite=suite)
     by_id = {r.check_id: r for r in reports}
-    for res, member in zip(verify._uncertainty_results(verify.SuiteDensity(model, suite)), suite):
+    for res, member in zip(uncertainty_gap(verify.SuiteDensity(model, suite)), suite):
         expected = _reference_uncertainty(model, member)
         _assert_sides_close((res.energy, res.weighted_moment, res.norm), expected, member.name)
         ratio = expected[0] * expected[1] / (0.25 * expected[2] ** 2)
@@ -353,10 +357,10 @@ def test_batched_uncertainty_and_rellich_match_per_member_integrals():
 def test_single_member_gaps_run_the_suite_path():
     model = build_density("dr:4,2")
     suite = default_suite()
-    pair = weight_p_dr(4, 2, 3.0)
-    batched = verify._form_gaps(verify.SuiteDensity(model, suite), pair, pair.P)
+    pair = weight_p_dr(model, 3.0)
+    batched = p_rayleigh_gap(verify.SuiteDensity(model, suite), pair)
     for member, res in zip(suite, batched):
-        single = p_rayleigh_gap(model, pair, member)
+        (single,) = p_rayleigh_gap(verify.SuiteDensity(model, verify.TestFunctionSuite((member,))), pair)
         _assert_sides_close((single.lhs, single.rhs), (res.lhs, res.rhs), member.name)
 
 
@@ -406,7 +410,7 @@ def test_support_ends_one_ulp_apart_tile_exactly():
         verify.TestFunctionSuite((verify.SuiteMember("empty", bump.scalar, (hi, lo)),)).plan
     model = build_density("dr:4,2")
     pair = weight_theorem_b(model)
-    for member, res in zip(suite, verify._form_gaps(verify.SuiteDensity(model, suite), pair, 2.0)):
+    for member, res in zip(suite, rayleigh_gap(verify.SuiteDensity(model, suite), pair)):
         _assert_sides_close((res.lhs, res.rhs), _reference_form_gap(model, pair, member), member.name)
 
 
@@ -431,13 +435,13 @@ def test_null_rule_estimates_of_the_catalog_sides():
         density = verify.SuiteDensity(build_density(space), suite)
         model = density.model
         for _, _, pair in verify._pairs_for(model):
-            for res in verify._form_gaps(density, pair, pair.P):
+            for res in p_rayleigh_gap(density, pair):
                 worst["rayleigh"] = max(worst["rayleigh"], max(res.errors) / res.scale)
         if model.kind == "dr" and model.q not in (0, 2):
-            for res in verify._uncertainty_results(density):
+            for res in uncertainty_gap(density):
                 scale = abs(res.energy) + abs(res.weighted_moment) + abs(res.norm)
                 worst["uncertainty"] = max(worst["uncertainty"], max(res.errors) / scale)
-            for res in verify._rellich_results(density):
+            for res in rellich_gap(density):
                 worst["rellich"] = max(worst["rellich"], max(res.errors) / res.scale)
     assert worst["rayleigh"] <= 1e-11 and worst["uncertainty"] <= 1e-11, worst
     assert worst["rellich"] <= 4e-9, worst

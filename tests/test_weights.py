@@ -83,7 +83,7 @@ def test_quadratic_pair_term_breakdown_skips_vanishing_coefficients():
 
 
 def test_shifted_pair_weight_value_and_term_sum():
-    pair = weight_dr_poincare(2, 1)
+    pair = weight_dr_poincare(build_density("dr:2,1"))
     assert pair.W.value(2.0) == pytest.approx(0.22450995778205987, rel=1e-12)
     assert pair.V.value(5.0) == -1.0  # -lambda0 = -(p+2q)^2/16
     grid = default_grid()
@@ -94,7 +94,7 @@ def test_shifted_pair_weight_value_and_term_sum():
 
 
 def test_pair_names_its_breakdown_and_ground_state():
-    pair = weight_dr_poincare(4, 3)
+    pair = weight_dr_poincare(build_density("dr:4,3"))
     assert isinstance(pair, WeightPair)
     terms = dict(pair.terms)
     assert set(terms) == {"1/(4r^2)", "sinh(r/2) term", "sinh(r) term"}
@@ -122,7 +122,7 @@ def test_gamma_collapsed_form_matches_general_family():
         model = build_density(f"dr:{p},{q}")
         for gamma in (0.1, 0.25, 0.4):
             fam = weight_gamma_family(model, gamma)
-            col = weight_gamma_dr(p, q, gamma)
+            col = weight_gamma_dr(model, gamma)
             # the two split V and W differently; the invariant object is the
             # combined density W - V and the ground state
             total_fam = fam.W.value(grid) - np.asarray(fam.V.value(grid))
@@ -135,7 +135,7 @@ def test_gamma_collapsed_form_matches_general_family():
 
 
 def test_gamma_collapsed_drift_and_shift_values():
-    pair = weight_gamma_dr(2, 1, 0.25)
+    pair = weight_gamma_dr(build_density("dr:2,1"), 0.25)
     terms = dict(pair.terms)
     assert terms["drift term"].value(1.0) == pytest.approx(0.43462358740474805, rel=1e-12)
     assert pair.extras["lambda0_shift"] == pytest.approx(35.0 / 36.0, rel=1e-15)
@@ -148,7 +148,7 @@ def test_gamma_parameter_validation():
         with pytest.raises(PreconditionError):
             weight_gamma_family(model, bad)
         with pytest.raises(PreconditionError):
-            weight_gamma_dr(2, 1, bad)
+            weight_gamma_dr(model, bad)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -192,12 +192,12 @@ def test_weighted_pair_flat_value_and_measure():
 
 
 def test_quasilinear_pair_values_and_nonnegative_terms():
-    pair = weight_p_dr(4, 2, 3.0)
+    pair = weight_p_dr(build_density("dr:4,2"), 3.0)
     assert pair.extras["Lambda_P"] == pytest.approx((4.0 / 3.0) ** 3, rel=1e-15)
     assert pair.V.value(1.0) == pytest.approx(-3.5282829028005733, rel=1e-12)
     grid = default_grid()
     for p, q, P in ((2, 1, 2.0), (4, 2, 3.0), (4, 3, 3.0), (8, 7, 4.0)):
-        qp = weight_p_dr(p, q, P)
+        qp = weight_p_dr(build_density(f"dr:{p},{q}"), P)
         for name, scalar in qp.terms:
             assert np.min(scalar.value(grid)) >= -1e-15, (p, q, P, name)
         gs = qp.ground_state.value(grid)
@@ -205,7 +205,7 @@ def test_quasilinear_pair_values_and_nonnegative_terms():
 
 
 def test_quasilinear_comparison_function_profile():
-    pair = weight_p_dr(2, 1, 2.0)
+    pair = weight_p_dr(build_density("dr:2,1"), 2.0)
     g = pair.extras["g"]
     grid = np.geomspace(1e-6, 40.0, 80)
     vals = np.asarray(g.value(grid))
@@ -216,13 +216,27 @@ def test_quasilinear_comparison_function_profile():
     assert np.all(vals > 0.0)
 
 
+def test_damek_ricci_builders_refuse_other_spaces():
+    for desc in ("hyperbolic:3", "euclidean:3"):
+        model = build_density(desc)
+        cases = (
+            ("theorem A", lambda: weight_dr_poincare(model)),
+            ("the closed-form gamma decomposition", lambda: weight_gamma_dr(model, 0.25)),
+            ("the p-Laplacian pair", lambda: weight_p_dr(model, 2.0)),
+        )
+        for what, build in cases:
+            with pytest.raises(PreconditionError) as info:
+                build()
+            assert str(info.value) == f"{what} needs a Damek-Ricci space, got {desc}"
+
+
 def test_quasilinear_preconditions():
     with pytest.raises(PreconditionError):
-        weight_p_dr(2, 1, 1.5)
+        weight_p_dr(build_density("dr:2,1"), 1.5)
     with pytest.raises(PreconditionError):
-        weight_p_dr(2, 1, 3.0)  # p + q = 3 < P(P-1) = 6
+        weight_p_dr(build_density("dr:2,1"), 3.0)  # p + q = 3 < P(P-1) = 6
     with pytest.raises(PreconditionError):
-        weight_p_dr(8, 7, 5.0)  # 15 < 20
+        weight_p_dr(build_density("dr:8,7"), 5.0)  # 15 < 20
 
 
 def test_comparison_ratio_examples_and_range():
@@ -245,7 +259,7 @@ def test_comparison_ratio_examples_and_range():
 def test_ground_state_jets_survive_large_radii():
     # f(60) on dr:8,7 is around e^660; the ground state jet must still come
     # back finite because it is e^l times the closed-form jet of l = log Phi
-    for pair in (weight_theorem_b(build_density("dr:8,7")), weight_gamma_dr(8, 7, 0.4)):
+    for pair in (weight_theorem_b(build_density("dr:8,7")), weight_gamma_dr(build_density("dr:8,7"), 0.4)):
         jet = pair.ground_state.jet(60.0)
         assert np.isfinite(jet.val) and np.isfinite(jet.d1) and np.isfinite(jet.d2)
         assert jet.val > 0.0
@@ -263,7 +277,7 @@ def test_admissible_pairs_count():
 def test_shifted_pair_sinh_terms_match_written_coefficients():
     r = COEFFICIENT_RADII
     for p, q in ADMISSIBLE:
-        terms = dict(weight_dr_poincare(p, q).terms)
+        terms = dict(weight_dr_poincare(build_density(f"dr:{p},{q}")).terms)
         half = terms["sinh(r/2) term"].value(r) * np.sinh(r / 2.0) ** 2
         full = terms["sinh(r) term"].value(r) * np.sinh(r) ** 2
         np.testing.assert_allclose(half, p * (p + 2 * q - 2) / 16.0, rtol=1e-14, err_msg=str((p, q)))
@@ -276,7 +290,7 @@ def test_collapsed_gamma_sinh_terms_match_written_coefficients():
         for gamma in (0.0, 0.2, 0.5):
             b = 0.5 + gamma / (p + q)
             d = b * b - b
-            terms = dict(weight_gamma_dr(p, q, gamma).terms)
+            terms = dict(weight_gamma_dr(build_density(f"dr:{p},{q}"), gamma).terms)
             full = terms["sinh(r) term"].value(r) * np.sinh(r) ** 2
             half = terms["sinh(r/2) term"].value(r) * np.sinh(r / 2.0) ** 2
             np.testing.assert_allclose(full, -q * (q * d + b), rtol=1e-14, err_msg=str((p, q, gamma)))
@@ -295,7 +309,7 @@ def test_quasilinear_sinh_terms_match_written_bracket():
             k = P * (P - 1.0)
             bracket = q * (q - k) / np.sinh(r) ** 2 + p * (p + 2 * q - k) / (4.0 * np.sinh(r / 2.0) ** 2)
             expected = h ** (P - 2.0) / P**P * g ** (P - 2.0) * bracket
-            got = dict(weight_p_dr(p, q, P).terms)["sinh terms"].value(r)
+            got = dict(weight_p_dr(build_density(f"dr:{p},{q}"), P).terms)["sinh terms"].value(r)
             np.testing.assert_allclose(got, expected, rtol=1e-13, err_msg=str((p, q, P)))
             checked += 1
     assert checked > 100
