@@ -254,7 +254,6 @@ def _build_pair(model, theorem: str, gamma: float, alpha: float, P: float):
         return weights.weight_weighted(model, alpha)
     if theorem == "p":
         return weights.weight_p_dr(model, P)
-    raise PreconditionError(f"theorem must be one of {', '.join(_THEOREMS)}")
 
 
 def _cmd_weights_eval(args) -> int:

@@ -397,8 +397,8 @@ def green_value(model: DensityModel, P: float, radii, tol: float = 1e-10) -> dic
 def green_weight(model: DensityModel, P: float):
     """Hardy weight of the P-Laplacian built from the Green function.
 
-    W = ((P-1)/P)^P |G'/G|^P with V = 0; the surplus Wtilde = W - Lambda_P is
-    nonnegative and available in ``extras`` together with Lambda_P = (h/P)^P.
+    W = ((P-1)/P)^P |G'/G|^P with V = 0 and no ground state; the surplus
+    W - Lambda_P is the "Wtilde" column of ``green_weight_batch``.
     """
     P = float(P)
     if not P > 1.0:
@@ -406,28 +406,18 @@ def green_weight(model: DensityModel, P: float):
     if model.kind == EUCLIDEAN:
         raise PreconditionError("the Green weight construction excludes flat space")
 
-    def column(key: str) -> RadialScalar:
-        def value(rr):
-            out = green_weight_batch(model, P, np.atleast_1d(np.asarray(rr, dtype=float)))[key]
-            return float(out[0]) if np.ndim(rr) == 0 else out
+    def value(rr):
+        out = green_weight_batch(model, P, np.atleast_1d(np.asarray(rr, dtype=float)))["W"]
+        return float(out[0]) if np.ndim(rr) == 0 else out
 
-        return RadialScalar(value)
-
-    w_scalar = column("W")
+    w_scalar = RadialScalar(value)
     terms = (("((P-1)/P)^P |G'/G|^P", w_scalar),)
     return WeightPair(
         theorem_id="green_p",
-        space=model.descriptor(),
-        params={"P": P},
         V=RadialScalar.constant(0.0),
         W=w_scalar,
         terms=terms,
-        ground_state=None,
         P=P,
-        extras={
-            "Lambda_P": _power(model.h / P, P),
-            "Wtilde": column("Wtilde"),
-        },
     )
 
 

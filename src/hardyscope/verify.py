@@ -332,11 +332,11 @@ def p_rayleigh_gap(density: SuiteDensity, pair: WeightPair) -> list[GapResult]:
 def _ode_terms(model: DensityModel, pair: WeightPair, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ground state equation's residual divided by Phi^(P-1), and its scale.
 
-    With l = log Phi from ``extras["log_ground_state"]``, Phi'/Phi = l' and
+    With l = log Phi, the pair's ``log_ground_state``, Phi'/Phi = l' and
     Phi''/Phi = l'' + l'^2, so Phi itself, which leaves the doubles near the
     pole on high dimensions (about r^(-(n-2)/2) on flat space), never forms.
     """
-    j = pair.extras["log_ground_state"].jet(grid)
+    j = pair.log_ground_state.jet(grid)
     d1, d2 = j.d1, j.d2 + j.d1 * j.d1
     net = np.asarray(pair.V.value(grid)) - np.asarray(pair.W.value(grid))
     drift = np.asarray(model.log_df(grid)) * d1
@@ -359,7 +359,7 @@ def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
     -Delta_P Phi + (V - W) Phi^(P-1), which must not dip below rounding.
     Residual and scale are both divided through by Phi^(P-1) (``_ode_terms``).
     """
-    if pair.ground_state is None:
+    if pair.log_ground_state is None:
         raise PreconditionError(f"pair {pair.theorem_id} has no ground state")
     grid = default_grid() if grid is None else np.atleast_1d(check_radius(grid))
     if grid.size == 0:
@@ -394,7 +394,7 @@ class CriticalityProbe:
 
 def criticality_probe(model: DensityModel) -> CriticalityProbe:
     pair = weight_theorem_b(model)
-    log_gs = pair.extras["log_ground_state"]
+    log_gs = pair.log_ground_state
 
     def ratio(r: float) -> float:
         lu = float(log_gs(r))
@@ -440,7 +440,7 @@ def null_criticality_mass(model: DensityModel, eps: float, R: float) -> NullCrit
     t = np.exp(nodes)
     # compose in logs: Phi^2 f underflows long before the product Phi^2 W f
     # does, so the exponent must be assembled first
-    log_mass = 2.0 * pair.extras["log_ground_state"](t) + model.log_f(t) + nodes
+    log_mass = 2.0 * pair.log_ground_state(t) + model.log_f(t) + nodes
     (mass, slope), (mass_err, slope_err) = plan.reduce(np.exp(log_mass) * pair.W.value(t))
     if not (np.isfinite(mass) and np.isfinite(slope)):
         raise DomainError("null mass quadrature diverged")
@@ -639,7 +639,7 @@ def _rayleigh_jobs(space: str, density: SuiteDensity):
 def _ode_jobs(space: str, density: SuiteDensity):
     model = density.model
     for label, params, pair in _pairs_for(model):
-        if pair.ground_state is None:
+        if pair.log_ground_state is None:
             continue
         tol = 1e-8 if label.startswith("gamma") else 1e-10
 

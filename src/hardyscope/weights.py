@@ -1,12 +1,13 @@
 """Potential/weight pairs (V, W) for the radial Hardy-type inequalities.
 
 Each builder assembles a WeightPair: a potential V, a weight W with a named
-term breakdown that sums to W exactly, the ground state where one exists, and
-auxiliary evaluators in ``extras``.  Every builder takes the space's
-``DensityModel``; those of the Damek-Ricci pairs (A, gamma_dr, p_dr) refuse
-any other kind.  All evaluators accept positive scalars or numpy arrays.  V,
-W, their terms and the measure are values only, sums taken in a fixed order
-(reading their jet raises DomainError); the ground states keep their jets.
+term breakdown that sums to W exactly, the logarithm of the ground state
+where one exists, the measure where it is not 1, and the order P.  Every
+builder takes the space's ``DensityModel``; those of the Damek-Ricci pairs
+(A, gamma_dr, p_dr) refuse any other kind.  All evaluators accept positive
+scalars or numpy arrays.  V, W, their terms and the measure are values only,
+sums taken in a fixed order (reading their jet raises DomainError); the log
+ground states keep their jets.
 
 Every curvature coefficient comes from one collapsed identity for
 c (f'/f)^2 - b (f'/f)', ``calculus.hilfe_coefficients`` on the curved density
@@ -16,23 +17,21 @@ gamma pair and (1, -P(P-1)) for the quasi-linear pair.
 
 Every ground state is a power r^a f^(-b), written once as its logarithm
 l = a log r - b log f with the closed-form jet l' = a/r - b f'/f and
-l'' = -a/r^2 - b (f'/f)' (``_ground_state``).  ``extras["log_ground_state"]``
-is that scalar and the ground state is its exponential, so neither passes
-through f itself, which overflows once log f exceeds about 709.  The gamma
+l'' = -a/r^2 - b (f'/f)' (``_log_ground_state``).  A pair carries that
+scalar alone, never the ground state itself, so nothing passes through f,
+which overflows once log f exceeds about 709.  The gamma
 family's V takes its auxiliary function h = f^(1/(n-1)) through log h too.
 The sinh terms read 0 where sinh overflows (past r = 355 for sinh(r)^2),
 which is their value to double precision.
 
 Evaluation strategy: V and W default to algebraically collapsed closed forms,
 which stay accurate near the pole where the raw quotient-of-derivatives
-expressions lose digits to cancellation.  The raw forms remain available (for
-example ``extras["V_raw"]`` on the quadratic pair) so tests can confront the
-two against each other at moderate radii.
+expressions lose digits to cancellation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "weight_weighted",
     "weight_p_dr",
     "hpw_g",
-    "raw_density_ratio",
 ]
 
 
@@ -63,20 +61,19 @@ class WeightPair:
     """A Hardy-type potential/weight pair with its breakdown.
 
     ``terms`` lists named components of W; their sum reproduces W exactly
-    because W is constructed as that very sum.  ``measure`` is an extra radial
-    factor multiplying f in the underlying integrals (None means 1).
+    because W is constructed as that very sum.  ``log_ground_state`` is
+    log Phi with its jet (None where the pair has no ground state).
+    ``measure`` is an extra radial factor multiplying f in the underlying
+    integrals (None means 1).
     """
 
     theorem_id: str
-    space: str
-    params: dict
     V: RadialScalar
     W: RadialScalar
     terms: tuple
-    ground_state: RadialScalar | None = None
+    log_ground_state: RadialScalar | None = None
     measure: RadialScalar | None = None
     P: float = 2.0
-    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -123,35 +120,19 @@ def _sum_terms(terms) -> RadialScalar:
     return RadialScalar(value)
 
 
-def _ground_state(model: DensityModel, a: float, b: float) -> tuple[RadialScalar, RadialScalar]:
-    """The ground state r^a f^(-b) and its logarithm l, each with its jet.
+def _log_ground_state(model: DensityModel, a: float, b: float) -> RadialScalar:
+    """The logarithm l of the ground state r^a f^(-b), with its jet.
 
-    l = a log r - b log f, l' = a/r - b f'/f and l'' = -a/r^2 - b (f'/f)';
-    the ground state's jet is e^l (1, l', l'' + l'^2).
+    l = a log r - b log f, l' = a/r - b f'/f and l'' = -a/r^2 - b (f'/f)'.
     """
 
-    def log_value(r):
+    def value(r):
         return a * np.log(r) - b * model.log_f(r)
 
-    def log_jet(r):
-        return Jet2(log_value(r), a / r - b * model.log_df(r), -a / r**2 - b * model.dlog_df(r))
-
     def jet(r):
-        lj = log_jet(r)
-        phi = np.exp(lj.val)
-        return Jet2(phi, phi * lj.d1, phi * (lj.d2 + lj.d1 * lj.d1))
+        return Jet2(value(r), a / r - b * model.log_df(r), -a / r**2 - b * model.dlog_df(r))
 
-    return RadialScalar(lambda r: np.exp(log_value(r)), jet), RadialScalar(log_value, log_jet)
-
-
-def raw_density_ratio(model: DensityModel) -> RadialScalar:
-    """((f')^2 - 2 f f'') / (4 f^2) as ((f'/f)^2 - 2 f''/f) / 4 (value only).
-
-    This is the defining expression of the quadratic pair's potential before
-    algebraic simplification; it loses digits to cancellation near the pole,
-    so it serves as a cross-check.
-    """
-    return RadialScalar(lambda r: (model.log_df(r) ** 2 - 2.0 * model.d2f_over_f(r)) / 4.0)
+    return RadialScalar(value, jet)
 
 
 def _curvature_coefficients(model: DensityModel, c: float, b: float):
@@ -180,39 +161,26 @@ def _require_dr(model: DensityModel, what: str) -> None:
 def weight_theorem_b(model: DensityModel):
     """Pair with V = ((f')^2 - 2 f f'')/(4 f^2), W = 1/(4 r^2).
 
-    The ground state is (r/f)^(1/2).  ``extras["W_total"]`` is the combined
-    density W - V; on flat space it collapses to the single classical Hardy
-    coefficient (n-2)^2/4 over r^2.
+    The ground state is (r/f)^(1/2).  On flat space the combined density
+    W - V collapses to the single classical Hardy coefficient (n-2)^2/4 over
+    r^2.
     """
     # -V is the form at (c, b) = (1/4, -1/2)
     const, c_sr, c_sh, c_r2 = _curvature_coefficients(model, 0.25, -0.5)
     if model.kind == EUCLIDEAN:
         v_scalar = _inverse_square(-c_r2)
-        w_total = _inverse_square((model.n - 2) ** 2 / 4.0)
-        total_terms = (("(n-2)^2/(4r^2)", w_total),)
     else:
         curvature = (("lambda0 shift", RadialScalar.constant(const)),) + _sinh_terms(c_sr, c_sh)
         curvature_sum = _sum_terms(curvature)
         v_scalar = RadialScalar(lambda r: -curvature_sum.value(r))
-        total_terms = (("1/(4r^2)", _inverse_square(0.25)),) + curvature
-        w_total = _sum_terms(total_terms)
 
     terms = (("1/(4r^2)", _inverse_square(0.25)),)
-    ground_state, log_gs = _ground_state(model, 0.5, 0.5)
     return WeightPair(
         theorem_id="B",
-        space=model.descriptor(),
-        params={},
         V=v_scalar,
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=ground_state,
-        extras={
-            "W_total": w_total,
-            "W_total_terms": total_terms,
-            "V_raw": raw_density_ratio(model),
-            "log_ground_state": log_gs,
-        },
+        log_ground_state=_log_ground_state(model, 0.5, 0.5),
     )
 
 
@@ -229,16 +197,12 @@ def weight_dr_poincare(model: DensityModel):
         ("sinh(r/2) term", _inverse_sinh_sq(c_sh, 0.5)),
         ("sinh(r) term", _inverse_sinh_sq(c_sr, 1.0)),
     )
-    ground_state, log_gs = _ground_state(model, 0.5, 0.5)
     return WeightPair(
         theorem_id="A",
-        space=model.descriptor(),
-        params={},
         V=RadialScalar.constant(-model.lambda0),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=ground_state,
-        extras={"log_ground_state": log_gs},
+        log_ground_state=_log_ground_state(model, 0.5, 0.5),
     )
 
 
@@ -276,20 +240,13 @@ def weight_gamma_family(model: DensityModel, gamma: float):
         correction = gamma * (d2 + (1.0 + 2.0 * gamma) * d1 / rr - gamma * d1**2)
         return -(base + correction)
 
-    ground_state, log_gs = _ground_state(model, 0.5 + gamma, 0.5 + gamma / (model.n - 1.0))
     terms = (("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),)
     return WeightPair(
         theorem_id="gamma_family",
-        space=model.descriptor(),
-        params={"gamma": gamma},
         V=RadialScalar(v_value),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=ground_state,
-        extras={
-            "lambda0_shift": (1.0 - 4.0 * gamma**2 / (model.n - 1.0) ** 2) * model.lambda0,
-            "log_ground_state": log_gs,
-        },
+        log_ground_state=_log_ground_state(model, 0.5 + gamma, 0.5 + gamma / (model.n - 1.0)),
     )
 
 
@@ -315,7 +272,6 @@ def weight_gamma_dr(model: DensityModel, gamma: float):
     shift = (1.0 - (2.0 * gamma / m) ** 2) * model.lambda0
     drift_coef = gamma * (1.0 + 2.0 * gamma) / m
     _, c_sr, c_sh, _ = _curvature_coefficients(model, d, b)
-    ground_state, log_gs = _ground_state(model, 0.5 + gamma, b)
 
     terms = (
         ("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),
@@ -325,16 +281,10 @@ def weight_gamma_dr(model: DensityModel, gamma: float):
     )
     return WeightPair(
         theorem_id="gamma_dr",
-        space=model.descriptor(),
-        params={"gamma": gamma},
         V=RadialScalar.constant(-shift),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=ground_state,
-        extras={
-            "lambda0_shift": shift,
-            "log_ground_state": log_gs,
-        },
+        log_ground_state=_log_ground_state(model, 0.5 + gamma, b),
     )
 
 
@@ -374,18 +324,12 @@ def weight_weighted(model: DensityModel, alpha: float):
     terms += _sinh_terms(c_sr, c_sh)
     terms += (("drift term", drift), ("(4*alpha+1)/(4r^2)", _inverse_square(hardy_coef)))
 
-    measure = RadialScalar(lambda rr: rr ** (-2.0 * alpha))
-    w_scalar = _sum_terms(terms)
     return WeightPair(
         theorem_id="weighted_alpha",
-        space=model.descriptor(),
-        params={"alpha": alpha, "measure_exponent": -2.0 * alpha},
         V=v_scalar,
-        W=w_scalar,
+        W=_sum_terms(terms),
         terms=terms,
-        ground_state=None,
-        measure=measure,
-        extras={"density": RadialScalar(lambda r: w_scalar.value(r) - v_scalar.value(r))},
+        measure=RadialScalar(lambda rr: rr ** (-2.0 * alpha)),
     )
 
 
@@ -443,21 +387,13 @@ def weight_p_dr(model: DensityModel, P: float):
         ("drift term", RadialScalar(t2_value)),
         ("sinh terms", RadialScalar(t3_value)),
     )
-    ground_state, log_gs = _ground_state(model, 1.0 / P, 1.0 / P)
     return WeightPair(
         theorem_id="p_dr",
-        space=model.descriptor(),
-        params={"P": P},
         V=RadialScalar(v_value),
         W=_sum_terms(terms),
         terms=terms,
-        ground_state=ground_state,
+        log_ground_state=_log_ground_state(model, 1.0 / P, 1.0 / P),
         P=P,
-        extras={
-            "Lambda_P": lam_p,
-            "g": RadialScalar(g_value),
-            "log_ground_state": log_gs,
-        },
     )
 
 

@@ -46,9 +46,9 @@ def test_criterion_01_flat_hardy_reduction():
     worst = 0.0
     for n in (3, 4, 5, 6):
         pair = weight_theorem_b(build_density(f"euclidean:{n}"))
-        got = np.asarray(pair.extras["W_total"].value(grid))
-        want = (n - 2) ** 2 / 4.0 / grid**2
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        # r^2 (W - V), the combined density's coefficient, is of order one
+        got = grid**2 * (pair.W.value(grid) - np.asarray(pair.V.value(grid)))
+        worst = max(worst, float(np.max(np.abs(got - (n - 2) ** 2 / 4.0))))
     assert worst <= 1e-12, f"flat Hardy density deviates by {worst:.3e}"
     print(f"PASS: criterion 01 flat Hardy reduction (max abs dev {worst:.1e})")
 
@@ -58,16 +58,16 @@ def test_criterion_02_hyperbolic_constants():
     for n in (3, 4, 5):
         model = build_density(f"hyperbolic:{n}")
         pair = weight_theorem_b(model)
-        terms = dict(pair.extras["W_total_terms"])
+        terms = dict(pair.terms)
         worst = max(worst, abs(model.lambda0 - (n - 1) ** 2 / 4.0))
-        worst = max(worst, abs(terms["lambda0 shift"].value(1.7) - (n - 1) ** 2 / 4.0))
         worst = max(worst, abs(4.0 * terms["1/(4r^2)"].value(2.0) * 4.0 - 1.0))
+        # -V = lambda0 + c / sinh(r)^2
         c = (n - 1) * (n - 3) / 4.0
-        if n == 3:
-            assert "sinh(r) term" not in terms  # coefficient is exactly zero
-        else:
-            for r in (0.7, 1.9):
-                got = terms["sinh(r) term"].value(r) * np.sinh(r) ** 2
+        for r in (0.7, 1.7, 1.9):
+            if n == 3:
+                assert -pair.V.value(r) == model.lambda0  # coefficient is exactly zero
+            else:
+                got = (-pair.V.value(r) - model.lambda0) * np.sinh(r) ** 2
                 worst = max(worst, abs(got - c))
     assert worst <= 1e-12, f"hyperbolic constants deviate by {worst:.3e}"
     print(f"PASS: criterion 02 hyperbolic constants (max abs dev {worst:.1e})")
@@ -247,7 +247,7 @@ def test_criterion_12_reduction_chains():
             worst,
             rel(
                 wtd.W.value(grid) - np.asarray(wtd.V.value(grid)),
-                np.asarray(base.extras["W_total"].value(grid)),
+                base.W.value(grid) - np.asarray(base.V.value(grid)),
             ),
         )
     for desc in ("dr:2,1", "dr:8,7"):

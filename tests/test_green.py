@@ -523,13 +523,15 @@ def test_surplus_weight_floor_and_far_field():
 def test_green_weight_pair_shape():
     model = build_density("dr:4,3")
     pair = green_weight(model, 2.5)
-    assert pair.extras["Lambda_P"] == pytest.approx((model.h / 2.5) ** 2.5, rel=1e-15)
+    assert pair.log_ground_state is None and pair.P == 2.5
     V, W = pair.V.value(2.0), pair.W.value(2.0)
     assert V == 0.0
     assert W - V == W
-    assert W >= pair.extras["Lambda_P"]
-    tilde = pair.extras["Wtilde"].value(np.array([0.5, 2.0]))
-    assert np.all(tilde >= 0.0)
+    assert W >= (model.h / 2.5) ** 2.5
+    radii = np.array([0.5, 2.0])
+    batch = green_weight_batch(model, 2.5, radii)
+    np.testing.assert_array_equal(pair.W.value(radii), batch["W"])
+    assert np.all(batch["Wtilde"] >= 0.0)
 
 
 def test_weights_past_the_double_range_of_lambda_p_without_overflow_error():
@@ -540,9 +542,9 @@ def test_weights_past_the_double_range_of_lambda_p_without_overflow_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = green_weight_batch(model, P, np.array([1.0, 30.0]))
-        pair = green_weight(model, P)
+        pair_w = green_weight(model, P).W.value(1.0)
         pred = asymptotic_prediction(build_density("hyperbolic:3000"), 900.0, np.array([1e-7, 1e-6]))
-    assert pair.extras["Lambda_P"] == math.inf
+    assert pair_w == math.inf
     assert np.all(batch["W"] == math.inf)
     assert batch["Wtilde"][0] == math.inf
     with mpmath.workdps(50):

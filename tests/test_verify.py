@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardyscope import verify
-from hardyscope.calculus import PanelPlan, RadialScalar, p_laplacian_radial
+from hardyscope.calculus import Jet2, PanelPlan, RadialScalar, p_laplacian_radial
 from hardyscope.errors import DomainError, PreconditionError, QuadratureError, SpaceValidationError
 from hardyscope.green import green_weight
 from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, validate_heisenberg_params
@@ -107,7 +107,27 @@ def test_ode_passes_on_the_flat_plane_and_fails_a_scaled_net_weight(monkeypatch)
     assert all(r.verdict == "fail" for r in reports), [r.check_id for r in reports if r.verdict != "fail"]
 
 
-@pytest.mark.parametrize("space, label", [("dr:8,7", "p_dr[3]"), ("dr:8,7", "p_dr[4]"), ("hyperbolic:3", "B")])
+#: every (catalog space, pair label) that ``verify ode`` checks
+_ODE_CASES = [
+    (space, label)
+    for space in DEFAULT_CATALOG
+    for label, _, pair in verify._pairs_for(build_density(space))
+    if pair.log_ground_state is not None
+]
+
+
+def _exp_jet(log_scalar: RadialScalar) -> RadialScalar:
+    """Phi = e^l with its jet e^l (1, l', l'' + l'^2), from l = log Phi."""
+
+    def jet(r):
+        lj = log_scalar.jet(r)
+        phi = np.exp(lj.val)
+        return Jet2(phi, phi * lj.d1, phi * (lj.d2 + lj.d1 * lj.d1))
+
+    return RadialScalar.from_jet(jet)
+
+
+@pytest.mark.parametrize("space, label", _ODE_CASES)
 def test_divided_ode_residual_is_the_residual_over_the_ground_state(space, label):
     # the residual taken through log Phi equals the one built from Phi's jet,
     # -Delta_P Phi / Phi^(P-1) + (V - W), on radii where Phi is moderate
@@ -115,7 +135,8 @@ def test_divided_ode_residual_is_the_residual_over_the_ground_state(space, label
     pair = next(pair for lab, _, pair in verify._pairs_for(model) if lab == label)
     grid = np.geomspace(0.1, 10.0, 40)
     resid, _ = verify._ode_terms(model, pair, grid)
-    plap = p_laplacian_radial(pair.ground_state, model, pair.P, grid) / pair.ground_state.value(grid) ** (pair.P - 1.0)
+    phi = _exp_jet(pair.log_ground_state)
+    plap = p_laplacian_radial(phi, model, pair.P, grid) / phi.value(grid) ** (pair.P - 1.0)
     net = pair.V.value(grid) - pair.W.value(grid)
     assert np.all(np.abs(resid - (net - plap)) <= 1e-12 * (np.abs(plap) + np.abs(net)))
 
@@ -463,17 +484,16 @@ def test_scalar_values_equal_jet_values_bit_for_bit():
     for space in DEFAULT_CATALOG:
         model = build_density(space)
         for label, _, pair in verify._pairs_for(model):
-            if pair.ground_state is None:
+            if pair.log_ground_state is None:
                 continue
-            for name, scalar in (("ground_state", pair.ground_state), ("log", pair.extras["log_ground_state"])):
-                with np.errstate(all="ignore"):
-                    value, full = scalar.value(grid), scalar.jet(grid).val
-                assert _same_bits(value, full), (space, label, name)
-                checked += 1
+            with np.errstate(all="ignore"):
+                value, full = pair.log_ground_state.value(grid), pair.log_ground_state.jet(grid).val
+            assert _same_bits(value, full), (space, label)
+            checked += 1
     for member in default_suite():
         assert _same_bits(member.scalar.value(grid), member.scalar.jet(grid).val), member.name
         checked += 1
-    assert checked > 90
+    assert checked == 58  # 38 log ground states and 20 suite members
 
 
 # -- one evaluation per space, not per member -----------------------------------
@@ -620,7 +640,7 @@ def test_pairs_and_density_are_finite_on_the_admissible_range(space, r):
         assert np.all(np.isfinite(getattr(model, op)(radii))), (space, op)
     for label, _, pair in verify._pairs_for(model):
         scalars = [("V", pair.V), ("W", pair.W), *pair.terms]
-        scalars.append(("log ground state", pair.extras.get("log_ground_state")))
+        scalars.append(("log ground state", pair.log_ground_state))
         for name, scalar in scalars:
             if scalar is not None:
                 assert np.all(np.isfinite(scalar.value(radii))), (space, label, name)

@@ -11,7 +11,6 @@ from hardyscope.verify import _pairs_for
 from hardyscope.weights import (
     WeightPair,
     hpw_g,
-    raw_density_ratio,
     weight_dr_poincare,
     weight_gamma_dr,
     weight_gamma_family,
@@ -36,27 +35,31 @@ ADMISSIBLE = [(p, q) for p in range(2, 33, 2) for q in range(1, 12) if _admissib
 COEFFICIENT_RADII = np.geomspace(1e-3, 30.0, 25)
 
 
+def _raw_density_ratio(model, r):
+    """((f')^2 - 2 f f'') / (4 f^2) as ((f'/f)^2 - 2 f''/f) / 4: the quadratic
+    pair's potential before algebraic simplification, which loses digits to
+    cancellation near the pole."""
+    return (model.log_df(r) ** 2 - 2.0 * model.d2f_over_f(r)) / 4.0
+
+
 def test_quadratic_pair_flat_is_single_hardy_coefficient():
     grid = default_grid()
     for n in (3, 4, 5, 6):
         pair = weight_theorem_b(build_density(f"euclidean:{n}"))
-        total = pair.extras["W_total"]
-        expected = (n - 2) ** 2 / 4.0 / grid**2
-        # exact closure, not an approximation: the combined density must be
-        # bitwise equal to the classical coefficient over r^2
-        assert np.array_equal(total.value(grid), expected)
-        names = [name for name, _ in pair.extras["W_total_terms"]]
-        assert names == ["(n-2)^2/(4r^2)"]
+        # the combined density W - V is the classical coefficient over r^2,
+        # to rounding of the coefficient itself
+        total = grid**2 * (pair.W.value(grid) - pair.V.value(grid))
+        np.testing.assert_allclose(total, (n - 2) ** 2 / 4.0, rtol=1e-15, atol=0.0)
 
 
 def test_quadratic_pair_value_on_heisenberg_type_space():
-    pair = weight_theorem_b(build_density("dr:2,1"))
+    model = build_density("dr:2,1")
+    pair = weight_theorem_b(model)
     assert pair.V.value(2.0) == pytest.approx(-1.16200995778206, rel=1e-12)
     assert pair.W.value(2.0) == pytest.approx(1.0 / 16.0, rel=1e-15)
     # the un-simplified density ratio agrees away from the pole
-    raw = pair.extras["V_raw"]
     for r in (0.5, 1.0, 2.0, 7.0):
-        assert raw.value(r) == pytest.approx(pair.V.value(r), rel=1e-9)
+        assert _raw_density_ratio(model, r) == pytest.approx(pair.V.value(r), rel=1e-9)
 
 
 def test_quadratic_pair_hyperbolic_constants():
@@ -66,20 +69,22 @@ def test_quadratic_pair_hyperbolic_constants():
         c = (n - 1) * (n - 3) / 4.0
         r = 1.3
         assert pair.V.value(r) == pytest.approx(-(lam0 + c / np.sinh(r) ** 2), rel=1e-13)
-        terms = dict(pair.extras["W_total_terms"])
+        terms = dict(pair.terms)
         assert terms["1/(4r^2)"].value(2.0) == pytest.approx(1.0 / 16.0, rel=1e-15)
-        assert terms["lambda0 shift"].value(2.0) == lam0
         if n == 3:
-            assert "sinh(r) term" not in terms
+            # the sinh(r) coefficient vanishes: -V is lambda0 alone
+            assert -pair.V.value(2.0) == lam0
         else:
-            assert terms["sinh(r) term"].value(r) * np.sinh(r) ** 2 == pytest.approx(c, rel=1e-13)
+            assert np.sinh(r) ** 2 * (-pair.V.value(r) - lam0) == pytest.approx(c, rel=1e-13)
 
 
-def test_quadratic_pair_term_breakdown_skips_vanishing_coefficients():
-    # q = 2 kills the sinh(r) coefficient q(q-2)/4
-    terms = dict(weight_theorem_b(build_density("dr:4,2")).extras["W_total_terms"])
-    assert "sinh(r) term" not in terms
-    assert "sinh(r/2) term" in terms
+def test_term_breakdown_skips_vanishing_coefficients():
+    # q = 2 kills the sinh(r) coefficient q(q-2)/4, and n = 3 the
+    # hyperbolic one (n-1)(n-3)/4
+    for desc in ("dr:4,2", "hyperbolic:3"):
+        terms = dict(weight_weighted(build_density(desc), 0.0).terms)
+        assert "sinh(r) term" not in terms, desc
+    assert "sinh(r/2) term" in dict(weight_weighted(build_density("dr:4,2"), 0.0).terms)
 
 
 def test_shifted_pair_weight_value_and_term_sum():
@@ -100,7 +105,7 @@ def test_pair_names_its_breakdown_and_ground_state():
     assert set(terms) == {"1/(4r^2)", "sinh(r/2) term", "sinh(r) term"}
     assert pair.W.value(1.5) == sum(scalar.value(1.5) for scalar in terms.values())
     assert pair.V.value(1.5) == -build_density("dr:4,3").lambda0
-    assert pair.ground_state.value(1.5) > 0.0
+    assert np.isfinite(pair.log_ground_state.value(1.5))
 
 
 def test_gamma_family_at_zero_reduces_to_quadratic_pair():
@@ -111,8 +116,9 @@ def test_gamma_family_at_zero_reduces_to_quadratic_pair():
         fam = weight_gamma_family(model, 0.0)
         np.testing.assert_allclose(fam.V.value(grid), base.V.value(grid), rtol=1e-12)
         np.testing.assert_allclose(fam.W.value(grid), base.W.value(grid), rtol=1e-15)
+        # a relative tolerance on Phi is an absolute one on log Phi
         np.testing.assert_allclose(
-            fam.ground_state.value(grid), base.ground_state.value(grid), rtol=1e-12
+            fam.log_ground_state.value(grid), base.log_ground_state.value(grid), rtol=0.0, atol=1e-12
         )
 
 
@@ -130,7 +136,7 @@ def test_gamma_collapsed_form_matches_general_family():
             scale = np.abs(total_fam) + 1.0
             assert np.max(np.abs(total_fam - total_col) / scale) < 1e-10
             np.testing.assert_allclose(
-                col.ground_state.value(grid), fam.ground_state.value(grid), rtol=1e-12
+                col.log_ground_state.value(grid), fam.log_ground_state.value(grid), rtol=0.0, atol=1e-12
             )
 
 
@@ -138,7 +144,6 @@ def test_gamma_collapsed_drift_and_shift_values():
     pair = weight_gamma_dr(build_density("dr:2,1"), 0.25)
     terms = dict(pair.terms)
     assert terms["drift term"].value(1.0) == pytest.approx(0.43462358740474805, rel=1e-12)
-    assert pair.extras["lambda0_shift"] == pytest.approx(35.0 / 36.0, rel=1e-15)
     assert pair.V.value(3.0) == pytest.approx(-35.0 / 36.0, rel=1e-15)
 
 
@@ -181,38 +186,32 @@ def test_weighted_pair_flat_value_and_measure():
     pair = weight_weighted(build_density("euclidean:4"), 1.0)
     assert pair.W.value(1.0) - pair.V.value(1.0) == pytest.approx(-1.0, rel=1e-14)
     assert pair.measure.value(2.0) == pytest.approx(0.25, rel=1e-15)
-    assert pair.params["measure_exponent"] == -2.0
-    assert pair.ground_state is None
     grid = np.geomspace(0.1, 10.0, 20)
-    np.testing.assert_allclose(
-        pair.extras["density"].value(grid),
-        pair.W.value(grid) - np.asarray(pair.V.value(grid)),
-        rtol=1e-15,
-    )
+    np.testing.assert_allclose(pair.measure.value(grid), grid**-2.0, rtol=1e-15)
+    assert pair.log_ground_state is None
 
 
 def test_quasilinear_pair_values_and_nonnegative_terms():
     pair = weight_p_dr(build_density("dr:4,2"), 3.0)
-    assert pair.extras["Lambda_P"] == pytest.approx((4.0 / 3.0) ** 3, rel=1e-15)
     assert pair.V.value(1.0) == pytest.approx(-3.5282829028005733, rel=1e-12)
     grid = default_grid()
     for p, q, P in ((2, 1, 2.0), (4, 2, 3.0), (4, 3, 3.0), (8, 7, 4.0)):
         qp = weight_p_dr(build_density(f"dr:{p},{q}"), P)
         for name, scalar in qp.terms:
             assert np.min(scalar.value(grid)) >= -1e-15, (p, q, P, name)
-        gs = qp.ground_state.value(grid)
-        assert np.all(np.isfinite(gs)) and np.all(gs > 0.0)
+        assert np.all(np.isfinite(qp.log_ground_state.value(grid)))
 
 
 def test_quasilinear_comparison_function_profile():
-    pair = weight_p_dr(build_density("dr:2,1"), 2.0)
-    g = pair.extras["g"]
+    # V = -Lambda_P g^(P-2), so at P = 3 the comparison function is
+    # g = -V / Lambda_3 with Lambda_3 = (h/3)^3 and h = (p+2q)/2 = 4 on dr:4,2
+    pair = weight_p_dr(build_density("dr:4,2"), 3.0)
     grid = np.geomspace(1e-6, 40.0, 80)
-    vals = np.asarray(g.value(grid))
+    vals = -np.asarray(pair.V.value(grid)) / (4.0 / 3.0) ** 3
     # r g(r) -> 2(p+q-1)/(p+2q) at the pole; far out the coth settles on 1
     # and only the 1/r drag remains, g(r) = 1 - 2/((p+2q) r) + O(e^-r)
-    assert grid[0] * vals[0] == pytest.approx(2.0 * 2.0 / 4.0, rel=1e-6)
-    assert vals[-1] == pytest.approx(1.0 - 2.0 / (4.0 * 40.0), rel=1e-12)
+    assert grid[0] * vals[0] == pytest.approx(2.0 * 5.0 / 8.0, rel=1e-6)
+    assert vals[-1] == pytest.approx(1.0 - 2.0 / (8.0 * 40.0), rel=1e-12)
     assert np.all(vals > 0.0)
 
 
@@ -257,13 +256,12 @@ def test_comparison_ratio_examples_and_range():
 
 
 def test_ground_state_jets_survive_large_radii():
-    # f(60) on dr:8,7 is around e^660; the ground state jet must still come
-    # back finite because it is e^l times the closed-form jet of l = log Phi
+    # f(60) on dr:8,7 is around e^660; the jet of l = log Phi must still come
+    # back finite because it is closed-form in log f and f'/f
     for pair in (weight_theorem_b(build_density("dr:8,7")), weight_gamma_dr(build_density("dr:8,7"), 0.4)):
-        jet = pair.ground_state.jet(60.0)
+        jet = pair.log_ground_state.jet(60.0)
         assert np.isfinite(jet.val) and np.isfinite(jet.d1) and np.isfinite(jet.d2)
-        assert jet.val > 0.0
-    logs = weight_theorem_b(build_density("dr:8,7")).extras["log_ground_state"](60.0)
+    logs = weight_theorem_b(build_density("dr:8,7")).log_ground_state(60.0)
     assert logs == pytest.approx(-0.5 * (build_density("dr:8,7").log_f(60.0) - np.log(60.0)))
 
 
