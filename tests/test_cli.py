@@ -411,16 +411,23 @@ def test_verify_uncertainty_on_space_with_overflowing_norm_square(capsys):
     assert _lines(capsys)[-1] == "20 checks: 20 passed, 0 failed, 0 skipped"
 
 
-def test_verify_family_summary_and_report(tmp_path, capsys):
+def _indented(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("family, space, total", [("criticality", "hyperbolic:3", 4), ("asymptotics", "euclidean:3", 0)])
+def test_verify_family_summary_and_report(family, space, total, tmp_path, capsys):
     out = tmp_path / "report.json"
-    rc = main(["verify", "criticality", "--space", "hyperbolic:3", "--out", str(out)])
+    rc = main(["verify", family, "--space", space, "--out", str(out)])
     assert rc == 0
     lines = _lines(capsys)
-    assert lines[-1] == "4 checks: 4 passed, 0 failed, 0 skipped"
-    doc = json.loads(out.read_text())
-    assert doc["summary"] == {"total": 4, "failed": 0, "skipped": 0}
-    assert len(doc["reports"]) == 4
-    assert doc["spaces"] == ["hyperbolic:3"]
+    assert lines[-1] == f"{total} checks: {total} passed, 0 failed, 0 skipped"
+    text = out.read_text()
+    doc = json.loads(text)
+    assert text == _indented(doc)
+    assert doc["summary"] == {"total": total, "failed": 0, "skipped": 0}
+    assert len(doc["reports"]) == total
+    assert doc["spaces"] == [space]
     assert all(rep["verdict"] == "pass" for rep in doc["reports"])
 
 
@@ -429,7 +436,10 @@ def test_verify_report_writes_a_skip_as_null(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli.verify, "run_verification", lambda **_: [skip])
     out = tmp_path / "report.json"
     assert main(["verify", "uncertainty", "--space", "dr:8,7", "--out", str(out)]) == 0
-    assert _lines(capsys)[-1] == "1 checks: 0 passed, 0 failed, 1 skipped"
+    assert _lines(capsys) == [
+        "SKIP  dr:8,7 uncertainty.bump_00 lhs=nan rhs=nan gap=nan tol=0.0e+00",
+        "1 checks: 0 passed, 0 failed, 1 skipped",
+    ]
     text = out.read_text()
     assert "NaN" not in text and "Infinity" not in text
     (row,) = json.loads(text)["reports"]
@@ -437,6 +447,86 @@ def test_verify_report_writes_a_skip_as_null(monkeypatch, tmp_path, capsys):
     assert row["verdict"] == "skip" and row["params"] == {"member": "bump_00"}
     with pytest.raises(ValueError):
         cli._json_text({"x": math.nan})
+
+
+def test_verify_prints_the_numbers_of_a_failed_check(monkeypatch, tmp_path, capsys):
+    fail = cli.verify.VerificationReport(
+        "rayleigh.B.bump_03", "dr:4,2", {"member": "bump_03"}, lhs=1.25, rhs=1.5, gap=-0.25, tolerance=2.75e-8
+    )
+    monkeypatch.setattr(cli.verify, "run_verification", lambda **_: [fail])
+    out = tmp_path / "report.json"
+    assert main(["verify", "rayleigh", "--space", "dr:4,2", "--out", str(out)]) == 1
+    assert _lines(capsys) == [
+        "FAIL  dr:4,2 rayleigh.B.bump_03 lhs=1.250000e+00 rhs=1.500000e+00 gap=-2.500000e-01 tol=2.8e-08",
+        "1 checks: 0 passed, 1 failed, 0 skipped",
+    ]
+    assert json.loads(out.read_text())["reports"] == [fail.as_dict()]
+
+
+def _report_head(reports, spaces, families):
+    return {
+        "generated_at": "2026-01-01T00:00:00+00:00",
+        "spaces": spaces,
+        "families": families,
+        "summary": {"total": len(reports), "failed": 1, "skipped": 2},
+    }
+
+
+def _assert_report_text_is_indented_json(reports, spaces=("dr:4,2",), families=("rayleigh",)):
+    head = _report_head(reports, list(spaces), list(families))
+    text = cli._report_text(head, reports)
+    assert text == _indented({**head, "reports": [rep.as_dict() for rep in reports]})
+    return text
+
+
+@pytest.fixture(scope="module")
+def catalog_reports():
+    return cli.verify.run_verification(spaces=list(cli.DEFAULT_CATALOG), families=list(cli.verify.FAMILIES))
+
+
+def test_report_writer_matches_the_indented_encoder_on_every_catalog_document(catalog_reports):
+    # the rows of each ``verify <family> --space <s>`` call, and ``verify all``
+    for family in cli.verify.FAMILIES:
+        for space in cli.DEFAULT_CATALOG:
+            rows = [rep for rep in catalog_reports if rep.space == space and rep.check_id.split(".")[0] == family]
+            _assert_report_text_is_indented_json(rows, [space], [family])
+    assert any(rep.params == {} for rep in catalog_reports)  # criticality
+    _assert_report_text_is_indented_json(catalog_reports, cli.DEFAULT_CATALOG, cli.verify.FAMILIES)
+
+
+def test_report_writer_matches_the_indented_encoder_on_scaled_members():
+    reports = cli.verify.run_verification(spaces=["hyperbolic:30"], families=list(cli.verify.FAMILIES))
+    assert any("log_scale" in rep.params for rep in reports)
+    _assert_report_text_is_indented_json(reports, ["hyperbolic:30"], cli.verify.FAMILIES)
+
+
+def test_report_writer_matches_the_indented_encoder_on_odd_rows():
+    Report = cli.verify.VerificationReport
+    odd = 'q"b\\n\nu\u00e9\u2202\U0001d4d7\x00\t/'
+    reports = [
+        Report("uncertainty.bump_00", "dr:8,7", {"member": "bump_00"}, verdict="skip"),
+        Report("rellich.bump_01", "dr:8,7", {}, lhs=math.inf, rhs=-math.inf, gap=math.nan, verdict="skip"),
+        Report(odd, odd, {odd: odd, "a": -0.0, "z": 1e308, "P": 2, "b": True, "n": None}, 1e-320, -5e-324, 0.5, 0.0, odd, 1.5),
+        Report("ode.B", "euclidean:3", {"gamma": 0.25}, 1, 2, -1, 3e-8, "fail", 0),
+    ]
+    text = _assert_report_text_is_indented_json(reports)
+    assert "\\u00e9" in text and "\u00e9" not in text
+    # no reports: the list is empty, as for ``verify asymptotics --space euclidean:3``
+    assert _assert_report_text_is_indented_json([]).count('"reports": []') == 1
+
+
+@pytest.mark.parametrize("field", ["seconds", "tolerance", "params"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_report_writer_refuses_a_non_finite_number_but_a_side_or_gap(field, value):
+    report = cli.verify.VerificationReport("ode.B", "euclidean:3", {}, 1.0, 2.0, -1.0)
+    report = dataclasses.replace(report, **{field: {"gamma": value} if field == "params" else value})
+    with pytest.raises(ValueError):
+        cli._report_text(_report_head([report], [], []), [report])
+
+
+def test_report_writer_keys_are_the_report_fields_in_sorted_order():
+    # a new field of VerificationReport cannot be left out of the report
+    assert list(cli._REPORT_KEYS) == sorted(f.name for f in dataclasses.fields(cli.verify.VerificationReport))
 
 
 def test_exit_code_two_on_unusable_input(capsys):
@@ -666,7 +756,7 @@ _ROWS = [([g, s] if s else [g], options) for g, s, _, handler, options in cli._C
 _NAMES = sorted({name for g, s, *_ in cli._COMMANDS for name in (g, s) if name})
 _FLAGS = sorted({flag for *_, options in cli._COMMANDS for flag, _ in options if flag.startswith("-")})
 _VALUES = [
-    "hyperbolic:3", "dr:2,1", "2", "1.5", "1e-3", "-1", "", "1_0", "nan", "two", "0.5:1.5:0.5",
+    "hyperbolic:3", "dr:2,1", "2", "1.5", "1e-3", "-1", "-0.5e-10", "-1E3", "", "1_0", "nan", "two", "0.5:1.5:0.5",
     "f", "excess", "A", "Q", *cli.verify.FAMILIES, "all", "nope", "CONFIG", "-", "-h", "--out",
 ]
 _ODD = ["-h", "--help", "--P=2", "--", "--sp", "--conf", "--config", "--config=CONFIG"]
@@ -855,10 +945,11 @@ def test_out_is_refused_before_the_work(argv, tmp_path, monkeypatch, capsys):
     assert list((tmp_path / "DIR").iterdir()) == []
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "-0.5"])
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "-0.5", "-0.5e-10", "-1E3"])
+@pytest.mark.parametrize("source", ["flag", "config", "parser"])
 def test_green_eval_refuses_a_negative_or_nan_tol_before_the_batch(tol, source, tmp_path, monkeypatch, capsys):
-    # these ran the batch and then exited 1 with "certified only to ... > tol"
+    # these ran the batch and then exited 1 with "certified only to ... > tol";
+    # argparse took -0.5e-10 and -1E3 for flags ("expected one argument")
     def no_work(*args, **kwargs):
         raise AssertionError("the batch ran")
 
@@ -866,7 +957,11 @@ def test_green_eval_refuses_a_negative_or_nan_tol_before_the_batch(tol, source, 
     ini = tmp_path / "conf.ini"
     ini.write_text(f"[green.eval]\ntol = {tol}\n")
     argv = ["green", "eval", "--space", "hyperbolic:3", "--grid", "1:2:1"]
-    argv = argv + ["--tol", tol] if source == "flag" else ["--config", str(ini), *argv]
+    if source == "config":
+        argv = ["--config", str(ini), *argv]
+    else:  # an abbreviated flag leaves the table path for argparse
+        argv = argv + ["--tol" if source == "flag" else "--to", tol]
+        assert (cli._table_args(argv) is None) == (source == "parser")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = _run(argv, capsys)
