@@ -9,19 +9,21 @@ a bare boolean.
 Quadrature: the suite lays one grid of 20-point Gauss-Legendre panels over
 all its members (``SuitePlan``).  Its breakpoints are the members' distinct
 support ends, each interval between two is cut into equal panels no wider
-than 0.25, and every member spans at least 8 of them; on the default suite
-that is 2,860 nodes.  Functions of the space and of a pair are evaluated
-once on those shared nodes: the density once per space (``SuiteDensity``),
-and per pair the measure and the weights in one call each (the Green weight
-in one engine batch).  Each member's value and first two derivatives live on
+than 0.25 (narrower where f grows fast, see ``SuiteDensity``), and every
+member spans at least 8 of them; on the default suite that is 2,860 nodes.
+Functions of the space and of a pair are evaluated once on those shared
+nodes: the density once per space (``SuiteDensity``), and per pair the
+measure and the weights in one call each (the Green weight in one engine
+batch).  Each member's value and first two derivatives live on
 its own panels of the grid only (32,720 entries on the default suite, the
 bumps computed in one pass); one reduction per side then gives that side
 for every member, with its null-rule estimate.  The parts of a form that do
 not depend on the pair are computed once per space and order P.
 ``rayleigh_gap``, ``p_rayleigh_gap``, ``uncertainty_gap`` and
 ``rellich_gap`` take a ``SuiteDensity`` and return one result per member;
-the report runner calls them by these names.  The null-criticality
-mass is taken on the same rule, in log r, and is certified by its null-rule
+the report runner's check families (generators of finished check groups)
+call them by these names.  The null-criticality mass is taken on the same
+rule, in log r (0.25-wide panels), and is certified by its null-rule
 estimate: above 1e-10 relative it raises QuadratureError instead of
 returning a number.
 
@@ -90,6 +92,8 @@ __all__ = [
 #: panel width and minimum panel count of the integral checks
 _PANEL_WIDTH = 0.25
 _MIN_PANELS = 8
+#: largest rise of log f across one panel of a density's plan (see ``SuiteDensity``)
+_LOG_F_RISE = 50.0
 
 
 @dataclass(frozen=True)
@@ -105,16 +109,17 @@ class SuiteMember:
 class SuitePlan:
     """The suite's quadrature: one panel grid shared by every member.
 
-    The grid's breakpoints are the members' sorted distinct support ends;
-    each interval between two is cut into equal panels no wider than 0.25,
-    with more where a member would otherwise span fewer than 8.  ``nodes``
-    are the grid's nodes, where functions of the space and of a pair are
-    evaluated once.  ``panels`` holds each member's panels of the grid as one
-    segment, in member order, chosen by breakpoint index so each member's
-    panels tile its support exactly; its ``reduce`` gives every member's
-    integral and null-rule estimate.  On the nodes of ``panels``, ``index``
-    gives each node's place in ``nodes`` and ``segment`` its member, and
-    ``val``, ``d1`` and ``d2`` the member's value and first two derivatives.
+    The grid's breakpoints are the members' sorted distinct support ends; each
+    interval between two is cut into equal panels no wider than the plan's
+    width (0.25 on the suite's own plan), with more where a member would
+    otherwise span fewer than 8.  ``nodes`` are the grid's nodes, where
+    functions of the space and of a pair are evaluated once.  ``panels`` holds
+    each member's panels of the grid as one segment, in member order, chosen
+    by breakpoint index so each member's panels tile its support exactly; its
+    ``reduce`` gives every member's integral and null-rule estimate.  On the
+    nodes of ``panels``, ``index`` gives each node's place in ``nodes`` and
+    ``segment`` its member, and ``val``, ``d1`` and ``d2`` the member's value
+    and first two derivatives.
     """
 
     nodes: np.ndarray
@@ -138,21 +143,26 @@ class TestFunctionSuite:
 
     @cached_property
     def plan(self) -> SuitePlan:
-        """Built on first use and kept with the suite."""
-        ends, where = np.unique([m.support for m in self.members], return_inverse=True)
-        first, stop = where.reshape(-1, 2).T
-        # a member spanning fewer than _MIN_PANELS panels gets them spread
-        # over its intervals in proportion to their lengths
-        length = np.diff(ends)
-        spanned = np.append(0.0, np.cumsum(np.ceil(length / _PANEL_WIDTH)))
-        mins = np.ones(length.size)
-        for i, j in zip(first, stop):
-            if spanned[j] - spanned[i] < _MIN_PANELS:
-                mins[i:j] = np.maximum(mins[i:j], np.ceil(_MIN_PANELS * length[i:j] / (ends[j] - ends[i])))
-        grid = PanelPlan(ends[:-1], ends[1:], _PANEL_WIDTH, mins)
-        panels, index = grid.join(first, stop)
-        r, segment = panels.nodes()
-        return SuitePlan(grid.nodes()[0], panels, index, segment, *_member_jets(self.members, r, segment))
+        """The plan on panels no wider than 0.25, built on first use and kept
+        with the suite."""
+        return _suite_plan(self.members, _PANEL_WIDTH)
+
+
+def _suite_plan(members, width: float) -> SuitePlan:
+    ends, where = np.unique([m.support for m in members], return_inverse=True)
+    first, stop = where.reshape(-1, 2).T
+    # a member spanning fewer than _MIN_PANELS panels gets them spread
+    # over its intervals in proportion to their lengths
+    length = np.diff(ends)
+    spanned = np.append(0.0, np.cumsum(np.ceil(length / width)))
+    mins = np.ones(length.size)
+    for i, j in zip(first, stop):
+        if spanned[j] - spanned[i] < _MIN_PANELS:
+            mins[i:j] = np.maximum(mins[i:j], np.ceil(_MIN_PANELS * length[i:j] / (ends[j] - ends[i])))
+    grid = PanelPlan(ends[:-1], ends[1:], width, mins)
+    panels, index = grid.join(first, stop)
+    r, segment = panels.nodes()
+    return SuitePlan(grid.nodes()[0], panels, index, segment, *_member_jets(members, r, segment))
 
 
 def _member_jets(members, r: np.ndarray, segment: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,8 +253,11 @@ def default_suite() -> TestFunctionSuite:
 
 class SuiteDensity:
     """f of one space on a suite's nodes with the density shift, computed on
-    first use: ``log_scale`` holds c_m per member, ``values`` the shifted f
-    on the members' nodes.  ``form`` keeps the pair-independent parts of the
+    first use: ``plan`` is the suite's grid on panels no wider than
+    min(0.25, 50/h), so log f, which rises like h r, rises by at most about
+    50 across one (the suite's own plan up to h = 200, the whole catalog);
+    ``log_scale`` holds c_m per member, ``values`` the shifted f on the
+    members' nodes.  ``form`` keeps the pair-independent parts of the
     energy forms, one set per order P."""
 
     def __init__(self, model: DensityModel, suite: TestFunctionSuite):
@@ -257,8 +270,14 @@ class SuiteDensity:
         return np.maximum(0.0, self.model.log_f(ends) - 600.0)
 
     @cached_property
+    def plan(self) -> SuitePlan:
+        if self.model.h <= _LOG_F_RISE / _PANEL_WIDTH:
+            return self.suite.plan
+        return _suite_plan(self.suite.members, _LOG_F_RISE / self.model.h)
+
+    @cached_property
     def values(self) -> np.ndarray:
-        plan = self.suite.plan
+        plan = self.plan
         # log f once on the shared nodes; each member's shift stays in the
         # exponent, so an f that overflows never meets a factor 0
         return np.exp(self.model.log_f(plan.nodes)[plan.index] - self.log_scale[plan.segment])
@@ -267,7 +286,7 @@ class SuiteDensity:
         """|phi'|^P f and |phi|^P f on the members' nodes, and the integrals of
         the first (the energy side of every pair without a measure)."""
         if P not in self._forms:
-            plan, f = self.suite.plan, self.values
+            plan, f = self.plan, self.values
             energy = np.abs(plan.d1) ** P * f
             self._forms[P] = energy, np.abs(plan.val) ** P * f, plan.panels.reduce(energy)
         return self._forms[P]
@@ -303,7 +322,7 @@ def _gap_results(lhs, rhs) -> list[GapResult]:
 
 
 def _form_gaps(density: SuiteDensity, pair: WeightPair, P: float) -> list[GapResult]:
-    plan = density.suite.plan
+    plan = density.plan
     r = plan.nodes
     energy, mass, energy_sides = density.form(P)
     net = (np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r)))[plan.index]
@@ -478,10 +497,10 @@ class UncertaintyResult:
 
 def _moment_weight(density: SuiteDensity) -> np.ndarray:
     # g r^2 on the members' nodes, g the uncertainty weight
-    model, r = density.model, density.suite.plan.nodes
+    model, r = density.model, density.plan.nodes
     if model.kind != "dr":
         raise PreconditionError(f"the uncertainty weight needs a Damek-Ricci space, got {model.descriptor()}")
-    return (hpw_g(model.p, model.q, r) * r**2)[density.suite.plan.index]
+    return (hpw_g(model.p, model.q, r) * r**2)[density.plan.index]
 
 
 def uncertainty_gap(density: SuiteDensity) -> list[UncertaintyResult]:
@@ -492,7 +511,7 @@ def uncertainty_gap(density: SuiteDensity) -> list[UncertaintyResult]:
     product E * moment must dominate (1/4) norm^2; the ratio is returned
     (NaN when phi vanishes identically, reported as a skip upstream).
     """
-    plan = density.suite.plan
+    plan = density.plan
     d1_sq, v_sq, _ = density.form(2.0)
     (e, e_err), (m, m_err), (n, n_err) = (
         plan.panels.reduce(d1_sq - density.model.lambda0 * v_sq),
@@ -511,7 +530,7 @@ def rellich_gap(density: SuiteDensity) -> list[GapResult]:
       >= (1/16) integral phi^2 / (g r^2) f
     on a Heisenberg-type space, with g the uncertainty weight.
     """
-    model, plan = density.model, density.suite.plan
+    model, plan = density.model, density.plan
     weight = _moment_weight(density)
     lap = plan.d2 + np.asarray(model.log_df(plan.nodes))[plan.index] * plan.d1
     lhs = plan.panels.reduce(weight * (lap + model.lambda0 * plan.val) ** 2 * density.values)
@@ -568,10 +587,11 @@ _PDR_ORDERS = (2.0, 3.0, 4.0)
 class VerificationReport:
     """One check's outcome.
 
-    Checks that share their work run as one job: the rayleigh checks of a
+    Checks that share their work run as one group: the rayleigh checks of a
     pair, the uncertainty and the rellich checks of a space (one per suite
-    member) and the four criticality checks of a space.  ``seconds`` is then
-    the job's time divided by its number of checks.
+    member) and the four criticality checks of a space.  ``seconds`` is the
+    group's time divided by its number of checks; it covers building pairs
+    too, all of a space's in its first rayleigh or ode group.
     """
 
     check_id: str
@@ -610,135 +630,106 @@ def _pairs_for(model: DensityModel) -> list[tuple[str, dict, WeightPair]]:
     return out
 
 
-# Each generator yields groups (reports, job): job() returns one
-# (lhs, rhs, gap, tolerance, verdict) row per report, in the same order.
+# Each family is a generator over a space's density that yields one group of
+# checks at a time, finished, as (checks, rows): the (check_id, params) of each
+# check and its (lhs, rhs, gap, tolerance, verdict) row, in the same order.
 
 
 def _gap_row(res: GapResult):
     tol = 1e-8 * res.scale
-    verdict = "pass" if res.gap >= -tol else "fail"
-    return res.lhs, res.rhs, res.gap, tol, verdict
+    return res.lhs, res.rhs, res.gap, tol, "pass" if res.gap >= -tol else "fail"
 
 
-def _member_reports(prefix: str, space: str, params: dict, density: SuiteDensity):
+def _member_checks(prefix: str, params: dict, density: SuiteDensity) -> list[tuple[str, dict]]:
     return [
-        VerificationReport(f"{prefix}.{m.name}", space, {**params, "member": m.name, **({"log_scale": c} if c else {})})
+        (f"{prefix}.{m.name}", {**params, "member": m.name, **({"log_scale": c} if c else {})})
         for m, c in zip(density.suite, density.log_scale.tolist())
     ]
 
 
-def _rayleigh_jobs(space: str, density: SuiteDensity):
+def _rayleigh_groups(density: SuiteDensity):
     for label, params, pair in _pairs_for(density.model):
-        def job(pair=pair):
-            gaps = rayleigh_gap if pair.P == 2.0 else p_rayleigh_gap
-            return [_gap_row(res) for res in gaps(density, pair)]
-
-        yield _member_reports(f"rayleigh.{label}", space, params, density), job
+        gaps = rayleigh_gap if pair.P == 2.0 else p_rayleigh_gap
+        yield _member_checks(f"rayleigh.{label}", params, density), [_gap_row(res) for res in gaps(density, pair)]
 
 
-def _ode_jobs(space: str, density: SuiteDensity):
+def _ode_groups(density: SuiteDensity):
     model = density.model
     for label, params, pair in _pairs_for(model):
         if pair.log_ground_state is None:
             continue
         tol = 1e-8 if label.startswith("gamma") else 1e-10
-
-        def job(pair=pair, tol=tol):
-            # the P = 2 residual is a size; the supersolution residual is signed
-            resid = ode_residual(model, pair)
-            gap = -resid if pair.P == 2.0 else resid
-            return [(resid, 0.0, gap, tol, "pass" if gap >= -tol else "fail")]
-
-        yield [VerificationReport(check_id=f"ode.{label}", space=space, params=dict(params))], job
+        # the P = 2 residual is a size; the supersolution residual is signed
+        resid = ode_residual(model, pair)
+        gap = -resid if pair.P == 2.0 else resid
+        yield [(f"ode.{label}", dict(params))], [(resid, 0.0, gap, tol, "pass" if gap >= -tol else "fail")]
 
 
-def _criticality_jobs(space: str, density: SuiteDensity):
+def _criticality_groups(density: SuiteDensity):
     model = density.model
-
-    def job():
-        probe = criticality_probe(model)
-        rows = []
-        for (r1, v1), (r2, v2) in (probe.at_origin, probe.at_infinity):
-            verdict = "pass" if v2 < v1 < 1.0 else "fail"
-            rows.append((v2, v1, v1 - v2, 0.0, verdict))
-        res = null_criticality_mass(model, 1e-4, 1e3)
-        tol = 1e-10 * abs(res.closed_form)
-        gap = res.mass - res.closed_form
-        rows.append((res.mass, res.closed_form, gap, tol, "pass" if abs(gap) <= tol else "fail"))
-        gap = res.log_slope - 0.25
-        rows.append((res.log_slope, 0.25, gap, 1e-6, "pass" if abs(gap) <= 1e-6 else "fail"))
-        return rows
-
+    probe = criticality_probe(model)
+    rows = [(v2, v1, v1 - v2, 0.0, "pass" if v2 < v1 < 1.0 else "fail")
+            for (_, v1), (_, v2) in (probe.at_origin, probe.at_infinity)]
+    res = null_criticality_mass(model, 1e-4, 1e3)
+    tol = 1e-10 * abs(res.closed_form)
+    gap = res.mass - res.closed_form
+    rows.append((res.mass, res.closed_form, gap, tol, "pass" if abs(gap) <= tol else "fail"))
+    gap = res.log_slope - 0.25
+    rows.append((res.log_slope, 0.25, gap, 1e-6, "pass" if abs(gap) <= 1e-6 else "fail"))
     names = ("probe_origin", "probe_infinity", "null_mass", "null_mass_slope")
-    yield [VerificationReport(check_id=f"criticality.{name}", space=space) for name in names], job
+    yield [(f"criticality.{name}", {}) for name in names], rows
 
 
 def _uncertainty_row(res: UncertaintyResult):
     ratio = res.ratio
     if not np.isfinite(ratio):
         return float("nan"), 1.0, float("nan"), 1e-8, "skip"
-    verdict = "pass" if ratio >= 1.0 - 1e-8 else "fail"
-    return ratio, 1.0, ratio - 1.0, 1e-8, verdict
+    return ratio, 1.0, ratio - 1.0, 1e-8, "pass" if ratio >= 1.0 - 1e-8 else "fail"
 
 
-# one uncertainty and one rellich job per Heisenberg-type space (dr with q not 0 or 2)
+def _heisenberg_type(model: DensityModel) -> bool:
+    # the spaces of the uncertainty and rellich families: dr with q not 0 or 2
+    return model.kind == "dr" and model.q not in (0, 2)
 
 
-def _uncertainty_jobs(space: str, density: SuiteDensity):
-    if density.model.kind == "dr" and density.model.q not in (0, 2):
-        yield _member_reports("uncertainty", space, {}, density), lambda: [_uncertainty_row(res) for res in uncertainty_gap(density)]
+def _uncertainty_groups(density: SuiteDensity):
+    if _heisenberg_type(density.model):
+        yield _member_checks("uncertainty", {}, density), [_uncertainty_row(res) for res in uncertainty_gap(density)]
 
 
-def _rellich_jobs(space: str, density: SuiteDensity):
-    if density.model.kind == "dr" and density.model.q not in (0, 2):
-        yield _member_reports("rellich", space, {}, density), lambda: [_gap_row(res) for res in rellich_gap(density)]
+def _rellich_groups(density: SuiteDensity):
+    if _heisenberg_type(density.model):
+        yield _member_checks("rellich", {}, density), [_gap_row(res) for res in rellich_gap(density)]
 
 
-def _asymptotics_jobs(space: str, density: SuiteDensity):
+def _asymptotics_groups(density: SuiteDensity):
     model = density.model
     if model.kind == "euclidean":
         return
-
-    def job():
-        radii = np.geomspace(1e-4, 1e-2, 15)
-        pred = green_mod.asymptotic_prediction(model, 2.0, radii)
-        if pred.log_corrected:
-            # P = n: W approaches |r ln r|^(-P) only like 1/ln^2 r; on
-            # hyperbolic:2 the two fitted slopes differ by 0.028 on
-            # [1e-4, 1e-2] and by 0.005 on [1e-8, 1e-6]
-            radii = np.geomspace(1e-8, 1e-6, 15)
-            slope = asymptotics_fit(radii, green_mod.asymptotic_prediction(model, 2.0, radii).value).slope
-        else:
-            slope = pred.exponent
-        w = green_mod.green_weight_batch(model, 2.0, radii)["W"]
-        fit = asymptotics_fit(radii, w)
-        gap = fit.slope - slope
-        verdict = "pass" if abs(gap) <= 0.02 else "fail"
-        return [(fit.slope, slope, gap, 0.02, verdict)]
-
-    yield [VerificationReport(check_id="asymptotics.green[2]", space=space, params={"P": 2.0})], job
+    radii = np.geomspace(1e-4, 1e-2, 15)
+    pred = green_mod.asymptotic_prediction(model, 2.0, radii)
+    if pred.log_corrected:
+        # P = n: W approaches |r ln r|^(-P) only like 1/ln^2 r; on
+        # hyperbolic:2 the two fitted slopes differ by 0.028 on
+        # [1e-4, 1e-2] and by 0.005 on [1e-8, 1e-6]
+        radii = np.geomspace(1e-8, 1e-6, 15)
+        slope = asymptotics_fit(radii, green_mod.asymptotic_prediction(model, 2.0, radii).value).slope
+    else:
+        slope = pred.exponent
+    fit = asymptotics_fit(radii, green_mod.green_weight_batch(model, 2.0, radii)["W"])
+    gap = fit.slope - slope
+    verdict = "pass" if abs(gap) <= 0.02 else "fail"
+    yield [("asymptotics.green[2]", {"P": 2.0})], [(fit.slope, slope, gap, 0.02, verdict)]
 
 
-_FAMILY_JOBS = {
-    "rayleigh": _rayleigh_jobs,
-    "ode": _ode_jobs,
-    "criticality": _criticality_jobs,
-    "uncertainty": _uncertainty_jobs,
-    "rellich": _rellich_jobs,
-    "asymptotics": _asymptotics_jobs,
+_FAMILY_GROUPS = {
+    "rayleigh": _rayleigh_groups,
+    "ode": _ode_groups,
+    "criticality": _criticality_groups,
+    "uncertainty": _uncertainty_groups,
+    "rellich": _rellich_groups,
+    "asymptotics": _asymptotics_groups,
 }
-
-
-def _collect_jobs(spaces, families, suite):
-    jobs = []
-    for space in spaces:
-        # one density per space, shared by its integral families
-        density = SuiteDensity(build_density(space), suite)
-        for family in families:
-            if family not in _FAMILY_JOBS:
-                raise PreconditionError(f"unknown verification family: {family!r}")
-            jobs.extend(_FAMILY_JOBS[family](space, density))
-    return jobs
 
 
 def run_verification(
@@ -749,22 +740,28 @@ def run_verification(
     """Run the requested check families and return reports in a fixed order.
 
     The report order depends only on (spaces, families, suite), so repeated
-    runs diff cleanly.  Checks that share their work run as one job (see
-    ``VerificationReport``).
+    runs diff cleanly.  An unknown family or a bad space descriptor is
+    refused before any check runs.  Checks that share their work run as one
+    group (see ``VerificationReport``).
     """
-    if spaces is None:
-        spaces = DEFAULT_CATALOG
-    if families is None:
-        families = FAMILIES
-    if suite is None:
-        suite = default_suite()
-    groups = [(reports, job) for reports, job in _collect_jobs(list(spaces), list(families), suite) if reports]
-
-    for reports, job in groups:
-        start = time.perf_counter()
-        rows = job()
-        seconds = (time.perf_counter() - start) / len(reports)
-        for report, row in zip(reports, rows, strict=True):
-            report.lhs, report.rhs, report.gap, report.tolerance, report.verdict = row
-            report.seconds = seconds
-    return [report for reports, _ in groups for report in reports]
+    spaces = DEFAULT_CATALOG if spaces is None else spaces
+    families = list(FAMILIES if families is None else families)
+    suite = default_suite() if suite is None else suite
+    for family in families:
+        if family not in _FAMILY_GROUPS:
+            raise PreconditionError(f"unknown verification family: {family!r}")
+    # one density per space, shared by its families; all read before any check
+    densities = [(space, SuiteDensity(build_density(space), suite)) for space in spaces]
+    reports = []
+    for space, density in densities:
+        for family in families:
+            # each group is timed from resuming its generator to its yield
+            start = time.perf_counter()
+            for checks, rows in _FAMILY_GROUPS[family](density):
+                seconds = (time.perf_counter() - start) / len(checks)
+                reports += [
+                    VerificationReport(check_id, space, params, *row, seconds)
+                    for (check_id, params), row in zip(checks, rows, strict=True)
+                ]
+                start = time.perf_counter()
+    return reports

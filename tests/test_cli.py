@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -447,6 +448,60 @@ def test_verify_report_writes_a_skip_as_null(monkeypatch, tmp_path, capsys):
     assert row["verdict"] == "skip" and row["params"] == {"member": "bump_00"}
     with pytest.raises(ValueError):
         cli._json_text({"x": math.nan})
+
+
+def test_verify_runner_reports_a_zero_norm_member_as_a_skip(monkeypatch, tmp_path, capsys):
+    real = cli.verify.uncertainty_gap
+
+    def zero_norm_first(density):
+        first, *rest = real(density)
+        return [dataclasses.replace(first, norm=0.0), *rest]
+
+    monkeypatch.setattr(cli.verify, "uncertainty_gap", zero_norm_first)
+    out = tmp_path / "r.json"
+    assert main(["verify", "uncertainty", "--space", "dr:8,7", "--out", str(out)]) == 0
+    assert _lines(capsys) == [
+        "SKIP  dr:8,7 uncertainty.bump_00 lhs=nan rhs=1.000000e+00 gap=nan tol=1.0e-08",
+        "20 checks: 19 passed, 0 failed, 1 skipped",
+    ]
+    row = json.loads(out.read_text())["reports"][0]
+    assert (row["check_id"], row["verdict"]) == ("uncertainty.bump_00", "skip")
+    assert row["lhs"] is None and row["gap"] is None and row["rhs"] == 1.0
+
+
+def test_verify_refuses_a_bad_space_before_any_check(monkeypatch, tmp_path, capsys):
+    calls = []
+    for name in ("rayleigh_gap", "p_rayleigh_gap"):
+        real = getattr(cli.verify, name)
+        monkeypatch.setattr(cli.verify, name, lambda *args, real=real: calls.append(1) or real(*args))
+    out = tmp_path / "r.json"
+    assert main(["verify", "rayleigh", "--space", "hyperbolic:3", "--space", "nope:1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "exc", [OSError(errno.EXDEV, "Invalid cross-device link"), KeyboardInterrupt()], ids=["exdev", "interrupt"]
+)
+def test_atomic_write_cleans_up_after_a_failed_replace(exc, monkeypatch, tmp_path):
+    target = tmp_path / "r.json"
+    target.write_text("old")
+
+    def failing_replace(src, dst):
+        raise exc
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    if isinstance(exc, OSError):
+        with pytest.raises(cli.PreconditionError) as info:
+            cli._atomic_write(str(target), "new")
+        assert str(info.value) == f"cannot write {target}: Invalid cross-device link"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            cli._atomic_write(str(target), "new")
+    assert target.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_verify_prints_the_numbers_of_a_failed_check(monkeypatch, tmp_path, capsys):

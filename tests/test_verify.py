@@ -154,6 +154,30 @@ def test_ode_criticality_and_asymptotics_pass_on_any_dimension(n):
     assert [r.check_id for r in reports if r.verdict != "pass"] == [], n
 
 
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5000))
+@example(n=900)
+@example(n=1000)
+@example(n=5000)
+def test_rayleigh_passes_on_any_dimension(n):
+    # log f rises by about n - 1 per unit radius on hyperbolic:n; on 0.25-wide
+    # panels the checks failed from n = 900 on (gaps near -1e188)
+    reports = run_verification(spaces=[f"euclidean:{n}", f"hyperbolic:{n}"], families=["rayleigh"])
+    assert [(r.space, r.check_id) for r in reports if r.verdict != "pass"] == [], n
+
+
+def test_density_plan_is_the_suite_plan_up_to_h_200():
+    suite = default_suite()
+    for space in (*DEFAULT_CATALOG, "hyperbolic:30", "dr:32,8", "hyperbolic:201"):
+        assert verify.SuiteDensity(build_density(space), suite).plan is suite.plan, space
+    narrow = verify.SuiteDensity(build_density("hyperbolic:1001"), suite).plan
+    # 20 nodes on each of at least 29.8 / 0.05 panels, against 2,860 nodes
+    assert narrow.nodes.size >= 20 * 596 > 4 * suite.plan.nodes.size
+    integrals = [plan.panels.reduce(plan.val)[0] for plan in (narrow, suite.plan)]
+    np.testing.assert_allclose(*integrals, rtol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_ode_residual_rejects_a_grid_with_nan_or_inf(bad):
     h3 = build_density("hyperbolic:3")
@@ -262,9 +286,28 @@ def test_run_verification_rejects_unknown_family():
     assert "rayleigh" in FAMILIES
 
 
+@pytest.mark.parametrize(
+    "spaces, families, error",
+    [
+        (["hyperbolic:3", "nope:1"], ["rayleigh"], SpaceValidationError),
+        (["hyperbolic:3"], ["rayleigh", "nope"], PreconditionError),
+    ],
+)
+def test_run_verification_refuses_every_input_before_any_check(spaces, families, error, monkeypatch):
+    calls = []
+    for name in ("rayleigh_gap", "p_rayleigh_gap"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, real=real: calls.append(1) or real(*args))
+    with pytest.raises(error):
+        run_verification(spaces=spaces, families=families)
+    assert calls == []
+    run_verification(spaces=["hyperbolic:3"], families=["rayleigh"])
+    assert len(calls) == 5  # the spy counts: one call per pair of hyperbolic:3
+
+
 def test_report_dict_shape():
     report = run_verification(spaces=["euclidean:4"], families=["asymptotics"])
-    # flat space has no Green asymptotics job, so the list is empty
+    # flat space has no Green asymptotics group, so the list is empty
     assert report == []
     out = run_verification(spaces=["hyperbolic:3"], families=["asymptotics"])[0]
     d = out.as_dict()
