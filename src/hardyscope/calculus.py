@@ -1,4 +1,4 @@
-"""Radial scalars with closed-form jets, radial differential operators, quadrature.
+"""Radial scalars with closed-form jets, radii, the curvature identity, quadrature.
 
 A ``RadialScalar`` is a function of the radius: a value callable and, where
 derivatives are needed, a jet callable giving the value and the first two
@@ -91,7 +91,7 @@ def _radii(r: ArrayLike) -> ArrayLike:
 
 
 # ---------------------------------------------------------------------------
-# radial differential operators
+# radii and the curvature identity
 # ---------------------------------------------------------------------------
 
 
@@ -108,24 +108,6 @@ def check_radius(r: ArrayLike) -> ArrayLike:
     return float(arr) if arr.ndim == 0 else arr
 
 
-def p_laplacian_radial(u: RadialScalar, model, P: float, r: ArrayLike) -> ArrayLike:
-    """P-Laplacian of a radial function.
-
-    Computed as |u'|^(P-2) * ((P-1) u'' + (f'/f) u'), valid wherever u' is
-    nonzero (and everywhere for P >= 2).
-    """
-    P = float(P)
-    if P <= 1.0:
-        raise DomainError("p_laplacian_radial requires P > 1")
-    r = check_radius(r)
-    j = u.jet(r)
-    du = j.d1
-    core = (P - 1.0) * j.d2 + model.log_df(r) * du
-    if P == 2.0:
-        return core
-    return np.abs(du) ** (P - 2.0) * core
-
-
 def hilfe_coefficients(c: float, b: float, p: int, q: int) -> tuple[float, float, float]:
     """Coefficients of c (f'/f)^2 - b (f'/f)' for f = 2^p sinh(r/2)^p sinh(r)^q.
 
@@ -135,13 +117,6 @@ def hilfe_coefficients(c: float, b: float, p: int, q: int) -> tuple[float, float
     """
     lam0 = (p + 2.0 * q) ** 2 / 16.0
     return 4.0 * c * lam0, q * (q * c + b), p * (c * (p + 2.0 * q) + b)
-
-
-def hilfe_rhs(a: float, b: float, p: int, q: int, r: ArrayLike) -> ArrayLike:
-    """a (f'/f)^2 - b f''/f for the two-parameter density: ``hilfe_coefficients`` at c = a - b."""
-    r = check_radius(r)
-    const, coef_r, coef_half = hilfe_coefficients(a - b, b, p, q)
-    return const + coef_r / np.sinh(r) ** 2 + coef_half / (4.0 * np.sinh(r / 2.0) ** 2)
 
 
 # ---------------------------------------------------------------------------

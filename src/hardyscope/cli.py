@@ -124,9 +124,9 @@ _REPORT_KEYS = ("check_id", "gap", "lhs", "params", "rhs", "seconds", "space", "
 
 
 def _report_text(doc: dict, reports) -> str:
-    """``_json_text`` of ``doc`` with the rows ``reports`` as its "reports"
-    list, each as its ``as_dict``, byte for byte, at half the cost of the
-    Python encoder that ``_json_text`` runs on nested documents.
+    """``_json_text`` of ``doc`` with the fields of each of ``reports`` as its
+    "reports" list, byte for byte, at half the cost of the Python encoder
+    that ``_json_text`` runs on nested documents.
 
     The rows go out column by column, each column one call of the C encoder
     with a newline between items, split on the newline: ``ensure_ascii``
@@ -333,7 +333,9 @@ def _cmd_green_asymptotics(args) -> int:
     radii = np.geomspace(args.rmin, args.rmax, args.samples)
     surplus = green_mod.green_weight_batch(model, args.P, radii)["Wtilde"]
     _finite_columns(radii, [("Wtilde", lambda _: surplus)])
-    fit = verify.asymptotics_fit(radii, surplus)
+    if not surplus.all():
+        raise QuadratureError(f"Wtilde at r={radii[np.argmax(surplus == 0.0)]} underflows to 0")
+    fitted = verify.asymptotics_fit(radii, surplus)
     pred = green_mod.asymptotic_prediction(model, args.P, radii)
     (predicted,) = _finite_columns(radii, [("predicted Wtilde", lambda _: pred.value)])
     with np.errstate(divide="ignore"):
@@ -342,7 +344,7 @@ def _cmd_green_asymptotics(args) -> int:
         "space": model.descriptor(),
         "P": args.P,
         "regime": pred.regime,
-        "fitted_exponent": fit.slope,
+        "fitted_exponent": fitted,
         "predicted_exponent": pred.exponent,
         "ratio_at_rmin": ratio,
     }

@@ -137,36 +137,28 @@ class DensityModel:
     space), as ``build_density`` parses them from a descriptor.  All radial
     methods accept positive floats or numpy arrays.  The model also carries the
     constants that the weight constructions keep reusing: the volume growth
-    rate h = lim f'/f, the spectral floor lambda0 = h^2/4, and the scalar
-    curvature at the pole.
+    rate h = lim f'/f and the spectral floor lambda0 = h^2/4.
     """
 
     def __init__(self, kind: str, n: int, p: int = 0):
         self.kind, self.n = kind, n
         if kind == EUCLIDEAN:
             self.h = 0.0
-            self.scalar_curvature = 0.0
         elif kind in (HYPERBOLIC, DAMEK_RICCI):
             # the curved density 2^p sinh(r/2)^p sinh(r)^q with n = p + q + 1;
             # hyperbolic space is its p = 0 member
             self.p = p
             self.q = n - 1 - p
             self.h = (p + 2.0 * self.q) / 2.0
-            self.scalar_curvature = -n * (p + 4.0 * self.q) / 4.0
         else:
             raise SpaceValidationError(f"unknown space kind {kind!r}")
         self.lambda0 = self.h**2 / 4.0
-        # quadratic coefficient of f(r)/r^(n-1) near the pole
-        self.series_coefficient = -self.scalar_curvature / (6.0 * n)
 
     def descriptor(self) -> str:
         """The descriptor that ``build_density`` reads back into this model."""
         if self.kind == DAMEK_RICCI:
             return f"dr:{self.p},{self.q}"
         return f"{self.kind}:{self.n}"
-
-    def __repr__(self) -> str:
-        return f"DensityModel({self.descriptor()})"
 
     # -- density and derivatives ------------------------------------------
     #

@@ -1,7 +1,7 @@
 """Bottom Dirichlet eigenvalue of the radial operator on a ball.
 
-The weak form of -u'' - (f'/f) u' (+ V u) on (0, R) is
-integral f u' v' (+ integral f V u v) = lambda * integral f u v
+The weak form of -u'' - (f'/f) u' on (0, R) is
+integral f u' v' = lambda * integral f u v
 over functions vanishing at R.  A vertex-centered flux scheme on the
 self-adjoint form (f u')' keeps the matrices symmetric tridiagonal, never
 evaluates the singular drift f'/f, and gets the natural (Neumann-type)
@@ -15,9 +15,9 @@ both ends.
 
 * Shift.  T - sigma I is factored once (LAPACK ``dpttrf``, L D L^T) at
   sigma = lambda0 = h^2/4, the bottom of the whole space's spectrum, which
-  lies below the Dirichlet bottom of every ball.  Only a potential can push
-  the bottom below lambda0; then further factorization tests lower sigma
-  until one succeeds.
+  lies below the Dirichlet bottom of every ball, so the factorization
+  succeeds at once.  ``eigh_tridiagonal`` takes any first shift and lowers
+  one that fails until a factorization succeeds.
 * Iteration.  ``dpttrs`` solves with those factors until the Rayleigh
   quotient moves by no more than its rounding level, O(cells) a step.  On
   big balls lambda_k - lambda0 approaches k^2 pi^2 / R^2, so the error
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import RadialScalar
 from .errors import PreconditionError, QuadratureError
 from .spaces import DensityModel
 
@@ -69,7 +68,6 @@ class EigenProblem:
     model: DensityModel
     R: float
     mesh: float
-    potential: RadialScalar | None = None
 
 
 @dataclass
@@ -81,8 +79,6 @@ class SpectralResult:
     extrapolated: float
     target_lambda0: float
     gap: float
-    R: float
-    mesh: float
 
 
 def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarray]:
@@ -200,7 +196,7 @@ def _density(model: DensityModel, h: float, cells: int) -> np.ndarray:
         return np.asarray(model.f(r))
 
 
-def _assemble(f_pole: float, f_mid, f_node, h: float, R: float, potential: RadialScalar | None):
+def _assemble(f_pole: float, f_mid, f_node, h: float, R: float):
     """Scaled symmetric tridiagonal (d, e) of the flux scheme from f at h/4, the midpoints and the nodes i >= 1."""
     cells = f_mid.size
     # unknowns at nodes 0..cells-1; node `cells` is the Dirichlet boundary.
@@ -217,10 +213,6 @@ def _assemble(f_pole: float, f_mid, f_node, h: float, R: float, potential: Radia
         d[0] = f_mid[0] / h
         np.add(f_mid[:-1], f_mid[1:], out=d[1:])
         d[1:] /= h
-        if potential is not None:
-            r_eval = np.arange(cells, dtype=float) * h
-            r_eval[0] = 0.25 * h
-            d += np.asarray(potential.value(r_eval)) * m_diag
         # the lumped mass is strictly positive, so the generalized pencil
         # reduces to a standard symmetric tridiagonal problem by diagonal
         # scaling; the two square roots are applied one at a time because the
@@ -255,10 +247,10 @@ def bottom_eigenvalue(problem: EigenProblem) -> SpectralResult:
     cells = int(round(R / mesh))
     h = R / cells
     f = _density(model, 0.5 * h, 2 * cells)
-    d, e = _assemble(f[1], f[2::4], f[4::4], h, R, problem.potential)
+    d, e = _assemble(f[1], f[2::4], f[4::4], h, R)
     lam, _, x = eigh_tridiagonal(d, e, model.lambda0)
     del d, e
-    d, e = _assemble(f[0], f[1::2], f[2::2], 0.5 * h, R, problem.potential)
+    d, e = _assemble(f[0], f[1::2], f[2::2], 0.5 * h, R)
     del f
     x = np.repeat(x, 2)
     x[1:-1:2] += x[2::2]
@@ -271,6 +263,4 @@ def bottom_eigenvalue(problem: EigenProblem) -> SpectralResult:
         extrapolated=extrapolated,
         target_lambda0=model.lambda0,
         gap=extrapolated - model.lambda0,
-        R=R,
-        mesh=mesh,
     )

@@ -38,7 +38,6 @@ their params (none on the catalog).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -77,7 +76,6 @@ __all__ = [
     "UncertaintyResult",
     "uncertainty_gap",
     "rellich_gap",
-    "AsymptoticsFit",
     "asymptotics_fit",
     "VerificationReport",
     "FAMILIES",
@@ -137,9 +135,6 @@ class TestFunctionSuite:
 
     def __iter__(self):
         return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
     @cached_property
     def plan(self) -> SuitePlan:
@@ -543,15 +538,8 @@ def rellich_gap(density: SuiteDensity) -> list[GapResult]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticsFit:
-    slope: float
-    intercept: float
-    max_residual: float
-
-
-def asymptotics_fit(radii, values) -> AsymptoticsFit:
-    """Least-squares power law through positive samples on a log-log scale.
+def asymptotics_fit(radii, values) -> float:
+    """Slope of the least-squares power law through positive samples on a log-log scale.
 
     Requires at least five samples spanning two decades in radius so a local
     wiggle cannot masquerade as a power law.
@@ -564,11 +552,7 @@ def asymptotics_fit(radii, values) -> AsymptoticsFit:
         raise PreconditionError("samples must be strictly positive for a log-log fit")
     if np.max(radii) / np.min(radii) < 100.0:
         raise PreconditionError("samples must span at least two decades in radius")
-    lx = np.log(radii)
-    ly = np.log(values)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    return AsymptoticsFit(slope=float(slope), intercept=float(intercept), max_residual=float(np.max(np.abs(resid))))
+    return float(np.polyfit(np.log(radii), np.log(values), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +587,6 @@ class VerificationReport:
     tolerance: float = 0.0
     verdict: str = "fail"
     seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        """The fields in their declared order, ready for JSON: a non-finite
-        side or gap (a skip) is None."""
-        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in vars(self).items()}
 
 
 def _pairs_for(model: DensityModel) -> list[tuple[str, dict, WeightPair]]:
@@ -713,13 +692,13 @@ def _asymptotics_groups(density: SuiteDensity):
         # hyperbolic:2 the two fitted slopes differ by 0.028 on
         # [1e-4, 1e-2] and by 0.005 on [1e-8, 1e-6]
         radii = np.geomspace(1e-8, 1e-6, 15)
-        slope = asymptotics_fit(radii, green_mod.asymptotic_prediction(model, 2.0, radii).value).slope
+        slope = asymptotics_fit(radii, green_mod.asymptotic_prediction(model, 2.0, radii).value)
     else:
         slope = pred.exponent
-    fit = asymptotics_fit(radii, green_mod.green_weight_batch(model, 2.0, radii)["W"])
-    gap = fit.slope - slope
+    fitted = asymptotics_fit(radii, green_mod.green_weight_batch(model, 2.0, radii)["W"])
+    gap = fitted - slope
     verdict = "pass" if abs(gap) <= 0.02 else "fail"
-    yield [("asymptotics.green[2]", {"P": 2.0})], [(fit.slope, slope, gap, 0.02, verdict)]
+    yield [("asymptotics.green[2]", {"P": 2.0})], [(fitted, slope, gap, 0.02, verdict)]
 
 
 _FAMILY_GROUPS = {

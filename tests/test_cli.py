@@ -242,6 +242,20 @@ def test_green_asymptotics_refuses_non_finite_field(capsys):
     assert "is not finite" in captured.err
 
 
+@pytest.mark.parametrize("P", ["200", "300", "1e6"])
+def test_green_asymptotics_refuses_an_underflowing_surplus(P, capsys):
+    # log Wtilde at r = 1e-7 is about -1472 at P = 300 on hyperbolic:3, so 0
+    # is its correctly rounded double: a value that cannot be computed (exit
+    # 1), not the bad input (exit 2) of the log-log fit's precondition
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["green", "asymptotics", "--space", "hyperbolic:3", "--P", P])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: Wtilde at r=1e-07 underflows to 0"]
+
+
 def test_green_asymptotics_at_the_P_floor(capsys):
     rc = main(["green", "asymptotics", "--space", "dr:2,1", "--P", "1.001"])
     assert rc == 0
@@ -416,6 +430,11 @@ def _indented(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _row(report) -> dict:
+    """A report's fields as a JSON row: a non-finite side or gap (a skip) is None."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in vars(report).items()}
+
+
 @pytest.mark.parametrize("family, space, total", [("criticality", "hyperbolic:3", 4), ("asymptotics", "euclidean:3", 0)])
 def test_verify_family_summary_and_report(family, space, total, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -515,7 +534,7 @@ def test_verify_prints_the_numbers_of_a_failed_check(monkeypatch, tmp_path, caps
         "FAIL  dr:4,2 rayleigh.B.bump_03 lhs=1.250000e+00 rhs=1.500000e+00 gap=-2.500000e-01 tol=2.8e-08",
         "1 checks: 0 passed, 1 failed, 0 skipped",
     ]
-    assert json.loads(out.read_text())["reports"] == [fail.as_dict()]
+    assert json.loads(out.read_text())["reports"] == [_row(fail)]
 
 
 def _report_head(reports, spaces, families):
@@ -530,7 +549,7 @@ def _report_head(reports, spaces, families):
 def _assert_report_text_is_indented_json(reports, spaces=("dr:4,2",), families=("rayleigh",)):
     head = _report_head(reports, list(spaces), list(families))
     text = cli._report_text(head, reports)
-    assert text == _indented({**head, "reports": [rep.as_dict() for rep in reports]})
+    assert text == _indented({**head, "reports": [_row(rep) for rep in reports]})
     return text
 
 

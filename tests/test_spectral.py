@@ -8,7 +8,6 @@ from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
 from scipy.linalg import lapack
 
 from hardyscope import spectral
-from hardyscope.calculus import RadialScalar
 from hardyscope.errors import PreconditionError, QuadratureError
 from hardyscope.spaces import build_density
 from hardyscope.spectral import EigenProblem, SpectralResult, bottom_eigenvalue, eigh_tridiagonal
@@ -18,13 +17,15 @@ EPS = np.finfo(float).eps
 WORKLOAD_SPACES = ("euclidean:3", "hyperbolic:3", "hyperbolic:5", "dr:2,1", "dr:4,2", "dr:8,7")
 #: the workload's 17 certified (space, R) balls; f overflows on dr:8,7 at R = 70
 CERTIFIED_BALLS = [(space, R) for space in WORKLOAD_SPACES for R in (5.0, 20.0, 70.0) if (space, R) != ("dr:8,7", 70.0)]
+#: flat, hyperbolic up to n = 100 and Damek-Ricci up to dr:32,8
+SWEEP_SPACES = ("euclidean:2", "euclidean:5", "hyperbolic:2", "hyperbolic:3", "hyperbolic:10", "hyperbolic:100", "dr:2,1", "dr:8,7", "dr:32,8")
 
 
 def _assemble(model, R, cells):
     """(d, e) of one mesh of R/cells cells, assembled cold from its own density grid."""
     h = R / cells
     f = spectral._density(model, h, cells)
-    return spectral._assemble(f[0], f[1::2], f[2::2], h, R, None)
+    return spectral._assemble(f[0], f[1::2], f[2::2], h, R)
 
 
 def _record_solves(monkeypatch):
@@ -75,15 +76,6 @@ def test_eigenvalue_decreases_with_ball_radius():
     assert vals[0] > vals[1] > vals[2] > model.lambda0
 
 
-def test_constant_potential_shifts_spectrum():
-    model = build_density("hyperbolic:4")
-    base = bottom_eigenvalue(EigenProblem(model, R=4.0, mesh=0.01))
-    shifted = bottom_eigenvalue(
-        EigenProblem(model, R=4.0, mesh=0.01, potential=RadialScalar.constant(0.7))
-    )
-    assert shifted.extrapolated - base.extrapolated == pytest.approx(0.7, abs=1e-9)
-
-
 def test_mesh_refinement_is_second_order():
     h3 = build_density("hyperbolic:3")
     out = bottom_eigenvalue(EigenProblem(h3, R=5.0, mesh=0.02))
@@ -108,7 +100,6 @@ def test_result_reports_inputs():
     model = build_density("dr:2,1")
     out = bottom_eigenvalue(EigenProblem(model, R=6.0, mesh=0.05))
     assert isinstance(out, SpectralResult)
-    assert out.R == 6.0 and out.mesh == 0.05
     assert out.target_lambda0 == model.lambda0
 
 
@@ -146,18 +137,26 @@ def test_refinement_no_longer_drifts_on_dr87(R):
     assert abs(fine - coarse) <= 1e-7 * fine
 
 
-@pytest.mark.parametrize("shift", [-0.7, -1.0])
-def test_negative_constant_potential_shifts_spectrum(shift):
-    # lambda0 = 2.25 and the bottom is 3.04 on H^4 at R = 4: -0.7 stays
-    # above lambda0, -1 goes below it, so T - lambda0 I does not factor and
-    # the shift search runs
-    model = build_density("hyperbolic:4")
-    base = bottom_eigenvalue(EigenProblem(model, R=4.0, mesh=0.01))
-    shifted = bottom_eigenvalue(
-        EigenProblem(model, R=4.0, mesh=0.01, potential=RadialScalar.constant(shift))
-    )
-    assert (shifted.eigenvalue < model.lambda0) == (shift == -1.0)
-    assert shifted.extrapolated - base.extrapolated == pytest.approx(shift, abs=1e-9)
+def test_lambda0_factors_on_both_meshes_of_every_ball():
+    # lambda0 lies below the Dirichlet bottom of every ball, so T - lambda0 I
+    # factors at once on the coarse and on the half mesh, and
+    # bottom_eigenvalue never runs the shift search.  Left out: the balls on
+    # which f overflows (R = 70 past h = 10, R = 20 on hyperbolic:100) and
+    # those on hyperbolic:100 where f underflows at the pole's quarter cell
+    factored = 0
+    for space in SWEEP_SPACES:
+        model = build_density(space)
+        for R in (0.01, 1.0, 5.0, 20.0, 70.0):
+            # the coarse and half meshes of a 100- and a 1,000-cell request
+            for cells in (100, 200, 1_000, 2_000):
+                try:
+                    d, e = _assemble(model, R, cells)
+                except QuadratureError:
+                    continue
+                if np.isfinite(d).all() and np.isfinite(e).all():
+                    assert spectral._factors(d, e, model.lambda0) is not None, (space, R, cells)
+                    factored += 1
+    assert factored == 158
 
 
 def test_shift_above_the_spectrum_is_searched_down():
@@ -178,9 +177,6 @@ def test_non_finite_assembly_is_refused_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match="density f is not finite from r=64.9"):
             bottom_eigenvalue(EigenProblem(build_density("dr:8,7"), R=70.0, mesh=0.07))
-        nan_potential = RadialScalar.constant(math.nan)
-        with pytest.raises(QuadratureError, match="tridiagonal matrix is not finite"):
-            bottom_eigenvalue(EigenProblem(build_density("hyperbolic:3"), R=5.0, mesh=0.05, potential=nan_potential))
         with pytest.raises(QuadratureError, match="tridiagonal matrix is not finite"):
             eigh_tridiagonal(np.array([2.0, np.inf, 2.0]), np.array([-1.0, -1.0]), 0.0)
 
