@@ -20,12 +20,16 @@ bumps computed in one pass); one reduction per side then gives that side
 for every member, with its null-rule estimate.  The parts of a form that do
 not depend on the pair are computed once per space and order P.
 ``rayleigh_gap``, ``p_rayleigh_gap``, ``uncertainty_gap`` and
-``rellich_gap`` take a ``SuiteDensity`` and return one result per member;
-the report runner's check families (generators of finished check groups)
-call them by these names.  The null-criticality mass is taken on the same
-rule, in log r (0.25-wide panels), and is certified by its null-rule
-estimate: above 1e-10 relative it raises QuadratureError instead of
-returning a number.
+``rellich_gap`` take a ``SuiteDensity`` and return their sides as
+``PanelPlan.reduce`` gives them, (integrals, null-rule estimates) array
+pairs with one entry per member; the report runner's check families
+(generators of finished check groups) call them by these names and build
+each family's rows from those arrays in one pass.  The null-criticality
+mass is taken on the same rule, in log r (0.25-wide panels), and is
+certified by its null-rule estimate: above 1e-10 relative, plus the
+rounding of its exponent where |log f| is large, it raises
+QuadratureError instead of returning a number (certified on hyperbolic
+and flat spaces through n = 5000).
 
 The density shift: member m's share of f is exp(log f - c_m), with c_m =
 max(0, log f(b_m) - 600) at its right support end b_m (f increases), so
@@ -65,15 +69,10 @@ __all__ = [
     "TestFunctionSuite",
     "SuiteDensity",
     "default_suite",
-    "GapResult",
     "rayleigh_gap",
     "p_rayleigh_gap",
     "ode_residual",
-    "CriticalityProbe",
-    "criticality_probe",
-    "NullCriticalityMass",
     "null_criticality_mass",
-    "UncertaintyResult",
     "uncertainty_gap",
     "rellich_gap",
     "asymptotics_fit",
@@ -292,55 +291,32 @@ class SuiteDensity:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GapResult:
-    """Both sides of an inequality, and the null-rule estimates of the two
-    integrals (zero where not computed)."""
-
-    lhs: float
-    rhs: float
-    errors: tuple[float, float] = (0.0, 0.0)
-
-    @property
-    def gap(self) -> float:
-        return self.lhs - self.rhs
-
-    @property
-    def scale(self) -> float:
-        return abs(self.lhs) + abs(self.rhs)
-
-
-def _gap_results(lhs, rhs) -> list[GapResult]:
-    # each side as (integrals, null-rule estimates), one entry per member
-    (a, a_err), (b, b_err) = lhs, rhs
-    return [GapResult(*sides) for sides in zip(a.tolist(), b.tolist(), zip(a_err.tolist(), b_err.tolist()))]
-
-
-def _form_gaps(density: SuiteDensity, pair: WeightPair, P: float) -> list[GapResult]:
+def _form_sides(density: SuiteDensity, pair: WeightPair, P: float):
     plan = density.plan
     r = plan.nodes
     energy, mass, energy_sides = density.form(P)
     net = (np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r)))[plan.index]
     if pair.measure is None:
-        return _gap_results(energy_sides, plan.panels.reduce(net * mass))
+        return energy_sides, plan.panels.reduce(net * mass)
     mu = np.asarray(pair.measure.value(r))[plan.index]
-    return _gap_results(plan.panels.reduce(energy * mu), plan.panels.reduce(net * mass * mu))
+    return plan.panels.reduce(energy * mu), plan.panels.reduce(net * mass * mu)
 
 
-def rayleigh_gap(density: SuiteDensity, pair: WeightPair) -> list[GapResult]:
+def rayleigh_gap(density: SuiteDensity, pair: WeightPair):
     """Energy minus potential mass for the quadratic form of a pair.
 
-    Returns, per suite member phi, the two sides of
+    Returns the two sides of
     integral |phi'|^2 f mu  >=  integral (W - V) phi^2 f mu,
-    where mu is the pair's reference measure (1 when absent).  A nonnegative
-    gap confirms the inequality on that test function.
+    where mu is the pair's reference measure (1 when absent), each as
+    (integrals, null-rule estimates), one entry per suite member phi.  A
+    nonnegative gap confirms the inequality on that test function.
     """
-    return _form_gaps(density, pair, 2.0)
+    return _form_sides(density, pair, 2.0)
 
 
-def p_rayleigh_gap(density: SuiteDensity, pair: WeightPair) -> list[GapResult]:
+def p_rayleigh_gap(density: SuiteDensity, pair: WeightPair):
     """Same as rayleigh_gap but with |phi'|^P against (W - V)|phi|^P, P the pair's order."""
-    return _form_gaps(density, pair, pair.P)
+    return _form_sides(density, pair, pair.P)
 
 
 def _ode_terms(model: DensityModel, pair: WeightPair, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,61 +365,21 @@ def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriticalityProbe:
-    """Ratios Phi / (Phi |log r|) at probe radii near 0 and infinity.
-
-    The ground state ceases to be optimal iff some positive supersolution
-    grows strictly slower; the standard candidate multiplies Phi by |log r|.
-    Phi cancels in the ratio, which is 1/|log r| on every space (within 3e-10
-    on the catalog, the rounding of log Phi), so the ``criticality.probe_*``
-    checks cannot fail: they show only that log Phi is finite at the probe
-    radii.  The evidence for criticality is the null mass
-    (``null_criticality_mass``), which grows like (1/4) log R.
-    """
-
-    at_origin: tuple[tuple[float, float], ...]
-    at_infinity: tuple[tuple[float, float], ...]
-
-
-def criticality_probe(model: DensityModel) -> CriticalityProbe:
-    pair = weight_theorem_b(model)
-    log_gs = pair.log_ground_state
-
-    def ratio(r: float) -> float:
-        lu = float(log_gs(r))
-        if not np.isfinite(lu):
-            raise DomainError(f"ground state log-value not finite at r={r}")
-        lv = lu + np.log(abs(np.log(r)))
-        return float(np.exp(lu - lv))
-
-    origin = tuple((r, ratio(r)) for r in (1e-3, 1e-6))
-    infinity = tuple((r, ratio(r)) for r in (1e3, 1e6))
-    return CriticalityProbe(at_origin=origin, at_infinity=infinity)
-
-
-@dataclass(frozen=True)
-class NullCriticalityMass:
-    """W-mass of the ground state over [eps, R] plus its log R slope."""
-
-    mass: float
-    log_slope: float
-    closed_form: float
-
-
 #: relative null-rule estimate above which the null mass is not certified
 _MASS_RTOL = 1e-10
 
 
-def null_criticality_mass(model: DensityModel, eps: float, R: float) -> NullCriticalityMass:
-    """Integral of Phi^2 W f over [eps, R] for the quadratic pair.
+def null_criticality_mass(model: DensityModel, eps: float, R: float) -> tuple[float, float]:
+    """Integral of Phi^2 W f over [eps, R] for the quadratic pair, and its log R slope.
 
     Criticality shows up as logarithmic divergence at both ends: the mass
     grows like (1/4) log(R/eps), so the slope against log R is 1/4.  The
     mass over [eps, R] and the slope, the mass over [R, eR], are the two
     segments of one ``PanelPlan`` in u = log r, where the integrand is
-    smooth.  Raises QuadratureError when a null-rule estimate exceeds 1e-10
-    of its integral.
+    smooth.  Raises QuadratureError when a null-rule estimate exceeds its
+    integral times 1e-10 plus the rounding of the exponent 2 log Phi + log f,
+    8 eps (1 + max |log f|): its two terms cancel, and |log f| reaches about
+    1.4e7 on hyperbolic:5000.
     """
     if not (0.0 < eps < R):
         raise PreconditionError("need 0 < eps < R")
@@ -454,40 +390,20 @@ def null_criticality_mass(model: DensityModel, eps: float, R: float) -> NullCrit
     t = np.exp(nodes)
     # compose in logs: Phi^2 f underflows long before the product Phi^2 W f
     # does, so the exponent must be assembled first
-    log_mass = 2.0 * pair.log_ground_state(t) + model.log_f(t) + nodes
+    log_f = model.log_f(t)
+    log_mass = 2.0 * pair.log_ground_state(t) + log_f + nodes
     (mass, slope), (mass_err, slope_err) = plan.reduce(np.exp(log_mass) * pair.W.value(t))
     if not (np.isfinite(mass) and np.isfinite(slope)):
         raise DomainError("null mass quadrature diverged")
-    if mass_err > _MASS_RTOL * abs(mass) or slope_err > _MASS_RTOL * abs(slope):
+    rtol = _MASS_RTOL + 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(log_f)))
+    if mass_err > rtol * abs(mass) or slope_err > rtol * abs(slope):
         raise QuadratureError(f"null mass certified only to {mass_err:.3e} and its slope to {slope_err:.3e}")
-    return NullCriticalityMass(
-        mass=float(mass),
-        log_slope=float(slope),
-        closed_form=float(0.25 * np.log(R / eps)),
-    )
+    return float(mass), float(slope)
 
 
 # ---------------------------------------------------------------------------
 # uncertainty and second-order forms
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UncertaintyResult:
-    """The three integrals of the uncertainty product and their null-rule
-    estimates (zero where not computed)."""
-
-    energy: float
-    weighted_moment: float
-    norm: float
-    errors: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    @property
-    def ratio(self) -> float:
-        if self.norm == 0.0:
-            return float("nan")
-        # the norm squared can overflow where each quotient is finite
-        return 4.0 * (self.energy / self.norm) * (self.weighted_moment / self.norm)
 
 
 def _moment_weight(density: SuiteDensity) -> np.ndarray:
@@ -498,39 +414,34 @@ def _moment_weight(density: SuiteDensity) -> np.ndarray:
     return (hpw_g(model.p, model.q, r) * r**2)[density.plan.index]
 
 
-def uncertainty_gap(density: SuiteDensity) -> list[UncertaintyResult]:
-    """Shifted-energy uncertainty product on a Heisenberg-type space, per suite member.
+def uncertainty_gap(density: SuiteDensity):
+    """Shifted-energy uncertainty product on a Heisenberg-type space.
 
-    Computes E = integral phi'^2 f - lambda0 integral phi^2 f, the weighted
-    moment integral g r^2 phi^2 f, and the norm integral phi^2 f.  The
-    product E * moment must dominate (1/4) norm^2; the ratio is returned
-    (NaN when phi vanishes identically, reported as a skip upstream).
+    Returns three sides, each as (integrals, null-rule estimates), one entry
+    per suite member phi: the energy E = integral phi'^2 f - lambda0
+    integral phi^2 f, the weighted moment integral g r^2 phi^2 f, and the
+    norm integral phi^2 f.  The product E * moment must dominate
+    (1/4) norm^2 (a zero norm is reported as a skip).
     """
-    plan = density.plan
     d1_sq, v_sq, _ = density.form(2.0)
-    (e, e_err), (m, m_err), (n, n_err) = (
-        plan.panels.reduce(d1_sq - density.model.lambda0 * v_sq),
-        plan.panels.reduce(_moment_weight(density) * v_sq),
-        plan.panels.reduce(v_sq),
-    )
-    errors = zip(e_err.tolist(), m_err.tolist(), n_err.tolist())
-    return [UncertaintyResult(*sides) for sides in zip(e.tolist(), m.tolist(), n.tolist(), errors)]
+    reduce = density.plan.panels.reduce
+    return reduce(d1_sq - density.model.lambda0 * v_sq), reduce(_moment_weight(density) * v_sq), reduce(v_sq)
 
 
-def rellich_gap(density: SuiteDensity) -> list[GapResult]:
-    """Second-order form against the inverse moment weight, per suite member.
+def rellich_gap(density: SuiteDensity):
+    """Second-order form against the inverse moment weight.
 
     Returns the two sides of
     integral g r^2 (Delta phi + lambda0 phi)^2 f
       >= (1/16) integral phi^2 / (g r^2) f
-    on a Heisenberg-type space, with g the uncertainty weight.
+    on a Heisenberg-type space, with g the uncertainty weight, each as
+    (integrals, null-rule estimates), one entry per suite member phi.
     """
     model, plan = density.model, density.plan
     weight = _moment_weight(density)
     lap = plan.d2 + np.asarray(model.log_df(plan.nodes))[plan.index] * plan.d1
     lhs = plan.panels.reduce(weight * (lap + model.lambda0 * plan.val) ** 2 * density.values)
-    rhs = plan.panels.reduce(density.form(2.0)[1] / (16.0 * weight))
-    return _gap_results(lhs, rhs)
+    return lhs, plan.panels.reduce(density.form(2.0)[1] / (16.0 * weight))
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +525,14 @@ def _pairs_for(model: DensityModel) -> list[tuple[str, dict, WeightPair]]:
 # check and its (lhs, rhs, gap, tolerance, verdict) row, in the same order.
 
 
-def _gap_row(res: GapResult):
-    tol = 1e-8 * res.scale
-    return res.lhs, res.rhs, res.gap, tol, "pass" if res.gap >= -tol else "fail"
+def _gap_rows(sides):
+    # tol is 1e-8 (|lhs| + |rhs|) per member; a NaN gap fails
+    (lhs, _), (rhs, _) = sides
+    with np.errstate(invalid="ignore"):
+        gap = lhs - rhs
+        tol = 1e-8 * (np.abs(lhs) + np.abs(rhs))
+        verdicts = np.where(gap >= -tol, "pass", "fail")
+    return list(zip(lhs.tolist(), rhs.tolist(), gap.tolist(), tol.tolist(), verdicts.tolist()))
 
 
 def _member_checks(prefix: str, params: dict, density: SuiteDensity) -> list[tuple[str, dict]]:
@@ -629,7 +545,7 @@ def _member_checks(prefix: str, params: dict, density: SuiteDensity) -> list[tup
 def _rayleigh_groups(density: SuiteDensity):
     for label, params, pair in _pairs_for(density.model):
         gaps = rayleigh_gap if pair.P == 2.0 else p_rayleigh_gap
-        yield _member_checks(f"rayleigh.{label}", params, density), [_gap_row(res) for res in gaps(density, pair)]
+        yield _member_checks(f"rayleigh.{label}", params, density), _gap_rows(gaps(density, pair))
 
 
 def _ode_groups(density: SuiteDensity):
@@ -645,25 +561,46 @@ def _ode_groups(density: SuiteDensity):
 
 
 def _criticality_groups(density: SuiteDensity):
+    # the probes: Phi / (Phi |log r|) near 0 and infinity, where the standard
+    # candidate for a slower-growing supersolution multiplies Phi by |log r|.
+    # Phi cancels, so the ratio is 1/|log r| on every space (within 3e-10 on
+    # the catalog, the rounding of log Phi) and these rows cannot fail: they
+    # show only that log Phi is finite at the probe radii.  The evidence for
+    # criticality is the null mass, which grows like (1/4) log(R/eps).
     model = density.model
-    probe = criticality_probe(model)
-    rows = [(v2, v1, v1 - v2, 0.0, "pass" if v2 < v1 < 1.0 else "fail")
-            for (_, v1), (_, v2) in (probe.at_origin, probe.at_infinity)]
-    res = null_criticality_mass(model, 1e-4, 1e3)
-    tol = 1e-10 * abs(res.closed_form)
-    gap = res.mass - res.closed_form
-    rows.append((res.mass, res.closed_form, gap, tol, "pass" if abs(gap) <= tol else "fail"))
-    gap = res.log_slope - 0.25
-    rows.append((res.log_slope, 0.25, gap, 1e-6, "pass" if abs(gap) <= 1e-6 else "fail"))
+    log_gs = weight_theorem_b(model).log_ground_state
+
+    def ratio(r: float) -> float:
+        lu = float(log_gs(r))
+        if not np.isfinite(lu):
+            raise DomainError(f"ground state log-value not finite at r={r}")
+        return float(np.exp(lu - (lu + np.log(abs(np.log(r))))))
+
+    rows = []
+    for r1, r2 in ((1e-3, 1e-6), (1e3, 1e6)):
+        v1, v2 = ratio(r1), ratio(r2)
+        rows.append((v2, v1, v1 - v2, 0.0, "pass" if v2 < v1 < 1.0 else "fail"))
+    eps, R = 1e-4, 1e3
+    mass, slope = null_criticality_mass(model, eps, R)
+    closed_form = float(0.25 * np.log(R / eps))
+    tol = 1e-10 * abs(closed_form)
+    gap = mass - closed_form
+    rows.append((mass, closed_form, gap, tol, "pass" if abs(gap) <= tol else "fail"))
+    gap = slope - 0.25
+    rows.append((slope, 0.25, gap, 1e-6, "pass" if abs(gap) <= 1e-6 else "fail"))
     names = ("probe_origin", "probe_infinity", "null_mass", "null_mass_slope")
     yield [(f"criticality.{name}", {}) for name in names], rows
 
 
-def _uncertainty_row(res: UncertaintyResult):
-    ratio = res.ratio
-    if not np.isfinite(ratio):
-        return float("nan"), 1.0, float("nan"), 1e-8, "skip"
-    return ratio, 1.0, ratio - 1.0, 1e-8, "pass" if ratio >= 1.0 - 1e-8 else "fail"
+def _uncertainty_rows(sides):
+    # a zero norm or a ratio that is not finite is a skip, with NaN lhs and gap
+    (e, _), (m, _), (n, _) = sides
+    with np.errstate(all="ignore"):
+        # the norm squared can overflow where each quotient is finite
+        ratio = 4.0 * (e / n) * (m / n)
+    ratio[~np.isfinite(ratio)] = np.nan
+    verdicts = np.select([np.isnan(ratio), ratio >= 1.0 - 1e-8], ["skip", "pass"], "fail")
+    return [(x, 1.0, gap, 1e-8, v) for x, gap, v in zip(ratio.tolist(), (ratio - 1.0).tolist(), verdicts.tolist())]
 
 
 def _heisenberg_type(model: DensityModel) -> bool:
@@ -673,12 +610,12 @@ def _heisenberg_type(model: DensityModel) -> bool:
 
 def _uncertainty_groups(density: SuiteDensity):
     if _heisenberg_type(density.model):
-        yield _member_checks("uncertainty", {}, density), [_uncertainty_row(res) for res in uncertainty_gap(density)]
+        yield _member_checks("uncertainty", {}, density), _uncertainty_rows(uncertainty_gap(density))
 
 
 def _rellich_groups(density: SuiteDensity):
     if _heisenberg_type(density.model):
-        yield _member_checks("rellich", {}, density), [_gap_row(res) for res in rellich_gap(density)]
+        yield _member_checks("rellich", {}, density), _gap_rows(rellich_gap(density))
 
 
 def _asymptotics_groups(density: SuiteDensity):

@@ -140,8 +140,9 @@ def test_criterion_07_null_criticality_mass():
         model = build_density(desc)
         for eps in (1e-4, 1e-2):
             for R in (10.0, 1000.0):
-                out = null_criticality_mass(model, eps, R)
-                worst = max(worst, abs(out.mass - out.closed_form) / abs(out.closed_form))
+                mass, _ = null_criticality_mass(model, eps, R)
+                closed_form = 0.25 * np.log(R / eps)
+                worst = max(worst, abs(mass - closed_form) / abs(closed_form))
     assert worst <= 1e-13, f"null mass deviates by {worst:.3e} relative"
     print(f"PASS: criterion 07 null-criticality mass on 11 spaces (max rel {worst:.1e})")
 

@@ -473,8 +473,8 @@ def test_verify_runner_reports_a_zero_norm_member_as_a_skip(monkeypatch, tmp_pat
     real = cli.verify.uncertainty_gap
 
     def zero_norm_first(density):
-        first, *rest = real(density)
-        return [dataclasses.replace(first, norm=0.0), *rest]
+        energy, moment, (norm, errors) = real(density)
+        return energy, moment, (np.concatenate(([0.0], norm[1:])), errors)
 
     monkeypatch.setattr(cli.verify, "uncertainty_gap", zero_norm_first)
     out = tmp_path / "r.json"

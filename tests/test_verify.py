@@ -13,7 +13,6 @@ from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, vali
 from hardyscope.verify import (
     FAMILIES,
     asymptotics_fit,
-    criticality_probe,
     default_suite,
     null_criticality_mass,
     ode_residual,
@@ -63,15 +62,16 @@ def test_rayleigh_gap_is_nonnegative():
     model = build_density("dr:2,1")
     suite = default_suite()
     pair = weight_theorem_b(model)
-    gaps = rayleigh_gap(verify.SuiteDensity(model, suite), pair)
-    for res in (gaps[0], gaps[9], gaps[-1]):
-        assert res.lhs > 0.0 and res.rhs > 0.0
-        assert res.gap >= -1e-8 * res.scale
+    (lhs, _), (rhs, _) = rayleigh_gap(verify.SuiteDensity(model, suite), pair)
+    assert lhs.shape == rhs.shape == (20,)
+    for k in (0, 9, -1):
+        assert lhs[k] > 0.0 and rhs[k] > 0.0
+        assert lhs[k] - rhs[k] >= -1e-8 * (abs(lhs[k]) + abs(rhs[k]))
 
     model42 = build_density("dr:4,2")
     quasi = weight_p_dr(model42, 3.0)
-    res = p_rayleigh_gap(verify.SuiteDensity(model42, suite), quasi)[9]
-    assert res.gap >= -1e-8 * res.scale
+    (lhs, _), (rhs, _) = p_rayleigh_gap(verify.SuiteDensity(model42, suite), quasi)
+    assert lhs[9] - rhs[9] >= -1e-8 * (abs(lhs[9]) + abs(rhs[9]))
 
 
 def test_ode_residual_levels():
@@ -145,13 +145,17 @@ def test_divided_ode_residual_is_the_residual_over_the_ground_state(space, label
 
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(2, 800))
+@given(n=st.integers(2, 5000))
 @example(n=205)
 @example(n=344)
 @example(n=800)
+@example(n=1300)
+@example(n=5000)
 def test_ode_criticality_and_asymptotics_pass_on_any_dimension(n):
     # Phi = (r/f)^(1/2) leaves the doubles near the pole from n = 205 on,
-    # and Gamma(n/2) in the sphere volume from n = 344 on
+    # and Gamma(n/2) in the sphere volume from n = 344 on; from n = 1300 on
+    # the rounding of 2 log Phi + log f (|log f| near 1.4e7 at n = 5000)
+    # exceeds 1e-10 of the null mass's slope, which its certificate allows for
     reports = run_verification(spaces=[f"euclidean:{n}", f"hyperbolic:{n}"], families=["ode", "criticality", "asymptotics"])
     assert [r.check_id for r in reports if r.verdict != "pass"] == [], n
 
@@ -188,22 +192,30 @@ def test_ode_residual_rejects_a_grid_with_nan_or_inf(bad):
 
 
 def test_criticality_probe_decays_on_both_ends():
-    probe = criticality_probe(build_density("hyperbolic:4"))
-    (r1, v1), (r2, v2) = probe.at_origin
-    assert r2 < r1 and v2 < v1 < 1.0
-    (s1, w1), (s2, w2) = probe.at_infinity
-    assert s2 > s1 and w2 < w1 < 1.0
+    # each probe row holds the ratio at the far radius (1e-6, 1e6) as lhs and
+    # at the near one (1e-3, 1e3) as rhs; Phi cancels, leaving 1/|log r|
+    origin, infinity, *_ = run_verification(spaces=["hyperbolic:4"], families=["criticality"])
+    assert (origin.check_id, infinity.check_id) == ("criticality.probe_origin", "criticality.probe_infinity")
+    for row in (origin, infinity):
+        v2, v1 = row.lhs, row.rhs
+        assert v2 < v1 < 1.0 and row.gap == v1 - v2 and row.verdict == "pass"
+        assert v1 == pytest.approx(1.0 / np.log(1e3), rel=1e-9)
+        assert v2 == pytest.approx(1.0 / np.log(1e6), rel=1e-9)
 
 
 def test_null_mass_log_divergence():
     model = build_density("hyperbolic:5")
-    out = null_criticality_mass(model, 1e-2, 10.0)
-    assert out.closed_form == pytest.approx(0.25 * np.log(1e3), rel=1e-15)
-    assert out.mass == pytest.approx(out.closed_form, rel=1e-10)
+    mass, slope = null_criticality_mass(model, 1e-2, 10.0)
+    assert mass == pytest.approx(0.25 * np.log(1e3), rel=1e-10)
     # mass over [R, eR] is the increment per unit log R
-    assert out.log_slope == pytest.approx(0.25, abs=1e-12)
+    assert slope == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(PreconditionError):
         null_criticality_mass(model, 1.0, 0.5)
+    # the report compares the mass over [1e-4, 1e3] with (1/4) log(1e7)
+    row = run_verification(spaces=["hyperbolic:5"], families=["criticality"])[2]
+    assert row.check_id == "criticality.null_mass"
+    assert row.rhs == pytest.approx(0.25 * np.log(1e7), rel=1e-15)
+    assert row.lhs == null_criticality_mass(model, 1e-4, 1e3)[0] and row.gap == row.lhs - row.rhs
 
 
 def test_null_mass_refuses_a_weight_with_a_jump(monkeypatch):
@@ -218,9 +230,9 @@ def test_null_mass_refuses_a_weight_with_a_jump(monkeypatch):
 
 def test_uncertainty_ratio_dominates_one():
     suite = default_suite()
-    res = uncertainty_gap(verify.SuiteDensity(build_density("dr:2,1"), suite))[9]
-    assert res.energy > 0.0 and res.weighted_moment > 0.0 and res.norm > 0.0
-    assert res.ratio >= 1.0
+    (e, _), (m, _), (n, _) = uncertainty_gap(verify.SuiteDensity(build_density("dr:2,1"), suite))
+    assert e[9] > 0.0 and m[9] > 0.0 and n[9] > 0.0
+    assert 4.0 * (e[9] / n[9]) * (m[9] / n[9]) >= 1.0
     with pytest.raises(PreconditionError):
         uncertainty_gap(verify.SuiteDensity(build_density("dr:4,2"), suite))  # q = 2 has no comparison weight
     for desc in ("hyperbolic:3", "euclidean:3"):
@@ -231,8 +243,8 @@ def test_uncertainty_ratio_dominates_one():
 
 
 def test_rellich_gap_nonnegative():
-    res = rellich_gap(verify.SuiteDensity(build_density("dr:8,7"), default_suite()))[5]
-    assert res.gap >= -1e-8 * res.scale
+    (lhs, _), (rhs, _) = rellich_gap(verify.SuiteDensity(build_density("dr:8,7"), default_suite()))
+    assert lhs[5] - rhs[5] >= -1e-8 * (abs(lhs[5]) + abs(rhs[5]))
 
 
 def test_asymptotics_fit_recovers_exact_power_law():
@@ -302,6 +314,41 @@ def test_run_verification_refuses_every_input_before_any_check(spaces, families,
     assert calls == []
     run_verification(spaces=["hyperbolic:3"], families=["rayleigh"])
     assert len(calls) == 5  # the spy counts: one call per pair of hyperbolic:3
+
+
+@pytest.mark.filterwarnings("error")
+def test_runner_reads_each_verdict_from_the_side_arrays(monkeypatch):
+    # member 3 of every pair gets a gap far below its tolerance and member 7
+    # a NaN side: both fail; on dr:8,7 member 5's uncertainty ratio
+    # overflows: a skip.  Every other row passes
+    real_rayleigh, real_uncertainty = verify.rayleigh_gap, verify.uncertainty_gap
+
+    def broken_rayleigh(density, pair):
+        (lhs, lhs_err), (rhs, rhs_err) = real_rayleigh(density, pair)
+        lhs = lhs.copy()
+        lhs[3] = rhs[3] - 1e-3 * (abs(lhs[3]) + abs(rhs[3]))
+        lhs[7] = np.nan
+        return (lhs, lhs_err), (rhs, rhs_err)
+
+    def overflowing_uncertainty(density):
+        energy, moment, (norm, errors) = real_uncertainty(density)
+        norm = norm.copy()
+        norm[5] = 1e-300
+        return energy, moment, (norm, errors)
+
+    monkeypatch.setattr(verify, "rayleigh_gap", broken_rayleigh)
+    monkeypatch.setattr(verify, "uncertainty_gap", overflowing_uncertainty)
+    rayleigh = run_verification(spaces=["hyperbolic:3"], families=["rayleigh"])
+    assert len(rayleigh) == 5 * 20
+    for k, r in enumerate(rayleigh):
+        assert r.verdict == ("fail" if k % 20 in (3, 7) else "pass"), r.check_id
+        if k % 20 == 7:
+            assert np.isnan(r.lhs) and np.isnan(r.gap) and np.isfinite(r.rhs)
+    uncertainty = run_verification(spaces=["dr:8,7"], families=["uncertainty"])
+    assert [r.verdict for r in uncertainty] == ["pass"] * 5 + ["skip"] + ["pass"] * 14
+    skip = uncertainty[5]
+    assert skip.check_id == "uncertainty.bump_05" and np.isnan(skip.lhs) and np.isnan(skip.gap)
+    assert (skip.rhs, skip.tolerance) == (1.0, 1e-8)
 
 
 def test_report_dict_shape():
@@ -407,9 +454,10 @@ def test_batched_uncertainty_and_rellich_match_per_member_integrals():
     suite = default_suite()
     reports = run_verification(spaces=["dr:8,7"], families=["uncertainty", "rellich"], suite=suite)
     by_id = {r.check_id: r for r in reports}
-    for res, member in zip(uncertainty_gap(verify.SuiteDensity(model, suite)), suite):
+    (e, _), (m, _), (n, _) = uncertainty_gap(verify.SuiteDensity(model, suite))
+    for k, member in enumerate(suite):
         expected = _reference_uncertainty(model, member)
-        _assert_sides_close((res.energy, res.weighted_moment, res.norm), expected, member.name)
+        _assert_sides_close((e[k], m[k], n[k]), expected, member.name)
         ratio = expected[0] * expected[1] / (0.25 * expected[2] ** 2)
         assert by_id[f"uncertainty.{member.name}"].lhs == pytest.approx(ratio, rel=1e-12)
     for member in suite:
@@ -421,10 +469,11 @@ def test_single_member_gaps_run_the_suite_path():
     model = build_density("dr:4,2")
     suite = default_suite()
     pair = weight_p_dr(model, 3.0)
-    batched = p_rayleigh_gap(verify.SuiteDensity(model, suite), pair)
-    for member, res in zip(suite, batched):
-        (single,) = p_rayleigh_gap(verify.SuiteDensity(model, verify.TestFunctionSuite((member,))), pair)
-        _assert_sides_close((single.lhs, single.rhs), (res.lhs, res.rhs), member.name)
+    (lhs, _), (rhs, _) = p_rayleigh_gap(verify.SuiteDensity(model, suite), pair)
+    for k, member in enumerate(suite):
+        (a, _), (b, _) = p_rayleigh_gap(verify.SuiteDensity(model, verify.TestFunctionSuite((member,))), pair)
+        assert a.shape == b.shape == (1,)
+        _assert_sides_close((a[0], b[0]), (lhs[k], rhs[k]), member.name)
 
 
 # -- the shared panel grid ------------------------------------------------------
@@ -473,8 +522,9 @@ def test_support_ends_one_ulp_apart_tile_exactly():
         verify.TestFunctionSuite((verify.SuiteMember("empty", bump.scalar, (hi, lo)),)).plan
     model = build_density("dr:4,2")
     pair = weight_theorem_b(model)
-    for member, res in zip(suite, rayleigh_gap(verify.SuiteDensity(model, suite), pair)):
-        _assert_sides_close((res.lhs, res.rhs), _reference_form_gap(model, pair, member), member.name)
+    (lhs, _), (rhs, _) = rayleigh_gap(verify.SuiteDensity(model, suite), pair)
+    for member, a, b in zip(suite, lhs, rhs, strict=True):
+        _assert_sides_close((a, b), _reference_form_gap(model, pair, member), member.name)
 
 
 def test_suite_jets_equal_each_members_jet_bit_for_bit():
@@ -488,6 +538,13 @@ def test_suite_jets_equal_each_members_jet_bit_for_bit():
             assert _same_bits(getattr(plan, name)[own], getattr(j, name)), (member.name, name)
 
 
+def _worst_estimate(sides):
+    # the worst member's largest null-rule estimate over the sum of the sizes
+    # of its sides
+    scale = sum(np.abs(integrals) for integrals, _ in sides)
+    return float(np.max(np.max([errors for _, errors in sides], axis=0) / scale))
+
+
 def test_null_rule_estimates_of_the_catalog_sides():
     # relative to |lhs| + |rhs| (uncertainty: the sizes of its three
     # integrals); the per-member grid read 1.4e-11 on rayleigh and 7.5e-9 on
@@ -498,14 +555,10 @@ def test_null_rule_estimates_of_the_catalog_sides():
         density = verify.SuiteDensity(build_density(space), suite)
         model = density.model
         for _, _, pair in verify._pairs_for(model):
-            for res in p_rayleigh_gap(density, pair):
-                worst["rayleigh"] = max(worst["rayleigh"], max(res.errors) / res.scale)
+            worst["rayleigh"] = max(worst["rayleigh"], _worst_estimate(p_rayleigh_gap(density, pair)))
         if model.kind == "dr" and model.q not in (0, 2):
-            for res in uncertainty_gap(density):
-                scale = abs(res.energy) + abs(res.weighted_moment) + abs(res.norm)
-                worst["uncertainty"] = max(worst["uncertainty"], max(res.errors) / scale)
-            for res in rellich_gap(density):
-                worst["rellich"] = max(worst["rellich"], max(res.errors) / res.scale)
+            worst["uncertainty"] = max(worst["uncertainty"], _worst_estimate(uncertainty_gap(density)))
+            worst["rellich"] = max(worst["rellich"], _worst_estimate(rellich_gap(density)))
     assert worst["rayleigh"] <= 1e-11 and worst["uncertainty"] <= 1e-11, worst
     assert worst["rellich"] <= 4e-9, worst
 
