@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import DomainError
+from .errors import PreconditionError
 
 ArrayLike = float | np.ndarray
 
@@ -50,8 +50,8 @@ class RadialScalar:
     """A function of the radius: a value callable and an optional jet callable.
 
     Both callables take a float or an array of radii.  ``value`` and ``jet``
-    pass them a float for a scalar radius; ``jet`` raises DomainError when
-    the scalar carries no derivative data.
+    pass them a float for a scalar radius; ``jet`` raises PreconditionError
+    when the scalar carries no derivative data.
     """
 
     __slots__ = ("_value", "_jet")
@@ -78,7 +78,7 @@ class RadialScalar:
 
     def jet(self, r: ArrayLike) -> Jet2:
         if self._jet is None:
-            raise DomainError("this radial scalar carries no derivative data")
+            raise PreconditionError("this radial scalar carries no derivative data")
         return self._jet(_radii(r))
 
     def __call__(self, r: ArrayLike) -> ArrayLike:
@@ -98,13 +98,13 @@ def _radii(r: ArrayLike) -> ArrayLike:
 def check_radius(r: ArrayLike) -> ArrayLike:
     """The radii as a float (given a scalar) or an array.
 
-    Raises DomainError unless every radius is finite and at least the
+    Raises PreconditionError unless every radius is finite and at least the
     smallest normal double, so NaN, infinity and subnormal radii, whose
     reciprocals overflow, are refused too.
     """
     arr = np.asarray(r, dtype=float)
     if not np.all((arr >= _TINY) & np.isfinite(arr)):
-        raise DomainError(f"radius must be finite and at least {_TINY:.17g}")
+        raise PreconditionError(f"radius must be finite and at least {_TINY:.17g}")
     return float(arr) if arr.ndim == 0 else arr
 
 
@@ -113,10 +113,11 @@ def hilfe_coefficients(c: float, b: float, p: int, q: int) -> tuple[float, float
 
     The form collapses to 4 c lambda0 + q (q c + b) / sinh(r)^2
     + p (c (p+2q) + b) / (4 sinh(r/2)^2) with lambda0 = (p+2q)^2 / 16 (p = 0
-    is hyperbolic space); returns the three numerators.
+    is hyperbolic space); returns the coefficients of 1, 1/sinh(r)^2 and
+    1/sinh(r/2)^2.
     """
     lam0 = (p + 2.0 * q) ** 2 / 16.0
-    return 4.0 * c * lam0, q * (q * c + b), p * (c * (p + 2.0 * q) + b)
+    return 4.0 * c * lam0, q * (q * c + b), p * (c * (p + 2.0 * q) + b) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,7 @@ class PanelPlan:
         lo = np.atleast_1d(np.asarray(a, dtype=float))
         hi = np.atleast_1d(np.asarray(b, dtype=float))
         if not np.all(hi > lo):
-            raise DomainError("integration interval is empty")
+            raise PreconditionError("integration interval is empty")
         counts = np.maximum(min_panels, np.ceil((hi - lo) / width)).astype(np.int64)
         starts = np.cumsum(counts) - counts
         seg = np.repeat(np.arange(lo.size), counts)
@@ -206,7 +207,7 @@ class PanelPlan:
         begin = bounds[np.asarray(first)]
         counts = bounds[np.asarray(stop)] - begin
         if not np.all(counts > 0):
-            raise DomainError("integration interval is empty")
+            raise PreconditionError("integration interval is empty")
         panels = np.arange(counts.sum()) + np.repeat(begin - (np.cumsum(counts) - counts), counts)
         plan = PanelPlan.__new__(PanelPlan)
         plan._set_panels(self._left[panels], self._right[panels], counts)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per exit code of the CLI."""
 
 from __future__ import annotations
 
@@ -7,17 +7,9 @@ class HardyscopeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SpaceValidationError(HardyscopeError):
-    """Raised when a space descriptor or parameter pair is not admissible."""
-
-
-class DomainError(HardyscopeError):
-    """Raised when an operator or weight is evaluated outside its domain."""
-
-
 class PreconditionError(HardyscopeError):
-    """Raised when a constructor's parameter constraints are violated."""
+    """Unusable input: a bad descriptor, parameter, radius or path (exit 2)."""
 
 
 class QuadratureError(HardyscopeError):
-    """Raised when an integral cannot be certified to the requested accuracy."""
+    """A numeric result that cannot be certified or is not finite (exit 1)."""

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import PanelPlan, RadialScalar, check_radius
-from .errors import DomainError, PreconditionError, QuadratureError
+from .errors import PreconditionError, QuadratureError
 from .spaces import EUCLIDEAN, DensityModel
 from .weights import WeightPair
 
@@ -108,7 +108,7 @@ def _cutoff_radius(model: DensityModel) -> float:
     2c / (p + sqrt(p^2 + 4c(2h + c))), which has no cancellation.
     """
     if model.kind == EUCLIDEAN:
-        raise DomainError("flat space has no exponential tail cutoff")
+        raise PreconditionError("flat space has no exponential tail cutoff")
     h = model.h
     c = _CUTOFF_EXCESS * h
     p = model.p
@@ -197,7 +197,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
 
     if model.kind == EUCLIDEAN:
         if P >= n:
-            raise DomainError("flat-space Green integral diverges unless P < n")
+            raise PreconditionError("flat-space Green integral diverges unless P < n")
         # G = omega_n^(-s) r^(1-k)/(k-1) as one exponential, as below
         k = (n - 1.0) * s
         exponent = s * (model.log_f(radii) + log_omega)
@@ -492,13 +492,12 @@ def green_weight_supercritical(model: DensityModel, P: float, r: float) -> float
 
 @dataclass
 class AsymptoticPrediction:
-    """Predicted small-radius behaviour of the Green surplus weight."""
+    """Predicted small-radius behaviour of the Green surplus weight; the
+    regime "P=n" carries a logarithmic correction to the power law."""
 
     regime: str
     value: float | np.ndarray
     exponent: float
-    coefficient: float
-    log_corrected: bool = False
 
 
 def asymptotic_prediction(model: DensityModel, P: float, r) -> AsymptoticPrediction:
@@ -517,16 +516,13 @@ def asymptotic_prediction(model: DensityModel, P: float, r) -> AsymptoticPredict
     # past the double range a coefficient or value is inf (0 * inf is NaN)
     with np.errstate(over="ignore", invalid="ignore"):
         if abs(P - n) < 1e-9:
-            coef = ((P - 1.0) / P) ** P
-            value = coef * np.abs(rr * np.log(rr)) ** (-P)
-            pred = AsymptoticPrediction("P=n", value, -P, coef, log_corrected=True)
+            pred = AsymptoticPrediction("P=n", ((P - 1.0) / P) ** P * np.abs(rr * np.log(rr)) ** (-P), -P)
         elif P < n:
-            coef = _power((n - P) / P, P)
-            pred = AsymptoticPrediction("P<n", coef * rr ** (-P), -P, coef)
+            pred = AsymptoticPrediction("P<n", _power((n - P) / P, P) * rr ** (-P), -P)
         else:
             coef = ((P - 1.0) / P) ** P * _power(_total_integral(model, P), -P)
             expo = -P * (n - 1.0) / (P - 1.0)
-            pred = AsymptoticPrediction("P>n", coef * rr**expo, expo, coef)
+            pred = AsymptoticPrediction("P>n", coef * rr**expo, expo)
     if np.ndim(r) == 0:
         pred.value = float(pred.value)
     return pred

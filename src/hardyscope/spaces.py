@@ -28,7 +28,7 @@ from functools import wraps
 
 import numpy as np
 
-from .errors import SpaceValidationError
+from .errors import PreconditionError
 
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
@@ -64,29 +64,18 @@ def heisenberg_exponent(q: int) -> int:
     function of m (1 for m=1, 2 for m in {2,3}, 3 for m in 4..7, 4 for m=8).
     """
     if q < 1:
-        raise SpaceValidationError("q must be a positive integer")
+        raise PreconditionError(f"q must be an integer >= 1, got {q}")
     a, m = divmod(q - 1, 8)
-    m += 1
-    if m == 1:
-        step = 1
-    elif m <= 3:
-        step = 2
-    elif m <= 7:
-        step = 3
-    else:
-        step = 4
-    return 4 * a + step
+    return 4 * a + (1, 2, 2, 3, 3, 3, 3, 4)[m]
 
 
 def validate_heisenberg_params(p: int, q: int) -> None:
     """Check that (p, q) indexes an actual space; raise otherwise."""
     if p < 2 or p % 2 != 0:
-        raise SpaceValidationError(f"p must be an even integer >= 2, got {p}")
-    if q < 1:
-        raise SpaceValidationError(f"q must be an integer >= 1, got {q}")
+        raise PreconditionError(f"p must be an even integer >= 2, got {p}")
     e = heisenberg_exponent(q)
     if p % (1 << e) != 0:
-        raise SpaceValidationError(
+        raise PreconditionError(
             f"pair (p={p}, q={q}) is not admissible: q={q} forces p to be a multiple of {1 << e}"
         )
 
@@ -151,7 +140,7 @@ class DensityModel:
             self.q = n - 1 - p
             self.h = (p + 2.0 * self.q) / 2.0
         else:
-            raise SpaceValidationError(f"unknown space kind {kind!r}")
+            raise PreconditionError(f"unknown space kind {kind!r}")
         self.lambda0 = self.h**2 / 4.0
 
     def descriptor(self) -> str:
@@ -219,26 +208,26 @@ def build_density(text: str) -> DensityModel:
     body = text.strip().lower()
     kind, sep, rest = body.partition(":")
     if not sep:
-        raise SpaceValidationError(f"bad space descriptor {text!r}: expected kind:params")
+        raise PreconditionError(f"bad space descriptor {text!r}: expected kind:params")
     if kind in (EUCLIDEAN, HYPERBOLIC):
         try:
             n = int(rest)
         except ValueError:
-            raise SpaceValidationError(f"bad dimension {rest!r} in {text!r}") from None
+            raise PreconditionError(f"bad dimension {rest!r} in {text!r}") from None
         if n < 2:
-            raise SpaceValidationError(f"dimension must be >= 2, got {n}")
+            raise PreconditionError(f"dimension must be >= 2, got {n}")
         return DensityModel(kind, n)
     if kind == DAMEK_RICCI:
         parts = rest.split(",")
         if len(parts) != 2:
-            raise SpaceValidationError(f"bad parameter pair {rest!r} in {text!r}: expected p,q")
+            raise PreconditionError(f"bad parameter pair {rest!r} in {text!r}: expected p,q")
         try:
             p, q = int(parts[0]), int(parts[1])
         except ValueError:
-            raise SpaceValidationError(f"bad parameter pair {rest!r} in {text!r}") from None
+            raise PreconditionError(f"bad parameter pair {rest!r} in {text!r}") from None
         validate_heisenberg_params(p, q)
         return DensityModel(DAMEK_RICCI, p + q + 1, p)
-    raise SpaceValidationError(f"unknown space kind {kind!r} in {text!r}")
+    raise PreconditionError(f"unknown space kind {kind!r} in {text!r}")
 
 
 def default_grid() -> np.ndarray:

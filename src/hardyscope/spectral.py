@@ -23,12 +23,17 @@ both ends.
   big balls lambda_k - lambda0 approaches k^2 pi^2 / R^2, so the error
   contracts by about (1/4)^2 per step.  From a flat vector the coarse mesh
   takes 5 to 14 steps on the benchmark's balls; from the coarse eigenvector
-  the half mesh takes 2 from 10k cells on, at most 4 at 1k.
+  the half mesh takes 2 from 10k cells on, at most 4 at 1k.  Where lambda_1
+  and lambda_2 lie close together far above lambda0 (hyperbolic:10 at R = 70
+  on 1k cells), a step gains a factor of only 0.85; after 30 steps the shift
+  moves up once, to just below lambda_1, and such balls settle in 33 to 71.
 * Certificate.  The quotient bounds the eigenvalue from above (min-max).
   One more factorization test just below it shows that no eigenvalue lies
   below that point.  A failed test, an iteration that does not settle or a
   non-finite matrix raises QuadratureError; no other solver stands behind
-  this one.
+  this one.  So does an extrapolated value at or below lambda0, which no
+  ball's Dirichlet bottom reaches (100 cells on hyperbolic:10 at R = 70 give
+  18.52 against lambda0 = 20.25: the mesh is far too coarse).
 
 Bisection (LAPACK ``stebz``) is only accurate to eps times the 1-norm of T,
 which grows like cells^2 and, through the half cell at the pole, like 2^n;
@@ -53,6 +58,8 @@ __all__ = ["EigenProblem", "SpectralResult", "bottom_eigenvalue", "eigh_tridiago
 _EPS = float(np.finfo(float).eps)
 #: inverse iteration steps before the solve is refused
 _MAX_ITERATIONS = 100
+#: steps after which an unsettled iteration moves its shift up, once
+_SLOW_STEPS = 30
 #: doublings of the step in the search for a positive definite shift
 _MAX_SHIFTS = 64
 #: the most cells R/mesh a ball may have, refused before any allocation: 200
@@ -77,8 +84,6 @@ class SpectralResult:
     eigenvalue: float
     eigenvalue_half_mesh: float
     extrapolated: float
-    target_lambda0: float
-    gap: float
 
 
 def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarray]:
@@ -97,9 +102,11 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     sums of T - shift I: how far a relative error of one ulp in every entry
     moves it.  For a smooth x that is about eps ||T||, far below eps times
     the 1-norm of T, which the pole's half cell dominates in high dimension.
-    The quotients decrease monotonically in exact arithmetic, so the
-    iteration stops once a step is within that level, and the lower end is
-    tested 4 max(last step, rounding level) below the quotient.  The level
+    The quotient is the Rayleigh quotient of y whatever the shift, so the
+    quotients decrease monotonically in exact arithmetic, also across the
+    one move of the shift after ``_SLOW_STEPS`` steps; the iteration stops
+    once a step is within that level, and the lower end is tested
+    4 max(last step, rounding level) below the quotient.  The level
     is computed only once the step is within 2 eps (|shift| + max rows), a
     bound on it for a unit x, so the iteration stops at the same step.
 
@@ -114,32 +121,45 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise QuadratureError("tridiagonal matrix is not finite")
     shift, (fd, fe) = _shift_below(d, e, float(shift))
-    # absolute row sums of T - shift I: x^T |T - shift I| x <= rows @ x^2
-    rows = np.abs(d - shift)
-    abs_e = np.abs(e)
-    rows[1:] += abs_e
-    rows[:-1] += abs_e
-    del abs_e
-    ceiling = 2.0 * _EPS * (abs(shift) + float(rows.max()))
+    rows, ceiling = _rounding_rows(d, e, shift)
     if x is None:
         x = np.full(d.size, d.size**-0.5)
     value = step = math.inf
-    for _ in range(_MAX_ITERATIONS):
+    for k in range(1, _MAX_ITERATIONS + 1):
         y = dpttrs(fd, fe, x)[0]
         yy = float(y @ y)
         quotient = shift + float(x @ y) / yy
-        step, value = value - quotient, quotient
+        last, step, value = step, value - quotient, quotient
         x = y * (1.0 / math.sqrt(yy))
         if abs(step) <= ceiling:
             rounding = _EPS * (abs(shift) + float(rows @ (x * x)))
             if abs(step) <= rounding:
                 break
+        if k == _SLOW_STEPS and 0.0 < step < last:
+            # the steps shrink by ratio = step / last each, so the eigenvalue
+            # lies about step ratio / (1 - ratio) below the quotient; a shift
+            # where T still factors is below it
+            target = value - 10.0 * step / (1.0 - step / last)
+            factors = _factors(d, e, target) if target > shift else None
+            if factors is not None:
+                shift, (fd, fe) = target, factors
+                rows, ceiling = _rounding_rows(d, e, shift)
     else:
         raise QuadratureError(f"inverse iteration did not settle in {_MAX_ITERATIONS} steps (last step {step:.3e})")
     lower = value - 4.0 * max(abs(step), rounding)
     if _factors(d, e, lower) is None:
         raise QuadratureError(f"eigenvalue {value!r} not certified: T - {lower!r} I is not positive definite")
     return value, lower, x
+
+
+def _rounding_rows(d, e, shift: float):
+    """The absolute row sums of T - shift I, so x^T |T - shift I| x <= rows @ x^2,
+    and 2 eps (|shift| + max rows), which bounds the rounding level for a unit x."""
+    rows = np.abs(d - shift)
+    abs_e = np.abs(e)
+    rows[1:] += abs_e
+    rows[:-1] += abs_e
+    return rows, 2.0 * _EPS * (abs(shift) + float(rows.max()))
 
 
 def _factors(d, e, shift: float):
@@ -257,10 +277,8 @@ def bottom_eigenvalue(problem: EigenProblem) -> SpectralResult:
     x[1::2] *= 0.5
     lam_half = eigh_tridiagonal(d, e, model.lambda0, x)[0]
     extrapolated = (4.0 * lam_half - lam) / 3.0
-    return SpectralResult(
-        eigenvalue=lam,
-        eigenvalue_half_mesh=lam_half,
-        extrapolated=extrapolated,
-        target_lambda0=model.lambda0,
-        gap=extrapolated - model.lambda0,
-    )
+    if not extrapolated > model.lambda0:
+        raise QuadratureError(
+            f"extrapolated value {extrapolated!r} is not above lambda0 = {model.lambda0!r}; the mesh is too coarse"
+        )
+    return SpectralResult(lam, lam_half, extrapolated)

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import green as green_mod
 from .calculus import Jet2, PanelPlan, RadialScalar, check_radius
-from .errors import DomainError, PreconditionError, QuadratureError
+from .errors import PreconditionError, QuadratureError
 from .spaces import DEFAULT_CATALOG, DensityModel, build_density, default_grid
 from .weights import (
     WeightPair,
@@ -353,7 +353,7 @@ def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
         raise PreconditionError(f"pair {pair.theorem_id} has no ground state")
     grid = default_grid() if grid is None else np.atleast_1d(check_radius(grid))
     if grid.size == 0:
-        raise DomainError("residual grid is empty")
+        raise PreconditionError("residual grid is empty")
     resid, scale = _ode_terms(model, pair, grid)
     if pair.P == 2.0:
         return float(np.max(np.abs(resid) / scale))
@@ -394,7 +394,7 @@ def null_criticality_mass(model: DensityModel, eps: float, R: float) -> tuple[fl
     log_mass = 2.0 * pair.log_ground_state(t) + log_f + nodes
     (mass, slope), (mass_err, slope_err) = plan.reduce(np.exp(log_mass) * pair.W.value(t))
     if not (np.isfinite(mass) and np.isfinite(slope)):
-        raise DomainError("null mass quadrature diverged")
+        raise QuadratureError("null mass quadrature diverged")
     rtol = _MASS_RTOL + 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(log_f)))
     if mass_err > rtol * abs(mass) or slope_err > rtol * abs(slope):
         raise QuadratureError(f"null mass certified only to {mass_err:.3e} and its slope to {slope_err:.3e}")
@@ -573,7 +573,7 @@ def _criticality_groups(density: SuiteDensity):
     def ratio(r: float) -> float:
         lu = float(log_gs(r))
         if not np.isfinite(lu):
-            raise DomainError(f"ground state log-value not finite at r={r}")
+            raise QuadratureError(f"ground state log-value not finite at r={r}")
         return float(np.exp(lu - (lu + np.log(abs(np.log(r))))))
 
     rows = []
@@ -624,7 +624,7 @@ def _asymptotics_groups(density: SuiteDensity):
         return
     radii = np.geomspace(1e-4, 1e-2, 15)
     pred = green_mod.asymptotic_prediction(model, 2.0, radii)
-    if pred.log_corrected:
+    if pred.regime == "P=n":
         # P = n: W approaches |r ln r|^(-P) only like 1/ln^2 r; on
         # hyperbolic:2 the two fitted slopes differ by 0.028 on
         # [1e-4, 1e-2] and by 0.005 on [1e-8, 1e-6]

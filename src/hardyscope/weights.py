@@ -6,8 +6,8 @@ where one exists, the measure where it is not 1, and the order P.  Every
 builder takes the space's ``DensityModel``; those of the Damek-Ricci pairs
 (A, gamma_dr, p_dr) refuse any other kind.  All evaluators accept positive
 scalars or numpy arrays.  V, W, their terms and the measure are values only,
-sums taken in a fixed order (reading their jet raises DomainError); the log
-ground states keep their jets.
+sums taken in a fixed order (reading their jet raises PreconditionError); the
+log ground states keep their jets.
 
 Every curvature coefficient comes from one collapsed identity for
 c (f'/f)^2 - b (f'/f)', ``calculus.hilfe_coefficients`` on the curved density
@@ -31,12 +31,13 @@ expressions lose digits to cancellation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import Jet2, RadialScalar, check_radius, hilfe_coefficients
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError, QuadratureError
 from .spaces import DAMEK_RICCI, EUCLIDEAN, DensityModel, validate_heisenberg_params
 
 __all__ = [
@@ -142,10 +143,21 @@ def _curvature_coefficients(model: DensityModel, c: float, b: float):
     other three, from ``hilfe_coefficients``.
     """
     if model.kind == EUCLIDEAN:
-        n = model.n
-        return 0.0, 0.0, 0.0, (n - 1) * (c * (n - 1) + b)
-    const, coef_r, coef_half = hilfe_coefficients(c, b, model.p, model.q)
-    return const, coef_r, coef_half / 4.0, 0.0
+        return 0.0, 0.0, 0.0, (model.n - 1) * (c * (model.n - 1) + b)
+    return *hilfe_coefficients(c, b, model.p, model.q), 0.0
+
+
+def _or_exp(direct, log_value: float, factor: float = 1.0) -> float:
+    """direct(), or factor e^log_value where direct() overflows, by raising or
+    to inf (inf where the log form leaves the doubles too)."""
+    try:
+        value = direct()
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    with np.errstate(over="ignore"):
+        return factor * float(np.exp(log_value))
 
 
 def _require_dr(model: DensityModel, what: str) -> None:
@@ -344,7 +356,8 @@ def weight_p_dr(model: DensityModel, P: float):
     V = -Lambda_P g^(P-2) with Lambda_P = (h/P)^P and the comparison function
     g(r) = coth(r/2) - (2/(p+2q))(q/sinh r + 1/r); W is the sum of the three
     right-hand-side densities, each individually nonnegative under the
-    precondition p+q >= P(P-1).
+    precondition p+q >= P(P-1).  A constant whose Python float power leaves
+    the double range (h^(P-2) on dr:20000,1 at P = 100) comes from its log.
     """
     _require_dr(model, "the p-Laplacian pair")
     P = float(P)
@@ -354,14 +367,17 @@ def weight_p_dr(model: DensityModel, P: float):
     if p + q < P * (P - 1.0):
         raise PreconditionError(f"quasi-linear pair needs n >= 1 + P(P-1): n={model.n}, P={P}")
     h = model.h
-    lam_p = (h / P) ** P
+    # each constant as Python float arithmetic, else from its log
+    log_h, log_P = math.log(h), math.log(P)
+    lam_p = _or_exp(lambda: (h / P) ** P, P * (log_h - log_P))
+    pref = _or_exp(lambda: h ** (P - 2.0) / P**P, (P - 2.0) * log_h - P * log_P)
+    c_drift = _or_exp(lambda: h ** (P - 1.0) * (P - 2.0) / P**P, (P - 1.0) * log_h - P * log_P, P - 2.0)
     k = 2.0 / (p + 2.0 * q)
 
     def g_value(rr):
         with np.errstate(over="ignore"):
             return 1.0 / np.tanh(rr / 2.0) - k * (q / np.sinh(rr) + 1.0 / rr)
 
-    pref = h ** (P - 2.0) / P**P
     _, c_sr, c_half = hilfe_coefficients(1.0, -P * (P - 1.0), p, q)
 
     def gpow(rr):
@@ -372,11 +388,11 @@ def weight_p_dr(model: DensityModel, P: float):
 
     def t2_value(rr):
         gv = g_value(rr)
-        return h ** (P - 1.0) * (P - 2.0) / P**P * gv ** (P - 2.0) * (gv + 1.0 / (h * rr)) / rr
+        return c_drift * gv ** (P - 2.0) * (gv + 1.0 / (h * rr)) / rr
 
     def t3_value(rr):
         with np.errstate(over="ignore"):
-            bracket = c_sr / np.sinh(rr) ** 2 + c_half / (4.0 * np.sinh(rr / 2.0) ** 2)
+            bracket = c_sr / np.sinh(rr) ** 2 + c_half / np.sinh(rr / 2.0) ** 2
         return pref * gpow(rr) * bracket
 
     def v_value(rr):
@@ -416,8 +432,8 @@ def hpw_g(p: int, q: int, r):
     # past r of about 710 both sinh terms underflow to exactly 0 and the
     # ratio is the nudged value below 1
     with np.errstate(over="ignore"):
-        surplus = 4.0 * rr**2 * (c_half / 4.0 / np.sinh(rr / 2.0) ** 2 + c_sr / np.sinh(rr) ** 2)
+        surplus = 4.0 * rr**2 * (c_half / np.sinh(rr / 2.0) ** 2 + c_sr / np.sinh(rr) ** 2)
     if not np.all(np.isfinite(surplus) & (surplus >= 0.0)):
-        raise DomainError("comparison ratio left (0, 1); weight evaluation is suspect")
+        raise QuadratureError("comparison ratio left (0, 1); weight evaluation is suspect")
     out = np.minimum(1.0 / (1.0 + surplus), np.nextafter(1.0, 0.0))
     return float(out) if np.ndim(r) == 0 else out

@@ -7,7 +7,7 @@ these; the tests use them as independent references.
 import numpy as np
 
 from hardyscope.calculus import check_radius, hilfe_coefficients
-from hardyscope.errors import DomainError
+from hardyscope.errors import PreconditionError
 
 
 def p_laplacian_radial(u, model, P: float, r):
@@ -18,7 +18,7 @@ def p_laplacian_radial(u, model, P: float, r):
     """
     P = float(P)
     if P <= 1.0:
-        raise DomainError("p_laplacian_radial requires P > 1")
+        raise PreconditionError("p_laplacian_radial requires P > 1")
     r = check_radius(r)
     j = u.jet(r)
     du = j.d1
@@ -32,4 +32,4 @@ def hilfe_rhs(a: float, b: float, p: int, q: int, r):
     """a (f'/f)^2 - b f''/f for the two-parameter density: ``hilfe_coefficients`` at c = a - b."""
     r = check_radius(r)
     const, coef_r, coef_half = hilfe_coefficients(a - b, b, p, q)
-    return const + coef_r / np.sinh(r) ** 2 + coef_half / (4.0 * np.sinh(r / 2.0) ** 2)
+    return const + coef_r / np.sinh(r) ** 2 + coef_half / np.sinh(r / 2.0) ** 2

@@ -10,7 +10,7 @@ from hardyscope.calculus import (
     RadialScalar,
     check_radius,
 )
-from hardyscope.errors import DomainError
+from hardyscope.errors import PreconditionError
 from hardyscope.spaces import build_density
 from hardyscope.weights import weight_theorem_b
 
@@ -66,12 +66,12 @@ def test_jet_arithmetic_against_finite_differences():
 def test_radial_scalar_value_only_guards_derivatives():
     s = RadialScalar(lambda rr: rr**2)
     assert s.value(3.0) == s(3.0) == 9.0
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         s.jet(3.0)
     c = RadialScalar.constant(2.5)
     assert c.value(1.0) == 2.5
     np.testing.assert_array_equal(c.value(np.ones(3)), np.full(3, 2.5))
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         c.jet(1.0)
 
 
@@ -80,7 +80,7 @@ def test_check_radius_refuses_subnormal_radii():
     assert check_radius(tiny) == tiny and check_radius(1e-300) == 1e-300
     np.testing.assert_array_equal(check_radius(np.array([tiny, 1.0, 1e300])), [tiny, 1.0, 1e300])
     for bad in (np.nextafter(tiny, 0.0), 1e-310, 5e-324, 0.0, -1.0, math.nan, math.inf, np.array([1.0, 5e-324])):
-        with pytest.raises(DomainError, match="finite and at least 2.2250738585072014e-308"):
+        with pytest.raises(PreconditionError, match="finite and at least 2.2250738585072014e-308"):
             check_radius(bad)
 
 
@@ -178,25 +178,25 @@ def test_hilfe_rhs_matches_density_ratios():
 
 
 def test_hilfe_rhs_domain_error():
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         hilfe_rhs(1.0, 1.0, 2, 1, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         hilfe_rhs(1.0, 1.0, 2, 1, -1.0)
 
 
 def test_laplacian_radial_rejects_nonpositive_radius():
     e3 = build_density("euclidean:3")
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         p_laplacian_radial(_power(2.0), e3, 2.0, 0.0)
 
 
 def test_laplacian_radial_rejects_infinite_radius():
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         p_laplacian_radial(_power(2.0), build_density("euclidean:3"), 2.0, math.inf)
 
 
 def test_p_laplacian_radial_rejects_infinite_radius():
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         p_laplacian_radial(_power(2.0), build_density("hyperbolic:3"), 3.0, math.inf)
 
 
@@ -210,5 +210,5 @@ def test_panel_plan_error_estimate_bounds_the_error():
             assert error > 1e-10
     # once resolved, the estimate falls to the rounding level of the sum
     assert estimate <= 1e-14 * value
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         PanelPlan(1.0, 1.0, 0.25)

@@ -373,11 +373,11 @@ def test_spectral_bottom_json(capsys):
 
 def test_spectral_bottom_refuses_a_non_finite_field(monkeypatch, capsys):
     real = cli.spectral.bottom_eigenvalue
-    monkeypatch.setattr(cli.spectral, "bottom_eigenvalue", lambda problem: dataclasses.replace(real(problem), gap=math.inf))
+    monkeypatch.setattr(cli.spectral, "bottom_eigenvalue", lambda problem: dataclasses.replace(real(problem), extrapolated=math.inf))
     assert main(["spectral", "bottom", "--space", "hyperbolic:3", "--R", "5", "--mesh", "0.05"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: spectral bottom: gap is not finite (inf)\n"
+    assert captured.err == "error: spectral bottom: extrapolated is not finite (inf)\n"
 
 
 def test_spectral_bottom_refuses_overflowing_density_without_warnings(capsys):
@@ -1068,3 +1068,71 @@ def test_subnormal_radii_and_an_infinite_rmax_exit_two(argv, message, capsys):
         rc, out, err = _run(argv, capsys)
     assert (rc, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+class _DivergingPlan(cli.verify.PanelPlan):
+    def reduce(self, values):
+        return np.array([math.inf, 0.25]), np.zeros(2)
+
+
+def _nan_ground_state(monkeypatch):
+    from hardyscope.calculus import RadialScalar
+
+    real = cli.verify.weight_theorem_b
+    nan = RadialScalar(lambda r: np.full(np.shape(r), math.nan) if np.ndim(r) else math.nan)
+    monkeypatch.setattr(cli.verify, "weight_theorem_b", lambda model: dataclasses.replace(real(model), log_ground_state=nan))
+
+
+def _negative_half_coefficient(monkeypatch):
+    # a negative sinh(r/2) coefficient takes the comparison ratio past 1
+    real = cli.weights.hilfe_coefficients
+    monkeypatch.setattr(cli.weights, "hilfe_coefficients", lambda *args: (*real(*args)[:2], -1.0))
+
+
+@pytest.mark.parametrize(
+    "argv, force, message",
+    [
+        (["verify", "criticality", "--space", "hyperbolic:3"],
+         lambda monkeypatch: monkeypatch.setattr(cli.verify, "PanelPlan", _DivergingPlan),
+         "error: null mass quadrature diverged"),
+        (["verify", "criticality", "--space", "hyperbolic:3"], _nan_ground_state,
+         "error: ground state log-value not finite at r=0.001"),
+        (["verify", "uncertainty", "--space", "dr:4,3"], _negative_half_coefficient,
+         "error: comparison ratio left (0, 1); weight evaluation is suspect"),
+    ],
+)
+def test_numeric_failures_exit_1_with_one_line(monkeypatch, capsys, argv, force, message):
+    # a number that cannot be certified is exit 1, never 2 ("unusable input")
+    force(monkeypatch)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def test_spectral_bottom_refuses_an_extrapolation_below_lambda0(capsys):
+    # 100 cells on a ball of radius 70 are far too coarse: both mesh values
+    # lie above lambda0 = 20.25 but (4 lambda_half - lambda)/3 near 18.52
+    # does not, and a Dirichlet bottom below lambda0 is impossible
+    assert main(["spectral", "bottom", "--space", "hyperbolic:10", "--R", "70", "--mesh", "0.7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: extrapolated value 18.52")
+    assert captured.err.endswith(" is not above lambda0 = 20.25; the mesh is too coarse\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_quasilinear_pair_past_the_double_range_of_its_powers(capsys):
+    # h^(P-2) passes the double range: V at r = 1 is a double near -7e232;
+    # at P = 144 it is not one, and the call ends in one error line
+    argv = ["weights", "eval", "--space", "dr:20000,1", "--theorem", "p", "--P", "100", "--grid", "1:2:1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+        rows = _lines(capsys)
+        assert main(["weights", "eval", "--space", "dr:20592,1", "--theorem", "p", "--P", "144", "--grid", "1:2:1"]) == 1
+    assert rows[0] == "r,V,W,term_1,term_2,term_3" and len(rows) == 3
+    values = np.array([row.split(",") for row in rows[1:]], dtype=float)
+    assert np.isfinite(values).all() and -7.2e232 < values[0, 1] < -7.1e232
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: V at r=1.0 is not finite: -inf\n"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from hardyscope.errors import DomainError, PreconditionError, QuadratureError, SpaceValidationError
+from hardyscope.errors import PreconditionError, QuadratureError
 from hardyscope.green import (
     asymptotic_prediction,
     green_gamma0,
@@ -253,7 +253,7 @@ for _p in range(2, 33, 2):
     for _q in range(1, 12):
         try:
             validate_heisenberg_params(_p, _q)
-        except SpaceValidationError:
+        except PreconditionError:
             continue
         _ADMISSIBLE_DR.append(f"dr:{_p},{_q}")
 
@@ -272,7 +272,7 @@ def test_closed_form_near_cutoff_matches_a_root_finder():
         assert abs(model.excess(R) / c - 1.0) <= 1e-14, desc
         reference = brentq(lambda r: model.excess(r) - c, 1e-6, 400.0, xtol=1e-12)
         assert abs(R - reference) <= 1e-9, desc
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         green_module._cutoff_radius(build_density("euclidean:3"))
 
 
@@ -476,9 +476,9 @@ def test_green_value_refuses_nan():
 def test_green_preconditions():
     e3 = build_density("euclidean:3")
     dr = build_density("dr:2,1")
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         green_value(e3, 3.0, 1.0)  # flat integral diverges for P >= n
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         green_weight_batch(e3, 4.0, 1.0)
     with pytest.raises(PreconditionError):
         green_value(dr, 1.0, 1.0)
@@ -489,20 +489,22 @@ def test_green_preconditions():
     with pytest.raises(PreconditionError):
         green_weight_supercritical(dr, 3.0, 1.0)
     for radii in ([1.0, 0.0], [np.nan], [1.0, np.inf]):
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError):
             green_weight_batch(dr, 2.0, np.array(radii))
 
 
 def test_asymptotic_regimes():
     model = build_density("dr:2,1")  # n = 4
     sub = asymptotic_prediction(model, 2.0, 1e-4)
-    assert sub.regime == "P<n" and sub.exponent == -2.0 and not sub.log_corrected
-    assert sub.coefficient == pytest.approx(1.0)
+    assert sub.regime == "P<n" and sub.exponent == -2.0
+    # coefficient ((n-P)/P)^P = 1
+    assert sub.value == pytest.approx(1.0 * 1e-4**-2.0)
     assert isinstance(sub.value, float)
 
     crit = asymptotic_prediction(model, 4.0, 1e-4)
-    assert crit.regime == "P=n" and crit.log_corrected
-    assert crit.coefficient == pytest.approx((3.0 / 4.0) ** 4)
+    assert crit.regime == "P=n" and crit.exponent == -4.0
+    # coefficient ((P-1)/P)^P, with the logarithmic correction |r ln r|^(-P)
+    assert crit.value == pytest.approx((3.0 / 4.0) ** 4 * abs(1e-4 * math.log(1e-4)) ** -4.0)
 
     sup = asymptotic_prediction(model, 6.0, np.array([1e-6, 1e-5]))
     assert sup.regime == "P>n"
@@ -551,7 +553,7 @@ def test_weights_past_the_double_range_of_lambda_p_without_overflow_error():
         delta = mpmath.mpf(float(batch["delta"][1]))
         exact = (mpmath.mpf(model.h) / P) ** P * mpmath.expm1(-P * mpmath.log1p(-delta))
         assert float(abs(batch["Wtilde"][1] - exact) / exact) < 1e-12
-    assert pred.coefficient == math.inf and np.all(pred.value == math.inf)  # (7/3)^900
+    assert green_module._power(2100.0 / 900.0, 900.0) == math.inf and np.all(pred.value == math.inf)  # (7/3)^900
     # on flat space ((n-P)/P)^P overflows; far out W is finite again
     flat = green_weight_batch(build_density("euclidean:1000000"), 100.0, np.array([1.0, 1e5]))["W"]
     assert flat[0] == math.inf

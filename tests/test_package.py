@@ -46,3 +46,12 @@ def test_the_readme_library_example_runs():
     namespace = {}
     exec(compile(code, "README.md (Library)", "exec"), namespace)
     assert namespace["reports"] and all(r.verdict == "pass" for r in namespace["reports"])
+
+
+def test_errors_defines_one_class_per_exit_code():
+    from hardyscope import errors
+
+    defined = {name for name, obj in vars(errors).items() if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert defined == {"HardyscopeError", "PreconditionError", "QuadratureError"}
+    assert issubclass(errors.PreconditionError, errors.HardyscopeError)
+    assert issubclass(errors.QuadratureError, errors.HardyscopeError)

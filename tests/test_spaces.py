@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hardyscope.errors import SpaceValidationError
+from hardyscope.errors import PreconditionError
 from hardyscope.spaces import (
     DEFAULT_CATALOG,
     DensityModel,
@@ -27,7 +27,7 @@ def test_parse_space_round_trip():
 
 def test_parse_rejects_bad_descriptors():
     for bad in ("dr:6,3", "dr:3,1", "foo:3", "euclidean:x", "hyperbolic:1", "dr:2", "euclidean:"):
-        with pytest.raises(SpaceValidationError):
+        with pytest.raises(PreconditionError):
             build_density(bad)
 
 
@@ -43,7 +43,7 @@ def test_admissibility_examples():
         validate_heisenberg_params(p, q)
     # q = 9 forces 32 | p, so (16, 9) is out despite both entries looking tame
     for p, q in ((6, 3), (2, 2), (2, 4), (3, 1), (0, 1), (16, 9)):
-        with pytest.raises(SpaceValidationError):
+        with pytest.raises(PreconditionError):
             validate_heisenberg_params(p, q)
 
 

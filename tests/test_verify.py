@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hardyscope import verify
 from hardyscope.calculus import Jet2, PanelPlan, RadialScalar
-from hardyscope.errors import DomainError, PreconditionError, QuadratureError, SpaceValidationError
+from hardyscope.errors import PreconditionError, QuadratureError
 from hardyscope.green import green_weight
 from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, validate_heisenberg_params
 from hardyscope.verify import (
@@ -87,7 +87,7 @@ def test_ode_residual_requires_ground_state_and_valid_grid():
     dr = build_density("dr:2,1")
     with pytest.raises(PreconditionError):
         ode_residual(dr, green_weight(dr, 2.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         ode_residual(dr, weight_theorem_b(dr), grid=np.array([0.0, 1.0]))
 
 
@@ -187,7 +187,7 @@ def test_density_plan_is_the_suite_plan_up_to_h_200():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_ode_residual_rejects_a_grid_with_nan_or_inf(bad):
     h3 = build_density("hyperbolic:3")
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         ode_residual(h3, weight_theorem_b(h3), grid=np.array([bad, 1.0, 2.0]))
 
 
@@ -300,7 +300,7 @@ def test_run_verification_rejects_unknown_family():
 @pytest.mark.parametrize(
     "spaces, families, error",
     [
-        (["hyperbolic:3", "nope:1"], ["rayleigh"], SpaceValidationError),
+        (["hyperbolic:3", "nope:1"], ["rayleigh"], PreconditionError),
         (["hyperbolic:3"], ["rayleigh", "nope"], PreconditionError),
     ],
 )
@@ -518,7 +518,7 @@ def test_support_ends_one_ulp_apart_tile_exactly():
     _assert_members_tile_their_supports(suite)
     # the short member still spans at least 8 panels
     assert np.bincount(suite.plan.segment).min() >= 8 * 20
-    with pytest.raises(DomainError):
+    with pytest.raises(PreconditionError):
         verify.TestFunctionSuite((verify.SuiteMember("empty", bump.scalar, (hi, lo)),)).plan
     model = build_density("dr:4,2")
     pair = weight_theorem_b(model)
@@ -699,7 +699,7 @@ for _p in range(2, 33, 2):
     for _q in range(1, 12):
         try:
             validate_heisenberg_params(_p, _q)
-        except SpaceValidationError:
+        except PreconditionError:
             continue
         _ADMISSIBLE.append(f"dr:{_p},{_q}")
 assert len(_ADMISSIBLE) == 51

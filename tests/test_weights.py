@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyscope.errors import DomainError, PreconditionError, SpaceValidationError
+from hardyscope.errors import PreconditionError
 from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, validate_heisenberg_params
 from hardyscope.verify import _pairs_for
 from hardyscope.weights import (
@@ -25,7 +25,7 @@ DR_SPACES = ("dr:2,1", "dr:4,2", "dr:4,3", "dr:8,7")
 def _admissible(p, q):
     try:
         validate_heisenberg_params(p, q)
-    except SpaceValidationError:
+    except PreconditionError:
         return False
     return True
 
@@ -322,7 +322,39 @@ def test_weight_pieces_carry_values_only():
             for name, scalar in pieces:
                 if scalar is None:
                     continue
-                with pytest.raises(DomainError):
+                with pytest.raises(PreconditionError):
                     scalar.jet(r)
                 checked += 1
     assert checked > 150
+
+
+def _p_pair_reference(p, q, P, r):
+    """V and the three terms of the quasi-linear pair at r, to 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        r, P = mpmath.mpf(r), mpmath.mpf(P)
+        h = mpmath.mpf(p + 2 * q) / 2
+        g = mpmath.coth(r / 2) - 2 / mpmath.mpf(p + 2 * q) * (q / mpmath.sinh(r) + 1 / r)
+        pref = h ** (P - 2) / P**P * g ** (P - 2)
+        k = P * (P - 1)
+        bracket = q * (q - k) / mpmath.sinh(r) ** 2 + p * (p + 2 * q - k) / (4 * mpmath.sinh(r / 2) ** 2)
+        terms = (pref * (P - 1) ** 2 / r**2, pref * h * (P - 2) * (g + 1 / (h * r)) / r, pref * bracket)
+        return [float(x) for x in (-((h / P) ** P) * g ** (P - 2), *terms)]
+
+
+@pytest.mark.parametrize("p, q, P, v1", [(20000, 1, 100.0, -7.16e232), (7482, 1, 87.0, -4.07e170)])
+def test_quasilinear_pair_past_the_double_range_of_its_powers(p, q, P, v1):
+    # on dr:20000,1 at P = 100, h^(P-2) = 10001^98 passes the double range
+    # (a Python float power raises); on dr:7482,1 at P = 87, h^86 is finite
+    # but h^86 (P-2) is inf before the division by P^P (a product overflows
+    # silently).  V, its value v1 at r = 1 a double, and the terms are
+    # doubles; each comes from logs, warning-free
+    r = np.array([0.5, 1.0, 2.0, 10.0, 100.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = weight_p_dr(build_density(f"dr:{p},{q}"), P)
+        got = np.array([pair.V.value(r)] + [scalar.value(r) for _, scalar in pair.terms])
+    want = np.array([_p_pair_reference(p, q, P, x) for x in r]).T
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert abs(got[0][1] / v1 - 1.0) < 1e-2
