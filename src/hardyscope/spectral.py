@@ -21,9 +21,9 @@ both ends.
 * Iteration.  ``dpttrs`` solves with those factors until the Rayleigh
   quotient moves by no more than its rounding level, O(cells) a step.  On
   big balls lambda_k - lambda0 approaches k^2 pi^2 / R^2, so the error
-  contracts by about (1/4)^2 per step.  From a flat vector the coarse mesh
-  takes 5 to 14 steps on the benchmark's balls; from the coarse eigenvector
-  the half mesh takes 2 from 10k cells on, at most 4 at 1k.  Where lambda_1
+  contracts by about (1/4)^2 per step.  Each mesh starts from a rougher
+  one's eigenvector: from 1,600 cells on the coarse mesh takes 2 or 3 steps
+  (5 to 14 flat), the half mesh 2 from 10k on, 4 at most at 1k.  Where lambda_1
   and lambda_2 lie close together far above lambda0 (hyperbolic:10 at R = 70
   on 1k cells), a step gains a factor of only 0.85; after 30 steps the shift
   moves up once, to just below lambda_1, and such balls settle in 33 to 71.
@@ -64,7 +64,7 @@ _SLOW_STEPS = 30
 _MAX_SHIFTS = 64
 #: the most cells R/mesh a ball may have, refused before any allocation: 200
 #: times the 50k-cell balls of the benchmark; 2M cells (4M at half mesh) take
-#: 1.2 s and 0.33 GB on dr:4,2, so this limit needs about 1.7 GB
+#: 0.45 s and 0.36-0.40 GB on dr:4,2, so this limit needs about 2 GB
 _MAX_CELLS = 10_000_000
 
 
@@ -246,16 +246,36 @@ def _assemble(f_pole: float, f_mid, f_node, h: float, R: float):
     return d, e
 
 
+def _rough_start(model: DensityModel, R: float, cells: int) -> np.ndarray | None:
+    """A rough mesh's eigenvector with 0 appended at R, or None (flat) below 1,600 cells or where refused."""
+    rough = min(cells // 16, 1_000)
+    if rough < 100:
+        return None
+    try:
+        f = _density(model, R / rough, rough)
+        return np.append(eigh_tridiagonal(*_assemble(f[0], f[1::2], f[2::2], R / rough, R), model.lambda0)[2], 0.0)
+    except QuadratureError:
+        return None
+
+
+def _interpolate(x: np.ndarray, cells: int) -> np.ndarray:
+    """x at equal steps over [0, R] interpolated linearly onto the nodes of ``cells`` cells, in blocks of 16k."""
+    nodes, out = np.arange(x.size, dtype=float), np.arange(cells, dtype=float)
+    for i in range(0, cells, 1 << 14):
+        out[i : i + (1 << 14)] = np.interp(out[i : i + (1 << 14)] * ((x.size - 1) / cells), nodes, x)
+    return out
+
+
 def bottom_eigenvalue(problem: EigenProblem) -> SpectralResult:
     """Smallest generalized eigenvalue with Richardson extrapolation.
 
     Solves at h = R/round(R/mesh) and at exactly h/2; the scheme is second
     order, so (4 lambda_{h/2} - lambda_h)/3 cancels the leading error term.
-    The half mesh starts from the coarse eigenvector x interpolated linearly
-    (0 at R).  Away from the pole x = sqrt(m) u is sqrt(h) times the
-    Liouville variable sqrt(f) u, smooth where u decays like f^(-1/2).  The
-    Dirichlet value is an upper bound for the spectral bottom and decreases
-    as R grows.
+    The coarse mesh starts from ``_rough_start``, the half mesh from the
+    coarse eigenvector x interpolated linearly (0 at R).  Away from the pole
+    x = sqrt(m) u is sqrt(h) times the Liouville variable sqrt(f) u, smooth
+    where u decays like f^(-1/2).  The Dirichlet value is an upper bound for
+    the spectral bottom and decreases as R grows.
     """
     R, mesh, model = problem.R, problem.mesh, problem.model
     if not 0.0 < R < np.inf:
@@ -266,9 +286,11 @@ def bottom_eigenvalue(problem: EigenProblem) -> SpectralResult:
         raise PreconditionError(f"R/mesh is {R / mesh:.3g} cells, more than {_MAX_CELLS:,}")
     cells = int(round(R / mesh))
     h = R / cells
+    # the rough mesh before f, the start after d, e and not held here: else a 1M-cell peak RSS rose 4%
+    rough = _rough_start(model, R, cells)
     f = _density(model, 0.5 * h, 2 * cells)
     d, e = _assemble(f[1], f[2::4], f[4::4], h, R)
-    lam, _, x = eigh_tridiagonal(d, e, model.lambda0)
+    lam, _, x = eigh_tridiagonal(d, e, model.lambda0, None if rough is None else _interpolate(rough, cells))
     del d, e
     d, e = _assemble(f[0], f[1::2], f[2::2], 0.5 * h, R)
     del f

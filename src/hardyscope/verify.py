@@ -392,7 +392,10 @@ def null_criticality_mass(model: DensityModel, eps: float, R: float) -> tuple[fl
     # does, so the exponent must be assembled first
     log_f = model.log_f(t)
     log_mass = 2.0 * pair.log_ground_state(t) + log_f + nodes
-    (mass, slope), (mass_err, slope_err) = plan.reduce(np.exp(log_mass) * pair.W.value(t))
+    integrand = np.exp(log_mass) * pair.W.value(t)
+    if not np.isfinite(integrand).all():
+        raise QuadratureError("null mass quadrature diverged")
+    (mass, slope), (mass_err, slope_err) = plan.reduce(integrand)
     if not (np.isfinite(mass) and np.isfinite(slope)):
         raise QuadratureError("null mass quadrature diverged")
     rtol = _MASS_RTOL + 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(log_f)))

@@ -180,6 +180,9 @@ def test_non_finite_assembly_is_refused_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match="density f is not finite from r=64.9"):
             bottom_eigenvalue(EigenProblem(build_density("dr:8,7"), R=70.0, mesh=0.07))
+        # on 10k cells the rough mesh overflows first; the refusal is the coarse mesh's
+        with pytest.raises(QuadratureError, match=r"^density f is not finite from r=64\.9705 on the ball of radius 70$"):
+            bottom_eigenvalue(EigenProblem(build_density("dr:8,7"), R=70.0, mesh=0.007))
         with pytest.raises(QuadratureError, match="tridiagonal matrix is not finite"):
             eigh_tridiagonal(np.array([2.0, np.inf, 2.0]), np.array([-1.0, -1.0]), 0.0)
 
@@ -262,26 +265,85 @@ def test_a_slow_solve_moves_its_shift_and_certifies(monkeypatch, space, R, cells
 
 
 def test_half_mesh_solve_starts_warm(monkeypatch):
-    # a flat start takes 5 to 14 steps on these balls; the interpolated coarse
-    # eigenvector is within the coarse mesh's own discretization error of the
-    # half mesh's, which two steps resolve from 10k cells on (four at most
-    # at 1k: dr:8,7 at R = 20)
+    # a flat start takes 5 to 14 steps on these coarse matrices; from 1,600
+    # cells on, a rough mesh's eigenvector starts the coarse solve, which then
+    # takes 2 steps (3 at most at 10k: dr:8,7 at R = 20).  The interpolated
+    # coarse eigenvector is within the coarse mesh's own discretization error
+    # of the half mesh's, which two steps resolve from 10k cells on (four at
+    # most at 1k: dr:8,7 at R = 20)
     solves = _record_solves(monkeypatch)
-    for cells, most in ((1_000, 4), (10_000, 2)):
+    for cells, most, coarse_most in ((1_000, 4, None), (10_000, 2, 3), (50_000, 2, 2)):
         for space, R in CERTIFIED_BALLS:
-            bottom_eigenvalue(EigenProblem(build_density(space), R=R, mesh=R / cells))
+            model = build_density(space)
+            before = len(solves)
+            bottom_eigenvalue(EigenProblem(model, R=R, mesh=R / cells))
+            # the rough mesh is one more solve, before the coarse one
+            assert len(solves) - before == (2 if coarse_most is None else 3), (space, R, cells)
             coarse, half = solves[-2:]
-            assert coarse.steps >= 5 and half.steps <= most, (space, R, cells, coarse.steps, half.steps)
+            spectral.eigh_tridiagonal(coarse.d, coarse.e, model.lambda0)  # cold and flat, recorded
+            flat = solves[-1]
+            assert flat.steps >= 5 and half.steps <= most, (space, R, cells, flat.steps, half.steps)
+            if coarse_most is not None:
+                assert coarse.steps <= coarse_most, (space, R, cells, coarse.steps)
 
 
 def test_coarse_eigenvalue_matches_a_cold_solve_bit_for_bit():
-    # the coarse mesh reads f off the half mesh's grid as strided views
+    # the coarse mesh reads f off the half mesh's grid as strided views; at
+    # 1,000 cells it starts flat, at 2,345 from a rough mesh of 146 cells
     for space, R in CERTIFIED_BALLS:
         model = build_density(space)
         for cells in (1_000, 2_345):
             out = bottom_eigenvalue(EigenProblem(model, R=R, mesh=R / cells))
-            cold = eigh_tridiagonal(*_assemble(model, R, cells), model.lambda0)[0]
+            rough = spectral._rough_start(model, R, cells)
+            assert (rough is None) == (cells == 1_000), (space, R, cells)
+            start = None if rough is None else spectral._interpolate(rough, cells)
+            cold = eigh_tridiagonal(*_assemble(model, R, cells), model.lambda0, start)[0]
             assert out.eigenvalue == cold, (space, R, cells)
+
+
+def _refuse_rough_density(monkeypatch):
+    # f overflows on the 625-cell rough mesh alone
+    density = spectral._density
+    monkeypatch.setattr(spectral, "_density", lambda model, h, cells: density(model, h, cells) * (math.inf if cells == 625 else 1.0))
+
+
+def _refuse_rough_solve(monkeypatch):
+    eigh = spectral.eigh_tridiagonal
+
+    def refusing(d, e, shift, x=None):
+        if np.size(d) == 625:
+            raise QuadratureError("inverse iteration did not settle")
+        return eigh(d, e, shift, x)
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", refusing)
+
+
+@pytest.mark.parametrize("refuse", [_refuse_rough_density, _refuse_rough_solve])
+def test_a_refused_rough_mesh_falls_back_to_the_flat_start(monkeypatch, refuse):
+    # the rough mesh of a 10k-cell ball has 625 cells; where it is refused the
+    # coarse solve starts flat and gives a cold flat solve's value bit for bit
+    model, R, cells = build_density("dr:4,2"), 20.0, 10_000
+    refuse(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral._rough_start(model, R, cells) is None
+        out = bottom_eigenvalue(EigenProblem(model, R=R, mesh=R / cells))
+    monkeypatch.undo()
+    assert out.eigenvalue == eigh_tridiagonal(*_assemble(model, R, cells), model.lambda0)[0]
+
+
+def test_warm_solves_agree_with_cold_flat_brackets(monkeypatch):
+    # the rough-started coarse solve and the warm half-mesh solve stop at
+    # values within the certified bracket's width of a cold flat solve of the
+    # same matrix, and the two certified brackets overlap
+    solves = _record_solves(monkeypatch)
+    for space, R in CERTIFIED_BALLS:
+        model = build_density(space)
+        bottom_eigenvalue(EigenProblem(model, R=R, mesh=R / 10_000))
+        for warm in solves[-2:]:
+            value, lower, _ = eigh_tridiagonal(warm.d, warm.e, model.lambda0)
+            assert warm.lower <= value and lower <= warm.value, (space, R, warm.d.size)
+            assert abs(warm.value - value) <= value - lower, (space, R, warm.d.size)
 
 
 @pytest.mark.parametrize("space", ["hyperbolic:3", "dr:4,2"])

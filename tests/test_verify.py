@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,19 @@ def test_null_mass_refuses_a_weight_with_a_jump(monkeypatch):
     monkeypatch.setattr(verify, "weight_theorem_b", lambda m: dataclasses.replace(pair, W=stepped))
     with pytest.raises(QuadratureError):
         null_criticality_mass(model, 1e-2, 10.0)
+
+
+def test_null_mass_refuses_an_infinite_integrand_before_numpy_warns(monkeypatch):
+    # Phi^2 W f is inf past r = 10, inside the slope's segment [10, 10e]; the
+    # typed error must come before the reduction's matmul warns
+    model = build_density("hyperbolic:5")
+    pair = weight_theorem_b(model)
+    infinite = RadialScalar(lambda r: np.where(r < 10.0, pair.W.value(r), np.inf))
+    monkeypatch.setattr(verify, "weight_theorem_b", lambda m: dataclasses.replace(pair, W=infinite))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="^null mass quadrature diverged$"):
+            null_criticality_mass(model, 1e-2, 10.0)
 
 
 def test_uncertainty_ratio_dominates_one():
