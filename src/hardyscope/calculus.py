@@ -4,9 +4,9 @@ A ``RadialScalar`` is a function of the radius: a value callable and, where
 derivatives are needed, a jet callable giving the value and the first two
 derivatives as one ``Jet2``.  Weights are values only, and reading their jet
 raises.  Ground states and test functions carry jets written in closed form;
-the one rule that combines two jets is the product rule.  Values may be
-floats or matching numpy arrays, so evaluation over a whole radius grid is a
-single vectorised pass.
+the one rule that combines two jets is the product rule.  A radius is a
+float or a numpy array, and values are what numpy gives for it, so
+evaluation over a whole radius grid is a single vectorised pass.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class Jet2:
 class RadialScalar:
     """A function of the radius: a value callable and an optional jet callable.
 
-    Both callables take a float or an array of radii.  ``value`` and ``jet``
-    pass them a float for a scalar radius; ``jet`` raises PreconditionError
+    Both callables take a float or an array of radii, which ``value`` and
+    ``jet`` pass on as given, and return what numpy does: an array for an
+    array, a numpy scalar for a scalar.  ``jet`` raises PreconditionError
     when the scalar carries no derivative data.
     """
 
@@ -74,20 +75,15 @@ class RadialScalar:
         return RadialScalar(lambda r: jet(r).val, jet)
 
     def value(self, r: ArrayLike) -> ArrayLike:
-        return self._value(_radii(r))
+        return self._value(r)
 
     def jet(self, r: ArrayLike) -> Jet2:
         if self._jet is None:
             raise PreconditionError("this radial scalar carries no derivative data")
-        return self._jet(_radii(r))
+        return self._jet(r)
 
     def __call__(self, r: ArrayLike) -> ArrayLike:
         return self.value(r)
-
-
-def _radii(r: ArrayLike) -> ArrayLike:
-    r = np.asarray(r, dtype=float)
-    return float(r) if r.ndim == 0 else r
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +92,7 @@ def _radii(r: ArrayLike) -> ArrayLike:
 
 
 def check_radius(r: ArrayLike) -> ArrayLike:
-    """The radii as a float (given a scalar) or an array.
+    """The radii as a float array, 0-d for a scalar.
 
     Raises PreconditionError unless every radius is finite and at least the
     smallest normal double, so NaN, infinity and subnormal radii, whose
@@ -105,7 +101,7 @@ def check_radius(r: ArrayLike) -> ArrayLike:
     arr = np.asarray(r, dtype=float)
     if not np.all((arr >= _TINY) & np.isfinite(arr)):
         raise PreconditionError(f"radius must be finite and at least {_TINY:.17g}")
-    return float(arr) if arr.ndim == 0 else arr
+    return arr
 
 
 def hilfe_coefficients(c: float, b: float, p: int, q: int) -> tuple[float, float, float]:

@@ -349,8 +349,9 @@ def _carry_down(seg, seg_err, carry, value: float, error: float):
     Starts from ``value``/``error`` beyond the last segment and returns the
     values at the left end of every segment, then the starting ones.  The
     scaled carries stay at most one, so the float loop never over- or
-    underflows.
+    underflows; it runs in Python floats, which numpy scalars would slow.
     """
+    value, error = float(value), float(error)
     values, errors = [value], [error]
     for x, e, c in zip(reversed(seg.tolist()), reversed(seg_err.tolist()), reversed(carry.tolist())):
         value = x + c * value
@@ -406,11 +407,7 @@ def green_weight(model: DensityModel, P: float):
     if model.kind == EUCLIDEAN:
         raise PreconditionError("the Green weight construction excludes flat space")
 
-    def value(rr):
-        out = green_weight_batch(model, P, np.atleast_1d(np.asarray(rr, dtype=float)))["W"]
-        return float(out[0]) if np.ndim(rr) == 0 else out
-
-    w_scalar = RadialScalar(value)
+    w_scalar = RadialScalar(lambda rr: green_weight_batch(model, P, rr)["W"])
     terms = (("((P-1)/P)^P |G'/G|^P", w_scalar),)
     return WeightPair(
         theorem_id="green_p",
@@ -512,17 +509,12 @@ def asymptotic_prediction(model: DensityModel, P: float, r) -> AsymptoticPredict
         raise PreconditionError("Green weight needs P > 1")
     n = model.n
     r = check_radius(r)
-    rr = np.asarray(r, dtype=float)
     # past the double range a coefficient or value is inf (0 * inf is NaN)
     with np.errstate(over="ignore", invalid="ignore"):
         if abs(P - n) < 1e-9:
-            pred = AsymptoticPrediction("P=n", ((P - 1.0) / P) ** P * np.abs(rr * np.log(rr)) ** (-P), -P)
-        elif P < n:
-            pred = AsymptoticPrediction("P<n", _power((n - P) / P, P) * rr ** (-P), -P)
-        else:
-            coef = ((P - 1.0) / P) ** P * _power(_total_integral(model, P), -P)
-            expo = -P * (n - 1.0) / (P - 1.0)
-            pred = AsymptoticPrediction("P>n", coef * rr**expo, expo)
-    if np.ndim(r) == 0:
-        pred.value = float(pred.value)
-    return pred
+            return AsymptoticPrediction("P=n", ((P - 1.0) / P) ** P * np.power(np.abs(r * np.log(r)), -P), -P)
+        if P < n:
+            return AsymptoticPrediction("P<n", _power((n - P) / P, P) * np.power(r, -P), -P)
+        coef = ((P - 1.0) / P) ** P * _power(_total_integral(model, P), -P)
+        expo = -P * (n - 1.0) / (P - 1.0)
+        return AsymptoticPrediction("P>n", coef * np.power(r, expo), expo)

@@ -24,8 +24,6 @@ f`` and the spectral assembly alone.
 
 from __future__ import annotations
 
-from functools import wraps
-
 import numpy as np
 
 from .errors import PreconditionError
@@ -85,20 +83,6 @@ def validate_heisenberg_params(p: int, q: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_ok(fn):
-    """Accept scalars or arrays; return a float when given a scalar."""
-
-    @wraps(fn)
-    def wrapped(self, r):
-        arr = np.asarray(r, dtype=float)
-        out = fn(self, arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
-
-    return wrapped
-
-
 def _logsinh(x: np.ndarray) -> np.ndarray:
     """log(sinh(x)) as x - log 2 + log(1 - e^(-2x)): no branch, no overflow, and
     within 1 ulp on [1e-8, 1e3] (absolute where |log sinh x| < 1)."""
@@ -123,10 +107,12 @@ class DensityModel:
     """Closed-form evaluators for one space's density f and its logarithmic data.
 
     A model is a kind, a dimension n and, on curved spaces, p (0 on hyperbolic
-    space), as ``build_density`` parses them from a descriptor.  All radial
-    methods accept positive floats or numpy arrays.  The model also carries the
-    constants that the weight constructions keep reusing: the volume growth
-    rate h = lim f'/f and the spectral floor lambda0 = h^2/4.
+    space), as ``build_density`` parses them from a descriptor.  Radial methods
+    take a positive float or an array and return what numpy does for it, equal
+    bit for bit: powers are ufuncs, as numpy's scalar ``**`` rounds otherwise.
+    The model also carries the constants that the weight constructions keep
+    reusing: the volume growth rate h = lim f'/f and the spectral floor
+    lambda0 = h^2/4.
     """
 
     def __init__(self, kind: str, n: int, p: int = 0):
@@ -154,15 +140,14 @@ class DensityModel:
     # Each curved formula takes the sinh(r)^q factor's term and, unless p = 0,
     # combines the 2^p sinh(r/2)^p factor's term in front of it.
 
-    @_scalar_ok
     def f(self, r):
         """Density f(r) of the radial volume element."""
         if self.kind == EUCLIDEAN:
-            return r ** (self.n - 1)
-        out = np.sinh(r) ** self.q
-        return 2.0**self.p * np.sinh(r / 2.0) ** self.p * out if self.p else out
+            # a float power: an integer array would overflow silently
+            return np.power(r, self.n - 1.0)
+        out = np.power(np.sinh(r), self.q)
+        return 2.0**self.p * np.power(np.sinh(r / 2.0), self.p) * out if self.p else out
 
-    @_scalar_ok
     def log_f(self, r):
         """log f(r), safe for radii far beyond the overflow range of f."""
         if self.kind == EUCLIDEAN:
@@ -170,7 +155,6 @@ class DensityModel:
         out = self.q * _logsinh(r)
         return self.p * _LN2 + self.p * _logsinh(r / 2.0) + out if self.p else out
 
-    @_scalar_ok
     def log_df(self, r):
         """Logarithmic derivative f'(r)/f(r)."""
         if self.kind == EUCLIDEAN:
@@ -178,23 +162,19 @@ class DensityModel:
         out = self.q / np.tanh(r)
         return self.p / (2.0 * np.tanh(r / 2.0)) + out if self.p else out
 
-    @_scalar_ok
     def dlog_df(self, r):
         """Derivative of f'/f.  Past r = 355 sinh(r)^2 overflows and its term
         reads 0, which is right: the true term is below the normal doubles."""
         if self.kind == EUCLIDEAN:
-            return -(self.n - 1) / r**2
+            return -(self.n - 1) / np.square(r)
         with np.errstate(over="ignore"):
-            out = self.q / np.sinh(r) ** 2
-            return -self.p / (4.0 * np.sinh(r / 2.0) ** 2) - out if self.p else -out
+            out = self.q / np.square(np.sinh(r))
+            return -self.p / (4.0 * np.square(np.sinh(r / 2.0))) - out if self.p else -out
 
-    @_scalar_ok
     def d2f_over_f(self, r):
         """Second derivative ratio f''(r)/f(r)."""
-        arr_log_df = np.asarray(self.log_df(r))
-        return np.asarray(self.dlog_df(r)) + arr_log_df**2
+        return self.dlog_df(r) + np.square(self.log_df(r))
 
-    @_scalar_ok
     def excess(self, r):
         """f'/f minus its limit h, computed without cancellation at large r."""
         if self.kind == EUCLIDEAN:

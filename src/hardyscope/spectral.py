@@ -64,7 +64,7 @@ _SLOW_STEPS = 30
 _MAX_SHIFTS = 64
 #: the most cells R/mesh a ball may have, refused before any allocation: 200
 #: times the 50k-cell balls of the benchmark; 2M cells (4M at half mesh) take
-#: 0.45 s and 0.36-0.40 GB on dr:4,2, so this limit needs about 2 GB
+#: 0.45 s and 0.33-0.34 GB on dr:4,2, so this limit needs about 2 GB
 _MAX_CELLS = 10_000_000
 
 
@@ -110,6 +110,13 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     is computed only once the step is within 2 eps (|shift| + max rows), a
     bound on it for a unit x, so the iteration stops at the same step.
 
+    The iteration works in two arrays allocated before the factors, so the
+    heap after a solve does not depend on its number of steps: each step
+    copies x into y, solves there in place (``overwrite_b``) and normalises
+    y back into x.  A caller's start vector is copied once, never written.
+    The factors, y and the row sums are freed before the certificate's
+    factorization, which is the solve's peak.
+
     The name and the ``d``-first signature are those of scipy's bisection,
     which this replaces: the benchmark's traced pass wraps this function by
     name and counts its calls and the size of ``d``, so every solve must go
@@ -120,17 +127,18 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise QuadratureError("tridiagonal matrix is not finite")
+    x = np.full(d.size, d.size**-0.5) if x is None else np.array(x, dtype=float)
+    y = np.empty(d.size)
     shift, (fd, fe) = _shift_below(d, e, float(shift))
     rows, ceiling = _rounding_rows(d, e, shift)
-    if x is None:
-        x = np.full(d.size, d.size**-0.5)
     value = step = math.inf
     for k in range(1, _MAX_ITERATIONS + 1):
-        y = dpttrs(fd, fe, x)[0]
+        np.copyto(y, x)
+        y = dpttrs(fd, fe, y, overwrite_b=True)[0]
         yy = float(y @ y)
         quotient = shift + float(x @ y) / yy
         last, step, value = step, value - quotient, quotient
-        x = y * (1.0 / math.sqrt(yy))
+        np.multiply(y, 1.0 / math.sqrt(yy), out=x)
         if abs(step) <= ceiling:
             rounding = _EPS * (abs(shift) + float(rows @ (x * x)))
             if abs(step) <= rounding:
@@ -147,6 +155,7 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     else:
         raise QuadratureError(f"inverse iteration did not settle in {_MAX_ITERATIONS} steps (last step {step:.3e})")
     lower = value - 4.0 * max(abs(step), rounding)
+    fd = fe = factors = rows = y = None  # the certificate's factors take their place
     if _factors(d, e, lower) is None:
         raise QuadratureError(f"eigenvalue {value!r} not certified: T - {lower!r} I is not positive definite")
     return value, lower, x
@@ -213,7 +222,7 @@ def _density(model: DensityModel, h: float, cells: int) -> np.ndarray:
     r[0] = 0.25 * h
     # f overflows on big balls in high dimension; `_assemble` refuses that
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.asarray(model.f(r))
+        return model.f(r)
 
 
 def _assemble(f_pole: float, f_mid, f_node, h: float, R: float):

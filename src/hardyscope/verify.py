@@ -295,10 +295,10 @@ def _form_sides(density: SuiteDensity, pair: WeightPair, P: float):
     plan = density.plan
     r = plan.nodes
     energy, mass, energy_sides = density.form(P)
-    net = (np.asarray(pair.W.value(r)) - np.asarray(pair.V.value(r)))[plan.index]
+    net = (pair.W.value(r) - pair.V.value(r))[plan.index]
     if pair.measure is None:
         return energy_sides, plan.panels.reduce(net * mass)
-    mu = np.asarray(pair.measure.value(r))[plan.index]
+    mu = pair.measure.value(r)[plan.index]
     return plan.panels.reduce(energy * mu), plan.panels.reduce(net * mass * mu)
 
 
@@ -328,8 +328,8 @@ def _ode_terms(model: DensityModel, pair: WeightPair, grid: np.ndarray) -> tuple
     """
     j = pair.log_ground_state.jet(grid)
     d1, d2 = j.d1, j.d2 + j.d1 * j.d1
-    net = np.asarray(pair.V.value(grid)) - np.asarray(pair.W.value(grid))
-    drift = np.asarray(model.log_df(grid)) * d1
+    net = pair.V.value(grid) - pair.W.value(grid)
+    drift = model.log_df(grid) * d1
     tiny = np.finfo(float).tiny
     if pair.P == 2.0:
         return -(d2 + drift) + net, np.abs(d2) + np.abs(drift) + np.abs(net) + 1.0 / grid**2 + tiny
@@ -369,6 +369,12 @@ def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
 _MASS_RTOL = 1e-10
 
 
+def _log_rounding(log_f) -> float:
+    """8 eps (1 + max |log f|), the relative rounding of the null mass: its
+    integrand is exp(2 log Phi + log f), whose two terms cancel."""
+    return 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(log_f))))
+
+
 def null_criticality_mass(model: DensityModel, eps: float, R: float) -> tuple[float, float]:
     """Integral of Phi^2 W f over [eps, R] for the quadratic pair, and its log R slope.
 
@@ -377,9 +383,8 @@ def null_criticality_mass(model: DensityModel, eps: float, R: float) -> tuple[fl
     mass over [eps, R] and the slope, the mass over [R, eR], are the two
     segments of one ``PanelPlan`` in u = log r, where the integrand is
     smooth.  Raises QuadratureError when a null-rule estimate exceeds its
-    integral times 1e-10 plus the rounding of the exponent 2 log Phi + log f,
-    8 eps (1 + max |log f|): its two terms cancel, and |log f| reaches about
-    1.4e7 on hyperbolic:5000.
+    integral times 1e-10 plus the rounding of the exponent 2 log Phi + log f
+    (``_log_rounding``); |log f| reaches about 1.4e7 on hyperbolic:5000.
     """
     if not (0.0 < eps < R):
         raise PreconditionError("need 0 < eps < R")
@@ -398,7 +403,7 @@ def null_criticality_mass(model: DensityModel, eps: float, R: float) -> tuple[fl
     (mass, slope), (mass_err, slope_err) = plan.reduce(integrand)
     if not (np.isfinite(mass) and np.isfinite(slope)):
         raise QuadratureError("null mass quadrature diverged")
-    rtol = _MASS_RTOL + 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(log_f)))
+    rtol = _MASS_RTOL + _log_rounding(log_f)
     if mass_err > rtol * abs(mass) or slope_err > rtol * abs(slope):
         raise QuadratureError(f"null mass certified only to {mass_err:.3e} and its slope to {slope_err:.3e}")
     return float(mass), float(slope)
@@ -442,7 +447,7 @@ def rellich_gap(density: SuiteDensity):
     """
     model, plan = density.model, density.plan
     weight = _moment_weight(density)
-    lap = plan.d2 + np.asarray(model.log_df(plan.nodes))[plan.index] * plan.d1
+    lap = plan.d2 + model.log_df(plan.nodes)[plan.index] * plan.d1
     lhs = plan.panels.reduce(weight * (lap + model.lambda0 * plan.val) ** 2 * density.values)
     return lhs, plan.panels.reduce(density.form(2.0)[1] / (16.0 * weight))
 
@@ -586,7 +591,9 @@ def _criticality_groups(density: SuiteDensity):
     eps, R = 1e-4, 1e3
     mass, slope = null_criticality_mass(model, eps, R)
     closed_form = float(0.25 * np.log(R / eps))
-    tol = 1e-10 * abs(closed_form)
+    # the mass's own rounding, from log f at the ends of [eps, eR] (log f
+    # increases), passes 1e-10 from h = 21 on (hyperbolic:22, dr:32,8)
+    tol = abs(closed_form) * max(_MASS_RTOL, _log_rounding(model.log_f(np.array([eps, R * np.e]))))
     gap = mass - closed_form
     rows.append((mass, closed_form, gap, tol, "pass" if abs(gap) <= tol else "fail"))
     gap = slope - 0.25

@@ -4,10 +4,12 @@ Each builder assembles a WeightPair: a potential V, a weight W with a named
 term breakdown that sums to W exactly, the logarithm of the ground state
 where one exists, the measure where it is not 1, and the order P.  Every
 builder takes the space's ``DensityModel``; those of the Damek-Ricci pairs
-(A, gamma_dr, p_dr) refuse any other kind.  All evaluators accept positive
-scalars or numpy arrays.  V, W, their terms and the measure are values only,
-sums taken in a fixed order (reading their jet raises PreconditionError); the
-log ground states keep their jets.
+(A, gamma_dr, p_dr) refuse any other kind.  Every evaluator takes a positive
+float or a numpy array and returns what numpy does for it, the same value
+either way (powers are the ufuncs ``np.power`` and ``np.square``).  V, W,
+their terms and the measure are values only, sums taken in a fixed order
+(reading their jet raises PreconditionError); the log ground states keep
+their jets.
 
 Every curvature coefficient comes from one collapsed identity for
 c (f'/f)^2 - b (f'/f)', ``calculus.hilfe_coefficients`` on the curved density
@@ -84,7 +86,7 @@ class WeightPair:
 
 def _inverse_square(coef: float) -> RadialScalar:
     """coef / r^2."""
-    return RadialScalar(lambda r: coef / r**2)
+    return RadialScalar(lambda r: coef / np.square(r))
 
 
 def _inverse_sinh_sq(coef: float, a: float) -> RadialScalar:
@@ -92,7 +94,7 @@ def _inverse_sinh_sq(coef: float, a: float) -> RadialScalar:
 
     def value(r):
         with np.errstate(over="ignore"):
-            return coef / np.sinh(a * r) ** 2
+            return coef / np.square(np.sinh(a * r))
 
     return RadialScalar(value)
 
@@ -131,7 +133,7 @@ def _log_ground_state(model: DensityModel, a: float, b: float) -> RadialScalar:
         return a * np.log(r) - b * model.log_f(r)
 
     def jet(r):
-        return Jet2(value(r), a / r - b * model.log_df(r), -a / r**2 - b * model.dlog_df(r))
+        return Jet2(value(r), a / r - b * model.log_df(r), -a / np.square(r) - b * model.dlog_df(r))
 
     return RadialScalar(value, jet)
 
@@ -244,12 +246,11 @@ def weight_gamma_family(model: DensityModel, gamma: float):
         raise PreconditionError("gamma must lie in [0, 1/2]")
 
     def v_value(rr):
-        rr = np.asarray(rr, dtype=float)
-        base = 0.5 * np.asarray(model.d2f_over_f(rr)) - 0.25 * np.asarray(model.log_df(rr)) ** 2
+        base = 0.5 * model.d2f_over_f(rr) - 0.25 * np.square(model.log_df(rr))
         # l' and l'' of l = log h = log f / (n-1)
-        d1 = np.asarray(model.log_df(rr)) / (model.n - 1.0)
-        d2 = np.asarray(model.dlog_df(rr)) / (model.n - 1.0)
-        correction = gamma * (d2 + (1.0 + 2.0 * gamma) * d1 / rr - gamma * d1**2)
+        d1 = model.log_df(rr) / (model.n - 1.0)
+        d2 = model.dlog_df(rr) / (model.n - 1.0)
+        correction = gamma * (d2 + (1.0 + 2.0 * gamma) * d1 / rr - gamma * np.square(d1))
         return -(base + correction)
 
     terms = (("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),)
@@ -341,7 +342,7 @@ def weight_weighted(model: DensityModel, alpha: float):
         V=v_scalar,
         W=_sum_terms(terms),
         terms=terms,
-        measure=RadialScalar(lambda rr: rr ** (-2.0 * alpha)),
+        measure=RadialScalar(lambda rr: np.power(rr, -2.0 * alpha)),
     )
 
 
@@ -381,18 +382,18 @@ def weight_p_dr(model: DensityModel, P: float):
     _, c_sr, c_half = hilfe_coefficients(1.0, -P * (P - 1.0), p, q)
 
     def gpow(rr):
-        return g_value(rr) ** (P - 2.0)
+        return np.power(g_value(rr), P - 2.0)
 
     def t1_value(rr):
-        return pref * (P - 1.0) ** 2 * gpow(rr) / rr**2
+        return pref * (P - 1.0) ** 2 * gpow(rr) / np.square(rr)
 
     def t2_value(rr):
         gv = g_value(rr)
-        return c_drift * gv ** (P - 2.0) * (gv + 1.0 / (h * rr)) / rr
+        return c_drift * np.power(gv, P - 2.0) * (gv + 1.0 / (h * rr)) / rr
 
     def t3_value(rr):
         with np.errstate(over="ignore"):
-            bracket = c_sr / np.sinh(rr) ** 2 + c_half / np.sinh(rr / 2.0) ** 2
+            bracket = c_sr / np.square(np.sinh(rr)) + c_half / np.square(np.sinh(rr / 2.0))
         return pref * gpow(rr) * bracket
 
     def v_value(rr):
@@ -427,13 +428,11 @@ def hpw_g(p: int, q: int, r):
     if q in (0, 2):
         raise PreconditionError("ratio needs q outside {0, 2}; W reduces to the Hardy term at q = 2")
     r = check_radius(r)
-    rr = np.asarray(r, dtype=float)
     _, c_sr, c_half = hilfe_coefficients(0.25, -0.5, p, q)
     # past r of about 710 both sinh terms underflow to exactly 0 and the
     # ratio is the nudged value below 1
     with np.errstate(over="ignore"):
-        surplus = 4.0 * rr**2 * (c_half / np.sinh(rr / 2.0) ** 2 + c_sr / np.sinh(rr) ** 2)
+        surplus = 4.0 * np.square(r) * (c_half / np.square(np.sinh(r / 2.0)) + c_sr / np.square(np.sinh(r)))
     if not np.all(np.isfinite(surplus) & (surplus >= 0.0)):
         raise QuadratureError("comparison ratio left (0, 1); weight evaluation is suspect")
-    out = np.minimum(1.0 / (1.0 + surplus), np.nextafter(1.0, 0.0))
-    return float(out) if np.ndim(r) == 0 else out
+    return np.minimum(1.0 / (1.0 + surplus), np.nextafter(1.0, 0.0))

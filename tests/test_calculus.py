@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardyscope import verify
+from hardyscope import spaces, verify
 from hardyscope.calculus import (
     Jet2,
     PanelPlan,
@@ -11,8 +11,9 @@ from hardyscope.calculus import (
     check_radius,
 )
 from hardyscope.errors import PreconditionError
+from hardyscope.green import asymptotic_prediction
 from hardyscope.spaces import build_density
-from hardyscope.weights import weight_theorem_b
+from hardyscope.weights import hpw_g, weight_theorem_b
 
 from radial_reference import hilfe_rhs, p_laplacian_radial
 
@@ -73,6 +74,60 @@ def test_radial_scalar_value_only_guards_derivatives():
     np.testing.assert_array_equal(c.value(np.ones(3)), np.full(3, 2.5))
     with pytest.raises(PreconditionError):
         c.jet(1.0)
+
+
+#: radii off and on the integers; 1..60 are also passed as an integer array
+_RADII = np.concatenate((np.geomspace(1e-3, 60.0, 61), np.arange(1.0, 61.0)))
+
+
+def _agree_across_input_kinds(fn, radii=_RADII, one_radius_batches=False):
+    """fn on an integer array equals fn on the float array, and fn on a Python
+    float, a numpy scalar and a 0-d array equals the array's entry, bit for
+    bit (with ``one_radius_batches``, the value on a one-radius array)."""
+    ints = np.arange(1, 61)
+    assert np.array_equal(fn(ints), fn(ints.astype(float)), equal_nan=True)
+    values = fn(radii)
+    for i, r in enumerate(radii.tolist()):
+        want = fn(np.array([r])) if one_radius_batches else values[i]
+        for kind in (r, np.float64(r), np.array(r)):
+            got = fn(kind)
+            assert np.ndim(got) == np.ndim(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (fn, r, type(kind))
+
+
+@pytest.mark.parametrize("space", ["euclidean:3", "euclidean:70", "hyperbolic:3", "hyperbolic:30", "dr:2,1", "dr:8,7"])
+def test_density_methods_give_one_value_for_every_input_kind(space):
+    # euclidean:70: r^69 of an integer array overflows unless the power is a
+    # float; on hyperbolic:30 f itself leaves the doubles past r = 25
+    model = build_density(space)
+    for name in ("f", "log_f", "log_df", "dlog_df", "d2f_over_f", "excess"):
+        with np.errstate(over="ignore"):
+            _agree_across_input_kinds(getattr(model, name))
+
+
+@pytest.mark.parametrize("space", spaces.DEFAULT_CATALOG)
+def test_pair_scalars_give_one_value_for_every_input_kind(space):
+    # V, W, the terms, the measure and the log ground state (value and jet)
+    # of every pair the report checks; the Green weight is one engine batch
+    # per call, whose radii share panels, so a scalar gives its one-radius batch
+    for label, _, pair in verify._pairs_for(build_density(space)):
+        scalars = [pair.V, pair.W, *(scalar for _, scalar in pair.terms)]
+        scalars += [s for s in (pair.measure, pair.log_ground_state) if s is not None]
+        for scalar in scalars:
+            if label == "green[2]" and scalar is pair.W:
+                _agree_across_input_kinds(scalar.value, _RADII[::10], one_radius_batches=True)
+            else:
+                _agree_across_input_kinds(scalar.value)
+        if pair.log_ground_state is not None:
+            for part in ("val", "d1", "d2"):
+                _agree_across_input_kinds(lambda r, part=part: getattr(pair.log_ground_state.jet(r), part))
+
+
+def test_comparison_ratio_and_green_prediction_give_one_value_for_every_input_kind():
+    model = build_density("hyperbolic:3")
+    _agree_across_input_kinds(lambda r: hpw_g(4, 3, r))
+    for P in (2.0, 4.0):  # the regimes P < n and P > n
+        _agree_across_input_kinds(lambda r, P=P: asymptotic_prediction(model, P, r).value)
 
 
 def test_check_radius_refuses_subnormal_radii():

@@ -200,6 +200,32 @@ def test_failed_certificate_and_unsettled_iteration_are_refused(monkeypatch):
         eigh_tridiagonal(d, e, model.lambda0)
 
 
+@pytest.mark.parametrize("start", [None, "caller"])
+def test_inverse_iteration_works_in_two_buffers(monkeypatch, start):
+    # every step solves in place in one buffer and normalises into the other,
+    # so no array of the matrix's size is allocated per step; a caller's start
+    # vector is read, never written
+    model = build_density("hyperbolic:3")
+    d, e = _assemble(model, 20.0, 1_000)
+    x0 = None if start is None else np.linspace(1.0, 0.0, d.size)
+    kept = None if x0 is None else x0.copy()
+    solves, dpttrs = [], lapack.dpttrs
+
+    def in_place(fd, fe, b, **kwargs):
+        out = dpttrs(fd, fe, b, **kwargs)
+        solves.append((b.ctypes.data, out[0].ctypes.data))
+        return out
+
+    monkeypatch.setattr(lapack, "dpttrs", in_place)
+    value, lower, x = eigh_tridiagonal(d, e, model.lambda0, x0)
+    assert len(solves) >= 3 and lower < value
+    assert {b for b, _ in solves} == {out for _, out in solves} == {solves[0][0]}
+    assert x.ctypes.data != solves[0][0]
+    if x0 is not None:
+        assert x.ctypes.data != x0.ctypes.data
+        np.testing.assert_array_equal(x0, kept)
+
+
 def test_half_mesh_solve_is_bracketed(monkeypatch):
     # the half mesh starts from the coarse eigenvector; its certified bracket
     # still holds the bisection limit of its own matrix, within a quarter of

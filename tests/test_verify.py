@@ -219,6 +219,21 @@ def test_null_mass_log_divergence():
     assert row.lhs == null_criticality_mass(model, 1e-4, 1e3)[0] and row.gap == row.lhs - row.rhs
 
 
+def test_null_mass_row_allows_for_its_rounding_at_huge_n():
+    # |log f| reaches 2.7e9 at eR on hyperbolic:1000000: the mass carries a
+    # rounding of 8 eps (1 + max |log f|) = 4.8e-6 relative, and reads
+    # -2.2e-10 and -5.1e-10 relative off the closed form on these spaces
+    reports = run_verification(spaces=["hyperbolic:1000000", "hyperbolic:10000000"], families=["criticality"])
+    assert [r.verdict for r in reports] == ["pass"] * 8
+    for row, n in zip(reports[2::4], (1e6, 1e7)):
+        assert row.check_id == "criticality.null_mass"
+        log_f = (n - 1.0) * (1e3 * np.e - np.log(2.0))  # log f at eR
+        assert row.tolerance == pytest.approx(row.rhs * 8.0 * np.finfo(float).eps * (1.0 + log_f), rel=1e-12)
+    # on the catalog the rounding stays below 1e-10 (5.3e-11 on dr:8,7)
+    catalog = run_verification(families=["criticality"])[2::4]
+    assert all(row.tolerance == 1e-10 * row.rhs and row.verdict == "pass" for row in catalog)
+
+
 def test_null_mass_refuses_a_weight_with_a_jump(monkeypatch):
     # a jump at r = 2 lies inside a panel (u = log r): the null rules see it
     model = build_density("hyperbolic:5")
