@@ -22,6 +22,7 @@ from .errors import PreconditionError
 ArrayLike = float | np.ndarray
 
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +68,7 @@ class RadialScalar:
     @staticmethod
     def constant(c: float) -> "RadialScalar":
         c = float(c)
-        return RadialScalar(lambda r: np.full(np.shape(r), c) if np.ndim(r) else c)
+        return RadialScalar(lambda r: np.full(np.shape(r), c)[()])
 
     @staticmethod
     def from_jet(jet: Callable[[ArrayLike], Jet2]) -> "RadialScalar":
@@ -82,12 +83,9 @@ class RadialScalar:
             raise PreconditionError("this radial scalar carries no derivative data")
         return self._jet(r)
 
-    def __call__(self, r: ArrayLike) -> ArrayLike:
-        return self.value(r)
-
 
 # ---------------------------------------------------------------------------
-# radii and the curvature identity
+# radii, the rounding of exp and the curvature identity
 # ---------------------------------------------------------------------------
 
 
@@ -102,6 +100,12 @@ def check_radius(r: ArrayLike) -> ArrayLike:
     if not np.all((arr >= _TINY) & np.isfinite(arr)):
         raise PreconditionError(f"radius must be finite and at least {_TINY:.17g}")
     return arr
+
+
+def exp_rounding(x: ArrayLike) -> ArrayLike:
+    """8 eps (1 + |x|), the relative rounding of exp(x): an error of a few
+    ulps in the exponent x is a relative error of that many ulps of x."""
+    return 8.0 * _EPS * (1.0 + np.abs(x))
 
 
 def hilfe_coefficients(c: float, b: float, p: int, q: int) -> tuple[float, float, float]:
@@ -137,7 +141,6 @@ _GL_TAIL = np.einsum(
     -legendre.legint(np.eye(_GL_ORDER), lbnd=1, axis=0),
     (legendre.legvander(_GL_X, _GL_ORDER - 1) * _GL_W[:, None]).T * (np.arange(_GL_ORDER) + 0.5)[:, None],
 )
-_EPS = float(np.finfo(float).eps)
 #: antiderivative coefficients below this share of their panel's sum are rounding
 _CHOP = 8.0 * _EPS
 
@@ -208,11 +211,6 @@ class PanelPlan:
         plan = PanelPlan.__new__(PanelPlan)
         plan._set_panels(self._left[panels], self._right[panels], counts)
         return plan, (panels[:, None] * _GL_ORDER + np.arange(_GL_ORDER)).ravel()
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each segment's first left and last right panel edge."""
-        last = np.append(self._starts[1:], self._seg.size) - 1
-        return self._left[self._starts], self._right[last]
 
     def nodes(self, panels: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Nodes of the given panels, flat and in order, and each node's segment index."""

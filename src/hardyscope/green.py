@@ -26,9 +26,9 @@ radii that lie within about one e-folding of each other share a panel and
 are read off its interpolant, so on a dense grid the density is evaluated
 on a number of nodes set by the span of the radii, not by their count.
 The near cutoff, where f'/f comes within 0.1% of h, is the root of a
-quadratic in exp(-r) and taken in closed form.  So is the total integral
-G(0) over (0, inf), finite for P > n, which is a Beta function; the module
-imports no scipy.
+quadratic in exp(-r) and taken in closed form.  So is the integral of
+f^(-1/(P-1)) over (0, inf), finite for P > n, a Beta function that sets the
+small-radius law there; the module imports no scipy.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PanelPlan, RadialScalar, check_radius
+from .calculus import PanelPlan, RadialScalar, check_radius, exp_rounding
 from .errors import PreconditionError, QuadratureError
 from .spaces import EUCLIDEAN, DensityModel
 from .weights import WeightPair
@@ -47,8 +47,6 @@ __all__ = [
     "green_value",
     "green_weight",
     "green_weight_batch",
-    "green_gamma0",
-    "green_weight_supercritical",
     "AsymptoticPrediction",
     "asymptotic_prediction",
 ]
@@ -70,7 +68,6 @@ def __getattr__(name: str):
 P_MIN = 1.001
 #: relative slack of f'/f over its limit h defining the near cutoff
 _CUTOFF_EXCESS = 1e-3
-_EPS = float(np.finfo(float).eps)
 #: knots of a chain that must share cells before the read-off of shared
 #: panels, whose numpy calls cost about as much as a hundred panels, saves time
 _MIN_SHARED = 128
@@ -209,7 +206,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
             if not np.isfinite(W).all():
                 # ((n-P)/P)^P or r^(-P) leaves the double range: one exponential
                 W = np.where(np.isfinite(W), W, np.exp(P * (math.log((n - P) / P) - np.log(radii))))
-        G_err = _rounding_floor(G, exponent)
+        G_err = exp_rounding(exponent) * G
         nan = np.full_like(radii, np.nan)
         return {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": W.copy(), "rho": nan, "delta": nan}
 
@@ -281,7 +278,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     # infinite G_err then refuses the row
     with np.errstate(over="ignore"):
         G = (P - 1.0) / h * rho * np.exp(-exponent)
-    G_err = G * (rho_err / rho) + _rounding_floor(G, exponent)
+    G_err = G * (rho_err / rho) + exp_rounding(exponent) * G
     return {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": wtilde, "rho": rho, "delta": delta}
 
 
@@ -361,10 +358,6 @@ def _carry_down(seg, seg_err, carry, value: float, error: float):
     return np.array(values[::-1]), np.array(errors[::-1])
 
 
-def _rounding_floor(G: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    return 8.0 * _EPS * (1.0 + np.abs(exponent)) * G
-
-
 def green_value(model: DensityModel, P: float, radii, tol: float = 1e-10) -> dict:
     """``green_weight_batch`` over ``radii``, once every G is certified to ``tol``.
 
@@ -419,7 +412,7 @@ def green_weight(model: DensityModel, P: float):
 
 
 # ---------------------------------------------------------------------------
-# total integral, supercritical weight, asymptotic regimes
+# total integral and asymptotic regimes
 # ---------------------------------------------------------------------------
 
 
@@ -448,43 +441,6 @@ def _total_integral(model: DensityModel, P: float) -> float:
     a = 0.5 * (P - n) / (P - 1.0)
     b = 0.5 * (A + model.q * s)
     return 2.0**-A * math.gamma(a) * (math.gamma(b) / math.gamma(a + b))
-
-
-def green_gamma0(model: DensityModel, P: float) -> float:
-    """G(0), finite for P > n; the supercritical weight's reference constant.
-
-    G(0) = omega_n^(-1/(P-1)) times the total integral of f^(-1/(P-1)), a
-    Beta function in closed form (``_total_integral``).
-    """
-    if model.kind == EUCLIDEAN:
-        raise PreconditionError("flat-space Green function is unbounded at the pole")
-    if not P > model.n:
-        raise PreconditionError("G(0) is finite only for P > n")
-    beta = math.exp(-_log_unit_sphere_volume(model.n) / (P - 1.0))
-    return beta * _total_integral(model, P)
-
-
-def green_weight_supercritical(model: DensityModel, P: float, r: float) -> float:
-    """Hardy weight for P > n built from the bounded Green function.
-
-    With gamma = G(0), returns
-    ((P-1)/P)^P |G'/G|^P |gamma - 2G|^(P-2) / |gamma - G|^P
-    * (gamma^2 + 2(P-2) G (gamma - G)), with G and G'/G from one
-    ``green_value`` call, so G is certified to 1e-10.
-    """
-    P = float(P)
-    if P <= model.n:
-        raise PreconditionError("supercritical weight needs P > n")
-    gamma = green_gamma0(model, P)
-    batch = green_value(model, P, r)
-    G, dlog = float(batch["G"][0]), float(batch["dlogG"][0])
-    lead = ((P - 1.0) / P) ** P * abs(dlog) ** P
-    return (
-        lead
-        * abs(gamma - 2.0 * G) ** (P - 2.0)
-        / abs(gamma - G) ** P
-        * (gamma**2 + 2.0 * (P - 2.0) * G * (gamma - G))
-    )
 
 
 @dataclass

@@ -108,8 +108,9 @@ class DensityModel:
 
     A model is a kind, a dimension n and, on curved spaces, p (0 on hyperbolic
     space), as ``build_density`` parses them from a descriptor.  Radial methods
-    take a positive float or an array and return what numpy does for it, equal
-    bit for bit: powers are ufuncs, as numpy's scalar ``**`` rounds otherwise.
+    take a positive float or an array and return what numpy does for it (an
+    ``np.float64`` for a float), equal bit for bit: powers are ufuncs, as
+    numpy's scalar ``**`` rounds otherwise, and so is the flat (n-1)/r.
     The model also carries the constants that the weight constructions keep
     reusing: the volume growth rate h = lim f'/f and the spectral floor
     lambda0 = h^2/4.
@@ -158,7 +159,7 @@ class DensityModel:
     def log_df(self, r):
         """Logarithmic derivative f'(r)/f(r)."""
         if self.kind == EUCLIDEAN:
-            return (self.n - 1) / r
+            return np.divide(self.n - 1, r)
         out = self.q / np.tanh(r)
         return self.p / (2.0 * np.tanh(r / 2.0)) + out if self.p else out
 
@@ -178,7 +179,7 @@ class DensityModel:
     def excess(self, r):
         """f'/f minus its limit h, computed without cancellation at large r."""
         if self.kind == EUCLIDEAN:
-            return (self.n - 1) / r
+            return np.divide(self.n - 1, r)
         out = self.q * _cothm1(r)
         return (self.p / 2.0) * _cothm1(r / 2.0) + out if self.p else out
 

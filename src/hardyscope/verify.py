@@ -49,11 +49,12 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import green as green_mod
-from .calculus import Jet2, PanelPlan, RadialScalar, check_radius
+from .calculus import Jet2, PanelPlan, RadialScalar, check_radius, exp_rounding
 from .errors import PreconditionError, QuadratureError
 from .spaces import DEFAULT_CATALOG, DensityModel, build_density, default_grid
 from .weights import (
     WeightPair,
+    _require_dr,
     hpw_g,
     weight_dr_poincare,
     weight_gamma_dr,
@@ -190,7 +191,7 @@ def _bump_jet(r, mid, k1) -> Jet2:
     d1 = du * val * k1
     for a in (val, d1, d2):
         a[outside] = 0.0
-    return Jet2(val.reshape(shape), d1.reshape(shape), d2.reshape(shape))
+    return Jet2(val.reshape(shape)[()], d1.reshape(shape)[()], d2.reshape(shape)[()])
 
 
 class _Bump(RadialScalar):
@@ -372,7 +373,7 @@ _MASS_RTOL = 1e-10
 def _log_rounding(log_f) -> float:
     """8 eps (1 + max |log f|), the relative rounding of the null mass: its
     integrand is exp(2 log Phi + log f), whose two terms cancel."""
-    return 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(log_f))))
+    return float(np.max(exp_rounding(log_f)))
 
 
 def null_criticality_mass(model: DensityModel, eps: float, R: float) -> tuple[float, float]:
@@ -396,7 +397,7 @@ def null_criticality_mass(model: DensityModel, eps: float, R: float) -> tuple[fl
     # compose in logs: Phi^2 f underflows long before the product Phi^2 W f
     # does, so the exponent must be assembled first
     log_f = model.log_f(t)
-    log_mass = 2.0 * pair.log_ground_state(t) + log_f + nodes
+    log_mass = 2.0 * pair.log_ground_state.value(t) + log_f + nodes
     integrand = np.exp(log_mass) * pair.W.value(t)
     if not np.isfinite(integrand).all():
         raise QuadratureError("null mass quadrature diverged")
@@ -417,8 +418,7 @@ def null_criticality_mass(model: DensityModel, eps: float, R: float) -> tuple[fl
 def _moment_weight(density: SuiteDensity) -> np.ndarray:
     # g r^2 on the members' nodes, g the uncertainty weight
     model, r = density.model, density.plan.nodes
-    if model.kind != "dr":
-        raise PreconditionError(f"the uncertainty weight needs a Damek-Ricci space, got {model.descriptor()}")
+    _require_dr(model, "the uncertainty weight")
     return (hpw_g(model.p, model.q, r) * r**2)[density.plan.index]
 
 
@@ -579,7 +579,7 @@ def _criticality_groups(density: SuiteDensity):
     log_gs = weight_theorem_b(model).log_ground_state
 
     def ratio(r: float) -> float:
-        lu = float(log_gs(r))
+        lu = float(log_gs.value(r))
         if not np.isfinite(lu):
             raise QuadratureError(f"ground state log-value not finite at r={r}")
         return float(np.exp(lu - (lu + np.log(abs(np.log(r))))))

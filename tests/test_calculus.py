@@ -66,7 +66,7 @@ def test_jet_arithmetic_against_finite_differences():
 
 def test_radial_scalar_value_only_guards_derivatives():
     s = RadialScalar(lambda rr: rr**2)
-    assert s.value(3.0) == s(3.0) == 9.0
+    assert s.value(3.0) == 9.0
     with pytest.raises(PreconditionError):
         s.jet(3.0)
     c = RadialScalar.constant(2.5)
@@ -83,7 +83,8 @@ _RADII = np.concatenate((np.geomspace(1e-3, 60.0, 61), np.arange(1.0, 61.0)))
 def _agree_across_input_kinds(fn, radii=_RADII, one_radius_batches=False):
     """fn on an integer array equals fn on the float array, and fn on a Python
     float, a numpy scalar and a 0-d array equals the array's entry, bit for
-    bit (with ``one_radius_batches``, the value on a one-radius array)."""
+    bit and of its type, ``np.float64`` (with ``one_radius_batches``, the
+    value on a one-radius array)."""
     ints = np.arange(1, 61)
     assert np.array_equal(fn(ints), fn(ints.astype(float)), equal_nan=True)
     values = fn(radii)
@@ -91,7 +92,8 @@ def _agree_across_input_kinds(fn, radii=_RADII, one_radius_batches=False):
         want = fn(np.array([r])) if one_radius_batches else values[i]
         for kind in (r, np.float64(r), np.array(r)):
             got = fn(kind)
-            assert np.ndim(got) == np.ndim(want)
+            assert np.ndim(got) == np.ndim(want), (fn, r, type(kind))
+            assert type(got) is type(want), (fn, r, type(kind), type(got))
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (fn, r, type(kind))
 
 
@@ -121,6 +123,14 @@ def test_pair_scalars_give_one_value_for_every_input_kind(space):
         if pair.log_ground_state is not None:
             for part in ("val", "d1", "d2"):
                 _agree_across_input_kinds(lambda r, part=part: getattr(pair.log_ground_state.jet(r), part))
+
+
+@pytest.mark.parametrize("member", verify.default_suite(), ids=lambda m: m.name)
+def test_suite_members_give_one_value_for_every_input_kind(member):
+    # the bumps are evaluated masked and reshaped, the Gaussians by plain numpy
+    _agree_across_input_kinds(member.scalar.value)
+    for part in ("val", "d1", "d2"):
+        _agree_across_input_kinds(lambda r, part=part: getattr(member.scalar.jet(r), part))
 
 
 def test_comparison_ratio_and_green_prediction_give_one_value_for_every_input_kind():

@@ -603,10 +603,14 @@ def test_report_writer_keys_are_the_report_fields_in_sorted_order():
     assert list(cli._REPORT_KEYS) == sorted(f.name for f in dataclasses.fields(cli.verify.VerificationReport))
 
 
-def test_exit_code_two_on_unusable_input(capsys):
+def test_exit_code_two_on_unusable_input(tmp_path, capsys):
     assert main(["calculus", "eval", "--space", "dr:3,1", "--op", "f"]) == 2
     assert main(["calculus", "eval", "--space", "hyperbolic:3", "--op", "f", "--grid", "1:2"]) == 2
+    assert main(["calculus", "eval", "--space", "hyperbolic:3", "--op", "f", "--grid", "1:x:2"]) == 2
     assert main(["--config", "/nonexistent/hardyscope.ini", "spaces", "list"]) == 2
+    headless = tmp_path / "headless.ini"
+    headless.write_text("space = hyperbolic:3\n")  # no [section] header
+    assert main(["--config", str(headless), "spaces", "list"]) == 2
     assert main(["green", "eval", "--space", "euclidean:3", "--P", "5"]) == 2
     assert main(["calculus", "eval", "--no-such-flag"]) == 2  # argparse usage error
     capsys.readouterr()

@@ -11,11 +11,9 @@ from scipy.optimize import brentq
 from hardyscope.errors import PreconditionError, QuadratureError
 from hardyscope.green import (
     asymptotic_prediction,
-    green_gamma0,
     green_value,
     green_weight,
     green_weight_batch,
-    green_weight_supercritical,
 )
 from hardyscope import green as green_module
 from hardyscope.green import _log_unit_sphere_volume, _panel_width
@@ -355,37 +353,7 @@ def test_log_derivative_reproduces_exact_gradient():
 
 def test_supercritical_values():
     model = build_density("dr:2,1")
-    assert green_gamma0(model, 6.0) == pytest.approx(2.4845662158269715, rel=1e-14)
     assert green_value(model, 6.0, 1.0)["G"][0] == pytest.approx(1.1189292867765177, rel=1e-10)
-    assert green_weight_supercritical(model, 6.0, 1.0) == pytest.approx(
-        3.732246725439097e-05, rel=1e-8
-    )
-
-
-@pytest.mark.parametrize("desc, P, r", [("dr:2,1", 6.0, 1.0), ("dr:4,2", 8.5, 0.03), ("hyperbolic:3", 4.0, 7.0)])
-def test_supercritical_weight_runs_the_engine_once(monkeypatch, desc, P, r):
-    model = build_density(desc)
-    gamma = green_gamma0(model, P)
-    G = green_value(model, P, r)["G"][0]
-    dlog = green_weight_batch(model, P, r)["dlogG"][0]
-    # the former composition of one green_value call and a second engine call for G'/G
-    two_calls = (
-        ((P - 1.0) / P) ** P
-        * abs(dlog) ** P
-        * abs(gamma - 2.0 * G) ** (P - 2.0)
-        / abs(gamma - G) ** P
-        * (gamma**2 + 2.0 * (P - 2.0) * G * (gamma - G))
-    )
-    calls = []
-    real = green_module.green_weight_batch
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(green_module, "green_weight_batch", counted)
-    assert green_weight_supercritical(model, P, r) == two_calls
-    assert len(calls) == 1
 
 
 def test_total_integral_matches_mpmath_beta():
@@ -484,10 +452,13 @@ def test_green_preconditions():
         green_value(dr, 1.0, 1.0)
     with pytest.raises(PreconditionError):
         green_weight(e3, 2.0)
-    with pytest.raises(PreconditionError):
-        green_gamma0(dr, 4.0)  # P = n is still borderline
-    with pytest.raises(PreconditionError):
-        green_weight_supercritical(dr, 3.0, 1.0)
+    with pytest.raises(PreconditionError, match="Green weight needs P > 1"):
+        green_weight(dr, 1.0)
+    with pytest.raises(PreconditionError, match="Green weight needs P > 1"):
+        asymptotic_prediction(dr, 1.0, np.array([0.5, 1.0]))
+    for P in (4.0, math.inf):  # P = n is still borderline
+        with pytest.raises(PreconditionError, match="total Green integral needs a finite P > n"):
+            green_module._total_integral(dr, P)
     for radii in ([1.0, 0.0], [np.nan], [1.0, np.inf]):
         with pytest.raises(PreconditionError):
             green_weight_batch(dr, 2.0, np.array(radii))

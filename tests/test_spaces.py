@@ -26,9 +26,11 @@ def test_parse_space_round_trip():
 
 
 def test_parse_rejects_bad_descriptors():
-    for bad in ("dr:6,3", "dr:3,1", "foo:3", "euclidean:x", "hyperbolic:1", "dr:2", "euclidean:"):
+    for bad in ("dr:6,3", "dr:3,1", "foo:3", "euclidean:x", "hyperbolic:1", "dr:2", "euclidean:", "hyperbolic", "dr:a,b"):
         with pytest.raises(PreconditionError):
             build_density(bad)
+    with pytest.raises(PreconditionError, match="unknown space kind 'sphere'"):
+        DensityModel("sphere", 3)
 
 
 def test_heisenberg_exponent_table():
@@ -36,6 +38,8 @@ def test_heisenberg_exponent_table():
     expected = {1: 1, 2: 2, 3: 2, 4: 3, 5: 3, 6: 3, 7: 3, 8: 4, 9: 5, 16: 8, 24: 12}
     for q, e in expected.items():
         assert heisenberg_exponent(q) == e
+    with pytest.raises(PreconditionError, match="q must be an integer >= 1, got 0"):
+        heisenberg_exponent(0)
 
 
 def test_admissibility_examples():

@@ -188,6 +188,9 @@ def test_non_finite_assembly_is_refused_without_warnings():
 
 
 def test_failed_certificate_and_unsettled_iteration_are_refused(monkeypatch):
+    # a diagonal entry of -1e300 leaves no shift the search can reach
+    with pytest.raises(QuadratureError, match="no positive definite shift"):
+        eigh_tridiagonal(np.array([-1e300, 1.0]), np.array([0.0]), 0.0)
     model = build_density("hyperbolic:3")
     d, e = _assemble(model, 5.0, 100)
     factors = spectral._factors

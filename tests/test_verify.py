@@ -185,11 +185,15 @@ def test_density_plan_is_the_suite_plan_up_to_h_200():
     np.testing.assert_allclose(*integrals, rtol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_ode_residual_rejects_a_grid_with_nan_or_inf(bad):
+@pytest.mark.parametrize(
+    "grid, message",
+    [([np.nan, 1.0, 2.0], "radius must be finite"), ([np.inf, 1.0, 2.0], "radius must be finite"), ([], "grid is empty")],
+    ids=["nan", "inf", "empty"],
+)
+def test_ode_residual_rejects_a_bad_grid(grid, message):
     h3 = build_density("hyperbolic:3")
-    with pytest.raises(PreconditionError):
-        ode_residual(h3, weight_theorem_b(h3), grid=np.array([bad, 1.0, 2.0]))
+    with pytest.raises(PreconditionError, match=message):
+        ode_residual(h3, weight_theorem_b(h3), grid=np.array(grid))
 
 
 def test_criticality_probe_decays_on_both_ends():
@@ -508,8 +512,14 @@ def test_single_member_gaps_run_the_suite_path():
 # -- the shared panel grid ------------------------------------------------------
 
 
+def _segment_edges(plan):
+    """Each segment's first left and last right panel edge."""
+    last = np.append(plan._starts[1:], plan._seg.size) - 1
+    return plan._left[plan._starts], plan._right[last]
+
+
 def _assert_members_tile_their_supports(suite):
-    lo, hi = suite.plan.panels.bounds()
+    lo, hi = _segment_edges(suite.plan.panels)
     for member, a, b in zip(suite, lo, hi):
         assert _same_bits([a, b], member.support), (member.name, a, b, member.support)
 

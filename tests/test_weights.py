@@ -261,7 +261,7 @@ def test_ground_state_jets_survive_large_radii():
     for pair in (weight_theorem_b(build_density("dr:8,7")), weight_gamma_dr(build_density("dr:8,7"), 0.4)):
         jet = pair.log_ground_state.jet(60.0)
         assert np.isfinite(jet.val) and np.isfinite(jet.d1) and np.isfinite(jet.d2)
-    logs = weight_theorem_b(build_density("dr:8,7")).log_ground_state(60.0)
+    logs = weight_theorem_b(build_density("dr:8,7")).log_ground_state.value(60.0)
     assert logs == pytest.approx(-0.5 * (build_density("dr:8,7").log_f(60.0) - np.log(60.0)))
 
 
