@@ -154,12 +154,12 @@ class PanelPlan:
 
     ``a`` and ``b`` are floats or matching arrays of segments.  Each segment
     is cut into equal panels no wider than ``width`` (at least ``min_panels``
-    of them, a number or one per segment), each carrying the 20 nodes of the
-    Gauss-Legendre rule.  The plan is built once; ``nodes`` gives the nodes
-    and ``reduce`` turns values of any number of integrands on them into
-    per-segment integrals, so integrands that share a domain share the nodes
-    too.  ``join`` regroups runs of segments into single segments on the same
-    panels, so several domains can share one grid.
+    of them; either is a number or one per segment), each carrying the 20
+    nodes of the Gauss-Legendre rule.  The plan is built once; ``nodes``
+    gives the nodes and ``reduce`` turns values of any number of integrands
+    on them into per-segment integrals, so integrands that share a domain
+    share the nodes too.  ``join`` regroups runs of segments into single
+    segments on the same panels, so several domains can share one grid.
 
     Alongside each integral ``reduce`` returns an error estimate from a null
     rule on the same nodes (Berntsen and Espelid): half the panel width times
@@ -169,7 +169,7 @@ class PanelPlan:
     the rounding level of the node values once the integrand is resolved.
     """
 
-    def __init__(self, a: ArrayLike, b: ArrayLike, width: float, min_panels: int = 1):
+    def __init__(self, a: ArrayLike, b: ArrayLike, width: ArrayLike, min_panels: ArrayLike = 1):
         lo = np.atleast_1d(np.asarray(a, dtype=float))
         hi = np.atleast_1d(np.asarray(b, dtype=float))
         if not np.all(hi > lo):
@@ -184,13 +184,11 @@ class PanelPlan:
         left = k * step + lo[seg]
         right = (k + 1) * step + lo[seg]
         right[starts + counts - 1] = hi
-        self._set_panels(left, right, counts)
+        self._set_panels(left, right, starts, seg)
 
-    def _set_panels(self, left: np.ndarray, right: np.ndarray, counts: np.ndarray) -> None:
-        # panels by their edges, in order, counts[k] of them in segment k
-        self._left, self._right = left, right
-        self._starts = np.cumsum(counts) - counts
-        self._seg = np.repeat(np.arange(counts.size), counts)
+    def _set_panels(self, left: np.ndarray, right: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> None:
+        # panels by their edges, in order; segment k starts at panel starts[k]
+        self._left, self._right, self._starts, self._seg = left, right, starts, seg
         self._halfs = 0.5 * (right - left)
         self._centers = 0.5 * (left + right)
 
@@ -207,9 +205,11 @@ class PanelPlan:
         counts = bounds[np.asarray(stop)] - begin
         if not np.all(counts > 0):
             raise PreconditionError("integration interval is empty")
-        panels = np.arange(counts.sum()) + np.repeat(begin - (np.cumsum(counts) - counts), counts)
+        starts = np.cumsum(counts) - counts
+        seg = np.repeat(np.arange(counts.size), counts)
+        panels = np.arange(seg.size) + (begin - starts)[seg]
         plan = PanelPlan.__new__(PanelPlan)
-        plan._set_panels(self._left[panels], self._right[panels], counts)
+        plan._set_panels(self._left[panels], self._right[panels], starts, seg)
         return plan, (panels[:, None] * _GL_ORDER + np.arange(_GL_ORDER)).ravel()
 
     def nodes(self, panels: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -229,47 +229,58 @@ class PanelPlan:
         """
         return self._reduce(self._evaluate(fn)[0])
 
-    def integrate_from(self, fn: Callable, x: np.ndarray, k: np.ndarray):
-        """``integrate``, plus the integrals of fn from each x_i to the end of segment k_i.
+    def integrate_from(self, fn: Callable, runs: list) -> tuple:
+        """``integrate``, plus the integrals of fn from points to the ends of their segments.
 
-        Each x_i must lie in the first panel of its segment k_i, and k must
-        not decrease.  Past that panel the integral is the sum of the
-        segment's later panels; inside it, it is read off the Legendre
-        antiderivative of the panel's 20-node interpolant, a fixed 21 x 20
-        matrix applied to the node values and evaluated at x_i by Clenshaw's
-        recurrence, so fn is called on the same nodes as by ``integrate``.
-        The error estimate of that part is the panel's null-rule estimate
-        plus the rounding of the evaluation, 20 eps times the half-width
-        times the sum of the coefficients' sizes, plus the sizes of the
-        rounding-level degrees the recurrence skips.
+        ``runs`` holds (x, k) pairs of point arrays, maybe none.  Each x_i must
+        lie in the first panel of its segment k_i, and k must not decrease
+        within a run or from one run to the next.  Past that panel the
+        integral is the sum of the segment's later panels; inside it, it is
+        read off the Legendre antiderivative of the panel's 20-node
+        interpolant, a fixed 21 x 20 matrix applied to the node values and
+        evaluated at x_i by Clenshaw's recurrence, so fn is called on the same
+        nodes as by ``integrate``.  The error estimate of that part is the
+        panel's null-rule estimate plus the rounding of the evaluation, 20 eps
+        times the half-width times the sum of the coefficients' sizes, plus
+        the sizes of the rounding-level degrees the recurrence skips.  Each
+        run's recurrence stops at the last degree some panel of that run
+        needs, so what a run reads off does not depend on the other runs.
 
-        Returns the per-segment integrals and error estimates, then the
-        integrals from the points and their error estimates.
+        Returns the per-segment integrals and error estimates, then for each
+        run the integrals from its points and their error estimates.
         """
-        # the segments holding points (k is nondecreasing), and each point's
-        # row among them
-        new = np.empty(k.size, dtype=bool)
-        new[:1] = True
-        np.not_equal(k[1:], k[:-1], out=new[1:])
-        panels = self._starts[k[new]]
-        row = np.cumsum(new) - 1
-        sums, first = self._evaluate(fn, panels)
+        if not runs:
+            return (*self.integrate(fn), [])
+        # per run, the segments holding points (k is nondecreasing), and each
+        # point's row among them
+        rows = []
+        for _, k in runs:
+            new = np.empty(k.size, dtype=bool)
+            new[:1] = True
+            np.not_equal(k[1:], k[:-1], out=new[1:])
+            rows.append((self._starts[k[new]], np.cumsum(new) - 1))
+        sums, first = self._evaluate(fn, np.concatenate([panels for panels, _ in rows]))
         value, error = self._reduce(sums)
-        coef = _GL_TAIL @ first.T
-        size = np.abs(coef)
-        total = size.sum(axis=0)
-        # the recurrence stops at the last degree some panel needs above the
-        # rounding of its coefficients; the dropped ones join the estimate
-        needed = np.flatnonzero((size > _CHOP * total).any(axis=1))
-        top = max(needed[-1] + 1 if needed.size else 0, 2)
-        half = self._halfs[panels]
-        own = half * (np.abs(sums[panels, 1:]).sum(axis=1) + 20.0 * _EPS * total + size[top:].sum(axis=0))
+        rules = [np.abs(sums[panels, 1:]).sum(axis=1) for panels, _ in rows]
         # the segments' later panels
         sums[self._starts] = 0.0
         later_value, later_error = self._reduce(sums)
-        y = (x - self._centers[panels][row]) / half[row]
-        part = later_value[k] + half[row] * _legendre_sum(coef[:top], row, y)
-        return value, error, part, later_error[k] + own[row]
+        parts, begin = [], 0
+        for (x, k), (panels, row), rule in zip(runs, rows, rules):
+            coef = _GL_TAIL @ first[begin : begin + panels.size].T
+            begin += panels.size
+            size = np.abs(coef)
+            total = size.sum(axis=0)
+            # the recurrence stops at the last degree some panel needs above
+            # the rounding of its coefficients; the dropped ones join the estimate
+            needed = np.flatnonzero((size > _CHOP * total).any(axis=1))
+            top = max(needed[-1] + 1 if needed.size else 0, 2)
+            half = self._halfs[panels]
+            own = half * (rule + 20.0 * _EPS * total + size[top:].sum(axis=0))
+            y = (x - self._centers[panels][row]) / half[row]
+            part = later_value[k] + half[row] * _legendre_sum(coef[:top], row, y)
+            parts.append((part, later_error[k] + own[row]))
+        return value, error, parts
 
     def _evaluate(self, fn: Callable, keep: np.ndarray | None = None):
         # per panel the rule sums; with ``keep`` (increasing panel indices)

@@ -193,7 +193,9 @@ def _load_config(path: str | None, section: str):
     except OSError as exc:
         raise PreconditionError(f"cannot read config file: {exc}") from exc
     except configparser.Error as exc:
-        raise PreconditionError(f"malformed config file: {exc}") from exc
+        # configparser spreads its message over lines: the file, line number and text
+        reason = " ".join(line.strip() for line in str(exc).splitlines())
+        raise PreconditionError(f"malformed config file: {reason}") from exc
     return parser[section] if parser.has_section(section) else {}
 
 

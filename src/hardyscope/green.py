@@ -21,8 +21,8 @@ The excess form wins for r >= 1 (where the direct form would subtract nearly
 equal exponentials); the direct form wins for small r (where rho itself is
 tiny).  One Gauss-Legendre engine, ``green_weight_batch``, evaluates both
 over a whole radius grid and carries an error bound; ``green_value`` is that
-batch with G certified.  It integrates one vectorised pass of panels per form;
-radii that lie within about one e-folding of each other share a panel and
+batch with G certified.  It integrates both forms in one vectorised pass of
+panels; radii within about one e-folding of each other share a panel and
 are read off its interpolant, so on a dense grid the density is evaluated
 on a number of nodes set by the span of the radii, not by their count.
 The near cutoff, where f'/f comes within 0.1% of h, is the root of a
@@ -75,6 +75,7 @@ _MIN_SHARED = 128
 #: costs about 0.1 kB and 0.8 us (``green eval`` at P_MIN on hyperbolic:440
 #: lays 3.9M and takes 3.2 s and 0.36 GB)
 _MAX_PANELS = 4_000_000
+_FLAT_DIVERGES = "flat-space Green integral diverges unless P < n"
 
 
 def _log_unit_sphere_volume(n: int) -> float:
@@ -158,10 +159,10 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     "delta", in the order of ``radii`` (unsorted and repeated radii are
     allowed).  The distinct radii are the knots of two chains, the excess
     integral J from 1 up to the far cutoff and the direct integral below 1
-    in log r, each one ``PanelPlan`` pass.  On a dense grid, knots that
-    share a cell about one e-folding of the integrand wide share a segment,
-    which starts at the first of them; the others are read off that
-    segment's first panel (``_chain``).  The integrand of segment [a, b] is
+    in log r, integrated in one ``PanelPlan`` pass.  On a dense grid, knots
+    that share a cell about one e-folding of the integrand wide share a
+    segment, which starts at the first of them; the others are read off that
+    segment's first panel (``_Chain``).  The integrand of segment [a, b] is
     scaled by f(a)^(1/(P-1)), so every intermediate stays of order one, and
     a float recurrence chains the segments downward.  The positivity
     W >= Lambda_P survives in floating point because delta is assembled from
@@ -194,7 +195,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
 
     if model.kind == EUCLIDEAN:
         if P >= n:
-            raise PreconditionError("flat-space Green integral diverges unless P < n")
+            raise PreconditionError(_FLAT_DIVERGES)
         # G = omega_n^(-s) r^(1-k)/(k-1) as one exponential, as below
         k = (n - 1.0) * s
         exponent = s * (model.log_f(radii) + log_omega)
@@ -214,8 +215,12 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     lam_p = _power(h / P, P)
 
     # knots: every distinct radius, the anchor 1 when radii below 1 are
-    # present, and the far cutoff; at[i] is the knot of radii[i]
-    knots, at = np.unique(radii, return_inverse=True)
+    # present, and the far cutoff; at[i] is the knot of radii[i].  Strictly
+    # increasing radii, as every grid gives them, are the knots already
+    if np.all(radii[1:] > radii[:-1]):
+        knots, at = radii, np.arange(radii.size)
+    else:
+        knots, at = np.unique(radii, return_inverse=True)
     lo = knots[knots < 1.0]
     hi = knots[knots >= 1.0]
     if lo.size and (not hi.size or hi[0] > 1.0):
@@ -228,30 +233,47 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     # J chain: the excess integral from the knots >= 1, ending in the
     # bracketed tail beyond R_far, which is scaled to the top knot (so its
     # log f closes the chain)
-    def j_integrand(t, ref):
-        return model.excess(t) / h * np.exp(-s * (model.log_f(t) - ref))
-
     tail_mid, tail_half = _tail_bracket_scaled(model, P, R_far, float(lf[-2]))
     # the J tail lies in [0, excess(R_far)/h * (tail_mid + tail_half)]
     tail_factor = model.excess(R_far) / h
     tail, tail_err = 0.5 * tail_factor * tail_mid, tail_factor * (0.5 * tail_mid + tail_half)
     lf_j = lf[lo.size :].copy()
     lf_j[-1] = lf[-2]
-    j_hat, j_err = _chain(points[lo.size :], lf_j, s * h + 1.0, s, j_integrand, tail, tail_err)
+    chains = [_Chain(points[lo.size :], lf_j, s * h + 1.0, s)]
+    if lo.size:
+        # D chain: the direct integral in u = log t from the knots < 1,
+        # ending at the anchor with the J chain's value there
+        chains.append(_Chain(np.log(points[: lo.size + 1]), lf[: lo.size + 1], 1.0 + s * (n - 1.0) * 1.2, s))
+
+    # one PanelPlan pass over the segments of both chains, the J chain's in t
+    # and then the D chain's in u; each segment keeps its chain's panel width
+    n_j = chains[0].ends.size - 1
+    plan = PanelPlan(
+        np.concatenate([chain.ends[:-1] for chain in chains]),
+        np.concatenate([chain.ends[1:] for chain in chains]),
+        np.repeat([chain.width for chain in chains], [chain.ends.size - 1 for chain in chains]),
+    )
+    ref = np.concatenate([chain.lf_ends[:-1] for chain in chains])
+
+    def integrand(t, k):
+        # in a block of panels the J nodes (in t) come first, then the D nodes (in u)
+        cut = np.searchsorted(k, n_j)
+        t_j, t_d = t[:cut], np.exp(t[cut:])
+        j = model.excess(t_j) / h * np.exp(-s * (model.log_f(t_j) - ref[k[:cut]])) if cut else []
+        d = np.exp(-s * (model.log_f(t_d) - ref[k[cut:]])) * t_d if t_d.size else []
+        return np.concatenate((j, d))
+
+    runs = [(chain.x[chain.inner], chain.k + start) for chain, start in zip(chains, (0, n_j)) if chain.grouped]
+    seg, seg_err, reads = plan.integrate_from(integrand, runs)
+    reads = [reads.pop(0) if chain.grouped else None for chain in chains]
+    j_hat, j_err = chains[0].carry(seg[:n_j], seg_err[:n_j], reads[0], tail, tail_err)
     delta = h * j_hat / (P - 1.0)
     rho = 1.0 - delta
     rho_err = h * j_err / (P - 1.0)
 
     if lo.size:
-        # D chain: the direct integral in u = log t from the knots < 1,
-        # ending at the anchor with the J chain's value there
-        def d_integrand(u, ref):
-            t = np.exp(u)
-            return np.exp(-s * (model.log_f(t) - ref)) * t
-
-        u_d, rate_d = np.log(points[: lo.size + 1]), 1.0 + s * (n - 1.0) * 1.2
         start, start_err = (P - 1.0) * rho[0] / h, (P - 1.0) * rho_err[0] / h
-        i_hat, i_err = _chain(u_d, lf[: lo.size + 1], rate_d, s, d_integrand, start, start_err)
+        i_hat, i_err = chains[1].carry(seg[n_j:], seg_err[n_j:], reads[1], start, start_err)
         rho_d = h * i_hat / (P - 1.0)
         rho = np.concatenate((rho_d, rho))
         delta = np.concatenate((1.0 - rho_d, delta))
@@ -282,62 +304,63 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     return {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": wtilde, "rho": rho, "delta": delta}
 
 
-def _chain(x, lf, rate: float, s: float, integrand, value: float, error: float):
+class _Chain:
     """Scaled integrals from every point x[:-1] to the chain end x[-1], with bounds.
 
-    ``lf`` holds log f at the points, and last the log f by whose power s
-    ``value`` (the integral beyond the end) and its ``error`` are scaled.
-    ``integrand(nodes, ref)`` is a segment's integrand scaled by exp(s ref),
-    ref the log f at the segment's start.  The result at x_i is scaled by
-    f(x_i)^s, so it stays of order one.
+    ``lf`` holds log f at the points, and last the log f by whose power s the
+    integral beyond the end and its error are scaled.  Laying the chain
+    groups its points into segments, whose integrands are scaled by exp(s ref),
+    ref the log f at the segment's start, on panels of a width set by the
+    decay rate ``rate``; ``carry`` then chains the segments down from the
+    end.  The result at x_i is scaled by f(x_i)^s, so it stays of order one.
 
     Once at least ``_MIN_SHARED`` points share cells floor(x / c), with
     c = min(half a panel, 1 / rate) about one e-folding of the scaled
-    integrand (rate also sets the panel width), the points of a cell share
-    one segment, which starts at the first of them.  Below that only
-    coinciding points (radii that share a logarithm) share a segment, and
-    where none coincide the segments are the gaps between the points, as
-    many as there are points.  A point that does not start its segment lies
-    in the segment's first panel: its integral is read off that panel
-    (``integrate_from``) plus the segment's later panels and the carried
-    value of the next one.  The end lies past every point's cell, so it
-    always closes a segment.
+    integrand, the points of a cell share one segment, which starts at the
+    first of them.  Below that only coinciding points (radii that share a
+    logarithm) share a segment, and where none coincide the segments are the
+    gaps between the points, as many as there are points.  A point that does
+    not start its segment lies in the segment's first panel: its integral is
+    read off that panel (``integrate_from``) plus the segment's later panels
+    and the carried value of the next one.  The end lies past every point's
+    cell, so it always closes a segment.
     """
-    width = _panel_width(rate)
-    lead = x[1:] != x[:-1]
-    if x.size > _MIN_SHARED:
-        cell = np.floor(x / min(0.5 * width, 1.0 / rate))
-        in_cells = cell[1:] != cell[:-1]
-        if in_cells.size - np.count_nonzero(in_cells) >= _MIN_SHARED:
-            lead = in_cells
-    grouped = not lead.all()
-    if grouped:
-        lead = np.concatenate(([True], lead))
-    x_c, lf_c = (x[lead], lf[lead]) if grouped else (x, lf)
-    panels = np.ceil(np.diff(x_c) / width).sum()
-    if not panels <= _MAX_PANELS:
-        raise QuadratureError(f"green integral needs {panels:.3g} panels of width {width:.3g}, more than {_MAX_PANELS:,}")
-    carry = np.exp(-s * np.diff(lf_c))
-    plan = PanelPlan(x_c[:-1], x_c[1:], width)
 
-    def scaled(t, k):
-        return integrand(t, lf_c[k])
+    def __init__(self, x, lf, rate: float, s: float):
+        self.x, self.lf, self.s = x, lf, s
+        self.width = _panel_width(rate)
+        lead = x[1:] != x[:-1]
+        if x.size > _MIN_SHARED:
+            cell = np.floor(x / min(0.5 * self.width, 1.0 / rate))
+            in_cells = cell[1:] != cell[:-1]
+            if in_cells.size - np.count_nonzero(in_cells) >= _MIN_SHARED:
+                lead = in_cells
+        self.grouped = not lead.all()
+        if self.grouped:
+            self.lead = np.concatenate(([True], lead))
+            self.inner = ~self.lead
+            # the segment of each point that does not start one
+            self.k = np.cumsum(self.lead)[self.inner] - 1
+        self.ends, self.lf_ends = (x[self.lead], lf[self.lead]) if self.grouped else (x, lf)
+        panels = np.ceil(np.diff(self.ends) / self.width).sum()
+        if not panels <= _MAX_PANELS:
+            raise QuadratureError(f"green integral needs {panels:.3g} panels of width {self.width:.3g}, more than {_MAX_PANELS:,}")
 
-    if not grouped:
-        seg, seg_err = plan.integrate(scaled)
+    def carry(self, seg, seg_err, read, value: float, error: float):
+        """The scaled integrals at x[:-1] and their bounds, from the segments' integrals,
+        the ``read`` off ones from the points inside them and ``value``/``error`` beyond the end."""
+        carry = np.exp(-self.s * np.diff(self.lf_ends))
         values, errors = _carry_down(seg, seg_err, carry, value, error)
-        return values[:-1], errors[:-1]
-    inner = ~lead
-    k = np.cumsum(lead)[inner] - 1
-    seg, seg_err, part, part_err = plan.integrate_from(scaled, x[inner], k)
-    values, errors = _carry_down(seg, seg_err, carry, value, error)
-    # from the scale of the segment's start to that of the point
-    scale = np.exp(s * (lf[inner] - lf_c[k]))
-    out, out_err = np.empty(x.size), np.empty(x.size)
-    out[lead], out_err[lead] = values, errors
-    out[inner] = scale * (part + (carry * values[1:])[k])
-    out_err[inner] = scale * (part_err + (carry * errors[1:])[k])
-    return out[:-1], out_err[:-1]
+        if not self.grouped:
+            return values[:-1], errors[:-1]
+        part, part_err = read
+        # from the scale of the segment's start to that of the point
+        scale = np.exp(self.s * (self.lf[self.inner] - self.lf_ends[self.k]))
+        out, out_err = np.empty(self.x.size), np.empty(self.x.size)
+        out[self.lead], out_err[self.lead] = values, errors
+        out[self.inner] = scale * (part + (carry * values[1:])[self.k])
+        out_err[self.inner] = scale * (part_err + (carry * errors[1:])[self.k])
+        return out[:-1], out_err[:-1]
 
 
 def _carry_down(seg, seg_err, carry, value: float, error: float):
@@ -417,7 +440,7 @@ def green_weight(model: DensityModel, P: float):
 
 
 def _total_integral(model: DensityModel, P: float) -> float:
-    """Integral of f^(-1/(P-1)) over (0, inf); finite exactly when P > n.
+    """Integral of f^(-1/(P-1)) over (0, inf) on a curved space; finite exactly when P > n.
 
     With s = 1/(P-1), the curved density f = 2^(p+q) sinh(t/2)^(p+q)
     cosh(t/2)^q (p = 0 on hyperbolic space) and x = tanh(t/2)^2,
@@ -436,6 +459,8 @@ def _total_integral(model: DensityModel, P: float) -> float:
     n = model.n
     if not n < P < math.inf:
         raise PreconditionError("total Green integral needs a finite P > n")
+    if model.kind == EUCLIDEAN:
+        raise PreconditionError(_FLAT_DIVERGES)
     s = 1.0 / (P - 1.0)
     A = (n - 1.0) * s
     a = 0.5 * (P - n) / (P - 1.0)
@@ -459,6 +484,8 @@ def asymptotic_prediction(model: DensityModel, P: float, r) -> AsymptoticPredict
     P < n:  ((n-P)/P)^P r^(-P)
     P = n:  ((P-1)/P)^P |r ln r|^(-P)
     P > n:  C r^(-P(n-1)/(P-1)) with C = ((P-1)/P)^P (integral of f^(-1/(P-1)))^(-P)
+
+    On flat space that integral diverges, so P > n is refused there.
     """
     P = float(P)
     if not P > 1.0:

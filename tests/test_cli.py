@@ -610,7 +610,13 @@ def test_exit_code_two_on_unusable_input(tmp_path, capsys):
     assert main(["--config", "/nonexistent/hardyscope.ini", "spaces", "list"]) == 2
     headless = tmp_path / "headless.ini"
     headless.write_text("space = hyperbolic:3\n")  # no [section] header
+    capsys.readouterr()
     assert main(["--config", str(headless), "spaces", "list"]) == 2
+    # one error line, which still names the file, the line number and the line
+    assert capsys.readouterr().err == (
+        f"error: malformed config file: File contains no section headers. file: {str(headless)!r}, line: 1 "
+        "'space = hyperbolic:3\\n'\n"
+    )
     assert main(["green", "eval", "--space", "euclidean:3", "--P", "5"]) == 2
     assert main(["calculus", "eval", "--no-such-flag"]) == 2  # argparse usage error
     capsys.readouterr()

@@ -174,6 +174,26 @@ def test_batch_equals_per_radius_results(radii):
                 assert batch[key][i] == pytest.approx(single[key][0], rel=1e-13, abs=0.0), (desc, r, key)
 
 
+@pytest.mark.parametrize(
+    "radii",
+    [np.geomspace(1e-7, 1e-5, 15), default_grid(), np.geomspace(1e-3, 60.0, 6000)],
+    ids=["15-small", "default-grid", "6000"],
+)
+def test_batch_is_bit_identical_over_input_order(radii):
+    # 15 small radii group no knots, the default grid groups the D chain and
+    # 6,000 radii group both chains; sorted distinct radii take the knots as
+    # given, a shuffled copy with duplicates goes through np.unique
+    rng = np.random.default_rng(11)
+    order = rng.permutation(np.concatenate((np.arange(radii.size), rng.choice(radii.size, 5))))
+    for desc in ("hyperbolic:3", "dr:8,7"):
+        model = build_density(desc)
+        for P in (2.0, 4.0):
+            batch = green_weight_batch(model, P, radii)
+            shuffled = green_weight_batch(model, P, radii[order])
+            for key, values in batch.items():
+                assert values[order].tobytes() == shuffled[key].tobytes(), (desc, P, key)
+
+
 class _CountingModel:
     """Delegates to a density model and counts calls of log_f and excess, and
     the radii they were passed."""
@@ -456,6 +476,8 @@ def test_green_preconditions():
         green_weight(dr, 1.0)
     with pytest.raises(PreconditionError, match="Green weight needs P > 1"):
         asymptotic_prediction(dr, 1.0, np.array([0.5, 1.0]))
+    with pytest.raises(PreconditionError, match="flat-space Green integral diverges unless P < n"):
+        asymptotic_prediction(e3, 4.0, 1.0)
     for P in (4.0, math.inf):  # P = n is still borderline
         with pytest.raises(PreconditionError, match="total Green integral needs a finite P > n"):
             green_module._total_integral(dr, P)
