@@ -19,11 +19,13 @@ both ends.
   succeeds at once.  ``eigh_tridiagonal`` takes any first shift and lowers
   one that fails until a factorization succeeds.
 * Iteration.  ``dpttrs`` solves with those factors until the Rayleigh
-  quotient moves by no more than its rounding level, O(cells) a step.  On
-  big balls lambda_k - lambda0 approaches k^2 pi^2 / R^2, so the error
-  contracts by about (1/4)^2 per step.  Each mesh starts from a rougher
-  one's eigenvector: from 1,600 cells on the coarse mesh takes 2 or 3 steps
-  (5 to 14 flat), the half mesh 2 from 10k on, 4 at most at 1k.  Where lambda_1
+  quotient moves by no more than its rounding level, O(cells) a step.  The
+  first step is measured from the start vector's own quotient, so a start
+  that has already converged costs one solve.  On big balls
+  lambda_k - lambda0 approaches k^2 pi^2 / R^2, so the error contracts by
+  about (1/4)^2 per step.  Each mesh starts from a rougher one's
+  eigenvector: the coarse mesh takes 1 step at 50k cells and 1 to 3 at 10k
+  (5 to 14 flat), the half mesh 1 from 10k on, 4 at most at 1k.  Where lambda_1
   and lambda_2 lie close together far above lambda0 (hyperbolic:10 at R = 70
   on 1k cells), a step gains a factor of only 0.85; after 30 steps the shift
   moves up once, to just below lambda_1, and such balls settle in 33 to 71.
@@ -110,6 +112,19 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     is computed only once the step is within 2 eps (|shift| + max rows), a
     bound on it for a unit x, so the iteration stops at the same step.
 
+    The first step is measured from the start's own quotient
+    shift + <x, x>/<x, y>, which the first solve gives without T x too.
+    With A = T - shift I, the Rayleigh quotient of A^(-s) x does not
+    increase with s >= 0 (Cauchy-Schwarz, A positive definite); the k-th
+    quotient is the one at s = k and the start's the one at s = 1/2, between
+    x's own Rayleigh quotient and the first.  So a converged start stops
+    after one ``dpttrs`` step, while a flat start, whose first step is
+    large, keeps its steps and its values bit for bit.  <x, y> > 0 needs
+    x != 0: a start of the wrong size, or whose <x, x> is 0 or not finite
+    (a NaN or infinite entry, or entries so small or large that their
+    squares leave the double range), raises PreconditionError before any
+    factorization.
+
     The iteration works in two arrays allocated before the factors, so the
     heap after a solve does not depend on its number of steps: each step
     copies x into y, solves there in place (``overwrite_b``) and normalises
@@ -128,15 +143,21 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise QuadratureError("tridiagonal matrix is not finite")
     x = np.full(d.size, d.size**-0.5) if x is None else np.array(x, dtype=float)
+    with np.errstate(over="ignore"):
+        xx = float(x @ x) if x.shape == d.shape else math.nan
+    if not 0.0 < xx < math.inf:
+        raise PreconditionError(f"start vector must have {d.size} entries and a finite nonzero squared norm")
     y = np.empty(d.size)
     shift, (fd, fe) = _shift_below(d, e, float(shift))
     rows, ceiling = _rounding_rows(d, e, shift)
-    value = step = math.inf
+    step = math.inf
     for k in range(1, _MAX_ITERATIONS + 1):
         np.copyto(y, x)
         y = dpttrs(fd, fe, y, overwrite_b=True)[0]
-        yy = float(y @ y)
-        quotient = shift + float(x @ y) / yy
+        yy, xy = float(y @ y), float(x @ y)
+        if k == 1:
+            value = shift + xx / xy  # the start's own quotient, no less than the first
+        quotient = shift + xy / yy
         last, step, value = step, value - quotient, quotient
         np.multiply(y, 1.0 / math.sqrt(yy), out=x)
         if abs(step) <= ceiling:

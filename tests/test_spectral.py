@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -229,6 +230,77 @@ def test_inverse_iteration_works_in_two_buffers(monkeypatch, start):
         np.testing.assert_array_equal(x0, kept)
 
 
+#: start vectors eigh_tridiagonal refuses: dividing by <x, y> ended the
+#: first in ZeroDivisionError; numpy raised ValueError on the second, the
+#: third ran 100 steps before "did not settle" and the fourth warned.  The
+#: last two have finite entries whose squares leave the double range
+UNUSABLE_STARTS = {
+    "zero": np.zeros(5),
+    "wrong-length": np.ones(4),
+    "nan": np.array([1.0, np.nan, 1.0, 1.0, 1.0]),
+    "inf": np.array([1.0, np.inf, 1.0, 1.0, 1.0]),
+    "norm-overflows": np.full(5, 1e200),
+    "norm-underflows": np.full(5, 1e-170),
+}
+
+
+@pytest.mark.parametrize("start", UNUSABLE_STARTS.values(), ids=UNUSABLE_STARTS.keys())
+def test_unusable_start_vectors_are_refused_before_factoring(monkeypatch, start):
+    factorizations, dpttrf = [], lapack.dpttrf
+    monkeypatch.setattr(lapack, "dpttrf", lambda *args, **kwargs: factorizations.append(1) or dpttrf(*args, **kwargs))
+    d, e = np.full(5, 2.0), np.full(4, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=r"^start vector must have 5 entries and a finite nonzero squared norm$"):
+            eigh_tridiagonal(d, e, 0.0, start)
+    assert factorizations == []
+    assert eigh_tridiagonal(d, e, 0.0, np.arange(1.0, 6.0))[1] > 0.0 and len(factorizations) == 2
+
+
+def _random_spd(seed: int, n: int):
+    """A random diagonally dominant, so positive definite, symmetric tridiagonal (d, e)."""
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(-1.0, 1.0, n - 1)
+    d = rng.uniform(0.0, 2.0, n)
+    d[1:] += np.abs(e)
+    d[:-1] += np.abs(e)
+    return d, e
+
+
+def test_start_quotient_bounds_the_first_quotient(monkeypatch):
+    # with y = (T - shift I)^-1 x, the start's quotient shift + <x, x>/<x, y>
+    # is the Rayleigh quotient of (T - shift I)^(-1/2) x: by Cauchy-Schwarz
+    # it is no less than the first quotient shift + <x, y>/<y, y>, which is
+    # no less than the bottom eigenvalue.  The first step of a solve is the
+    # difference of the two, which a solve cut off after one step reports
+    matrices = [(_assemble(build_density(space), R, 1_000), build_density(space).lambda0) for space, R in CERTIFIED_BALLS]
+    matrices += [(_random_spd(seed, n), 0.0) for seed in range(3) for n in (2, 10, 200, 1_000)]
+    monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 1)
+    for (d, e), shift in matrices:
+        fd, fe = spectral._factors(d, e, shift)
+        limit = _bisection(d, e, tol=np.finfo(float).tiny)
+        for x in (np.full(d.size, d.size**-0.5), np.random.default_rng(d.size).uniform(0.5, 1.5, d.size)):
+            y = lapack.dpttrs(fd, fe, x)[0]
+            start, first = shift + float(x @ x) / float(x @ y), shift + float(x @ y) / float(y @ y)
+            assert start >= first >= limit, (d.size, shift, start, first, limit)
+            with pytest.raises(QuadratureError, match=re.escape(f"(last step {start - first:.3e})") + "$"):
+                eigh_tridiagonal(d, e, shift, x)
+
+
+def test_a_solve_from_its_own_eigenvector_takes_one_step(monkeypatch):
+    # the start's quotient and the first quotient of a converged vector agree
+    # to the rounding level, so the solve stops after one dpttrs step, at a
+    # value inside the first solve's certified bracket
+    solves = _record_solves(monkeypatch)
+    for space, R in CERTIFIED_BALLS:
+        model = build_density(space)
+        d, e = _assemble(model, R, 1_000)
+        value, lower, x = spectral.eigh_tridiagonal(d, e, model.lambda0)
+        again = spectral.eigh_tridiagonal(d, e, model.lambda0, x)[0]
+        assert solves[-1].steps == 1, (space, R, solves[-1].steps)
+        assert lower <= again <= value, (space, R)
+
+
 def test_half_mesh_solve_is_bracketed(monkeypatch):
     # the half mesh starts from the coarse eigenvector; its certified bracket
     # still holds the bisection limit of its own matrix, within a quarter of
@@ -296,12 +368,14 @@ def test_a_slow_solve_moves_its_shift_and_certifies(monkeypatch, space, R, cells
 def test_half_mesh_solve_starts_warm(monkeypatch):
     # a flat start takes 5 to 14 steps on these coarse matrices; from 1,600
     # cells on, a rough mesh's eigenvector starts the coarse solve, which then
-    # takes 2 steps (3 at most at 10k: dr:8,7 at R = 20).  The interpolated
-    # coarse eigenvector is within the coarse mesh's own discretization error
-    # of the half mesh's, which two steps resolve from 10k cells on (four at
-    # most at 1k: dr:8,7 at R = 20)
+    # takes 1 step at 50k cells (3 at most at 10k: dr:8,7 at R = 20).  The
+    # interpolated coarse eigenvector is within the coarse mesh's own
+    # discretization error of the half mesh's, which one step resolves from
+    # 10k cells on (four at most at 1k: dr:8,7 at R = 20).  One step is
+    # enough because the start vector's own quotient is the first step's
+    # reference
     solves = _record_solves(monkeypatch)
-    for cells, most, coarse_most in ((1_000, 4, None), (10_000, 2, 3), (50_000, 2, 2)):
+    for cells, most, coarse_most in ((1_000, 4, None), (10_000, 1, 3), (50_000, 1, 1)):
         for space, R in CERTIFIED_BALLS:
             model = build_density(space)
             before = len(solves)
