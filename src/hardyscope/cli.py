@@ -39,7 +39,7 @@ import sys
 import numpy as np
 
 from . import green as green_mod
-from . import spectral, verify, weights
+from . import spectral, verify
 from .calculus import check_radius
 from .errors import PreconditionError, QuadratureError
 from .spaces import DEFAULT_CATALOG, build_density, default_grid
@@ -274,23 +274,12 @@ def _cmd_calculus_eval(args) -> int:
     return 0
 
 
-# the pair of each ``--theorem``; a builder is looked up in ``weights`` at
-# call time, so the benchmark's traced pass, which wraps it there, sees it
-_THEOREMS = {
-    "A": lambda model, args: weights.weight_dr_poincare(model),
-    "B": lambda model, args: weights.weight_theorem_b(model),
-    "gamma": lambda model, args: weights.weight_gamma_family(model, args.gamma),
-    "gamma_dr": lambda model, args: weights.weight_gamma_dr(model, args.gamma),
-    "weighted": lambda model, args: weights.weight_weighted(model, args.alpha),
-    "p": lambda model, args: weights.weight_p_dr(model, args.P),
-}
-
-
 def _cmd_weights_eval(args) -> int:
     model = _model(args)
     if args.theorem is None:
         raise PreconditionError("--theorem is required")
-    pair = _THEOREMS[args.theorem](model, args)
+    row = next(row for row in verify.PAIRS if row.theorem == args.theorem)
+    pair = row.build(model, row.param and getattr(args, row.param))
     grid = _grid(args)
 
     header = ["V", "W"] + [f"term_{i + 1}" for i in range(len(pair.terms))]
@@ -405,7 +394,7 @@ _COMMANDS = (
      (_SPACE, ("--op", {"choices": _CALC_OPS}), _GRID, _OUT)),
     ("weights", None, "Hardy weight pairs", None, ()),
     ("weights", "eval", "tabulate V, W and the term split", _cmd_weights_eval,
-     (_SPACE, ("--theorem", {"choices": tuple(_THEOREMS)}), ("--gamma", _FLOAT), ("--alpha", _FLOAT), _P, _GRID, _OUT)),
+     (_SPACE, ("--theorem", {"choices": tuple(row.theorem for row in verify.PAIRS if row.theorem)}), ("--gamma", _FLOAT), ("--alpha", _FLOAT), _P, _GRID, _OUT)),
     ("green", None, "P-Green function and its weight", None, ()),
     ("green", "eval", "tabulate G and the Green weight", _cmd_green_eval, (_SPACE, _P, ("--tol", _FLOAT), _GRID, _OUT)),
     ("green", "asymptotics", "fit the small-radius power law", _cmd_green_asymptotics,

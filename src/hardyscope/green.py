@@ -425,13 +425,7 @@ def green_weight(model: DensityModel, P: float):
 
     w_scalar = RadialScalar(lambda rr: green_weight_batch(model, P, rr)["W"])
     terms = (("((P-1)/P)^P |G'/G|^P", w_scalar),)
-    return WeightPair(
-        theorem_id="green_p",
-        V=RadialScalar.constant(0.0),
-        W=w_scalar,
-        terms=terms,
-        P=P,
-    )
+    return WeightPair(V=RadialScalar.constant(0.0), W=w_scalar, terms=terms, P=P)
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,9 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     The quotient is the Rayleigh quotient of y whatever the shift, so the
     quotients decrease monotonically in exact arithmetic, also across the
     one move of the shift after ``_SLOW_STEPS`` steps; the iteration stops
-    once a step is within that level, and the lower end is tested
-    4 max(last step, rounding level) below the quotient.  The level
+    once a step is within that level, and the lower end is tested 4 max(last
+    step, rounding level, the steps' geometric series ``_tail``) below the
+    quotient (a step shrinks by 0.83 on hyperbolic:11 at R = 70).  The level
     is computed only once the step is within 2 eps (|shift| + max rows), a
     bound on it for a unit x, so the iteration stops at the same step.
 
@@ -164,22 +165,26 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
             rounding = _EPS * (abs(shift) + float(rows @ (x * x)))
             if abs(step) <= rounding:
                 break
-        if k == _SLOW_STEPS and 0.0 < step < last:
-            # the steps shrink by ratio = step / last each, so the eigenvalue
-            # lies about step ratio / (1 - ratio) below the quotient; a shift
-            # where T still factors is below it
-            target = value - 10.0 * step / (1.0 - step / last)
+        if k == _SLOW_STEPS and (tail := _tail(10.0, step, last)):
+            # a shift where T still factors is below the eigenvalue
+            target = value - tail
             factors = _factors(d, e, target) if target > shift else None
             if factors is not None:
                 shift, (fd, fe) = target, factors
                 rows, ceiling = _rounding_rows(d, e, shift)
     else:
         raise QuadratureError(f"inverse iteration did not settle in {_MAX_ITERATIONS} steps (last step {step:.3e})")
-    lower = value - 4.0 * max(abs(step), rounding)
+    lower = value - max(4.0 * abs(step), 4.0 * rounding, _tail(4.0, step, last))
     fd = fe = factors = rows = y = None  # the certificate's factors take their place
     if _factors(d, e, lower) is None:
         raise QuadratureError(f"eigenvalue {value!r} not certified: T - {lower!r} I is not positive definite")
     return value, lower, x
+
+
+def _tail(factor: float, step: float, last: float) -> float:
+    """factor step / (1 - r), r = step / last, where the steps shrink (0 < step < last), else 0:
+    the steps to come sum to about step r / (1 - r), so the eigenvalue lies about that far below."""
+    return factor * step / (1.0 - step / last) if 0.0 < step < last else 0.0
 
 
 def _rounding_rows(d, e, shift: float):

@@ -45,24 +45,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from types import ModuleType
 
 import numpy as np
 
 from . import green as green_mod
+from . import weights
 from .calculus import Jet2, PanelPlan, RadialScalar, check_radius, exp_rounding
 from .errors import PreconditionError, QuadratureError
 from .spaces import DEFAULT_CATALOG, DensityModel, build_density, default_grid
-from .weights import (
-    WeightPair,
-    _require_dr,
-    hpw_g,
-    weight_dr_poincare,
-    weight_gamma_dr,
-    weight_gamma_family,
-    weight_p_dr,
-    weight_theorem_b,
-    weight_weighted,
-)
+from .weights import WeightPair, _require_dr, hpw_g, weight_theorem_b
 
 __all__ = [
     "SuiteMember",
@@ -79,6 +71,8 @@ __all__ = [
     "asymptotics_fit",
     "VerificationReport",
     "FAMILIES",
+    "PairRow",
+    "PAIRS",
     "run_verification",
 ]
 
@@ -351,7 +345,7 @@ def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
     Residual and scale are both divided through by Phi^(P-1) (``_ode_terms``).
     """
     if pair.log_ground_state is None:
-        raise PreconditionError(f"pair {pair.theorem_id} has no ground state")
+        raise PreconditionError("the pair has no ground state")
     grid = default_grid() if grid is None else np.atleast_1d(check_radius(grid))
     if grid.size == 0:
         raise PreconditionError("residual grid is empty")
@@ -481,11 +475,6 @@ def asymptotics_fit(radii, values) -> float:
 
 FAMILIES = ("rayleigh", "ode", "criticality", "uncertainty", "rellich", "asymptotics")
 
-_GAMMA_DEFAULT = 0.25
-_WEIGHTED_ALPHAS = (0.0, 0.5, 1.0)
-_PDR_ORDERS = (2.0, 3.0, 4.0)
-
-
 @dataclass
 class VerificationReport:
     """One check's outcome.
@@ -508,23 +497,51 @@ class VerificationReport:
     seconds: float = 0.0
 
 
-def _pairs_for(model: DensityModel) -> list[tuple[str, dict, WeightPair]]:
-    """Deterministic list of (label, params, pair) applicable to a space."""
-    out: list[tuple[str, dict, WeightPair]] = [("B", {}, weight_theorem_b(model))]
-    if model.kind == "dr":
-        out.append(("A", {}, weight_dr_poincare(model)))
-    out.append(("gamma", {"gamma": _GAMMA_DEFAULT}, weight_gamma_family(model, _GAMMA_DEFAULT)))
-    if model.kind == "dr":
-        out.append(("gamma_dr", {"gamma": _GAMMA_DEFAULT}, weight_gamma_dr(model, _GAMMA_DEFAULT)))
-    for alpha in _WEIGHTED_ALPHAS:
-        if model.n >= 2.0 * (1.0 + alpha):
-            out.append((f"weighted[{alpha:g}]", {"alpha": alpha}, weight_weighted(model, alpha)))
-    if model.kind == "dr":
-        for P in _PDR_ORDERS:
-            if model.p + model.q >= P * (P - 1.0):
-                out.append((f"p_dr[{P:g}]", {"P": P}, weight_p_dr(model, P)))
-    if model.kind != "euclidean":
-        out.append(("green[2]", {"P": 2.0}, green_mod.green_weight(model, 2.0)))
+@dataclass(frozen=True)
+class PairRow:
+    """A row of ``PAIRS``: the ``weights eval --theorem`` name (None where the
+    command has none), the report label (``{:g}`` takes the value), the
+    builder's module and name, looked up at each build so that a wrapper
+    installed there is called, its parameter (the command's option and the
+    report's params key; None for a builder of the space alone), the values
+    the report checks and the tolerance of the pair's ode check."""
+
+    theorem: str | None
+    label: str
+    module: ModuleType
+    builder: str
+    param: str | None = None
+    values: tuple = (None,)
+    ode_tol: float = 1e-10
+
+    def build(self, model: DensityModel, value=None) -> WeightPair:
+        build = getattr(self.module, self.builder)
+        return build(model) if self.param is None else build(model, value)
+
+
+#: every weight pair, in report order; the builders decide where a pair applies
+PAIRS = (
+    PairRow("B", "B", weights, "weight_theorem_b"),
+    PairRow("A", "A", weights, "weight_dr_poincare"),
+    PairRow("gamma", "gamma", weights, "weight_gamma_family", "gamma", (0.25,), 1e-8),
+    PairRow("gamma_dr", "gamma_dr", weights, "weight_gamma_dr", "gamma", (0.25,), 1e-8),
+    PairRow("weighted", "weighted[{:g}]", weights, "weight_weighted", "alpha", (0.0, 0.5, 1.0)),
+    PairRow("p", "p_dr[{:g}]", weights, "weight_p_dr", "P", (2.0, 3.0, 4.0)),
+    PairRow(None, "green[{:g}]", green_mod, "green_weight", "P", (2.0,)),
+)
+
+
+def _pairs_for(model: DensityModel) -> list[tuple[str, dict, WeightPair, PairRow]]:
+    """(label, params, pair, row) for each row of ``PAIRS`` and value, in order,
+    but a pair whose builder refuses the space (PreconditionError)."""
+    out = []
+    for row in PAIRS:
+        for value in row.values:
+            try:
+                pair = row.build(model, value)
+            except PreconditionError:
+                continue
+            out.append((row.label.format(value), {} if row.param is None else {row.param: value}, pair, row))
     return out
 
 
@@ -551,20 +568,20 @@ def _member_checks(prefix: str, params: dict, density: SuiteDensity) -> list[tup
 
 
 def _rayleigh_groups(density: SuiteDensity):
-    for label, params, pair in _pairs_for(density.model):
+    for label, params, pair, _ in _pairs_for(density.model):
         gaps = rayleigh_gap if pair.P == 2.0 else p_rayleigh_gap
         yield _member_checks(f"rayleigh.{label}", params, density), _gap_rows(gaps(density, pair))
 
 
 def _ode_groups(density: SuiteDensity):
     model = density.model
-    for label, params, pair in _pairs_for(model):
+    for label, params, pair, row in _pairs_for(model):
         if pair.log_ground_state is None:
             continue
-        tol = 1e-8 if label.startswith("gamma") else 1e-10
         # the P = 2 residual is a size; the supersolution residual is signed
         resid = ode_residual(model, pair)
         gap = -resid if pair.P == 2.0 else resid
+        tol = row.ode_tol
         yield [(f"ode.{label}", dict(params))], [(resid, 0.0, gap, tol, "pass" if gap >= -tol else "fail")]
 
 

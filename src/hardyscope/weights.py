@@ -70,7 +70,6 @@ class WeightPair:
     integrals (None means 1).
     """
 
-    theorem_id: str
     V: RadialScalar
     W: RadialScalar
     terms: tuple
@@ -190,7 +189,6 @@ def weight_theorem_b(model: DensityModel):
 
     terms = (("1/(4r^2)", _inverse_square(0.25)),)
     return WeightPair(
-        theorem_id="B",
         V=v_scalar,
         W=_sum_terms(terms),
         terms=terms,
@@ -212,7 +210,6 @@ def weight_dr_poincare(model: DensityModel):
         ("sinh(r) term", _inverse_sinh_sq(c_sr, 1.0)),
     )
     return WeightPair(
-        theorem_id="A",
         V=RadialScalar.constant(-model.lambda0),
         W=_sum_terms(terms),
         terms=terms,
@@ -255,7 +252,6 @@ def weight_gamma_family(model: DensityModel, gamma: float):
 
     terms = (("(1-4*gamma^2)/(4r^2)", _inverse_square((1.0 - 4.0 * gamma**2) / 4.0)),)
     return WeightPair(
-        theorem_id="gamma_family",
         V=RadialScalar(v_value),
         W=_sum_terms(terms),
         terms=terms,
@@ -293,7 +289,6 @@ def weight_gamma_dr(model: DensityModel, gamma: float):
         ("sinh(r/2) term", _inverse_sinh_sq(-c_sh, 0.5)),
     )
     return WeightPair(
-        theorem_id="gamma_dr",
         V=RadialScalar.constant(-shift),
         W=_sum_terms(terms),
         terms=terms,
@@ -338,7 +333,6 @@ def weight_weighted(model: DensityModel, alpha: float):
     terms += (("drift term", drift), ("(4*alpha+1)/(4r^2)", _inverse_square(hardy_coef)))
 
     return WeightPair(
-        theorem_id="weighted_alpha",
         V=v_scalar,
         W=_sum_terms(terms),
         terms=terms,
@@ -405,7 +399,6 @@ def weight_p_dr(model: DensityModel, P: float):
         ("sinh terms", RadialScalar(t3_value)),
     )
     return WeightPair(
-        theorem_id="p_dr",
         V=RadialScalar(v_value),
         W=_sum_terms(terms),
         terms=terms,

@@ -57,7 +57,7 @@ def test_jet_arithmetic_against_finite_differences():
     _fd_check(RadialScalar.from_jet(lambda rr: Jet2(np.sinh(rr), np.cosh(rr), np.sinh(rr)) * _log_jet(rr)), r)
     checked = 0
     for space in ("hyperbolic:3", "dr:4,2"):
-        for label, _, pair in verify._pairs_for(build_density(space)):
+        for label, _, pair, _ in verify._pairs_for(build_density(space)):
             if pair.log_ground_state is not None:
                 _fd_check(pair.log_ground_state, r)
                 checked += 1
@@ -112,7 +112,7 @@ def test_pair_scalars_give_one_value_for_every_input_kind(space):
     # V, W, the terms, the measure and the log ground state (value and jet)
     # of every pair the report checks; the Green weight is one engine batch
     # per call, whose radii share panels, so a scalar gives its one-radius batch
-    for label, _, pair in verify._pairs_for(build_density(space)):
+    for label, _, pair, _ in verify._pairs_for(build_density(space)):
         scalars = [pair.V, pair.W, *(scalar for _, scalar in pair.terms)]
         scalars += [s for s in (pair.measure, pair.log_ground_state) if s is not None]
         for scalar in scalars:

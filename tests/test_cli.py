@@ -106,6 +106,30 @@ def test_weights_eval_usage_errors(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "space, argv, label",
+    [
+        ("dr:4,3", ["--theorem", "B"], "B"),
+        ("dr:4,3", ["--theorem", "A"], "A"),
+        ("dr:4,3", ["--theorem", "gamma"], "gamma"),
+        ("dr:4,3", ["--theorem", "gamma_dr", "--gamma", "0.25"], "gamma_dr"),
+        ("dr:4,3", ["--theorem", "weighted", "--alpha", "0.5"], "weighted[0.5]"),
+        ("dr:4,3", ["--theorem", "p", "--P", "3"], "p_dr[3]"),
+        ("hyperbolic:5", ["--theorem", "weighted", "--alpha", "1"], "weighted[1]"),
+        ("euclidean:3", ["--theorem", "weighted"], "weighted[0]"),
+    ],
+)
+def test_weights_eval_and_the_report_build_the_same_pair(space, argv, label, capsys):
+    # the command's table and the report's pair of the same value agree bit for bit
+    rc, out, err = _run(["weights", "eval", "--space", space, *argv, "--grid", "0.25:30:0.25"], capsys)
+    assert (rc, err) == (0, "")
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+    r, V, W = np.array(rows)[:, :3].T
+    pair = next(pair for lab, _, pair, _ in cli.verify._pairs_for(cli.build_density(space)) if lab == label)
+    np.testing.assert_array_equal(V, np.broadcast_to(pair.V.value(r), r.shape))
+    np.testing.assert_array_equal(W, pair.W.value(r))
+
+
 def test_green_eval_values(capsys):
     rc = main(["green", "eval", "--space", "hyperbolic:3", "--grid", "0.5:1.5:0.5"])
     assert rc == 0
@@ -1095,8 +1119,8 @@ def _nan_ground_state(monkeypatch):
 
 def _negative_half_coefficient(monkeypatch):
     # a negative sinh(r/2) coefficient takes the comparison ratio past 1
-    real = cli.weights.hilfe_coefficients
-    monkeypatch.setattr(cli.weights, "hilfe_coefficients", lambda *args: (*real(*args)[:2], -1.0))
+    real = cli.verify.weights.hilfe_coefficients
+    monkeypatch.setattr(cli.verify.weights, "hilfe_coefficients", lambda *args: (*real(*args)[:2], -1.0))
 
 
 @pytest.mark.parametrize(

@@ -449,6 +449,25 @@ def test_warm_solves_agree_with_cold_flat_brackets(monkeypatch):
             assert abs(warm.value - value) <= value - lower, (space, R, warm.d.size)
 
 
+@pytest.mark.parametrize("space", ["hyperbolic:11", "dr:18,1", "dr:16,2"])
+def test_a_slowly_contracting_warm_solve_is_certified(monkeypatch, space):
+    # at h = 10 and R = 70 on 2k cells, lambda_1 and lambda_2 lie close above
+    # lambda0 = 25 and a step of the warm half-mesh solve shrinks by about
+    # 0.83, so about 5 more steps' worth of error remain when it stops; its
+    # lower end must still lie below the cold flat solve's certified value
+    solves = _record_solves(monkeypatch)
+    model = build_density(space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bottom_eigenvalue(EigenProblem(model, R=70.0, mesh=0.07))
+    half = solves[-1]
+    assert half.d.size == 2_000
+    cold = eigh_tridiagonal(half.d, half.e, model.lambda0)[0]
+    if space == "hyperbolic:11":
+        assert cold == 25.066007013653344
+    assert half.lower <= cold <= half.value
+
+
 @pytest.mark.parametrize("space", ["hyperbolic:3", "dr:4,2"])
 def test_half_mesh_halves_the_mesh_exactly(space):
     # R/mesh = 1000.3 and 999.7 round to the same 1000 cells, and the half

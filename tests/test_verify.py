@@ -102,7 +102,7 @@ def test_ode_passes_on_the_flat_plane_and_fails_a_scaled_net_weight(monkeypatch)
         return RadialScalar(lambda r: pair.V.value(r) + 1.05 * (pair.W.value(r) - pair.V.value(r)))
 
     def scaled(model):
-        return [(label, params, dataclasses.replace(pair, W=scaled_net(pair))) for label, params, pair in real_pairs(model)]
+        return [(label, params, dataclasses.replace(pair, W=scaled_net(pair)), row) for label, params, pair, row in real_pairs(model)]
 
     monkeypatch.setattr(verify, "_pairs_for", scaled)
     reports = run_verification(spaces=DEFAULT_CATALOG, families=["ode"])
@@ -114,7 +114,7 @@ def test_ode_passes_on_the_flat_plane_and_fails_a_scaled_net_weight(monkeypatch)
 _ODE_CASES = [
     (space, label)
     for space in DEFAULT_CATALOG
-    for label, _, pair in verify._pairs_for(build_density(space))
+    for label, _, pair, _ in verify._pairs_for(build_density(space))
     if pair.log_ground_state is not None
 ]
 
@@ -135,7 +135,7 @@ def test_divided_ode_residual_is_the_residual_over_the_ground_state(space, label
     # the residual taken through log Phi equals the one built from Phi's jet,
     # -Delta_P Phi / Phi^(P-1) + (V - W), on radii where Phi is moderate
     model = build_density(space)
-    pair = next(pair for lab, _, pair in verify._pairs_for(model) if lab == label)
+    pair = next(pair for lab, _, pair, _ in verify._pairs_for(model) if lab == label)
     grid = np.geomspace(0.1, 10.0, 40)
     resid, _ = verify._ode_terms(model, pair, grid)
     phi = _exp_jet(pair.log_ground_state)
@@ -324,6 +324,51 @@ def test_run_verification_orders_reports_deterministically():
         assert {**vars(a), "seconds": 0.0} == {**vars(b), "seconds": 0.0}
 
 
+_FLAT = ("B", "gamma", "weighted[0]", "weighted[0.5]", "weighted[1]")
+_CURVED = _FLAT + ("green[2]",)
+_DR = ("B", "A", "gamma", "gamma_dr", "weighted[0]", "weighted[0.5]", "weighted[1]", "p_dr[2]")
+#: the pair labels of each space in report order, written out by hand from
+#: the builders' rules: A, gamma_dr and p_dr on Damek-Ricci spaces only,
+#: weighted[alpha] for n >= 2(1+alpha), p_dr[P] for p+q >= P(P-1) and
+#: green[2] on every curved space
+_PAIR_LABELS = {
+    "euclidean:2": _FLAT[:3],
+    "euclidean:3": _FLAT[:4],
+    "euclidean:4": _FLAT,
+    "euclidean:5": _FLAT,
+    "euclidean:6": _FLAT,
+    "hyperbolic:2": _FLAT[:3] + ("green[2]",),
+    "hyperbolic:3": _FLAT[:4] + ("green[2]",),
+    "hyperbolic:4": _CURVED,
+    "hyperbolic:5": _CURVED,
+    "dr:2,1": _DR + ("green[2]",),
+    "dr:4,2": _DR + ("p_dr[3]", "green[2]"),
+    "dr:4,3": _DR + ("p_dr[3]", "green[2]"),
+    "dr:8,7": _DR + ("p_dr[3]", "p_dr[4]", "green[2]"),
+    "dr:32,8": _DR + ("p_dr[3]", "p_dr[4]", "green[2]"),
+}
+
+
+@pytest.mark.parametrize("space", list(_PAIR_LABELS))
+def test_each_space_checks_its_fixed_pairs_in_order(space):
+    assert set(DEFAULT_CATALOG) <= set(_PAIR_LABELS)
+    pairs = verify._pairs_for(build_density(space))
+    assert tuple(label for label, _, _, _ in pairs) == _PAIR_LABELS[space]
+    # the params name the builder's parameter and the value checked
+    values = {"gamma": {"gamma": 0.25}, "gamma_dr": {"gamma": 0.25}}
+    for label, params, _, _ in pairs:
+        if label.endswith("]"):
+            name, value = label[:-1].split("[")
+            key = {"weighted": "alpha", "p_dr": "P", "green": "P"}[name]
+            assert params == {key: float(value)}, label
+        else:
+            assert params == values.get(label, {}), label
+    reports = run_verification(spaces=[space], families=["ode"])
+    with_ground_state = [x for x in _PAIR_LABELS[space] if not x.startswith(("weighted", "green"))]
+    assert [r.check_id for r in reports] == [f"ode.{x}" for x in with_ground_state]
+    assert [r.tolerance for r in reports] == [1e-8 if x.startswith("gamma") else 1e-10 for x in with_ground_state]
+
+
 def test_run_verification_rejects_unknown_family():
     with pytest.raises(PreconditionError):
         run_verification(spaces=["euclidean:3"], families=["mystery"])
@@ -472,7 +517,7 @@ def test_batched_rayleigh_gaps_match_per_member_integrals(space):
     model = build_density(space)
     suite = default_suite()
     labels = {"B", "gamma", "weighted[0.5]", "p_dr[3]", "green[2]"}
-    pairs = [(label, pair) for label, _, pair in verify._pairs_for(model) if label in labels]
+    pairs = [(label, pair) for label, _, pair, _ in verify._pairs_for(model) if label in labels]
     assert {label for label, _ in pairs} == (labels if model.kind == "dr" else labels - {"p_dr[3]"})
     reports = {r.check_id: r for r in run_verification(spaces=[space], families=["rayleigh"], suite=suite)}
     for label, pair in pairs:
@@ -593,7 +638,7 @@ def test_null_rule_estimates_of_the_catalog_sides():
     for space in DEFAULT_CATALOG:
         density = verify.SuiteDensity(build_density(space), suite)
         model = density.model
-        for _, _, pair in verify._pairs_for(model):
+        for _, _, pair, _ in verify._pairs_for(model):
             worst["rayleigh"] = max(worst["rayleigh"], _worst_estimate(p_rayleigh_gap(density, pair)))
         if model.kind == "dr" and model.q not in (0, 2):
             worst["uncertainty"] = max(worst["uncertainty"], _worst_estimate(uncertainty_gap(density)))
@@ -617,7 +662,7 @@ def test_scalar_values_equal_jet_values_bit_for_bit():
     checked = 0
     for space in DEFAULT_CATALOG:
         model = build_density(space)
-        for label, _, pair in verify._pairs_for(model):
+        for label, _, pair, _ in verify._pairs_for(model):
             if pair.log_ground_state is None:
                 continue
             with np.errstate(all="ignore"):
@@ -673,10 +718,10 @@ def _counted_run(monkeypatch, space, families, suite, label=None):
 
     def pairs_for(model):
         out = []
-        for lab, params, pair in real_pairs(model):
+        for lab, params, pair, row in real_pairs(model):
             if lab == label:
                 W, V = _CountingScalar(pair.W, counts, "W"), _CountingScalar(pair.V, counts, "V")
-                out.append((lab, params, dataclasses.replace(pair, W=W, V=V)))
+                out.append((lab, params, dataclasses.replace(pair, W=W, V=V), row))
         return out
 
     def counted_hpw_g(*args):
@@ -772,7 +817,7 @@ def test_pairs_and_density_are_finite_on_the_admissible_range(space, r):
     model = build_density(space)
     for op in _FINITE_OPS:
         assert np.all(np.isfinite(getattr(model, op)(radii))), (space, op)
-    for label, _, pair in verify._pairs_for(model):
+    for label, _, pair, _ in verify._pairs_for(model):
         scalars = [("V", pair.V), ("W", pair.W), *pair.terms]
         scalars.append(("log ground state", pair.log_ground_state))
         for name, scalar in scalars:

@@ -317,7 +317,7 @@ def test_weight_pieces_carry_values_only():
     r = np.geomspace(0.1, 10.0, 7)
     checked = 0
     for space in DEFAULT_CATALOG:
-        for label, _, pair in _pairs_for(build_density(space)):
+        for label, _, pair, _ in _pairs_for(build_density(space)):
             pieces = [("V", pair.V), ("W", pair.W), *pair.terms, ("measure", pair.measure)]
             for name, scalar in pieces:
                 if scalar is None:
