@@ -5,7 +5,7 @@ Two complementary formulations are used:
 
 * a direct quadrature of the (positive) integrand, scaled by f(r)^(1/(P-1))
   so every intermediate stays of order one, with the tail beyond a far cutoff
-  bracketed through the monotonicity of f'/f;
+  bounded through the growth bound f'/f >= h;
 * an excess-integral form for the logarithmic derivative: writing
   L = f'/f and h = lim L, integration by parts gives
 
@@ -25,10 +25,9 @@ batch with G certified.  It integrates both forms in one vectorised pass of
 panels; radii within about one e-folding of each other share a panel and
 are read off its interpolant, so on a dense grid the density is evaluated
 on a number of nodes set by the span of the radii, not by their count.
-The near cutoff, where f'/f comes within 0.1% of h, is the root of a
-quadratic in exp(-r) and taken in closed form.  So is the integral of
-f^(-1/(P-1)) over (0, inf), finite for P > n, a Beta function that sets the
-small-radius law there; the module imports no scipy.
+The integral of f^(-1/(P-1)) over (0, inf), finite for P > n, is a Beta
+function in closed form that sets the small-radius law there; the module
+imports no scipy.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ def __getattr__(name: str):
 #: cost grows like h/(P-1); at this floor ``green eval`` on the default grid
 #: takes about 0.4 s on dr:32,8 (h = 24)
 P_MIN = 1.001
-#: relative slack of f'/f over its limit h defining the near cutoff
-_CUTOFF_EXCESS = 1e-3
 #: knots of a chain that must share cells before the read-off of shared
 #: panels, whose numpy calls cost about as much as a hundred panels, saves time
 _MIN_SHARED = 128
@@ -96,50 +93,30 @@ def _power(base: float, P: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cutoff_radius(model: DensityModel) -> float:
-    """Smallest radius where f'/f exceeds its limit h by at most 0.1%.
-
-    With z = exp(-R) and coth x - 1 = 2 exp(-2x) / (1 - exp(-2x)), the
-    equation excess(R) = c, c = 0.1% of h, is the quadratic
-    (2h + c) z^2 + p z - c = 0 with the model's p (0 on hyperbolic space).
-    Its positive root is taken in the form
-    2c / (p + sqrt(p^2 + 4c(2h + c))), which has no cancellation.
-    """
-    if model.kind == EUCLIDEAN:
-        raise PreconditionError("flat space has no exponential tail cutoff")
-    h = model.h
-    c = _CUTOFF_EXCESS * h
-    p = model.p
-    return -math.log(2.0 * c / (p + math.sqrt(p * p + 4.0 * c * (2.0 * h + c))))
-
-
 def _far_cutoff(model: DensityModel, P: float, r: float) -> float:
-    """Radius beyond which the bracketed tail is negligible at double precision.
+    """Radius beyond which the bounded J tail is negligible at double precision.
 
-    The tail scale decays like exp(-h (t - r)/(P-1)); 46 e-foldings push it
-    below 1e-20 of the local value, and the additive 12 absorbs the slower
-    decay of the excess factor in the J-form tail.  Past P = 1 + h the
-    distance stops growing: the J tail's share of delta is at most
-    excess(R_far)/h whatever P is, and the excess decays at least like
-    exp(-(t - R_near)) beyond the near cutoff R_near, so 58 units put that
-    share below 1e-3 exp(-58).
+    By ``_tail_bound_scaled`` the J tail's part of rho at the top radius
+    r >= 1 is at most excess(R_far)/h exp(-h (R_far - r)/(P-1)).  On every
+    curved space excess(R) <= 2h exp(-R)/(1 - exp(-R)), within 3e-6 of
+    2h exp(-R) from R = 13 on.  Below P = 1 + h, R_far - r = 46 (P-1)/h + 12
+    puts the exponential below exp(-58), and R_far >= 13 the excess factor
+    below about 2 exp(-13).  From P = 1 + h on the distance stays at 58, so
+    R_far >= 59 puts the excess factor alone below about 2 exp(-59).  Either
+    way the tail's part of rho is below 1e-25.
     """
-    base = max(r, _cutoff_radius(model))
-    return base + 46.0 * min(P - 1.0, model.h) / model.h + 12.0
+    return r + 46.0 * min(P - 1.0, model.h) / model.h + 12.0
 
 
-def _tail_bracket_scaled(model: DensityModel, P: float, R: float, log_f_ref: float):
-    """Bracket of the integral of f^(-1/(P-1)) beyond R, scaled by f(ref)^(1/(P-1)).
+def _tail_bound_scaled(model: DensityModel, P: float, R: float, log_f_ref: float) -> float:
+    """Bound on the J integral beyond R, scaled by f(ref)^(1/(P-1)): the tail lies in [0, bound].
 
-    Monotone decay of f'/f toward h gives
-    (P-1)/L(R) <= tail * f(R)^(1/(P-1)) <= (P-1)/h.
-    Returns (midpoint, half_width), both scaled by exp(log_f_ref/(P-1)).
+    f'/f >= h gives f(t) >= f(R) exp(h (t - R)), so the integral of
+    f^(-1/(P-1)) beyond R is at most (P-1)/h f(R)^(-1/(P-1)), and the
+    excess factor (f'/f - h)/h of J decreases, so it is at most excess(R)/h.
     """
     s = 1.0 / (P - 1.0)
-    scale = math.exp(-s * (model.log_f(R) - log_f_ref))
-    hi = (P - 1.0) / model.h * scale
-    lo = (P - 1.0) / model.log_df(R) * scale
-    return 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return model.excess(R) / model.h * (P - 1.0) / model.h * math.exp(-s * (model.log_f(R) - log_f_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +147,9 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
 
     G_err bounds |G - G_exact| by three parts: the null-rule panel estimates
     of ``PanelPlan`` (with the rounding of the read-off for a knot inside a
-    panel) and the bracket half-width of the tail beyond the far cutoff,
-    both carried through the same scaled recurrences as the integrals, plus
-    a rounding floor 8 eps (1 + |log f(r) + log omega_n|/(P-1)) G.  The floor
+    panel) and half the bound on the tail beyond the far cutoff, both
+    carried through the same scaled recurrences as the integrals, plus a
+    rounding floor 8 eps (1 + |log f(r) + log omega_n|/(P-1)) G.  The floor
     covers the one exponential exp(-(log f(r) + log omega_n)/(P-1)) that
     scales G: an error of a few ulps in its exponent is a relative error in G
     of that many ulps of the exponent.  Taking omega_n^(-1/(P-1)) inside that
@@ -211,6 +188,8 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
         nan = np.full_like(radii, np.nan)
         return {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": W.copy(), "rho": nan, "delta": nan}
 
+    if not radii.size:
+        return {key: np.empty(0) for key in ("G", "G_err", "dlogG", "W", "Wtilde", "rho", "delta")}
     h = model.h
     lam_p = _power(h / P, P)
 
@@ -231,12 +210,9 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     lf = model.log_f(points)
 
     # J chain: the excess integral from the knots >= 1, ending in the
-    # bracketed tail beyond R_far, which is scaled to the top knot (so its
-    # log f closes the chain)
-    tail_mid, tail_half = _tail_bracket_scaled(model, P, R_far, float(lf[-2]))
-    # the J tail lies in [0, excess(R_far)/h * (tail_mid + tail_half)]
-    tail_factor = model.excess(R_far) / h
-    tail, tail_err = 0.5 * tail_factor * tail_mid, tail_factor * (0.5 * tail_mid + tail_half)
+    # bounded tail beyond R_far, taken as the midpoint of [0, bound] and
+    # scaled to the top knot (so its log f closes the chain)
+    tail = tail_err = 0.5 * _tail_bound_scaled(model, P, R_far, float(lf[-2]))
     lf_j = lf[lo.size :].copy()
     lf_j[-1] = lf[-2]
     chains = [_Chain(points[lo.size :], lf_j, s * h + 1.0, s)]
@@ -486,8 +462,9 @@ def asymptotic_prediction(model: DensityModel, P: float, r) -> AsymptoticPredict
         raise PreconditionError("Green weight needs P > 1")
     n = model.n
     r = check_radius(r)
-    # past the double range a coefficient or value is inf (0 * inf is NaN)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # past the double range a coefficient or value is inf (0 * inf is NaN),
+    # and so is |r ln r|^(-P) at r = 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if abs(P - n) < 1e-9:
             return AsymptoticPrediction("P=n", ((P - 1.0) / P) ** P * np.power(np.abs(r * np.log(r)), -P), -P)
         if P < n:

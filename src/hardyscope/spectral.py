@@ -14,10 +14,16 @@ midpoint bit for bit.  The solver is shifted inverse iteration, certified at
 both ends.
 
 * Shift.  T - sigma I is factored once (LAPACK ``dpttrf``, L D L^T) at
-  sigma = lambda0 = h^2/4, the bottom of the whole space's spectrum, which
-  lies below the Dirichlet bottom of every ball, so the factorization
-  succeeds at once.  ``eigh_tridiagonal`` takes any first shift and lowers
-  one that fails until a factorization succeeds.
+  sigma = lambda0 = h^2/4, the bottom of the whole space's spectrum.  The
+  growth bound f'/f >= h makes that factorization succeed on every mesh
+  delta with h delta <= 4.  With a = h delta/2 and phi_i = exp(-h r_i/2),
+  f(r - delta/2) <= f(r) exp(-a) and f(r + delta/2) >= f(r) exp(a) put
+  every interior row of (K - lambda0 M) phi at or above
+  f(r_i) phi_i (4 sinh^2(a/2) - a^2)/delta >= 0, the pole row is
+  nonnegative for a <= 2 and the Dirichlet row is strict, so
+  K - lambda0 M is a nonsingular M-matrix.  A shift at which T does not
+  factor raises QuadratureError (hyperbolic:2 at R = 700 on 100 cells,
+  h delta = 7).
 * Iteration.  ``dpttrs`` solves with those factors until the Rayleigh
   quotient moves by no more than its rounding level, O(cells) a step.  The
   first step is measured from the start vector's own quotient, so a start
@@ -62,8 +68,6 @@ _EPS = float(np.finfo(float).eps)
 _MAX_ITERATIONS = 100
 #: steps after which an unsettled iteration moves its shift up, once
 _SLOW_STEPS = 30
-#: doublings of the step in the search for a positive definite shift
-_MAX_SHIFTS = 64
 #: the most cells R/mesh a ball may have, refused before any allocation: 200
 #: times the 50k-cell balls of the benchmark; 2M cells (4M at half mesh) take
 #: 0.45 s and 0.33-0.34 GB on dr:4,2, so this limit needs about 2 GB
@@ -93,9 +97,12 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
 
     Returns (value, lower, x): ``value`` is a Rayleigh quotient, so no less
     than the eigenvalue, T - lower I factors, so no eigenvalue lies below
-    ``lower``, and x is the last unit iterate.  ``shift`` is the first shift
-    tried (``_shift_below``); the start vector ``x`` (any scale) is flat by
-    default.
+    ``lower``, and x is the last unit iterate.  T - shift I must factor, so
+    ``shift`` must lie below the spectrum (lambda0 does, see the module
+    docstring); where it does not, QuadratureError is raised.  The start
+    vector ``x`` (any scale) is flat by default.  A diagonal of fewer than
+    2 entries, an off-diagonal whose size is not one less, or a shift that
+    is not finite raises PreconditionError before any factorization.
 
     Each step solves (T - shift I) y = x for the iterate x and takes the
     quotient shift + <x, y>/<y, y>, which never forms T y and so loses
@@ -140,7 +147,11 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     """
     from scipy.linalg.lapack import dpttrs
 
-    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    d, e, shift = np.asarray(d, dtype=float), np.asarray(e, dtype=float), float(shift)
+    if not (d.ndim == 1 and d.size >= 2 and e.shape == (d.size - 1,)):
+        raise PreconditionError(f"need a diagonal of at least 2 entries and an off-diagonal of one fewer, got {d.size} and {e.size}")
+    if not math.isfinite(shift):
+        raise PreconditionError(f"shift must be finite, got {shift!r}")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise QuadratureError("tridiagonal matrix is not finite")
     x = np.full(d.size, d.size**-0.5) if x is None else np.array(x, dtype=float)
@@ -149,7 +160,10 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     if not 0.0 < xx < math.inf:
         raise PreconditionError(f"start vector must have {d.size} entries and a finite nonzero squared norm")
     y = np.empty(d.size)
-    shift, (fd, fe) = _shift_below(d, e, float(shift))
+    factors = _factors(d, e, shift)
+    if factors is None:
+        raise QuadratureError(f"T - {shift!r} I is not positive definite: the shift must lie below the spectrum")
+    fd, fe = factors
     rows, ceiling = _rounding_rows(d, e, shift)
     step = math.inf
     for k in range(1, _MAX_ITERATIONS + 1):
@@ -205,37 +219,6 @@ def _factors(d, e, shift: float):
     return None if info else (fd, fe)
 
 
-def _shift_below(d, e, shift: float):
-    """A shift at or below ``shift`` where T - shift I is positive definite, and its factors.
-
-    If ``shift`` fails, the search steps down by doubling steps from
-    2^-10 (1 + |shift|) until a shift succeeds, then bisects the last step
-    back to the first step's width, so the shift ends that close below the
-    bottom eigenvalue and the iteration stays fast.
-    """
-    factors = _factors(d, e, shift)
-    if factors is not None:
-        return shift, factors
-    first = step = 2.0**-10 * (1.0 + abs(shift))
-    hi = shift
-    for _ in range(_MAX_SHIFTS):
-        lo = hi - step
-        factors = _factors(d, e, lo)
-        if factors is not None:
-            break
-        hi, step = lo, 2.0 * step
-    else:
-        raise QuadratureError(f"no positive definite shift of the tridiagonal matrix down to {lo!r}")
-    while hi - lo > first:
-        mid = 0.5 * (lo + hi)
-        at_mid = _factors(d, e, mid)
-        if at_mid is None:
-            hi = mid
-        else:
-            lo, factors = mid, at_mid
-    return lo, factors
-
-
 def _density(model: DensityModel, h: float, cells: int) -> np.ndarray:
     """f on a mesh of width h: f(h/4), then f(k h/2) for k = 1 .. 2 cells - 1.
 
@@ -243,8 +226,12 @@ def _density(model: DensityModel, h: float, cells: int) -> np.ndarray:
     i h bit for bit, so the grid of the mesh h/2 holds that of the mesh h at
     its entry 1 and its entries 2k.
     """
-    # a float range: scaling an integer one converts every entry first, 8x slower
-    r = np.arange(2 * cells, dtype=float) * (0.5 * h)
+    # a float range: scaling an integer one converts every entry first, 8x
+    # slower.  Scaled in place: numpy checks an elided temporary's caller with
+    # glibc's backtrace, whose first call keeps 45 KB for good; made between
+    # the first solve's arrays, that block pushed the next solve's past them
+    r = np.arange(2 * cells, dtype=float)
+    r *= 0.5 * h
     r[0] = 0.25 * h
     # f overflows on big balls in high dimension; `_assemble` refuses that
     with np.errstate(over="ignore", invalid="ignore"):

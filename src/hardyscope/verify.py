@@ -452,7 +452,7 @@ def rellich_gap(density: SuiteDensity):
 
 
 def asymptotics_fit(radii, values) -> float:
-    """Slope of the least-squares power law through positive samples on a log-log scale.
+    """Slope of the least-squares power law through positive, finite samples on a log-log scale.
 
     Requires at least five samples spanning two decades in radius so a local
     wiggle cannot masquerade as a power law.
@@ -461,8 +461,9 @@ def asymptotics_fit(radii, values) -> float:
     values = np.asarray(values, dtype=float)
     if radii.shape != values.shape or radii.size < 5:
         raise PreconditionError("need at least five (radius, value) samples")
-    if np.min(radii) <= 0.0 or np.min(values) <= 0.0:
-        raise PreconditionError("samples must be strictly positive for a log-log fit")
+    samples = np.concatenate((radii, values))
+    if not np.all((samples > 0.0) & (samples < np.inf)):
+        raise PreconditionError("samples must be strictly positive and finite for a log-log fit")
     if np.max(radii) / np.min(radii) < 100.0:
         raise PreconditionError("samples must span at least two decades in radius")
     return float(np.polyfit(np.log(radii), np.log(values), 1)[0])

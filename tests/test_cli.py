@@ -280,6 +280,35 @@ def test_green_asymptotics_refuses_an_underflowing_surplus(P, capsys):
     assert captured.err.splitlines() == ["error: Wtilde at r=1e-07 underflows to 0"]
 
 
+def test_green_asymptotics_at_P_equal_n_refuses_r_one_without_warnings(capsys):
+    # |r ln r|^(-P) divides by zero at r = 1: the prediction is inf there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["green", "asymptotics", "--space", "hyperbolic:3", "--P", "3", "--rmin", "0.01", "--rmax", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: predicted Wtilde at r=1.0 is not finite: inf"]
+
+
+def test_readme_green_eval_example(capsys):
+    # the example as README prints it: header and r exactly, G within the
+    # printed G_err, the other columns to 1e-14 relative
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    command = "$ hardyscope green eval --space hyperbolic:3 --P 2 --grid 1:2:1\n"
+    printed = readme.split(command, 1)[1].split("\n```", 1)[0].splitlines()
+    assert main(command.split()[2:]) == 0
+    lines = _lines(capsys)
+    assert lines[0] == printed[0] == "r,G,G_err,dlogG,W,Wtilde"
+    assert len(lines) == len(printed) == 3
+    for line, shown in zip(lines[1:], printed[1:]):
+        row, want = dict(zip(lines[0].split(","), line.split(","))), dict(zip(lines[0].split(","), shown.split(",")))
+        assert row["r"] == want["r"]
+        assert abs(float(row["G"]) - float(want["G"])) <= float(want["G_err"])
+        for key in ("G_err", "dlogG", "W", "Wtilde"):
+            assert float(row[key]) == pytest.approx(float(want[key]), rel=1e-14, abs=0.0), key
+
+
 def test_green_asymptotics_at_the_P_floor(capsys):
     rc = main(["green", "asymptotics", "--space", "dr:2,1", "--P", "1.001"])
     assert rc == 0

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from hardyscope.errors import PreconditionError, QuadratureError
 from hardyscope.green import (
@@ -280,20 +279,6 @@ def test_admissible_lattice_size():
     assert len(_ADMISSIBLE_DR) == 51
 
 
-def test_closed_form_near_cutoff_matches_a_root_finder():
-    # the near cutoff solves excess(R) = 1e-3 h; brentq on the same equation
-    # is the reference
-    for desc in _ADMISSIBLE_DR + [f"hyperbolic:{n}" for n in range(2, 31)]:
-        model = build_density(desc)
-        R = green_module._cutoff_radius(model)
-        c = 1e-3 * model.h
-        assert abs(model.excess(R) / c - 1.0) <= 1e-14, desc
-        reference = brentq(lambda r: model.excess(r) - c, 1e-6, 400.0, xtol=1e-12)
-        assert abs(R - reference) <= 1e-9, desc
-    with pytest.raises(PreconditionError):
-        green_module._cutoff_radius(build_density("euclidean:3"))
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     desc=st.sampled_from(_ADMISSIBLE_DR + [f"hyperbolic:{n}" for n in (2, 3, 7, 30)]),
@@ -396,7 +381,8 @@ def test_total_integral_matches_mpmath_beta():
 def test_total_integral_matches_panel_quadrature_of_the_density():
     # the closed form against the model's own log f: Gauss-Legendre panels
     # in u = log t over [log 1e-8, log R_far], the power law t^(-(n-1)s)
-    # below (f = t^(n-1) (1 + O(t^2)) at the pole) and the tail bracket beyond
+    # below (f = t^(n-1) (1 + O(t^2)) at the pole) and beyond R_far the
+    # bound (P-1)/h f(R_far)^(-s) that f'/f >= h gives
     for desc in DEFAULT_CATALOG:
         model = build_density(desc)
         if model.kind == "euclidean":
@@ -407,7 +393,7 @@ def test_total_integral_matches_panel_quadrature_of_the_density():
             u0 = math.log(1e-8)
             R_far = green_module._far_cutoff(model, P, 1.0)
             bulk, _ = PanelPlan(u0, math.log(R_far), 0.1).integrate(lambda u, k: np.exp(u - s * model.log_f(np.exp(u))))
-            tail, _ = green_module._tail_bracket_scaled(model, P, R_far, 0.0)
+            tail = (P - 1.0) / model.h * math.exp(-s * model.log_f(R_far))
             total = math.exp(a * u0) / a + float(bulk[0]) + tail
             assert total == pytest.approx(green_module._total_integral(model, P), rel=1e-13), (desc, P)
 
@@ -454,6 +440,14 @@ def test_green_engine_refuses_P_below_the_floor():
         green_weight_batch(model, np.nextafter(green_module.P_MIN, 1.0), np.array([0.4]))
     with pytest.raises(PreconditionError, match="P >= 1.001"):
         green_weight_batch(build_density("euclidean:3"), 1.0005, np.array([0.5]))
+
+
+@pytest.mark.parametrize("space", ["hyperbolic:3", "dr:4,2", "euclidean:3"])
+def test_empty_radii_give_empty_arrays(space):
+    model = build_density(space)
+    for batch in (green_weight_batch(model, 2.0, []), green_value(model, 2.0, [])):
+        assert sorted(batch) == sorted(("G", "G_err", "dlogG", "W", "Wtilde", "rho", "delta"))
+        assert all(value.shape == (0,) for value in batch.values())
 
 
 def test_green_value_refuses_nan():

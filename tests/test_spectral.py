@@ -141,38 +141,57 @@ def test_refinement_no_longer_drifts_on_dr87(R):
     assert abs(fine - coarse) <= 1e-7 * fine
 
 
-def test_lambda0_factors_on_both_meshes_of_every_ball():
-    # lambda0 lies below the Dirichlet bottom of every ball, so T - lambda0 I
-    # factors at once on the coarse and on the half mesh, and
-    # bottom_eigenvalue never runs the shift search.  Left out: the balls on
-    # which f overflows (R = 70 past h = 10, R = 20 on hyperbolic:100) and
-    # those on hyperbolic:100 where f underflows at the pole's quarter cell
-    factored = 0
+def _sweep_balls():
+    """(model, R, cells, f, d, e) of every swept mesh whose matrix is finite.
+
+    The coarse and half meshes of a 100- and a 1,000-cell request.  Left out:
+    the balls on which f overflows (R = 70 past h = 10, R = 20 on
+    hyperbolic:100) and those on hyperbolic:100 where f underflows at the
+    pole's quarter cell.
+    """
     for space in SWEEP_SPACES:
         model = build_density(space)
         for R in (0.01, 1.0, 5.0, 20.0, 70.0):
-            # the coarse and half meshes of a 100- and a 1,000-cell request
             for cells in (100, 200, 1_000, 2_000):
                 try:
                     d, e = _assemble(model, R, cells)
                 except QuadratureError:
                     continue
                 if np.isfinite(d).all() and np.isfinite(e).all():
-                    assert spectral._factors(d, e, model.lambda0) is not None, (space, R, cells)
-                    factored += 1
+                    yield model, R, cells, spectral._density(model, R / cells, cells), d, e
+
+
+def test_lambda0_factors_on_both_meshes_of_every_ball():
+    # lambda0 lies below the Dirichlet bottom of every ball, so T - lambda0 I
+    # factors at once on the coarse and on the half mesh
+    factored = 0
+    for model, R, cells, _, d, e in _sweep_balls():
+        assert spectral._factors(d, e, model.lambda0) is not None, (model.descriptor(), R, cells)
+        factored += 1
     assert factored == 158
 
 
-def test_shift_above_the_spectrum_is_searched_down():
-    model = build_density("dr:4,2")
-    d, e = _assemble(model, 5.0, 1000)
-    at_floor = eigh_tridiagonal(d, e, model.lambda0)
-    for shift in (at_floor[0], 10.0, 1e6):
-        value, lower, _ = eigh_tridiagonal(d, e, shift)
-        # the two certified brackets overlap and the values agree to the
-        # rounding level
-        assert lower <= at_floor[0] and value >= at_floor[1]
-        assert abs(value - at_floor[0]) <= at_floor[0] - at_floor[1]
+def test_lambda0_supersolution_holds_row_by_row():
+    # the positivity proof behind the single factorization at lambda0:
+    # psi = sqrt(m) exp(-h r/2) makes every row of (T - lambda0 I) psi
+    # nonnegative, up to the rounding of its terms (the worst row reads
+    # -1.3 eps of them); the pole row needs h delta <= 4, which three of the
+    # 100-cell meshes exceed
+    rows = 0
+    for model, R, cells, f, d, e in _sweep_balls():
+        delta = R / cells
+        r = np.arange(cells) * delta
+        m = np.concatenate(([0.5 * delta * f[0]], delta * f[2::2]))
+        psi = np.sqrt(m) * np.exp(-0.5 * model.h * r)
+        terms = np.stack(((d - model.lambda0) * psi, np.zeros(cells), np.zeros(cells)))
+        terms[1, 1:] = e * psi[:-1]
+        terms[2, :-1] = e * psi[1:]
+        scale = np.abs(terms).sum(axis=0) + model.lambda0 * psi
+        ok = terms.sum(axis=0) >= -8.0 * EPS * scale
+        first = 0 if model.h * delta <= 4.0 else 1
+        assert ok[first:].all(), (model.descriptor(), R, cells, np.flatnonzero(~ok))
+        rows += cells - first
+    assert rows == 128_997
 
 
 def test_non_finite_assembly_is_refused_without_warnings():
@@ -188,10 +207,37 @@ def test_non_finite_assembly_is_refused_without_warnings():
             eigh_tridiagonal(np.array([2.0, np.inf, 2.0]), np.array([-1.0, -1.0]), 0.0)
 
 
+def test_shift_that_does_not_factor_is_refused():
+    # T - shift I must factor at the first shift; nothing searches below one
+    # that does not, whether it lies above the spectrum or T is indefinite
+    model = build_density("dr:4,2")
+    d, e = _assemble(model, 5.0, 1000)
+    cases = [(d, e, 10.0), (d, e, 1e6), (np.array([-1e300, 1.0]), np.array([0.0]), 0.0)]
+    for d, e, shift in cases:
+        with pytest.raises(QuadratureError, match=rf"^T - {shift!r} I is not positive definite: the shift must lie below the spectrum$"):
+            eigh_tridiagonal(d, e, shift)
+
+
+@pytest.mark.parametrize(
+    "d, e, shift, match",
+    [
+        ([], [], 0.0, "got 0 and 0"),
+        ([2.0], [], 0.0, "got 1 and 0"),
+        ([2.0, 2.0, 2.0], [-1.0], 0.0, "got 3 and 1"),
+        ([2.0, 2.0], [-1.0, -1.0], 0.0, "got 2 and 2"),
+        ([2.0, 2.0], [-1.0], math.nan, "shift must be finite, got nan"),
+        ([2.0, 2.0], [-1.0], -math.inf, "shift must be finite, got -inf"),
+    ],
+)
+def test_unusable_input_is_refused_before_any_factorization(monkeypatch, d, e, shift, match):
+    factorizations = []
+    monkeypatch.setattr(lapack, "dpttrf", lambda *args, **kwargs: factorizations.append(args))
+    with pytest.raises(PreconditionError, match=match):
+        eigh_tridiagonal(np.array(d), np.array(e), shift)
+    assert factorizations == []
+
+
 def test_failed_certificate_and_unsettled_iteration_are_refused(monkeypatch):
-    # a diagonal entry of -1e300 leaves no shift the search can reach
-    with pytest.raises(QuadratureError, match="no positive definite shift"):
-        eigh_tridiagonal(np.array([-1e300, 1.0]), np.array([0.0]), 0.0)
     model = build_density("hyperbolic:3")
     d, e = _assemble(model, 5.0, 100)
     factors = spectral._factors

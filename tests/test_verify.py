@@ -296,6 +296,11 @@ def test_asymptotics_fit_validation():
         asymptotics_fit(radii, -(radii**2))
     with pytest.raises(PreconditionError, match="strictly positive"):
         asymptotics_fit(radii, np.append(radii[:-1], 0.0))  # a sample that underflowed
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PreconditionError, match="strictly positive and finite"):
+            asymptotics_fit(radii, np.append(radii[:-1], bad))
+        with pytest.raises(PreconditionError, match="strictly positive and finite"):
+            asymptotics_fit(np.append(radii[:-1], bad), radii)
 
 
 def test_asymptotics_uses_the_critical_law_at_P_equal_n():
