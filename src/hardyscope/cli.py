@@ -127,8 +127,9 @@ def _report_text(doc: dict, reports) -> str:
     The rows go out column by column, each column one call of the C encoder
     with a newline between items, split on the newline: ``ensure_ascii``
     escapes every control character in a string, so a raw newline can only
-    be a separator.  A ``params`` dict (flat: strings and numbers) is one
-    call with the indented item separator, and a row is one %-template of
+    be a separator.  The ``params`` column (flat dicts) is one call with the
+    indented item separator, between the dicts too, split at "}", separator,
+    "{" (in a dict a key's quote follows it).  A row is one %-template of
     the fields in sorted order.  A NaN or infinity in any field but a side
     or the gap is a ValueError, as in ``_json_text``.
     """
@@ -137,11 +138,13 @@ def _report_text(doc: dict, reports) -> str:
     if not reports:
         return text.replace('"reports": null', '"reports": []', 1)
     encode = json.JSONEncoder(separators=("\n", ": "), allow_nan=False).encode
-    items = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": "), allow_nan=False).encode
+    sep = ",\n        "
+    items = json.JSONEncoder(sort_keys=True, separators=(sep, ": "), allow_nan=False).encode
     columns = []
     for key, values in zip(_REPORT_KEYS, zip(*map(operator.attrgetter(*_REPORT_KEYS), reports))):
         if key == "params":
-            columns.append(["{\n        %s\n      }" % items(p)[1:-1] if p else "{}" for p in values])
+            params = items(values)[2:-2].split("}" + sep + "{")
+            columns.append(["{\n        %s\n      }" % p if p else "{}" for p in params])
             continue
         if key in ("gap", "lhs", "rhs"):  # a skip's NaN or infinity is null
             values = [v if math.isfinite(v) else None for v in values]

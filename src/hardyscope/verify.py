@@ -14,11 +14,12 @@ member spans at least 8 of them; on the default suite that is 2,860 nodes.
 Functions of the space and of a pair are evaluated once on those shared
 nodes: the density once per space (``SuiteDensity``), and per pair the
 measure and the weights in one call each (the Green weight in one engine
-batch).  Each member's value and first two derivatives live on
-its own panels of the grid only (32,720 entries on the default suite, the
-bumps computed in one pass); one reduction per side then gives that side
-for every member, with its null-rule estimate.  The parts of a form that do
-not depend on the pair are computed once per space and order P.
+batch).  Each member's value and first two derivatives live on its own
+panels of the grid only (32,720 entries on the default suite), computed
+there alone: the 18 bumps in one call, the two Gaussians' shared envelope
+once; one reduction per side then gives that side for every member, with
+its null-rule estimate.  The parts of a form that do not depend on the
+pair are computed once per space and order P.
 ``rayleigh_gap``, ``p_rayleigh_gap``, ``uncertainty_gap`` and
 ``rellich_gap`` take a ``SuiteDensity`` and return their sides as
 ``PanelPlan.reduce`` gives them, (integrals, null-rule estimates) array
@@ -45,6 +46,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import groupby
 from types import ModuleType
 
 import numpy as np
@@ -155,36 +157,63 @@ def _suite_plan(members, width: float) -> SuitePlan:
 
 
 def _member_jets(members, r: np.ndarray, segment: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # value, d1 and d2 of each member on its nodes (segment is nondecreasing):
-    # one bump pass over all nodes, then every other member overwrites its own
-    mid, k1 = np.array([(m.scalar.mid, m.scalar.k1) if isinstance(m.scalar, _Bump) else (0.0, 0.0) for m in members]).T
-    j = _bump_jet(r, mid[segment], k1[segment])
+    # value, d1 and d2 of each member on its own nodes alone, one slice of r
+    # per member (segment is nondecreasing): a run of bumps in one call, mid
+    # and k1 repeated over its members' nodes, any other member by its jet,
+    # and the Gaussians of one envelope and support share the envelope's jet
     bounds = np.searchsorted(segment, np.arange(len(members) + 1))
-    for k, m in enumerate(members):
-        if not isinstance(m.scalar, _Bump):
-            own = slice(bounds[k], bounds[k + 1])
-            mj = m.scalar.jet(r[own])
-            j.val[own], j.d1[own], j.d2[own] = mj.val, mj.d1, mj.d2
-    return j.val, j.d1, j.d2
+    parts, envelopes = [], {}
+    for bump, run in groupby(range(len(members)), lambda k: isinstance(members[k].scalar, _Bump)):
+        run = list(run)
+        if bump:
+            sizes = np.diff(bounds[run[0] : run[-1] + 2])
+            mid, k1 = np.array([(members[k].scalar.mid, members[k].scalar.k1) for k in run]).T
+            parts.append(_bump_jet(r[bounds[run[0]] : bounds[run[-1] + 1]], np.repeat(mid, sizes), np.repeat(k1, sizes)))
+            continue
+        for k in run:
+            m, own = members[k], r[bounds[k] : bounds[k + 1]]
+            if not isinstance(m.scalar, _Gaussian):
+                parts.append(m.scalar.jet(own))
+                continue
+            key = (m.scalar.envelope, m.support)
+            if key not in envelopes:
+                envelopes[key] = m.scalar.envelope.jet(own)
+            parts.append(m.scalar.factor(own) * envelopes[key])
+    return tuple(np.concatenate([getattr(j, name) for j in parts]) for name in ("val", "d1", "d2"))
 
 
 def _bump_jet(r, mid, k1) -> Jet2:
     """Jet of the smooth bump exp(-1/(1-t^2)), t = (r - mid) k1, zero where
     |t| >= 1; ``mid`` and ``k1`` are floats or arrays matching r, so one call
-    covers bumps on any number of supports."""
+    covers bumps on any number of supports.  Computed in place, masked only
+    where some |t| >= 1."""
     shape = np.shape(r)
     t = np.atleast_1d((np.asarray(r, dtype=float) - mid) * k1)
     outside = ~(np.abs(t) < 1.0)
-    t[outside] = 0.0
+    masked = outside.any()
+    if masked:
+        t[outside] = 0.0
     sq = t * t
-    inv = 1.0 / (1.0 - sq)
-    val = np.exp(-inv)
-    # the exponent's t-derivatives are du and -(6 t^2 + 2) inv^3
-    du = -2.0 * t * inv * inv
-    d2 = (du * du - (6.0 * sq + 2.0) * inv * inv * inv) * val * k1 * k1
-    d1 = du * val * k1
-    for a in (val, d1, d2):
-        a[outside] = 0.0
+    inv = 1.0 - sq
+    np.divide(1.0, inv, out=inv)
+    # the exponent's t-derivatives are du = -2 t inv^2 (in t) and
+    # -(6 t^2 + 2) inv^3 (in sq)
+    for a in (-2.0, inv, inv):
+        t *= a
+    sq *= 6.0
+    sq += 2.0
+    for _ in range(3):
+        sq *= inv
+    val = np.exp(np.negative(inv, out=inv), out=inv)
+    d2 = t * t
+    d2 -= sq
+    for a in (val, k1, k1):
+        d2 *= a
+    d1 = np.multiply(t, val, out=t)
+    d1 *= k1
+    if masked:
+        for a in (val, d1, d2):
+            a[outside] = 0.0
     return Jet2(val.reshape(shape)[()], d1.reshape(shape)[()], d2.reshape(shape)[()])
 
 
@@ -203,16 +232,21 @@ class _Bump(RadialScalar):
         super().__init__(lambda r: jet(r).val, jet)
 
 
-def _gaussian_times(center: float, width: float, envelope: _Bump) -> RadialScalar:
-    """exp(-((r - center)/width)^2) times the envelope bump."""
+class _Gaussian(RadialScalar):
+    """exp(-((r - center)/width)^2) times the envelope bump; the suite plan
+    evaluates an envelope once for all its Gaussians on one support."""
 
-    def jet(r):
-        s = (r - center) / width
+    __slots__ = ("center", "width", "envelope")
+
+    def __init__(self, center: float, width: float, envelope: _Bump):
+        self.center, self.width, self.envelope = center, width, envelope
+        super().__init__(lambda r: self.jet(r).val, lambda r: self.factor(r) * envelope.jet(r))
+
+    def factor(self, r) -> Jet2:
+        """The jet of the Gaussian factor alone."""
+        s = (r - self.center) / self.width
         val = np.exp(-(s**2))
-        gauss = Jet2(val, val * (-2.0 * (r - center) / width**2), val * (4.0 * s * s - 2.0) / width**2)
-        return gauss * envelope.jet(r)
-
-    return RadialScalar.from_jet(jet)
+        return Jet2(val, val * (-2.0 * (r - self.center) / self.width**2), val * (4.0 * s * s - 2.0) / self.width**2)
 
 
 @cache
@@ -233,8 +267,8 @@ def default_suite() -> TestFunctionSuite:
         hi = b - (count - 1 - k) * shift
         members.append(SuiteMember(f"bump_{k:02d}", _Bump(lo, hi), (lo, hi)))
     envelope = _Bump(a, b)
-    g1 = _gaussian_times(a + 0.3 * (b - a), 0.2 * (b - a), envelope)
-    g2 = _gaussian_times(a + 0.7 * (b - a), 0.15 * (b - a), envelope)
+    g1 = _Gaussian(a + 0.3 * (b - a), 0.2 * (b - a), envelope)
+    g2 = _Gaussian(a + 0.7 * (b - a), 0.15 * (b - a), envelope)
     members.append(SuiteMember("gauss_lo", g1, (a, b)))
     members.append(SuiteMember("gauss_hi", g2, (a, b)))
     return TestFunctionSuite(tuple(members))
@@ -575,12 +609,12 @@ def _rayleigh_groups(density: SuiteDensity):
 
 
 def _ode_groups(density: SuiteDensity):
-    model = density.model
+    model, grid = density.model, default_grid()
     for label, params, pair, row in _pairs_for(model):
         if pair.log_ground_state is None:
             continue
         # the P = 2 residual is a size; the supersolution residual is signed
-        resid = ode_residual(model, pair)
+        resid = ode_residual(model, pair, grid)
         gap = -resid if pair.P == 2.0 else resid
         tol = row.ode_tol
         yield [(f"ode.{label}", dict(params))], [(resid, 0.0, gap, tol, "pass" if gap >= -tol else "fail")]

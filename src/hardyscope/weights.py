@@ -243,10 +243,12 @@ def weight_gamma_family(model: DensityModel, gamma: float):
         raise PreconditionError("gamma must lie in [0, 1/2]")
 
     def v_value(rr):
-        base = 0.5 * model.d2f_over_f(rr) - 0.25 * np.square(model.log_df(rr))
+        # f'/f and (f'/f)' once; f''/f = (f'/f)' + (f'/f)^2 as in DensityModel.d2f_over_f
+        log_df, dlog_df = model.log_df(rr), model.dlog_df(rr)
+        base = 0.5 * (dlog_df + np.square(log_df)) - 0.25 * np.square(log_df)
         # l' and l'' of l = log h = log f / (n-1)
-        d1 = model.log_df(rr) / (model.n - 1.0)
-        d2 = model.dlog_df(rr) / (model.n - 1.0)
+        d1 = log_df / (model.n - 1.0)
+        d2 = dlog_df / (model.n - 1.0)
         correction = gamma * (d2 + (1.0 + 2.0 * gamma) * d1 / rr - gamma * np.square(d1))
         return -(base + correction)
 
@@ -308,7 +310,8 @@ def weight_weighted(model: DensityModel, alpha: float):
     + (4 alpha + 1)/(4 r^2).  On the two-parameter spaces the constant part
     lambda0 is split off into V; elsewhere V = 0 and W carries everything.
     The density may change sign (only the integral inequality is claimed),
-    and there is no ground state attached.
+    and there is no ground state attached.  At alpha = 0 the pair carries no
+    measure (r^0 = 1).
     """
     alpha = float(alpha)
     if not alpha >= 0.0:
@@ -336,7 +339,7 @@ def weight_weighted(model: DensityModel, alpha: float):
         V=v_scalar,
         W=_sum_terms(terms),
         terms=terms,
-        measure=RadialScalar(lambda rr: np.power(rr, -2.0 * alpha)),
+        measure=RadialScalar(lambda rr: np.power(rr, -2.0 * alpha)) if alpha else None,
     )
 
 
@@ -369,38 +372,37 @@ def weight_p_dr(model: DensityModel, P: float):
     c_drift = _or_exp(lambda: h ** (P - 1.0) * (P - 2.0) / P**P, (P - 1.0) * log_h - P * log_P, P - 2.0)
     k = 2.0 / (p + 2.0 * q)
 
-    def g_value(rr):
+    def g_powers(rr):
+        # g and g^(P-2), once per evaluation of W, V or a term
         with np.errstate(over="ignore"):
-            return 1.0 / np.tanh(rr / 2.0) - k * (q / np.sinh(rr) + 1.0 / rr)
+            g = 1.0 / np.tanh(rr / 2.0) - k * (q / np.sinh(rr) + 1.0 / rr)
+        return g, np.power(g, P - 2.0)
 
     _, c_sr, c_half = hilfe_coefficients(1.0, -P * (P - 1.0), p, q)
 
-    def gpow(rr):
-        return np.power(g_value(rr), P - 2.0)
+    def hardy(rr, g, gpow):
+        return pref * (P - 1.0) ** 2 * gpow / np.square(rr)
 
-    def t1_value(rr):
-        return pref * (P - 1.0) ** 2 * gpow(rr) / np.square(rr)
+    def drift(rr, g, gpow):
+        return c_drift * gpow * (g + 1.0 / (h * rr)) / rr
 
-    def t2_value(rr):
-        gv = g_value(rr)
-        return c_drift * np.power(gv, P - 2.0) * (gv + 1.0 / (h * rr)) / rr
-
-    def t3_value(rr):
+    def sinh_terms(rr, g, gpow):
         with np.errstate(over="ignore"):
             bracket = c_sr / np.square(np.sinh(rr)) + c_half / np.square(np.sinh(rr / 2.0))
-        return pref * gpow(rr) * bracket
+        return pref * gpow * bracket
+
+    def w_value(rr):
+        g = g_powers(rr)
+        return hardy(rr, *g) + drift(rr, *g) + sinh_terms(rr, *g)
 
     def v_value(rr):
-        return -lam_p * gpow(rr)
+        return -lam_p * g_powers(rr)[1]
 
-    terms = (
-        ("Hardy term", RadialScalar(t1_value)),
-        ("drift term", RadialScalar(t2_value)),
-        ("sinh terms", RadialScalar(t3_value)),
-    )
+    parts = (("Hardy term", hardy), ("drift term", drift), ("sinh terms", sinh_terms))
+    terms = tuple((name, RadialScalar(lambda rr, term=term: term(rr, *g_powers(rr)))) for name, term in parts)
     return WeightPair(
         V=RadialScalar(v_value),
-        W=_sum_terms(terms),
+        W=RadialScalar(w_value),
         terms=terms,
         log_ground_state=_log_ground_state(model, 1.0 / P, 1.0 / P),
         P=P,

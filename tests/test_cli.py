@@ -640,6 +640,15 @@ def test_report_writer_matches_the_indented_encoder_on_odd_rows():
     assert "\\u00e9" in text and "\u00e9" not in text
     # no reports: the list is empty, as for ``verify asymptotics --space euclidean:3``
     assert _assert_report_text_is_indented_json([]).count('"reports": []') == 1
+    # the params column is one encoder call split between its dicts: empty
+    # dicts first, last and side by side, a single row, and keys and values
+    # that hold braces, commas, quotes, newlines, the split text itself and
+    # non-ASCII characters
+    tricky = ["}", "{", ",", '"', "\n", "},\n        {", "{},\n        {}", "\u00e9\u2202", "\U0001d4d7}"]
+    rows = [{}, {}, {"a": 1}, {}, {k: v for k, v in zip(tricky, reversed(tricky))}, {t: 0.5 for t in tricky}, {}, {}]
+    for params in (rows, rows[2:-2], rows[:1], rows[4:5], [{"\u00e9": "}"}], [{}, {"x": "{"}, {}]):
+        reports = [Report(f"rayleigh.m{k}", "dr:4,2", p, 1.0, 0.5, 0.5, 1e-8, "pass") for k, p in enumerate(params)]
+        _assert_report_text_is_indented_json(reports)
 
 
 @pytest.mark.parametrize("field", ["seconds", "tolerance", "params"])

@@ -29,6 +29,7 @@ from hardyscope.weights import (
     weight_gamma_family,
     weight_p_dr,
     weight_theorem_b,
+    weight_weighted,
 )
 
 from radial_reference import p_laplacian_radial
@@ -517,6 +518,19 @@ def _assert_sides_close(got, expected, context):
         assert abs(g - e) <= 1e-13 * scale, (context, got, expected)
 
 
+@pytest.mark.parametrize("space", DEFAULT_CATALOG)
+def test_weighted_pair_at_alpha_zero_has_no_measure(space):
+    # r^0 = 1: the rayleigh sides without a measure equal, bit for bit, those
+    # with an explicit unit measure
+    model = build_density(space)
+    pair = weight_weighted(model, 0.0)
+    assert pair.measure is None and weight_weighted(model, 0.5).measure is not None
+    density = verify.SuiteDensity(model, default_suite())
+    unit = dataclasses.replace(pair, measure=RadialScalar(lambda r: np.power(r, -0.0)))
+    for side, unit_side in zip(rayleigh_gap(density, pair), rayleigh_gap(density, unit), strict=True):
+        assert _same_bits(side, unit_side), space
+
+
 @pytest.mark.parametrize("space", ["dr:4,2", "hyperbolic:3"])
 def test_batched_rayleigh_gaps_match_per_member_integrals(space):
     model = build_density(space)
@@ -684,8 +698,8 @@ def test_scalar_values_equal_jet_values_bit_for_bit():
 
 
 class _CountingModel:
-    """Delegates to a density model and counts calls of f and log_df, and the
-    suite-density evaluations: log f on the suite's nodes."""
+    """Delegates to a density model and counts calls of f, log_df and
+    dlog_df, and the suite-density evaluations: log f on the suite's nodes."""
 
     def __init__(self, model, counts, nodes):
         self._model = model
@@ -707,6 +721,10 @@ class _CountingModel:
         self._counts["log_df"] += 1
         return self._model.log_df(r)
 
+    def dlog_df(self, r):
+        self._counts["dlog_df"] += 1
+        return self._model.dlog_df(r)
+
 
 class _CountingScalar:
     def __init__(self, scalar, counts, key):
@@ -718,13 +736,15 @@ class _CountingScalar:
 
 
 def _counted_run(monkeypatch, space, families, suite, label=None):
-    counts = {"f": 0, "density": 0, "log_df": 0, "W": 0, "V": 0, "hpw_g": 0}
+    # the pair labelled ``label`` alone, or every pair for "*"
+    counts = {"f": 0, "density": 0, "log_df": 0, "dlog_df": 0, "W": 0, "V": 0, "hpw_g": 0, "grid": 0}
     real_build, real_pairs, real_hpw_g = verify.build_density, verify._pairs_for, verify.hpw_g
+    real_grid = verify.default_grid
 
     def pairs_for(model):
         out = []
         for lab, params, pair, row in real_pairs(model):
-            if lab == label:
+            if label in (lab, "*"):
                 W, V = _CountingScalar(pair.W, counts, "W"), _CountingScalar(pair.V, counts, "V")
                 out.append((lab, params, dataclasses.replace(pair, W=W, V=V), row))
         return out
@@ -733,12 +753,19 @@ def _counted_run(monkeypatch, space, families, suite, label=None):
         counts["hpw_g"] += 1
         return real_hpw_g(*args)
 
+    def counted_grid():
+        counts["grid"] += 1
+        return real_grid()
+
     nodes = suite.plan.nodes
     monkeypatch.setattr(verify, "build_density", lambda desc: _CountingModel(real_build(desc), counts, nodes))
     monkeypatch.setattr(verify, "_pairs_for", pairs_for)
     monkeypatch.setattr(verify, "hpw_g", counted_hpw_g)
+    monkeypatch.setattr(verify, "default_grid", counted_grid)
     reports = run_verification(spaces=[space], families=families, suite=suite)
-    assert len(reports) == len(families) * len(suite.members)
+    # a check per member and integral family, and one per pair for ode
+    integral = [f for f in families if f != "ode"]
+    assert sum(not r.check_id.startswith("ode.") for r in reports) == len(integral) * len(suite.members)
     # raw f is not evaluated: the density comes from log f
     assert counts["f"] == 0
     assert all(r.verdict == "pass" for r in reports)
@@ -765,6 +792,35 @@ def test_uncertainty_and_rellich_evaluate_once_per_space(monkeypatch):
         assert small == full
         assert full["density"] == full["hpw_g"] == 1, (family, full)
         assert full["log_df"] == (1 if family == "rellich" else 0), (family, full)
+
+
+@pytest.mark.parametrize("space", ["euclidean:3", "hyperbolic:3", "dr:8,7"])
+def test_ode_builds_the_default_grid_once_per_space(monkeypatch, space):
+    counts = _counted_run(monkeypatch, space, ["ode"], _small_suite(), "*")
+    assert counts["grid"] == 1 and counts["V"] >= 2, counts
+
+
+@pytest.mark.parametrize("space", ["hyperbolic:3", "dr:4,2"])
+def test_gamma_potential_reads_each_log_derivative_once(monkeypatch, space):
+    # rayleigh evaluates V once; W is 1/r^2 and the density log f alone
+    counts = _counted_run(monkeypatch, space, ["rayleigh"], default_suite(), "gamma")
+    assert counts["V"] == counts["log_df"] == counts["dlog_df"] == 1, counts
+
+
+def test_plan_build_passes_each_bump_its_own_nodes_and_the_envelope_once(monkeypatch):
+    # the 18 bumps in one call on their own 27,000 nodes alone, none of the
+    # Gaussians' 5,720, and the Gaussians' shared envelope once on 2,860
+    suite = default_suite()
+    calls, real = [], verify._bump_jet
+    monkeypatch.setattr(verify, "_bump_jet", lambda r, mid, k1: calls.append(np.array(r)) or real(r, mid, k1))
+    plan = verify._suite_plan(suite.members, verify._PANEL_WIDTH)
+    monkeypatch.undo()
+    r = plan.nodes[plan.index]
+    bumps = plan.segment < 18
+    assert [c.size for c in calls] == [27_000, 2_860]
+    assert _same_bits(calls[0], r[bumps]) and _same_bits(calls[1], plan.nodes)
+    for name in ("val", "d1", "d2"):
+        assert _same_bits(getattr(plan, name), getattr(suite.plan, name)), name
 
 
 def test_integral_families_share_one_density_per_space(monkeypatch):

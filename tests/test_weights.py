@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hardyscope.errors import PreconditionError
 from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, validate_heisenberg_params
-from hardyscope.verify import _pairs_for
+from hardyscope.verify import SuiteDensity, _pairs_for, default_suite
 from hardyscope.weights import (
     WeightPair,
     hpw_g,
@@ -358,3 +358,31 @@ def test_quasilinear_pair_past_the_double_range_of_its_powers(p, q, P, v1):
     want = np.array([_p_pair_reference(p, q, P, x) for x in r]).T
     np.testing.assert_allclose(got, want, rtol=1e-12)
     assert abs(got[0][1] / v1 - 1.0) < 1e-2
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("space", DEFAULT_CATALOG + ("dr:32,8", "hyperbolic:30"))
+def test_weight_is_the_in_order_sum_of_its_terms_bit_for_bit(space):
+    # W evaluates the space's functions once per call (the quasi-linear
+    # pair's g and g^(P-2) too) and must still be its terms' sum, taken in
+    # their order; the gamma pair's V, which reads f'/f and (f'/f)' once, must
+    # equal its written form.  On the suite's nodes and on the default grid
+    model = build_density(space)
+    for r in (SuiteDensity(model, default_suite()).plan.nodes, default_grid()):
+        checked = 0
+        for label, _, pair, _ in _pairs_for(model):
+            total = pair.terms[0][1].value(r)
+            for _, scalar in pair.terms[1:]:
+                total = total + scalar.value(r)
+            assert _same_bits(pair.W.value(r), total), (space, label)
+            checked += 1
+        assert checked >= 4
+        for gamma in (0.0, 0.25, 0.5):
+            d1, d2 = model.log_df(r) / (model.n - 1.0), model.dlog_df(r) / (model.n - 1.0)
+            correction = gamma * (d2 + (1.0 + 2.0 * gamma) * d1 / r - gamma * np.square(d1))
+            want = -(0.5 * model.d2f_over_f(r) - 0.25 * np.square(model.log_df(r)) + correction)
+            assert _same_bits(weight_gamma_family(model, gamma).V.value(r), want), (space, gamma)
