@@ -70,11 +70,6 @@ class RadialScalar:
         c = float(c)
         return RadialScalar(lambda r: np.full(np.shape(r), c)[()])
 
-    @staticmethod
-    def from_jet(jet: Callable[[ArrayLike], Jet2]) -> "RadialScalar":
-        """The scalar of a jet callable; its value evaluation computes the whole jet."""
-        return RadialScalar(lambda r: jet(r).val, jet)
-
     def value(self, r: ArrayLike) -> ArrayLike:
         return self._value(r)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PanelPlan, RadialScalar, check_radius, exp_rounding
+from .calculus import _TINY, PanelPlan, RadialScalar, check_radius, exp_rounding
 from .errors import PreconditionError, QuadratureError
 from .spaces import EUCLIDEAN, DensityModel
 from .weights import WeightPair
@@ -86,6 +86,19 @@ def _power(base: float, P: float) -> float:
         return base**P
     except OverflowError:
         return math.inf
+
+
+def _power_law(c: float, P: float, x):
+    """c^P x^(-P) for P, c, x > 0: the direct product where both powers are
+    positive normal doubles, else exp(P (log c - log x)), so neither power's
+    overflow nor its underflow reaches the law.  The caller ignores overflow."""
+    c_p, x_p = _power(c, P), x ** (-P)
+    lo, hi = np.minimum.reduce(x_p, axis=None, initial=math.inf), np.maximum.reduce(x_p, axis=None, initial=0.0)
+    c_normal = _TINY <= c_p < math.inf
+    if c_normal and _TINY <= lo and hi < math.inf:
+        return c_p * x_p
+    normal = c_normal & (x_p >= _TINY) & (x_p < math.inf)
+    return np.where(normal, c_p * x_p, np.exp(P * (math.log(c) - np.log(x))))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +193,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
             G = radii * np.exp(-exponent) / (k - 1.0)
         dlog = -(n - P) / ((P - 1.0) * radii)
         with np.errstate(over="ignore", invalid="ignore"):
-            W = _power((n - P) / P, P) * radii ** (-P)
-            if not np.isfinite(W).all():
-                # ((n-P)/P)^P or r^(-P) leaves the double range: one exponential
-                W = np.where(np.isfinite(W), W, np.exp(P * (math.log((n - P) / P) - np.log(radii))))
+            W = _power_law((n - P) / P, P, radii)
         G_err = exp_rounding(exponent) * G
         nan = np.full_like(radii, np.nan)
         return {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": W.copy(), "rho": nan, "delta": nan}
@@ -262,15 +272,15 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     # past delta = 1/2 the rounding of delta would cost P eps / rho relative
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = -P * np.where(delta < 0.5, np.log1p(-delta), np.log(rho))
-        W = lam_p * rho ** (-P)
+        W = _power_law(h / P, P, rho)
         wtilde = lam_p * np.expm1(x)
-        if not (np.isfinite(W).all() and np.isfinite(wtilde).all()):
-            # at large P, Lambda_P leaves the double range or its factor
-            # does; there each is one exponential, from log Lambda_P, and
-            # Wtilde = Lambda_P e^x (1 - e^-x)
-            log_lam = P * math.log(h / P)
-            W = np.where(np.isfinite(W), W, np.exp(log_lam - P * np.log(rho)))
-            wtilde = np.where(np.isfinite(wtilde), wtilde, np.exp(log_lam + x + np.log(-np.expm1(-x))))
+        lam_normal = _TINY <= lam_p < math.inf
+        if not (lam_normal and np.isfinite(wtilde).all()):
+            # at large P, Lambda_P leaves the normal doubles or its factor
+            # overflows; there Wtilde = Lambda_P e^x (1 - e^-x) is one
+            # exponential, from log Lambda_P
+            keep = lam_normal & np.isfinite(wtilde)
+            wtilde = np.where(keep, wtilde, np.exp(P * math.log(h / P) + x + np.log(-np.expm1(-x))))
     exponent = s * (lf[at] + log_omega)
     # G overflows near the pole when the exponent is hugely negative; the
     # infinite G_err then refuses the row
@@ -468,7 +478,7 @@ def asymptotic_prediction(model: DensityModel, P: float, r) -> AsymptoticPredict
         if abs(P - n) < 1e-9:
             return AsymptoticPrediction("P=n", ((P - 1.0) / P) ** P * np.power(np.abs(r * np.log(r)), -P), -P)
         if P < n:
-            return AsymptoticPrediction("P<n", _power((n - P) / P, P) * np.power(r, -P), -P)
+            return AsymptoticPrediction("P<n", _power_law((n - P) / P, P, r), -P)
         coef = ((P - 1.0) / P) ** P * _power(_total_integral(model, P), -P)
         expo = -P * (n - 1.0) / (P - 1.0)
         return AsymptoticPrediction("P>n", coef * np.power(r, expo), expo)

@@ -16,10 +16,10 @@ nodes: the density once per space (``SuiteDensity``), and per pair the
 measure and the weights in one call each (the Green weight in one engine
 batch).  Each member's value and first two derivatives live on its own
 panels of the grid only (32,720 entries on the default suite), computed
-there alone: the 18 bumps in one call, the two Gaussians' shared envelope
-once; one reduction per side then gives that side for every member, with
-its null-rule estimate.  The parts of a form that do not depend on the
-pair are computed once per space and order P.
+there alone: the bumps of all 20 members in one call, the two Gaussians'
+factors multiplied in after; one reduction per side then gives that side
+for every member, with its null-rule estimate.  The parts of a form that
+do not depend on the pair are computed once per space and order P.
 ``rayleigh_gap``, ``p_rayleigh_gap``, ``uncertainty_gap`` and
 ``rellich_gap`` take a ``SuiteDensity`` and return their sides as
 ``PanelPlan.reduce`` gives them, (integrals, null-rule estimates) array
@@ -46,7 +46,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import groupby
 from types import ModuleType
 
 import numpy as np
@@ -157,29 +156,24 @@ def _suite_plan(members, width: float) -> SuitePlan:
 
 
 def _member_jets(members, r: np.ndarray, segment: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # value, d1 and d2 of each member on its own nodes alone, one slice of r
-    # per member (segment is nondecreasing): a run of bumps in one call, mid
-    # and k1 repeated over its members' nodes, any other member by its jet,
-    # and the Gaussians of one envelope and support share the envelope's jet
+    # value, d1 and d2 of each member on its own slice of r (segment is
+    # nondecreasing): one bump call, mid and k1 repeated over each member's
+    # nodes (0 if no bump), then Gaussian factors and other members' own jets
     bounds = np.searchsorted(segment, np.arange(len(members) + 1))
-    parts, envelopes = [], {}
-    for bump, run in groupby(range(len(members)), lambda k: isinstance(members[k].scalar, _Bump)):
-        run = list(run)
-        if bump:
-            sizes = np.diff(bounds[run[0] : run[-1] + 2])
-            mid, k1 = np.array([(members[k].scalar.mid, members[k].scalar.k1) for k in run]).T
-            parts.append(_bump_jet(r[bounds[run[0]] : bounds[run[-1] + 1]], np.repeat(mid, sizes), np.repeat(k1, sizes)))
+    bumps = [(m.scalar.mid, m.scalar.k1) if isinstance(m.scalar, _Bump) else (0.0, 0.0) for m in members]
+    mid, k1 = (np.repeat(x, np.diff(bounds)) for x in np.array(bumps).T)
+    jet = _bump_jet(r, mid, k1)
+    val, d1, d2 = jet.val, jet.d1, jet.d2
+    for k, m in enumerate(members):
+        own = slice(bounds[k], bounds[k + 1])
+        if not isinstance(m.scalar, _Bump):
+            jet = m.scalar.jet(r[own])
+        elif m.scalar.center is not None:
+            jet = m.scalar.factor(r[own]) * Jet2(val[own], d1[own], d2[own])
+        else:
             continue
-        for k in run:
-            m, own = members[k], r[bounds[k] : bounds[k + 1]]
-            if not isinstance(m.scalar, _Gaussian):
-                parts.append(m.scalar.jet(own))
-                continue
-            key = (m.scalar.envelope, m.support)
-            if key not in envelopes:
-                envelopes[key] = m.scalar.envelope.jet(own)
-            parts.append(m.scalar.factor(own) * envelopes[key])
-    return tuple(np.concatenate([getattr(j, name) for j in parts]) for name in ("val", "d1", "d2"))
+        val[own], d1[own], d2[own] = jet.val, jet.d1, jet.d2
+    return val, d1, d2
 
 
 def _bump_jet(r, mid, k1) -> Jet2:
@@ -218,29 +212,20 @@ def _bump_jet(r, mid, k1) -> Jet2:
 
 
 class _Bump(RadialScalar):
-    """Smooth bump on (lo, hi), zero outside; the suite plan evaluates all
-    its bumps together from ``mid`` and ``k1``."""
+    """Smooth bump on (lo, hi), zero outside, times exp(-((r - center)/width)^2)
+    when a center is given; the suite plan evaluates all its bumps together
+    from ``mid`` and ``k1`` and multiplies each Gaussian ``factor`` in after."""
 
-    __slots__ = ("mid", "k1")
+    __slots__ = ("mid", "k1", "center", "width")
 
-    def __init__(self, lo: float, hi: float):
-        self.mid, self.k1 = 0.5 * (lo + hi), 2.0 / (hi - lo)
+    def __init__(self, lo: float, hi: float, center: float | None = None, width: float | None = None):
+        self.mid, self.k1, self.center, self.width = 0.5 * (lo + hi), 2.0 / (hi - lo), center, width
 
         def jet(r):
-            return _bump_jet(r, self.mid, self.k1)
+            bump = _bump_jet(r, self.mid, self.k1)
+            return bump if center is None else self.factor(r) * bump
 
         super().__init__(lambda r: jet(r).val, jet)
-
-
-class _Gaussian(RadialScalar):
-    """exp(-((r - center)/width)^2) times the envelope bump; the suite plan
-    evaluates an envelope once for all its Gaussians on one support."""
-
-    __slots__ = ("center", "width", "envelope")
-
-    def __init__(self, center: float, width: float, envelope: _Bump):
-        self.center, self.width, self.envelope = center, width, envelope
-        super().__init__(lambda r: self.jet(r).val, lambda r: self.factor(r) * envelope.jet(r))
 
     def factor(self, r) -> Jet2:
         """The jet of the Gaussian factor alone."""
@@ -266,11 +251,8 @@ def default_suite() -> TestFunctionSuite:
         lo = a + k * shift
         hi = b - (count - 1 - k) * shift
         members.append(SuiteMember(f"bump_{k:02d}", _Bump(lo, hi), (lo, hi)))
-    envelope = _Bump(a, b)
-    g1 = _Gaussian(a + 0.3 * (b - a), 0.2 * (b - a), envelope)
-    g2 = _Gaussian(a + 0.7 * (b - a), 0.15 * (b - a), envelope)
-    members.append(SuiteMember("gauss_lo", g1, (a, b)))
-    members.append(SuiteMember("gauss_hi", g2, (a, b)))
+    members.append(SuiteMember("gauss_lo", _Bump(a, b, a + 0.3 * (b - a), 0.2 * (b - a)), (a, b)))
+    members.append(SuiteMember("gauss_hi", _Bump(a, b, a + 0.7 * (b - a), 0.15 * (b - a)), (a, b)))
     return TestFunctionSuite(tuple(members))
 
 
@@ -281,11 +263,16 @@ class SuiteDensity:
     50 across one (the suite's own plan up to h = 200, the whole catalog);
     ``log_scale`` holds c_m per member, ``values`` the shifted f on the
     members' nodes.  ``form`` keeps the pair-independent parts of the
-    energy forms, one set per order P."""
+    energy forms, one set per order P.  Without a suite it reads
+    ``default_suite()``, built on first use."""
 
-    def __init__(self, model: DensityModel, suite: TestFunctionSuite):
-        self.model, self.suite = model, suite
+    def __init__(self, model: DensityModel, suite: TestFunctionSuite | None = None):
+        self.model, self._suite = model, suite
         self._forms: dict[float, tuple] = {}
+
+    @property
+    def suite(self) -> TestFunctionSuite:
+        return default_suite() if self._suite is None else self._suite
 
     @cached_property
     def log_scale(self) -> np.ndarray:
@@ -720,11 +707,11 @@ def run_verification(
     The report order depends only on (spaces, families, suite), so repeated
     runs diff cleanly.  An unknown family or a bad space descriptor is
     refused before any check runs.  Checks that share their work run as one
-    group (see ``VerificationReport``).
+    group (see ``VerificationReport``).  Without a suite the checks read
+    ``default_suite()``, built only if a family reads it.
     """
     spaces = DEFAULT_CATALOG if spaces is None else spaces
     families = list(FAMILIES if families is None else families)
-    suite = default_suite() if suite is None else suite
     for family in families:
         if family not in _FAMILY_GROUPS:
             raise PreconditionError(f"unknown verification family: {family!r}")

@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -208,6 +209,45 @@ def test_green_eval_weights_stay_finite_at_huge_P(P, capsys):
     assert "nan" not in out and "inf" not in out
     table = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
     assert np.all(table[:, 4:] == 0.0)  # W and Wtilde underflow, as Lambda_P does
+
+
+@pytest.mark.parametrize(
+    "space, P, grid",
+    [("euclidean:310", "300", "0.1:0.3:0.1"), ("hyperbolic:30", "340", "0.001:0.0011:0.0001")],
+)
+def test_green_eval_power_laws_survive_an_underflowing_factor(space, P, grid, capsys):
+    # ((n-P)/P)^P on euclidean:310 and Lambda_P on hyperbolic:30 underflow to
+    # 0, so W and Wtilde printed 0 where they are normal doubles (down to
+    # 5.3e-287); each must match its law taken in logs, to 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["green", "eval", "--space", space, "--P", P, "--tol", "inf", "--grid", grid])
+    assert rc == 0
+    table = np.loadtxt(capsys.readouterr().out.splitlines(), delimiter=",", skiprows=1)
+    model, P = hardyscope.build_density(space), float(P)
+    batch = cli.green_mod.green_weight_batch(model, P, table[:, 0])
+    with mpmath.workdps(50):
+        for (r, *_, w, wtilde), rho, delta in zip(table, batch["rho"], batch["delta"]):
+            if model.kind == "euclidean":
+                exact_w = exact_wtilde = ((mpmath.mpf(model.n) - P) / P) ** P * mpmath.mpf(r) ** -P
+            else:
+                lam = (mpmath.mpf(model.h) / P) ** P
+                exact_w = lam * mpmath.mpf(float(rho)) ** -P
+                exact_wtilde = lam * mpmath.expm1(-P * mpmath.log1p(-mpmath.mpf(float(delta))))
+            assert w > 0.0 and wtilde > 0.0
+            assert float(abs(w - exact_w) / exact_w) < 1e-12, r
+            assert float(abs(wtilde - exact_wtilde) / exact_wtilde) < 1e-12, r
+
+
+def test_green_asymptotics_below_P_equal_n_with_an_underflowing_coefficient(capsys):
+    # ((n-P)/P)^P underflows to 0 and r^(-P) overflows: the predicted law read
+    # 0 * inf = nan, and the surplus 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["green", "asymptotics", "--space", "euclidean:310", "--P", "300", "--rmin", "0.0032", "--rmax", "0.32"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regime"] == "P<n" and doc["ratio_at_rmin"] == 1.0
 
 
 def test_green_eval_refuses_a_column_that_is_not_finite(monkeypatch, capsys):

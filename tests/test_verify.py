@@ -128,7 +128,7 @@ def _exp_jet(log_scalar: RadialScalar) -> RadialScalar:
         phi = np.exp(lj.val)
         return Jet2(phi, phi * lj.d1, phi * (lj.d2 + lj.d1 * lj.d1))
 
-    return RadialScalar.from_jet(jet)
+    return RadialScalar(lambda r: jet(r).val, jet)
 
 
 @pytest.mark.parametrize("space, label", _ODE_CASES)
@@ -807,20 +807,54 @@ def test_gamma_potential_reads_each_log_derivative_once(monkeypatch, space):
     assert counts["V"] == counts["log_df"] == counts["dlog_df"] == 1, counts
 
 
-def test_plan_build_passes_each_bump_its_own_nodes_and_the_envelope_once(monkeypatch):
-    # the 18 bumps in one call on their own 27,000 nodes alone, none of the
-    # Gaussians' 5,720, and the Gaussians' shared envelope once on 2,860
+def test_plan_build_makes_one_bump_call_on_every_members_nodes(monkeypatch):
+    # the 18 bumps and the two Gaussians' envelopes in one call on all 32,720
+    # member nodes, in plan order
     suite = default_suite()
     calls, real = [], verify._bump_jet
     monkeypatch.setattr(verify, "_bump_jet", lambda r, mid, k1: calls.append(np.array(r)) or real(r, mid, k1))
     plan = verify._suite_plan(suite.members, verify._PANEL_WIDTH)
     monkeypatch.undo()
-    r = plan.nodes[plan.index]
-    bumps = plan.segment < 18
-    assert [c.size for c in calls] == [27_000, 2_860]
-    assert _same_bits(calls[0], r[bumps]) and _same_bits(calls[1], plan.nodes)
+    assert len(calls) == 1 and _same_bits(calls[0], plan.nodes[plan.index])
+    assert calls[0].size == 32_720
     for name in ("val", "d1", "d2"):
         assert _same_bits(getattr(plan, name), getattr(suite.plan, name)), name
+
+
+def test_plan_jets_of_mixed_members_equal_each_members_jet_bit_for_bit():
+    # plain jet scalars first, between bumps and last, and a Gaussian bump:
+    # each member's plan jets are its own jet on its own nodes
+    def jet(r):
+        return Jet2(np.sin(r), np.cos(r), -np.sin(r)) * verify._bump_jet(r, 2.0, 0.5)
+
+    plain = RadialScalar(lambda r: jet(r).val, jet)
+    members = (
+        verify.SuiteMember("plain_first", plain, (0.5, 3.5)),
+        verify.SuiteMember("bump_a", verify._Bump(0.3, 3.0), (0.3, 3.0)),
+        verify.SuiteMember("plain_mid", plain, (1.0, 3.0)),
+        verify.SuiteMember("gauss", verify._Bump(0.2, 4.0, 1.5, 0.8), (0.2, 4.0)),
+        verify.SuiteMember("bump_b", verify._Bump(2.0, 5.0), (2.0, 5.0)),
+        verify.SuiteMember("plain_last", plain, (0.25, 3.75)),
+    )
+    plan = verify.TestFunctionSuite(members).plan
+    r = plan.nodes[plan.index]
+    for k, member in enumerate(members):
+        own = plan.segment == k
+        j = member.scalar.jet(r[own])
+        assert np.any(j.val != 0.0), member.name
+        for name in ("val", "d1", "d2"):
+            assert _same_bits(getattr(plan, name)[own], getattr(j, name)), (member.name, name)
+
+
+@pytest.mark.parametrize("families", [["ode"], ["criticality"], ["asymptotics"], ["ode", "criticality", "asymptotics"]])
+def test_families_without_integrals_build_no_suite(monkeypatch, families):
+    calls, real = [], verify.default_suite
+    monkeypatch.setattr(verify, "default_suite", lambda: calls.append(1) or real())
+    assert run_verification(spaces=["hyperbolic:3", "dr:8,7"], families=families)
+    assert calls == []
+    # the integral families read the default suite
+    run_verification(spaces=["hyperbolic:3"], families=["rayleigh"])
+    assert calls
 
 
 def test_integral_families_share_one_density_per_space(monkeypatch):
