@@ -1,4 +1,4 @@
-"""Radial scalars with closed-form jets, radii, the curvature identity, quadrature.
+"""Radial scalars with closed-form jets, radii, power laws, the curvature identity, quadrature.
 
 A ``RadialScalar`` is a function of the radius: a value callable and, where
 derivatives are needed, a jet callable giving the value and the first two
@@ -11,6 +11,7 @@ evaluation over a whole radius grid is a single vectorised pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,7 +81,7 @@ class RadialScalar:
 
 
 # ---------------------------------------------------------------------------
-# radii, the rounding of exp and the curvature identity
+# radii, power laws, the rounding of exp and the curvature identity
 # ---------------------------------------------------------------------------
 
 
@@ -95,6 +96,41 @@ def check_radius(r: ArrayLike) -> ArrayLike:
     if not np.all((arr >= _TINY) & np.isfinite(arr)):
         raise PreconditionError(f"radius must be finite and at least {_TINY:.17g}")
     return arr
+
+
+def power_law(c: float, P: float, x: ArrayLike = 1.0, *factors) -> ArrayLike:
+    """c^P x^(-P) times base^exponent for each (base, exponent) of ``factors``; c, x and every base > 0.
+
+    The direct product, in that order (a float base raised by Python's ``**``,
+    an array base by ``np.power``), where every power and every partial
+    product is a positive normal double.  Elsewhere exp(P (log c - log x) +
+    each exponent times its base's log), grouped to keep the digits that
+    P log c - P log x would lose; inf or 0 past the doubles, with no warning.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        product, checks = 1.0, []
+        for base, exponent in ((c, P), (x, -P), *factors):
+            try:
+                power = base**exponent
+            except OverflowError:  # Python's float power past the double range
+                power = math.inf
+            checks += [product, power]  # all but the last product, which may leave the doubles
+            product = product * power
+        if all(map(_normal, checks)):
+            return product
+        log, normal = P * (math.log(c) - np.log(x)), True
+        for base, exponent in factors:
+            log = log + exponent * np.log(base)
+        for v in checks:
+            normal = normal & (v >= _TINY) & (v < math.inf)
+        return np.where(normal, product, np.exp(log))[()]
+
+
+def _normal(v: ArrayLike) -> bool:
+    """Whether every value of v is a positive normal double: v itself, or an array's minimum and maximum."""
+    if isinstance(v, np.ndarray):
+        return _TINY <= np.minimum.reduce(v, axis=None, initial=math.inf) and np.maximum.reduce(v, axis=None, initial=0.0) < math.inf
+    return _TINY <= v < math.inf
 
 
 def exp_rounding(x: ArrayLike) -> ArrayLike:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import ctypes
+import dataclasses
 import datetime
 import json
 import math
@@ -115,8 +116,7 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-# the fields of a ``verify.VerificationReport``, sorted
-_REPORT_KEYS = ("check_id", "gap", "lhs", "params", "rhs", "seconds", "space", "tolerance", "verdict")
+_REPORT_KEYS = tuple(sorted(field.name for field in dataclasses.fields(verify.VerificationReport)))
 
 
 def _report_text(doc: dict, reports) -> str:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _TINY, PanelPlan, RadialScalar, check_radius, exp_rounding
+from .calculus import _TINY, PanelPlan, RadialScalar, check_radius, exp_rounding, power_law
 from .errors import PreconditionError, QuadratureError
 from .spaces import EUCLIDEAN, DensityModel
 from .weights import WeightPair
@@ -75,30 +75,19 @@ _MAX_PANELS = 4_000_000
 _FLAT_DIVERGES = "flat-space Green integral diverges unless P < n"
 
 
+def _check_order(P: float) -> float:
+    """P as a float, once it is an order the Green engine takes: a finite P >= ``P_MIN``."""
+    P = float(P)
+    if not 1.0 < P < math.inf:
+        raise PreconditionError("Green function needs a finite P > 1")
+    if P < P_MIN:
+        raise PreconditionError(f"Green function needs P >= {P_MIN}: its panels narrow like (P-1)/h, so the cost grows without bound as P -> 1")
+    return P
+
+
 def _log_unit_sphere_volume(n: int) -> float:
     """log of the unit (n-1)-sphere's volume 2 pi^(n/2) / Gamma(n/2), finite for n >= 344."""
     return math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)
-
-
-def _power(base: float, P: float) -> float:
-    """base ** P, or inf past the double range, where Python's float power raises."""
-    try:
-        return base**P
-    except OverflowError:
-        return math.inf
-
-
-def _power_law(c: float, P: float, x):
-    """c^P x^(-P) for P, c, x > 0: the direct product where both powers are
-    positive normal doubles, else exp(P (log c - log x)), so neither power's
-    overflow nor its underflow reaches the law.  The caller ignores overflow."""
-    c_p, x_p = _power(c, P), x ** (-P)
-    lo, hi = np.minimum.reduce(x_p, axis=None, initial=math.inf), np.maximum.reduce(x_p, axis=None, initial=0.0)
-    c_normal = _TINY <= c_p < math.inf
-    if c_normal and _TINY <= lo and hi < math.inf:
-        return c_p * x_p
-    normal = c_normal & (x_p >= _TINY) & (x_p < math.inf)
-    return np.where(normal, c_p * x_p, np.exp(P * (math.log(c) - np.log(x))))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +160,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     way.  Where G overflows near the pole, G_err is infinite.  P below
     ``P_MIN`` is refused.
     """
-    P = float(P)
-    if not 1.0 < P < math.inf:
-        raise PreconditionError("Green function needs a finite P > 1")
-    if P < P_MIN:
-        raise PreconditionError(
-            f"Green function needs P >= {P_MIN}: its panels narrow like (P-1)/h, so the cost grows without bound as P -> 1"
-        )
+    P = _check_order(P)
     radii = np.atleast_1d(check_radius(radii))
     s = 1.0 / (P - 1.0)
     n = model.n
@@ -192,8 +175,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
         with np.errstate(over="ignore"):
             G = radii * np.exp(-exponent) / (k - 1.0)
         dlog = -(n - P) / ((P - 1.0) * radii)
-        with np.errstate(over="ignore", invalid="ignore"):
-            W = _power_law((n - P) / P, P, radii)
+        W = power_law((n - P) / P, P, radii)
         G_err = exp_rounding(exponent) * G
         nan = np.full_like(radii, np.nan)
         return {"G": G, "G_err": G_err, "dlogG": dlog, "W": W, "Wtilde": W.copy(), "rho": nan, "delta": nan}
@@ -201,7 +183,7 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     if not radii.size:
         return {key: np.empty(0) for key in ("G", "G_err", "dlogG", "W", "Wtilde", "rho", "delta")}
     h = model.h
-    lam_p = _power(h / P, P)
+    lam_p = power_law(h / P, P)
 
     # knots: every distinct radius, the anchor 1 when radii below 1 are
     # present, and the far cutoff; at[i] is the knot of radii[i].  Strictly
@@ -272,15 +254,12 @@ def green_weight_batch(model: DensityModel, P: float, radii) -> dict:
     # past delta = 1/2 the rounding of delta would cost P eps / rho relative
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = -P * np.where(delta < 0.5, np.log1p(-delta), np.log(rho))
-        W = _power_law(h / P, P, rho)
+        W = power_law(h / P, P, rho)
         wtilde = lam_p * np.expm1(x)
-        lam_normal = _TINY <= lam_p < math.inf
-        if not (lam_normal and np.isfinite(wtilde).all()):
-            # at large P, Lambda_P leaves the normal doubles or its factor
-            # overflows; there Wtilde = Lambda_P e^x (1 - e^-x) is one
-            # exponential, from log Lambda_P
-            keep = lam_normal & np.isfinite(wtilde)
-            wtilde = np.where(keep, wtilde, np.exp(P * math.log(h / P) + x + np.log(-np.expm1(-x))))
+        keep = (_TINY <= lam_p < math.inf) & np.isfinite(wtilde)
+        if not keep.all():
+            # where Lambda_P or its factor leaves the doubles, Wtilde = Lambda_P e^x (1 - e^-x)
+            wtilde = np.where(keep, wtilde, power_law(h / P, P, 1.0, (math.e, x), (-np.expm1(-x), 1.0)))
     exponent = s * (lf[at] + log_omega)
     # G overflows near the pole when the exponent is hugely negative; the
     # infinite G_err then refuses the row
@@ -380,7 +359,7 @@ def green_value(model: DensityModel, P: float, radii, tol: float = 1e-10) -> dic
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     batch = green_weight_batch(model, P, radii)
     G, G_err = batch["G"], batch["G_err"]
-    bad = ~((G >= np.finfo(float).tiny) & (G < math.inf))
+    bad = ~((G >= _TINY) & (G < math.inf))
     if bad.any():
         i = int(np.argmax(bad))
         state = "underflows" if np.isfinite(G[i]) else "is not finite"
@@ -401,11 +380,10 @@ def green_weight(model: DensityModel, P: float):
     """Hardy weight of the P-Laplacian built from the Green function.
 
     W = ((P-1)/P)^P |G'/G|^P with V = 0 and no ground state; the surplus
-    W - Lambda_P is the "Wtilde" column of ``green_weight_batch``.
+    W - Lambda_P is the "Wtilde" column of ``green_weight_batch``.  An order
+    that engine refuses is refused here, with its message.
     """
-    P = float(P)
-    if not P > 1.0:
-        raise PreconditionError("Green weight needs P > 1")
+    P = _check_order(P)
     if model.kind == EUCLIDEAN:
         raise PreconditionError("the Green weight construction excludes flat space")
 
@@ -465,20 +443,18 @@ def asymptotic_prediction(model: DensityModel, P: float, r) -> AsymptoticPredict
     P = n:  ((P-1)/P)^P |r ln r|^(-P)
     P > n:  C r^(-P(n-1)/(P-1)) with C = ((P-1)/P)^P (integral of f^(-1/(P-1)))^(-P)
 
-    On flat space that integral diverges, so P > n is refused there.
+    Each law is one ``calculus.power_law``, taken from its log where a power
+    leaves the doubles, and inf past them (|r ln r|^(-P) at r = 1).  On flat
+    space the integral diverges, so P > n is refused there.
     """
     P = float(P)
     if not P > 1.0:
         raise PreconditionError("Green weight needs P > 1")
     n = model.n
     r = check_radius(r)
-    # past the double range a coefficient or value is inf (0 * inf is NaN),
-    # and so is |r ln r|^(-P) at r = 1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if abs(P - n) < 1e-9:
-            return AsymptoticPrediction("P=n", ((P - 1.0) / P) ** P * np.power(np.abs(r * np.log(r)), -P), -P)
-        if P < n:
-            return AsymptoticPrediction("P<n", _power_law((n - P) / P, P, r), -P)
-        coef = ((P - 1.0) / P) ** P * _power(_total_integral(model, P), -P)
-        expo = -P * (n - 1.0) / (P - 1.0)
-        return AsymptoticPrediction("P>n", coef * np.power(r, expo), expo)
+    if abs(P - n) < 1e-9:
+        return AsymptoticPrediction("P=n", power_law((P - 1.0) / P, P, np.abs(r * np.log(r))), -P)
+    if P < n:
+        return AsymptoticPrediction("P<n", power_law((n - P) / P, P, r), -P)
+    expo = -P * (n - 1.0) / (P - 1.0)
+    return AsymptoticPrediction("P>n", power_law((P - 1.0) / P, P, _total_integral(model, P), (r, expo)), expo)

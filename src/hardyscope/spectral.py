@@ -58,12 +58,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import _EPS
 from .errors import PreconditionError, QuadratureError
 from .spaces import DensityModel
 
 __all__ = ["EigenProblem", "SpectralResult", "bottom_eigenvalue", "eigh_tridiagonal"]
 
-_EPS = float(np.finfo(float).eps)
 #: inverse iteration steps before the solve is refused
 _MAX_ITERATIONS = 100
 #: steps after which an unsettled iteration moves its shift up, once
@@ -116,9 +116,7 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     one move of the shift after ``_SLOW_STEPS`` steps; the iteration stops
     once a step is within that level, and the lower end is tested 4 max(last
     step, rounding level, the steps' geometric series ``_tail``) below the
-    quotient (a step shrinks by 0.83 on hyperbolic:11 at R = 70).  The level
-    is computed only once the step is within 2 eps (|shift| + max rows), a
-    bound on it for a unit x, so the iteration stops at the same step.
+    quotient (a step shrinks by 0.83 on hyperbolic:11 at R = 70).
 
     The first step is measured from the start's own quotient
     shift + <x, x>/<x, y>, which the first solve gives without T x too.
@@ -164,7 +162,7 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
     if factors is None:
         raise QuadratureError(f"T - {shift!r} I is not positive definite: the shift must lie below the spectrum")
     fd, fe = factors
-    rows, ceiling = _rounding_rows(d, e, shift)
+    rows = _rounding_rows(d, e, shift)
     step = math.inf
     for k in range(1, _MAX_ITERATIONS + 1):
         np.copyto(y, x)
@@ -175,17 +173,16 @@ def eigh_tridiagonal(d, e, shift: float, x=None) -> tuple[float, float, np.ndarr
         quotient = shift + xy / yy
         last, step, value = step, value - quotient, quotient
         np.multiply(y, 1.0 / math.sqrt(yy), out=x)
-        if abs(step) <= ceiling:
-            rounding = _EPS * (abs(shift) + float(rows @ (x * x)))
-            if abs(step) <= rounding:
-                break
+        rounding = _EPS * (abs(shift) + float(rows @ (x * x)))
+        if abs(step) <= rounding:
+            break
         if k == _SLOW_STEPS and (tail := _tail(10.0, step, last)):
             # a shift where T still factors is below the eigenvalue
             target = value - tail
             factors = _factors(d, e, target) if target > shift else None
             if factors is not None:
                 shift, (fd, fe) = target, factors
-                rows, ceiling = _rounding_rows(d, e, shift)
+                rows = _rounding_rows(d, e, shift)
     else:
         raise QuadratureError(f"inverse iteration did not settle in {_MAX_ITERATIONS} steps (last step {step:.3e})")
     lower = value - max(4.0 * abs(step), 4.0 * rounding, _tail(4.0, step, last))
@@ -202,13 +199,12 @@ def _tail(factor: float, step: float, last: float) -> float:
 
 
 def _rounding_rows(d, e, shift: float):
-    """The absolute row sums of T - shift I, so x^T |T - shift I| x <= rows @ x^2,
-    and 2 eps (|shift| + max rows), which bounds the rounding level for a unit x."""
+    """The absolute row sums of T - shift I, so x^T |T - shift I| x <= rows @ x^2."""
     rows = np.abs(d - shift)
     abs_e = np.abs(e)
     rows[1:] += abs_e
     rows[:-1] += abs_e
-    return rows, 2.0 * _EPS * (abs(shift) + float(rows.max()))
+    return rows
 
 
 def _factors(d, e, shift: float):

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import green as green_mod
 from . import weights
-from .calculus import Jet2, PanelPlan, RadialScalar, check_radius, exp_rounding
+from .calculus import _TINY, Jet2, PanelPlan, RadialScalar, check_radius, exp_rounding
 from .errors import PreconditionError, QuadratureError
 from .spaces import DEFAULT_CATALOG, DensityModel, build_density, default_grid
 from .weights import WeightPair, _require_dr, hpw_g, weight_theorem_b
@@ -346,11 +346,10 @@ def _ode_terms(model: DensityModel, pair: WeightPair, grid: np.ndarray) -> tuple
     d1, d2 = j.d1, j.d2 + j.d1 * j.d1
     net = pair.V.value(grid) - pair.W.value(grid)
     drift = model.log_df(grid) * d1
-    tiny = np.finfo(float).tiny
     if pair.P == 2.0:
-        return -(d2 + drift) + net, np.abs(d2) + np.abs(drift) + np.abs(net) + 1.0 / grid**2 + tiny
+        return -(d2 + drift) + net, np.abs(d2) + np.abs(drift) + np.abs(net) + 1.0 / grid**2 + _TINY
     plap = np.abs(d1) ** (pair.P - 2.0) * ((pair.P - 1.0) * d2 + drift)
-    return -plap + net, np.abs(plap) + np.abs(net) + tiny
+    return -plap + net, np.abs(plap) + np.abs(net) + _TINY
 
 
 def ode_residual(model: DensityModel, pair: WeightPair, grid=None) -> float:
@@ -494,8 +493,6 @@ def asymptotics_fit(radii, values) -> float:
 # report runner
 # ---------------------------------------------------------------------------
 
-
-FAMILIES = ("rayleigh", "ode", "criticality", "uncertainty", "rellich", "asymptotics")
 
 @dataclass
 class VerificationReport:
@@ -695,6 +692,7 @@ _FAMILY_GROUPS = {
     "rellich": _rellich_groups,
     "asymptotics": _asymptotics_groups,
 }
+FAMILIES = tuple(_FAMILY_GROUPS)
 
 
 def run_verification(

@@ -33,12 +33,11 @@ expressions lose digits to cancellation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import Jet2, RadialScalar, check_radius, hilfe_coefficients
+from .calculus import Jet2, RadialScalar, check_radius, hilfe_coefficients, power_law
 from .errors import PreconditionError, QuadratureError
 from .spaces import DAMEK_RICCI, EUCLIDEAN, DensityModel, validate_heisenberg_params
 
@@ -146,19 +145,6 @@ def _curvature_coefficients(model: DensityModel, c: float, b: float):
     if model.kind == EUCLIDEAN:
         return 0.0, 0.0, 0.0, (model.n - 1) * (c * (model.n - 1) + b)
     return *hilfe_coefficients(c, b, model.p, model.q), 0.0
-
-
-def _or_exp(direct, log_value: float, factor: float = 1.0) -> float:
-    """direct(), or factor e^log_value where direct() overflows, by raising or
-    to inf (inf where the log form leaves the doubles too)."""
-    try:
-        value = direct()
-    except OverflowError:
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    with np.errstate(over="ignore"):
-        return factor * float(np.exp(log_value))
 
 
 def _require_dr(model: DensityModel, what: str) -> None:
@@ -354,8 +340,8 @@ def weight_p_dr(model: DensityModel, P: float):
     V = -Lambda_P g^(P-2) with Lambda_P = (h/P)^P and the comparison function
     g(r) = coth(r/2) - (2/(p+2q))(q/sinh r + 1/r); W is the sum of the three
     right-hand-side densities, each individually nonnegative under the
-    precondition p+q >= P(P-1).  A constant whose Python float power leaves
-    the double range (h^(P-2) on dr:20000,1 at P = 100) comes from its log.
+    precondition p+q >= P(P-1).  Each constant is one ``calculus.power_law``,
+    from its log where a power leaves the doubles (h^(P-2) on dr:20000,1 at P = 100).
     """
     _require_dr(model, "the p-Laplacian pair")
     P = float(P)
@@ -365,11 +351,9 @@ def weight_p_dr(model: DensityModel, P: float):
     if p + q < P * (P - 1.0):
         raise PreconditionError(f"quasi-linear pair needs n >= 1 + P(P-1): n={model.n}, P={P}")
     h = model.h
-    # each constant as Python float arithmetic, else from its log
-    log_h, log_P = math.log(h), math.log(P)
-    lam_p = _or_exp(lambda: (h / P) ** P, P * (log_h - log_P))
-    pref = _or_exp(lambda: h ** (P - 2.0) / P**P, (P - 2.0) * log_h - P * log_P)
-    c_drift = _or_exp(lambda: h ** (P - 1.0) * (P - 2.0) / P**P, (P - 1.0) * log_h - P * log_P, P - 2.0)
+    lam_p = power_law(h / P, P)
+    pref = power_law(1.0, P, P, (h, P - 2.0))  # h^(P-2) / P^P
+    c_drift = (P - 2.0) * power_law(1.0, P, P, (h, P - 1.0))  # h^(P-1) (P-2) / P^P
     k = 2.0 / (p + 2.0 * q)
 
     def g_powers(rr):

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hardyscope.calculus import (
     PanelPlan,
     RadialScalar,
     check_radius,
+    power_law,
 )
 from hardyscope.errors import PreconditionError
 from hardyscope.green import asymptotic_prediction
@@ -281,3 +284,62 @@ def test_panel_plan_error_estimate_bounds_the_error():
     assert estimate <= 1e-14 * value
     with pytest.raises(PreconditionError):
         PanelPlan(1.0, 1.0, 0.25)
+
+
+def test_power_law_direct_path_is_the_plain_power_bit_for_bit():
+    # numpy's power and Python's (the C library's pow) differ in the last bit
+    # for a few percent of pairs on some hosts; the helper follows ``**`` for
+    # a float base and np.power for an array base, so the sample takes every
+    # differing pair of the pool, and as many agreeing ones
+    rng = np.random.default_rng(39)
+    bases, exponents = rng.uniform(0.05, 20.0, 20_000), rng.uniform(-200.0, 200.0, 20_000)
+    python = np.array([b**e for b, e in zip(bases.tolist(), exponents.tolist())])
+    differ = python != np.power(bases, exponents)
+    pick = np.concatenate((np.flatnonzero(differ)[:200], np.flatnonzero(~differ)[:200]))
+    bases, exponents, python = bases[pick], exponents[pick], python[pick]
+    for b, e, want in zip(bases.tolist(), exponents.tolist(), python.tolist()):
+        assert power_law(b, e) == want and power_law(1.0, 1.0, 1.0, (b, e)) == want
+    np.testing.assert_array_equal(power_law(1.0, 1.0, 1.0, (bases, exponents)), np.power(bases, exponents))
+    np.testing.assert_array_equal(power_law(1.0, 150.0, bases), np.power(bases, -150.0))
+
+
+@pytest.mark.parametrize(
+    "c, P, x, factors, tol",
+    [
+        (2.0, 1100.0, 1.0, ((0.5, 1090.0),), 1e-13),  # 2^1100 overflows, 0.5^1090 underflows
+        (7.0 / 3.0, 900.0, 1.0, ((3.0 / 7.0, 890.0),), 1e-13),
+        (1e10, 2.0, 1.0, ((1e-160, 2.0),), 1e-13),  # a subnormal factor
+        (1e-10, 31.0, 1.0, ((1e300, 1.0),), 1e-13),  # a subnormal c^P
+        (1e200, 1.0, 1e-200, ((1e-300, 1.0),), 1e-13),  # the partial product 1e400 overflows
+        (2.0, 600.0, np.array([4.0, 0.5, 1.5]), (), 1e-13),  # x^(-P) under- and overflows
+        # the partial product 1e-400 underflows; the four logs sum to -690.8
+        # from terms of up to 690.8 each, whose rounding the exponential
+        # carries: 8 eps (1 + 2072), as ``exp_rounding`` bounds it
+        (1e-200, 1.0, 1e200, ((1e-200, 1.0), (1e300, 1.0)), 3.7e-12),
+    ],
+)
+def test_power_law_past_the_double_range(c, P, x, factors, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.atleast_1d(power_law(c, P, x, *factors))
+    with mpmath.workdps(50):
+        for value, xi in zip(got, np.atleast_1d(x)):
+            exact = (mpmath.mpf(c) / mpmath.mpf(float(xi))) ** P
+            for base, exponent in factors:
+                exact *= mpmath.mpf(base) ** exponent
+            if exact > np.finfo(float).max:
+                assert value == math.inf
+            else:
+                assert float(abs(value - exact) / exact) < tol
+
+
+def test_power_law_overflow_raises_no_warning():
+    x = np.array([1e-150, 1.0, 1e-160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        direct = power_law(1e100, 2.0, x)  # only the product 1e500 overflows
+        logs = power_law(1e200, 2.0, x)  # c^P overflows, and so does its exponential
+        scalar = power_law(7.0 / 3.0, 900.0)
+    np.testing.assert_array_equal(direct, [math.inf, 1e200, math.inf])
+    np.testing.assert_array_equal(logs, [math.inf] * 3)
+    assert scalar == math.inf

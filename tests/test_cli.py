@@ -295,6 +295,22 @@ def test_green_asymptotics_finite_just_above_P_equal_n(capsys, space, P):
         assert isinstance(doc[key], float) and math.isfinite(doc[key]), key
 
 
+@pytest.mark.parametrize(
+    "space, P",
+    [("dr:8,7", "240"), ("dr:8,7", "260"), ("dr:8,7", "280"), ("dr:32,8", "300")],
+)
+def test_green_asymptotics_above_P_equal_n_with_an_underflowing_coefficient(capsys, space, P):
+    # C = ((P-1)/P)^P (integral of f^(-1/(P-1)))^(-P) underflows to 0 (log C
+    # is -745.6 on dr:8,7 at P = 240) where the law at r = 1e-7 is about
+    # e^-503, so ratio_at_rmin read inf and the call exited 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["green", "asymptotics", "--space", space, "--P", P])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regime"] == "P>n" and abs(doc["ratio_at_rmin"] - 1.0) < 1e-4
+
+
 def test_green_asymptotics_refuses_non_finite_field(capsys):
     # at P = n the surplus and the prediction both overflow at r = 1e-300
     argv = ["green", "asymptotics", "--space", "hyperbolic:3", "--P", "3", "--rmin", "1e-300", "--rmax", "1e-290"]

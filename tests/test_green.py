@@ -16,7 +16,7 @@ from hardyscope.green import (
 )
 from hardyscope import green as green_module
 from hardyscope.green import _log_unit_sphere_volume, _panel_width
-from hardyscope.calculus import PanelPlan
+from hardyscope.calculus import PanelPlan, power_law
 from hardyscope.spaces import DEFAULT_CATALOG, build_density, default_grid, validate_heisenberg_params
 from hardyscope.verify import default_suite
 
@@ -466,7 +466,7 @@ def test_green_preconditions():
         green_value(dr, 1.0, 1.0)
     with pytest.raises(PreconditionError):
         green_weight(e3, 2.0)
-    with pytest.raises(PreconditionError, match="Green weight needs P > 1"):
+    with pytest.raises(PreconditionError, match="Green function needs a finite P > 1"):
         green_weight(dr, 1.0)
     with pytest.raises(PreconditionError, match="Green weight needs P > 1"):
         asymptotic_prediction(dr, 1.0, np.array([0.5, 1.0]))
@@ -478,6 +478,38 @@ def test_green_preconditions():
     for radii in ([1.0, 0.0], [np.nan], [1.0, np.inf]):
         with pytest.raises(PreconditionError):
             green_weight_batch(dr, 2.0, np.array(radii))
+
+
+@pytest.mark.parametrize("P", [1.0005, 1.0, math.nan])
+def test_green_weight_refuses_the_orders_the_engine_refuses(P):
+    # P = 1.0005 built a pair whose every W.value raised; the pair is refused
+    # at build time, with the engine's message
+    with pytest.raises(PreconditionError, match="Green function needs"):
+        green_weight(build_density("dr:2,1"), P)
+
+
+def test_asymptotic_prediction_above_P_equal_n_with_a_subnormal_coefficient():
+    # on hyperbolic:30 at P = 300 the coefficient C is about 6e-315, whose
+    # subnormal digits put the law 2.7e-10 off; it is taken in logs instead
+    model, P, r = build_density("hyperbolic:30"), 300.0, 1e-7
+    pred = asymptotic_prediction(model, P, r)
+    with mpmath.workdps(40):
+        s = 1 / (mpmath.mpf(P) - 1)
+        # the integral of f^(-s) = sinh(t)^(-29 s) over (0, inf)
+        total = mpmath.quad(lambda t: mpmath.sinh(t) ** (-(model.n - 1) * s), [0, 1, 10, mpmath.inf])
+        exact = ((P - 1) / mpmath.mpf(P)) ** P * total**-P * mpmath.mpf(r) ** (-P * (model.n - 1) * s)
+    assert pred.regime == "P>n"
+    assert float(abs(pred.value - exact) / exact) < 1e-13
+
+
+def test_asymptotic_prediction_at_P_equal_n_near_the_largest_double():
+    # |r ln r|^(-P) overflows where the law is 1.1018e308, a finite double
+    P, r = 300.0, 0.0255522
+    pred = asymptotic_prediction(build_density("hyperbolic:300"), P, r)
+    with mpmath.workdps(50):
+        exact = ((P - 1) / mpmath.mpf(P)) ** P * abs(mpmath.mpf(r) * mpmath.log(r)) ** -P
+    assert pred.regime == "P=n" and math.isfinite(pred.value)
+    assert float(abs(pred.value - exact) / exact) < 1e-12 and 1.1017e308 < exact < 1.1018e308
 
 
 def test_asymptotic_regimes():
@@ -540,7 +572,7 @@ def test_weights_past_the_double_range_of_lambda_p_without_overflow_error():
         delta = mpmath.mpf(float(batch["delta"][1]))
         exact = (mpmath.mpf(model.h) / P) ** P * mpmath.expm1(-P * mpmath.log1p(-delta))
         assert float(abs(batch["Wtilde"][1] - exact) / exact) < 1e-12
-    assert green_module._power(2100.0 / 900.0, 900.0) == math.inf and np.all(pred.value == math.inf)  # (7/3)^900
+    assert power_law(2100.0 / 900.0, 900.0) == math.inf and np.all(pred.value == math.inf)  # (7/3)^900
     # on flat space ((n-P)/P)^P overflows; far out W is finite again
     flat = green_weight_batch(build_density("euclidean:1000000"), 100.0, np.array([1.0, 1e5]))["W"]
     assert flat[0] == math.inf
